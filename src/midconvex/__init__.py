@@ -11,8 +11,10 @@ ships a brute-force differential harness plus a small command line language.
 from .engine import (
     MidconvexWitness,
     PeriodicDecomposition,
+    RationalDecomposition,
     decompose_periodic,
     decompose_rational,
+    decompose_rational_set,
     doubling_claim_check,
     is_midconvex,
     midconvex_closure,
@@ -32,7 +34,6 @@ from .groups import (
     FiniteAbelianGroup,
     GroupElement,
     GroupSubset,
-    element_order,
     halving_set,
     index_is_odd,
     is_subgroup,
@@ -47,6 +48,7 @@ from .harness import (
     exhaustive_lemma1,
     exhaustive_theorem1,
     exhaustive_theorem2,
+    roundtrip_theorem3,
     sample_two_purity,
 )
 from .intsets import (
@@ -69,8 +71,6 @@ from .rationals import (
     cyclic_chain,
     is_subgroup_of,
     is_two_pure,
-    member,
-    rational_membership_of_description,
     two_pure_closure,
 )
 
@@ -89,6 +89,7 @@ __all__ = [
     "NotMidconvexTrace",
     "PeriodicDecomposition",
     "QIntervalSpec",
+    "RationalDecomposition",
     "RationalGroupDescriptor",
     "RationalMidconvexDescription",
     "TraceDecomposition",
@@ -100,10 +101,10 @@ __all__ = [
     "cyclic_chain",
     "decompose_periodic",
     "decompose_rational",
+    "decompose_rational_set",
     "decompose_trace",
     "decompose_z",
     "doubling_claim_check",
-    "element_order",
     "enumerate_abelian_groups",
     "exhaustive_lemma1",
     "exhaustive_theorem1",
@@ -118,11 +119,10 @@ __all__ = [
     "is_two_pure",
     "lemma1_check",
     "make_group",
-    "member",
     "midconvex_closure",
     "midconvex_witness",
     "midconvex_z_witness",
-    "rational_membership_of_description",
+    "roundtrip_theorem3",
     "sample_two_purity",
     "subgroup_generated",
     "trace_in_group",

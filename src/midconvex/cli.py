@@ -42,8 +42,6 @@ EXIT_COUNTEREXAMPLE = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
-_Z_AS_RATIONAL = RationalGroupDescriptor(Fraction(1))
-
 
 # -- binding parsed expressions to runtime objects --------------------------
 
@@ -55,7 +53,8 @@ def _bind_group(expr):
         except (ValueError, CapExceeded) as exc:
             raise DslTypeError(str(exc)) from exc
     if isinstance(expr, ZGroupExpr):
-        return "zed", None
+        # Z is bound to its reading as the rational group (1,[])
+        return "zed", RationalGroupDescriptor(Fraction(1))
     try:
         return "rational", RationalGroupDescriptor(expr.gen, frozenset(expr.primes))
     except ValueError as exc:
@@ -113,14 +112,13 @@ def _bind_set(kind, group, expr):
         if expr.window is not None:
             raise DslTypeError("windows apply to Z sets only")
         return "points", [_bind_rational(group, e, "element") for e in expr.elements]
-    ambient = _Z_AS_RATIONAL if kind == "zed" else group
     if kind == "finite":
         raise DslTypeError("interval-and-coset sets live in Z or Q groups")
     try:
         subgroup = RationalGroupDescriptor(expr.sub_gen, frozenset(expr.sub_primes))
         interval = QIntervalSpec(expr.lower, expr.upper)
         description = RationalMidconvexDescription(interval, subgroup, Fraction(expr.base))
-        description.validate_ambient(ambient)
+        description.validate_ambient(group)
     except ValueError as exc:
         raise DslTypeError(str(exc)) from exc
     return "description", description
@@ -248,7 +246,7 @@ def _render(report: dict, fmt: str) -> str:
 # -- command execution --------------------------------------------------------
 
 
-def _run_check(kind, group, set_kind, set_obj, report):
+def _run_check(group, set_kind, set_obj, report):
     if set_kind == "subset":
         witness = engine.midconvex_witness(group, set_obj)
         report["stats"]["count"] = set_obj.size
@@ -256,12 +254,10 @@ def _run_check(kind, group, set_kind, set_obj, report):
         witness = intsets.midconvex_z_witness(set_obj)
         report["stats"]["count"] = len(set_obj.members())
     elif set_kind == "points":
-        ambient = _Z_AS_RATIONAL if kind == "zed" else group
-        witness = engine.is_midconvex_q_finite(ambient, set_obj)
+        witness = engine.is_midconvex_q_finite(group, set_obj)
         report["stats"]["count"] = len(set_obj)
     else:
-        ambient = _Z_AS_RATIONAL if kind == "zed" else group
-        witness = engine.described_midconvex_witness(set_obj, ambient)
+        witness = engine.described_midconvex_witness(set_obj, group)
         report["stats"]["count"] = 1
     report["witness"] = _witness_dict(witness)
     if witness is None:
@@ -271,7 +267,7 @@ def _run_check(kind, group, set_kind, set_obj, report):
     return EXIT_COUNTEREXAMPLE
 
 
-def _run_closure(kind, group, set_kind, set_obj, report):
+def _run_closure(group, set_kind, set_obj, report):
     if set_kind == "subset":
         closed = engine.midconvex_closure(group, set_obj)
         report["closure"] = "{%s}" % ",".join(str(e) for e in closed.members())
@@ -279,14 +275,12 @@ def _run_closure(kind, group, set_kind, set_obj, report):
         report["stats"]["count"] = closed.size
         return EXIT_OK
     if set_kind == "window":
-        points = set_obj.members()
-        ambient, max_iters = _Z_AS_RATIONAL, 64
+        points, max_iters = set_obj.members(), 64
     elif set_kind == "points":
-        points = set_obj
-        ambient, max_iters = (_Z_AS_RATIONAL if kind == "zed" else group), 8
+        points, max_iters = set_obj, 8
     else:
         raise DslTypeError("closure is only computed for explicit sets and finite groups")
-    closed, complete = harness.bounded_closure_oracle(ambient, points, max_iters)
+    closed, complete = harness.bounded_closure_oracle(group, points, max_iters)
     report["closure"] = "{%s}" % ",".join(str(p) for p in sorted(closed))
     report["stats"]["count"] = len(closed)
     if complete:
@@ -296,7 +290,7 @@ def _run_closure(kind, group, set_kind, set_obj, report):
     return EXIT_RESOURCE
 
 
-def _run_trace(kind, group, set_kind, set_obj, command, report):
+def _run_trace(group, set_kind, set_obj, command, report):
     if set_kind == "subset":
         x = _bind_finite_element(group, command.x, "trace base")
         g = _bind_finite_element(group, command.g, "trace direction")
@@ -313,8 +307,7 @@ def _run_trace(kind, group, set_kind, set_obj, command, report):
         report["stats"]["count"] = trace.hi - trace.lo + 1
         report["result"] = "trace computed"
         return EXIT_OK
-    ambient = _Z_AS_RATIONAL if kind == "zed" else group
-    x = _bind_rational(ambient, command.x, "trace base")
+    x = _bind_rational(group, command.x, "trace base")
     if isinstance(command.g, tuple):
         raise DslTypeError("trace direction must be a rational")
     g = Fraction(command.g)
@@ -329,24 +322,7 @@ def _run_trace(kind, group, set_kind, set_obj, command, report):
     return EXIT_OK
 
 
-def _described_second_point(description, limit: int = 64, exponent_bound: int = 6):
-    """Deterministic probe for a member adjacent to the base point."""
-    sub = description.subgroup
-    dens = [1]
-    for p in sorted(sub.primes):
-        dens = [d * p**e for d in dens for e in range(exponent_bound + 1)]
-    offsets = sorted(
-        {Fraction(num, den) for den in dens for num in range(1, limit + 1)}
-    )
-    for t in offsets:
-        for signed in (t, -t):
-            r = description.base + sub.gen * signed
-            if description.contains(r):
-                return r
-    return None
-
-
-def _run_decompose(kind, group, set_kind, set_obj, command, report):
+def _run_decompose(group, set_kind, set_obj, command, report):
     if set_kind == "subset":
         members = set_obj.members()
         if not members:
@@ -376,66 +352,23 @@ def _run_decompose(kind, group, set_kind, set_obj, command, report):
         report["stats"]["count"] = len(members)
         return EXIT_OK
 
-    ambient = _Z_AS_RATIONAL if kind == "zed" else group
-    if set_kind == "points":
-        points = sorted(set_obj)
-        if not points:
-            raise DslTypeError("cannot decompose the empty set")
-        # the lattice scans only verify on-lattice points, so decide the
-        # finite set exactly up front
-        witness = engine.is_midconvex_q_finite(ambient, points)
-        if witness is not None:
-            report["witness"] = _witness_dict(witness)
-            report["result"] = "not midconvex"
-            return EXIT_COUNTEREXAMPLE
-        x = points[0] if command.x is None else _bind_rational(ambient, command.x, "base")
-        if x not in set_obj:
-            raise DslTypeError(f"base point {x} is not a member")
-        later = [p for p in points if p > x]
-        if not later:
-            report["decomposition"] = _rational_decomposition_dict(
-                RationalMidconvexDescription(QIntervalSpec(x, x), ambient, x)
-            )
-            report["result"] = "decomposed (singleton)"
-            report["stats"]["count"] = len(points)
-            return EXIT_OK
-        x2 = later[0]
-        radius = max(points[-1] - x, x - points[0], x2 - x) + 1
-        oracle = set_obj
-    else:
-        x = set_obj.base if command.x is None else _bind_rational(ambient, command.x, "base")
-        if not set_obj.contains(x):
-            raise DslTypeError(f"base point {x} is not a member")
-        second = _described_second_point(set_obj)
-        if second is None:
-            report["decomposition"] = _rational_decomposition_dict(
-                RationalMidconvexDescription(QIntervalSpec(x, x), ambient, x)
-            )
-            report["result"] = "decomposed (singleton)"
-            report["stats"]["count"] = 1
-            return EXIT_OK
-        x, x2 = min(x, second), max(x, second)
-        gen = set_obj.subgroup.gen
-        lo, hi = set_obj.interval.lower, set_obj.interval.upper
-        radius = max(
-            x2 - x,
-            (hi - x) if hi is not None else 64 * gen,
-            (x - lo) if lo is not None else 64 * gen,
-        ) + gen
-        oracle = set_obj
-    depth = 3 * max(1, len(ambient.primes))
+    x = None if command.x is None else _bind_rational(group, command.x, "base")
     try:
-        desc = engine.decompose_rational(ambient, oracle, x, x2, depth, radius)
+        dec = engine.decompose_rational_set(group, set_obj, x)
     except NotMidconvex as exc:
-        report["result"] = f"not midconvex: {exc.reason}"
+        if exc.witness is None:
+            report["result"] = f"not midconvex: {exc.reason}"
+        else:
+            report["witness"] = _witness_dict(exc.witness)
+            report["result"] = "not midconvex"
         return EXIT_COUNTEREXAMPLE
-    report["decomposition"] = _rational_decomposition_dict(desc, depth)
-    report["result"] = "decomposed"
+    report["decomposition"] = _rational_decomposition_dict(dec.description, dec.depth)
+    report["result"] = "decomposed" if dec.depth is not None else "decomposed (singleton)"
     report["stats"]["count"] = len(set_obj) if set_kind == "points" else 1
     return EXIT_OK
 
 
-def _run_verify(kind, group, set_kind, set_obj, command, report):
+def _run_verify(group, set_kind, set_obj, command, report, timings):
     seed = 0 if command.seed is None else command.seed
     report["stats"]["seed"] = seed
     if command.theorem in ("1", "2", "lemma1"):
@@ -455,79 +388,22 @@ def _run_verify(kind, group, set_kind, set_obj, command, report):
         points = set_obj.members() if set_kind == "window" else set_obj
         if not points:
             raise DslTypeError("hull verification needs a nonempty set")
-        ambient = _Z_AS_RATIONAL if kind in ("zed",) else group
-        if kind == "finite":
-            raise DslTypeError("hull verification lives in Z or Q groups")
         campaign = harness.conjecture_hull_check(
-            ambient, list(points), samples=command.samples or 200, seed=seed
+            group, list(points), samples=command.samples or 200, seed=seed
         )
         count = campaign.counts["oracle_points"]
     else:
-        if set_kind != "description" or kind == "finite":
+        if set_kind != "description":
             raise DslTypeError("theorem 3 verification needs an interval-and-coset set in Q")
-        ambient = _Z_AS_RATIONAL if kind == "zed" else group
-        campaign = _verify_theorem3(ambient, set_obj, command.samples or 1000, seed)
+        campaign = harness.roundtrip_theorem3(group, set_obj, command.samples or 1000, seed)
         count = campaign.counts["samples"]
-    report["campaign"] = campaign.to_dict()
+    report["campaign"] = campaign.to_dict(include_elapsed=timings)
     report["stats"]["count"] = count
     if campaign.passed:
         report["result"] = "pass"
         return EXIT_OK
     report["result"] = "fail"
     return EXIT_COUNTEREXAMPLE
-
-
-def _verify_theorem3(ambient, description, samples, seed):
-    """Sampled midpoint check plus decomposition round-trip for a description."""
-    started = time.perf_counter()
-    campaign = harness.VerificationReport("theorem3", seed=seed)
-    violation = engine.theorem3_if_violation(description, ambient, samples, seed)
-    if violation is not None:
-        campaign.mismatches.append(
-            {
-                "group": str(ambient),
-                "subset": str(description),
-                "operation": "midpoint escaped the described set",
-                "lhs": str(violation[:2]),
-                "rhs": str(violation[2]),
-            }
-        )
-    second = _described_second_point(description)
-    grid_checked = 0
-    if second is not None:
-        base = min(description.base, second)
-        x2 = max(description.base, second)
-        gen = description.subgroup.gen
-        lo, hi = description.interval.lower, description.interval.upper
-        radius = max(
-            x2 - base,
-            (hi - base) if hi is not None else 64 * gen,
-            (base - lo) if lo is not None else 64 * gen,
-        ) + gen
-        depth = 3 * max(1, len(ambient.primes))
-        recovered = engine.decompose_rational(ambient, description, base, x2, depth, radius)
-        probe_dens = [1]
-        for p in sorted(ambient.primes):
-            probe_dens = [d * p**e for d in probe_dens for e in range(3)]
-        for den in probe_dens:
-            for num in range(-24, 25):
-                r = description.base + ambient.gen * Fraction(num, den)
-                if abs(r - base) > radius - gen:
-                    continue
-                grid_checked += 1
-                if description.contains(r) != recovered.contains(r):
-                    campaign.mismatches.append(
-                        {
-                            "group": str(ambient),
-                            "subset": str(description),
-                            "operation": "recovered description disagrees",
-                            "lhs": str(recovered),
-                            "rhs": str(r),
-                        }
-                    )
-    campaign.counts = {"samples": samples, "grid_points": grid_checked}
-    campaign.elapsed_s = time.perf_counter() - started
-    return campaign
 
 
 def run(program: Program, *, fmt: str = "text", timings: bool = False) -> tuple[int, str]:
@@ -547,15 +423,15 @@ def run(program: Program, *, fmt: str = "text", timings: bool = False) -> tuple[
         set_kind, set_obj = _bind_set(kind, group, program.set_expr)
         command = program.command
         if isinstance(command, CheckCmd):
-            code = _run_check(kind, group, set_kind, set_obj, report)
+            code = _run_check(group, set_kind, set_obj, report)
         elif isinstance(command, ClosureCmd):
-            code = _run_closure(kind, group, set_kind, set_obj, report)
+            code = _run_closure(group, set_kind, set_obj, report)
         elif isinstance(command, TraceCmd):
-            code = _run_trace(kind, group, set_kind, set_obj, command, report)
+            code = _run_trace(group, set_kind, set_obj, command, report)
         elif isinstance(command, DecomposeCmd):
-            code = _run_decompose(kind, group, set_kind, set_obj, command, report)
+            code = _run_decompose(group, set_kind, set_obj, command, report)
         elif isinstance(command, VerifyCmd):
-            code = _run_verify(kind, group, set_kind, set_obj, command, report)
+            code = _run_verify(group, set_kind, set_obj, command, report, timings)
         else:
             raise DslTypeError(f"unsupported command {command!r}")
     except (DslSyntaxError, DslTypeError, ValueError) as exc:
@@ -592,17 +468,7 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="report real elapsed times instead of the deterministic 0",
     )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="parallelism override for campaigns (accepted for compatibility; "
-        "campaigns currently run on a single worker)",
-    )
     args = parser.parse_args(argv)
-    if args.jobs < 1:
-        print("error: --jobs must be at least 1")
-        return EXIT_USAGE
     if args.input == "-":
         text = sys.stdin.read()
     else:

@@ -16,7 +16,7 @@ from math import floor
 from typing import Iterable
 
 from .errors import CapExceeded, NotMidconvex, NotMidconvexTrace, WindowTooSmall
-from .groups import FiniteAbelianGroup, GroupElement, GroupSubset, index_is_odd, is_subgroup
+from .groups import FiniteAbelianGroup, GroupElement, GroupSubset, is_subgroup
 from .intsets import IntWindowSet, decompose_trace, is_order_convex
 from .rationals import (
     QIntervalSpec,
@@ -26,6 +26,10 @@ from .rationals import (
     cyclic_chain,
     is_two_pure,
 )
+
+# Bounds of the deterministic probe grid that looks for members near a base.
+_PROBE_NUMERATORS = 64
+_PROBE_EXPONENTS = 6
 
 
 @dataclass(frozen=True)
@@ -38,6 +42,18 @@ class MidconvexWitness:
 
 
 @dataclass(frozen=True)
+class RationalDecomposition:
+    """A recovered description with the refinement depth and window radius used.
+
+    Both are None for a singleton, which is described without a lattice scan.
+    """
+
+    description: RationalMidconvexDescription
+    depth: int | None = None
+    radius: Fraction | None = None
+
+
+@dataclass(frozen=True)
 class PeriodicDecomposition:
     """X as subgroup + base, with the subgroup of odd index in the group."""
 
@@ -47,7 +63,7 @@ class PeriodicDecomposition:
 
     @property
     def index(self) -> int:
-        return self.subgroup.group.order // self.subgroup.size
+        return self.subgroup.index
 
 
 # -- finite groups -------------------------------------------------------
@@ -137,17 +153,12 @@ def decompose_periodic(
     """
     if x not in subset:
         raise ValueError("decomposition base point must be a member")
-    xi = group.index_of(x)
-    shifted = 0
-    for i in subset.indices():
-        shifted |= 1 << group.sub_index(i, xi)
+    shifted = group.translate_mask(subset.mask, group.neg_index(group.index_of(x)))
     candidate = GroupSubset(group, shifted)
     if not is_subgroup(candidate):
         raise NotMidconvex("X - x is not a subgroup")
-    if not index_is_odd(candidate):
-        raise NotMidconvex(
-            f"X - x has even index {group.order // candidate.size}"
-        )
+    if candidate.index % 2 == 0:
+        raise NotMidconvex(f"X - x has even index {candidate.index}")
     return PeriodicDecomposition(candidate, x, True)
 
 
@@ -155,10 +166,7 @@ def doubling_claim_check(
     group: FiniteAbelianGroup, subset: GroupSubset, x: GroupElement
 ) -> bool:
     """True iff X - x is closed under doubling; holds for midconvex X."""
-    xi = group.index_of(x)
-    shifted = 0
-    for i in subset.indices():
-        shifted |= 1 << group.sub_index(i, xi)
+    shifted = group.translate_mask(subset.mask, group.neg_index(group.index_of(x)))
     for a in GroupSubset(group, shifted).indices():
         if not shifted >> group.add_index(a, a) & 1:
             return False
@@ -379,12 +387,27 @@ def verify_theorem3_if(
     return theorem3_if_violation(description, group, samples, seed) is None
 
 
+def _probe_members(description: RationalMidconvexDescription, around: Fraction):
+    """Members around + t*gen of the description, finest offset t first.
+
+    The probe grid is deterministic: offsets num/den with 1 <= num <=
+    _PROBE_NUMERATORS and den a product of the subgroup's inverted primes
+    with exponents up to _PROBE_EXPONENTS; +t is tried before -t.
+    """
+    sub = description.subgroup
+    dens = [1]
+    for p in sorted(sub.primes):
+        dens = [d * p**e for d in dens for e in range(_PROBE_EXPONENTS + 1)]
+    offsets = {Fraction(num, den) for den in dens for num in range(1, _PROBE_NUMERATORS + 1)}
+    for t in sorted(offsets):
+        for signed in (t, -t):
+            r = around + sub.gen * signed
+            if description.contains(r):
+                yield r
+
+
 def described_midconvex_witness(
-    description: RationalMidconvexDescription,
-    group: RationalGroupDescriptor,
-    *,
-    numerator_bound: int = 64,
-    exponent_bound: int = 6,
+    description: RationalMidconvexDescription, group: RationalGroupDescriptor
 ) -> tuple[Fraction, Fraction, Fraction] | None:
     """Witness that a described set is not midconvex, or None when it is.
 
@@ -393,29 +416,67 @@ def described_midconvex_witness(
     closest to the base along the subgroup lattice has an odd lattice
     coordinate (an even one would yield a closer member by halving), and
     its midpoint with the base lies in the ambient group but not in the set.
-    The probe grid is deterministic and covers lattice numerators up to
-    `numerator_bound` at denominator exponents up to `exponent_bound`.
+    The members are searched on the probe grid of `_probe_members`.
     """
     description.validate_ambient(group)
     if is_two_pure(description.subgroup, group):
         return None
-    sub = description.subgroup
     base = description.base
-    candidates: list[Fraction] = []
-    dens = [1]
-    for p in sorted(sub.primes):
-        dens = [d * p**e for d in dens for e in range(exponent_bound + 1)]
-    for den in dens:
-        for num in range(1, numerator_bound + 1):
-            candidates.append(Fraction(num, den))
-    candidates.sort()
-    for t in candidates:
-        for signed in (t, -t):
-            r = base + sub.gen * signed
-            if description.contains(r):
-                # minimality in the probe grid forces an odd numerator, so the
-                # midpoint with the base is off the subgroup lattice
-                c = (base + r) / 2
-                if group.contains(c) and not description.contains(c):
-                    return (base, r, c) if r > base else (r, base, c)
+    for r in _probe_members(description, base):
+        # minimality in the probe grid forces an odd numerator, so the
+        # midpoint with the base is off the subgroup lattice
+        c = (base + r) / 2
+        if group.contains(c) and not description.contains(c):
+            return (base, r, c) if r > base else (r, base, c)
     return None
+
+
+def decompose_rational_set(
+    group: RationalGroupDescriptor,
+    members: RationalMidconvexDescription | Iterable[Rational],
+    x: Rational | None = None,
+) -> RationalDecomposition:
+    """Decide and decompose a described set or a finite set of rationals.
+
+    The set is decided exactly first; a set that is not midconvex raises
+    NotMidconvex carrying the violating triple. The base `x` (by default the
+    description's base or the least point) must be a member. The second
+    point is its nearest member: for a finite set the next point above, or
+    below at the top; for a description the first hit of the probe grid
+    around `x`. The lower of the two becomes the base of `decompose_rational`,
+    which runs at depth 3 * max(1, |P|) on a window one step past each end
+    of the set, reaching as far as the probe grid on an unbounded side. A
+    set without a second point is the singleton [x, x].
+    """
+    if isinstance(members, RationalMidconvexDescription):
+        oracle = members
+        witness = described_midconvex_witness(members, group)
+        x = members.base if x is None else Fraction(x)
+        neighbours = _probe_members(members, x)
+        lo, hi, step = members.interval.lower, members.interval.upper, members.subgroup.gen
+    else:
+        points = sorted({Fraction(p) for p in members})
+        if not points:
+            raise ValueError("cannot decompose the empty set")
+        oracle = FiniteRationalSet(points)
+        witness = is_midconvex_q_finite(group, points)
+        x = points[0] if x is None else Fraction(x)
+        # a midconvex finite set is equally spaced, so the next point above
+        # (below, at the top) is a nearest one
+        neighbours = iter([p for p in points if p > x][:1] + [p for p in points if p < x][-1:])
+        lo, hi, step = points[0], points[-1], Fraction(1)
+    if witness is not None:
+        a, b, c = witness
+        raise NotMidconvex(f"midpoint {c} of {a} and {b} is missing", witness=witness)
+    if not oracle.contains(x):
+        raise ValueError(f"base point {x} is not a member")
+    second = next(neighbours, None)
+    if second is None:
+        return RationalDecomposition(RationalMidconvexDescription(QIntervalSpec(x, x), group, x))
+    base, x2 = min(x, second), max(x, second)
+    far = _PROBE_NUMERATORS * step
+    radius = max(far if hi is None else hi - base, far if lo is None else base - lo) + step
+    depth = 3 * max(1, len(group.primes))
+    return RationalDecomposition(
+        decompose_rational(group, oracle, base, x2, depth, radius), depth, radius
+    )

@@ -116,8 +116,15 @@ class FiniteAbelianGroup:
             return self._tables()[1][i]
         return self._encode([(-a) % m for a, m in zip(self._decode(i), self.orders)])
 
-    def sub_index(self, i: int, j: int) -> int:
-        return self.add_index(i, self.neg_index(j))
+    def translate_mask(self, mask: int, d: int) -> int:
+        """Bitmask of the indices i + d for every index i set in the mask.
+
+        With d the index of -x this is the shift X - x.
+        """
+        shifted = 0
+        for i in _set_bits(mask):
+            shifted |= 1 << self.add_index(i, d)
+        return shifted
 
     def halving_index_mask(self, s_index: int) -> int:
         """Bitmask of all element indices z with 2z equal to the element at s_index."""
@@ -137,6 +144,14 @@ class FiniteAbelianGroup:
                 return ()
             per_component.append(sols)
         return tuple(self._encode(v) for v in itertools.product(*per_component))
+
+
+def _set_bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of a mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _halve_mod(c: int, n: int) -> tuple[int, ...]:
@@ -210,18 +225,6 @@ def make_group(orders: Iterable[int], *, order_cap: int = DEFAULT_ORDER_CAP) -> 
     return group
 
 
-def add(a: GroupElement, b: GroupElement) -> GroupElement:
-    return a + b
-
-
-def neg(a: GroupElement) -> GroupElement:
-    return -a
-
-
-def element_order(a: GroupElement) -> int:
-    return a.order()
-
-
 def halving_set(s: GroupElement) -> frozenset[GroupElement]:
     """All elements z with 2z = s; empty when no component congruence solves."""
     group = s.group
@@ -290,12 +293,13 @@ class GroupSubset:
     def __contains__(self, element: GroupElement) -> bool:
         return bool(self.mask >> self.group.index_of(element) & 1)
 
+    @property
+    def index(self) -> int:
+        """Group order over subset size: the index when the subset is a subgroup."""
+        return self.group.order // self.size
+
     def indices(self) -> Iterator[int]:
-        mask = self.mask
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
+        return _set_bits(self.mask)
 
     def members(self) -> list[GroupElement]:
         return [self.group.element_at(i) for i in self.indices()]
@@ -314,12 +318,7 @@ class GroupSubset:
 
     def translate(self, x: GroupElement) -> "GroupSubset":
         """The set of all members shifted by x."""
-        group = self.group
-        xi = group.index_of(x)
-        mask = 0
-        for i in self.indices():
-            mask |= 1 << group.add_index(i, xi)
-        return GroupSubset(group, mask)
+        return GroupSubset(self.group, self.group.translate_mask(self.mask, self.group.index_of(x)))
 
     def _check_same_group(self, other: "GroupSubset") -> None:
         if self.group != other.group:
@@ -370,4 +369,4 @@ def index_is_odd(subset: GroupSubset) -> bool:
     """True iff the subset is a subgroup of odd index."""
     if not is_subgroup(subset):
         raise ValueError("index_is_odd requires a subgroup")
-    return (subset.group.order // subset.size) % 2 == 1
+    return subset.index % 2 == 1

@@ -17,7 +17,8 @@ from math import prod
 from typing import Iterable, Sequence
 
 from . import engine
-from .groups import FiniteAbelianGroup, GroupSubset, index_is_odd, is_subgroup, make_group
+from .errors import NotMidconvex
+from .groups import FiniteAbelianGroup, GroupSubset, is_subgroup, make_group
 from .rationals import (
     QIntervalSpec,
     Rational,
@@ -46,6 +47,18 @@ class VerificationReport:
     @property
     def passed(self) -> bool:
         return not self.mismatches
+
+    def add_mismatch(self, group, subset, operation: str, lhs, rhs) -> dict:
+        """Record one disagreement and return the appended record."""
+        record = {
+            "group": str(group),
+            "subset": str(subset),
+            "operation": operation,
+            "lhs": lhs,
+            "rhs": rhs,
+        }
+        self.mismatches.append(record)
+        return record
 
     def to_dict(self, include_elapsed: bool = False) -> dict:
         """Canonical rendering; elapsed time is zeroed unless asked for."""
@@ -123,15 +136,12 @@ def _subset_masks(group: FiniteAbelianGroup, seed: int, sample_count: int) -> It
 
 def _theorem2_holds(group: FiniteAbelianGroup, subset: GroupSubset, cache: dict) -> bool:
     """The subgroup-plus-base characterization, quantified over every base point."""
-    for x in subset.members():
-        xi = group.index_of(x)
-        shifted = 0
-        for i in subset.indices():
-            shifted |= 1 << group.sub_index(i, xi)
+    for xi in subset.indices():
+        shifted = group.translate_mask(subset.mask, group.neg_index(xi))
         verdict = cache.get(shifted)
         if verdict is None:
             candidate = GroupSubset(group, shifted)
-            verdict = cache[shifted] = is_subgroup(candidate) and index_is_odd(candidate)
+            verdict = cache[shifted] = is_subgroup(candidate) and candidate.index % 2 == 1
         if not verdict:
             return False
     return True
@@ -177,14 +187,8 @@ def exhaustive_theorem2(
         if lhs:
             midconvex_counts[label] = midconvex_counts.get(label, 0) + 1
         if lhs != rhs:
-            report.mismatches.append(
-                {
-                    "group": label,
-                    "subset": _subset_label(subset),
-                    "operation": "is_midconvex vs subgroup characterization",
-                    "lhs": lhs,
-                    "rhs": rhs,
-                }
+            report.add_mismatch(
+                group, _subset_label(subset), "is_midconvex vs subgroup characterization", lhs, rhs
             )
 
     report = _sweep("theorem2", max_order, seed, sample_count, check)
@@ -201,14 +205,8 @@ def exhaustive_theorem1(
         lhs = engine.is_midconvex(group, subset)
         rhs = engine.verify_theorem1(group, subset)
         if lhs != rhs:
-            report.mismatches.append(
-                {
-                    "group": str(group),
-                    "subset": _subset_label(subset),
-                    "operation": "is_midconvex vs trace decomposition",
-                    "lhs": lhs,
-                    "rhs": rhs,
-                }
+            report.add_mismatch(
+                group, _subset_label(subset), "is_midconvex vs trace decomposition", lhs, rhs
             )
 
     return _sweep("theorem1", max_order, seed, sample_count, check)
@@ -228,14 +226,12 @@ def exhaustive_lemma1(
                 if x == y:
                     continue
                 if not engine.lemma1_holds_in_group(group, subset, x, y):
-                    report.mismatches.append(
-                        {
-                            "group": str(group),
-                            "subset": _subset_label(subset),
-                            "operation": f"trace at {x} along {y - x} not order-convex",
-                            "lhs": True,
-                            "rhs": False,
-                        }
+                    report.add_mismatch(
+                        group,
+                        _subset_label(subset),
+                        f"trace at {x} along {y - x} not order-convex",
+                        True,
+                        False,
                     )
 
     return _sweep("lemma1", max_order, seed, sample_count, check)
@@ -298,17 +294,60 @@ def sample_two_purity(
             ambient, sub, rng, samples_per_pair, numerator_bound, exponent_bound
         )
         if formula != (violation is None):
-            report.mismatches.append(
-                {
-                    "group": str(ambient),
-                    "subset": str(sub),
-                    "operation": "is_two_pure formula vs sampled implication",
-                    "lhs": formula,
-                    "rhs": violation is None,
-                    "violation": str(violation),
-                }
+            record = report.add_mismatch(
+                ambient,
+                sub,
+                "is_two_pure formula vs sampled implication",
+                formula,
+                violation is None,
             )
+            record["violation"] = str(violation)
     report.counts = {"pairs": trials, "samples_per_pair": samples_per_pair}
+    report.elapsed_s = time.perf_counter() - started
+    return report
+
+
+def roundtrip_theorem3(
+    group: RationalGroupDescriptor,
+    description: RationalMidconvexDescription,
+    samples: int = 1000,
+    seed: int = 0,
+) -> VerificationReport:
+    """Sampled midpoint check plus decomposition round trip of a description.
+
+    The recovered description must agree with the original on a grid of
+    points within one subgroup step inside the decomposition window.
+    """
+    started = time.perf_counter()
+    report = VerificationReport("theorem3", seed=seed)
+    violation = engine.theorem3_if_violation(description, group, samples, seed)
+    if violation is not None:
+        pair, midpoint = str(violation[:2]), str(violation[2])
+        report.add_mismatch(group, description, "midpoint escaped the described set", pair, midpoint)
+    grid_checked = 0
+    try:
+        decomposition = engine.decompose_rational_set(group, description)
+    except NotMidconvex as exc:
+        witness = None if exc.witness is None else str(exc.witness)
+        report.add_mismatch(group, description, "decomposition rejected the set", exc.reason, witness)
+        decomposition = None
+    if decomposition is not None and decomposition.radius is not None:
+        recovered = decomposition.description
+        margin = decomposition.radius - description.subgroup.gen
+        dens = [1]
+        for p in sorted(group.primes):
+            dens = [d * p**e for d in dens for e in range(3)]
+        for den in dens:
+            for num in range(-24, 25):
+                r = description.base + group.gen * Fraction(num, den)
+                if abs(r - recovered.base) > margin:
+                    continue
+                grid_checked += 1
+                if description.contains(r) != recovered.contains(r):
+                    report.add_mismatch(
+                        group, description, "recovered description disagrees", str(recovered), str(r)
+                    )
+    report.counts = {"samples": samples, "grid_points": grid_checked}
     report.elapsed_s = time.perf_counter() - started
     return report
 
@@ -386,17 +425,12 @@ def conjecture_hull_check(
     started = time.perf_counter()
     report = VerificationReport("hull", seed=seed)
     candidate = hull_candidate(group, start)
+    label = sorted(Fraction(s) for s in start)
     produced, complete = bounded_closure_oracle(group, start, max_iters)
     for p in sorted(produced):
         if not candidate.contains(p):
-            report.mismatches.append(
-                {
-                    "group": str(group),
-                    "subset": str(sorted(Fraction(s) for s in start)),
-                    "operation": "oracle point outside hull candidate",
-                    "lhs": str(p),
-                    "rhs": str(candidate),
-                }
+            report.add_mismatch(
+                group, label, "oracle point outside hull candidate", str(p), str(candidate)
             )
     rng = random.Random(seed)
     sampled = engine.draw_lattice_points(
@@ -413,14 +447,8 @@ def conjecture_hull_check(
         # the oracle reached its fixpoint, so candidate points it never
         # produced genuinely falsify the conjectured closed form
         for p in unproduced:
-            report.mismatches.append(
-                {
-                    "group": str(group),
-                    "subset": str(sorted(Fraction(s) for s in start)),
-                    "operation": "candidate point outside completed closure",
-                    "lhs": str(candidate),
-                    "rhs": str(p),
-                }
+            report.add_mismatch(
+                group, label, "candidate point outside completed closure", str(candidate), str(p)
             )
     report.counts = {
         "oracle_points": len(produced),

@@ -112,10 +112,6 @@ class RationalGroupDescriptor:
         return f"({self.gen},[{primes}])"
 
 
-def member(r: Rational, group: RationalGroupDescriptor) -> bool:
-    return group.contains(r)
-
-
 def is_subgroup_of(sub: RationalGroupDescriptor, group: RationalGroupDescriptor) -> bool:
     """True iff every element of `sub` lies in `group`.
 
@@ -250,9 +246,3 @@ class RationalMidconvexDescription:
 
     def __str__(self) -> str:
         return f"conv{self.interval} ∩ ({self.subgroup} + {self.base})"
-
-
-def rational_membership_of_description(
-    description: RationalMidconvexDescription, r: Rational
-) -> bool:
-    return description.contains(r)

@@ -1,11 +1,13 @@
 """Front end: dispatch, exit codes, golden transcripts, output stability."""
 
+import itertools
 import json
 import pathlib
 
 import pytest
 
-from midconvex import cli, dsl
+from midconvex import cli, dsl, engine, harness
+from midconvex.errors import NotMidconvex
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -20,6 +22,18 @@ def run_text(text, fmt="text"):
         ("check_z4", "Z(4); {0}; check"),
         ("decompose_z15", "Z(15); {1,4,7,10,13}; decompose x=1"),
         ("verify_theorem2", "Z; {0}@window[0,0]; verify --theorem 2 --max-order 12"),
+        ("decompose_q2_unit", "Q(gen=1, primes=[2]); conv[0,1] ∩ ((1,[2]) + 0); decompose"),
+        # the finest probe offset lands below the base, so x is that point
+        (
+            "decompose_q2_below_base",
+            "Q(gen=1, primes=[2]); conv[-3,0] ∩ ((1,[2]) + 0); decompose",
+        ),
+        ("decompose_q_points_x6", "Q(gen=1, primes=[]); {0,3,6,9}; decompose x=6"),
+        (
+            "verify_theorem3",
+            "Q(gen=1, primes=[2]); conv[0,2] ∩ ((1,[2]) + 0); "
+            "verify --theorem 3 --samples 200 --seed 5",
+        ),
     ],
 )
 @pytest.mark.parametrize("fmt,ext", [("text", "txt"), ("json", "json")])
@@ -114,6 +128,40 @@ def test_decompose_rational_rejects_off_lattice_points():
     assert json.loads(output)["witness"] == {"x": "3", "y": "5", "z": "4"}
 
 
+@pytest.mark.parametrize(
+    "text,witness",
+    [
+        ("Q(gen=1, primes=[]); conv[0,10] ∩ ((2,[]) + 0)", {"x": "0", "y": "2", "z": "1"}),
+        (
+            "Q(gen=1, primes=[3]); conv[0,4] ∩ ((2,[3]) + 0)",
+            {"x": "0", "y": "2/729", "z": "1/729"},
+        ),
+    ],
+)
+def test_decompose_decides_described_sets_first(text, witness):
+    code, output = run_text(f"{text}; decompose", fmt="json")
+    assert code == 1
+    report = json.loads(output)
+    assert report["result"] == "not midconvex"
+    assert report["decomposition"] is None
+    assert report["witness"] == witness
+    assert json.loads(run_text(f"{text}; check", fmt="json")[1])["witness"] == witness
+
+
+def test_decompose_points_based_at_the_largest_member():
+    code, output = run_text("Q(gen=1, primes=[]); {0,3,6,9}; decompose x=9")
+    assert code == 0
+    assert "result: decomposed\n" in output
+    assert "decomposition: C=[0,9] H=(3,[]) x=6\n" in output
+
+
+@pytest.mark.parametrize("x", [1, 3])
+def test_decompose_described_probes_around_the_given_base(x):
+    code, output = run_text(f"Q(gen=1, primes=[]); conv[0,5] ∩ ((1,[]) + 0); decompose x={x}")
+    assert code == 0
+    assert f"decomposition: C=[0,5] H=(1,[]) x={x}\n" in output
+
+
 def test_decompose_rational_singleton():
     code, output = run_text("Q(gen=1, primes=[]); {5}; decompose", fmt="json")
     assert code == 0
@@ -189,10 +237,12 @@ def test_main_parse_error_exit(capsys):
 
 
 def test_main_rejects_bad_jobs(tmp_path, capsys):
+    # campaigns run on one worker and take no --jobs option
     path = tmp_path / "input.mcx"
     path.write_text("Z(4); {0}; check\n", encoding="utf-8")
-    assert cli.main(["--jobs", "0", str(path)]) == 2
-    assert cli.main(["--jobs", "4", str(path)]) == 1
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--jobs", "4", str(path)])
+    assert exc.value.code == 2
 
 
 def test_timings_flag_only_touches_elapsed(tmp_path):
@@ -203,3 +253,40 @@ def test_timings_flag_only_touches_elapsed(tmp_path):
     assert a["stats"].pop("elapsed_ms") == 0
     assert isinstance(b["stats"].pop("elapsed_ms"), int)
     assert a == b
+
+
+def test_timings_flag_reaches_the_campaign(monkeypatch):
+    # every clock read advances one second
+    ticks = itertools.count()
+    monkeypatch.setattr(harness.time, "perf_counter", lambda: float(next(ticks)))
+    program = dsl.parse("Z; {0}@window[0,0]; verify --theorem 2 --max-order 3")
+    plain = json.loads(cli.run(program, fmt="json")[1])
+    timed = json.loads(cli.run(program, fmt="json", timings=True)[1])
+    assert plain["campaign"]["elapsed_ms"] == 0 and plain["stats"]["elapsed_ms"] == 0
+    # the campaign reads the clock once at each end
+    assert timed["campaign"]["elapsed_ms"] == 1000
+    assert timed["stats"]["elapsed_ms"] >= timed["campaign"]["elapsed_ms"]
+
+
+def test_verify_theorem3_rejects_an_impure_description():
+    # the sampler's purity precondition fires before any decomposition
+    code, out = run_text("Q(gen=1, primes=[]); conv[0,10] ∩ ((2,[]) + 0); verify --theorem 3")
+    assert code == cli.EXIT_USAGE
+    assert "result: error: description subgroup is not two-pure in the ambient group" in out
+
+
+def test_verify_theorem3_reports_a_rejected_decomposition(monkeypatch):
+    def reject(group, members, x=None):
+        raise NotMidconvex("midpoint 1 of 0 and 2 is missing", witness=(0, 2, 1))
+
+    monkeypatch.setattr(engine, "decompose_rational_set", reject)
+    code, out = run_text(
+        "Q(gen=1, primes=[2]); conv[0,1] ∩ ((1,[2]) + 0); verify --theorem 3 --samples 10",
+        fmt="json",
+    )
+    report = json.loads(out)
+    assert code == cli.EXIT_COUNTEREXAMPLE and report["result"] == "fail"
+    assert report["campaign"]["counts"]["grid_points"] == 0
+    [mismatch] = report["campaign"]["mismatches"]
+    assert mismatch["operation"] == "decomposition rejected the set"
+    assert mismatch["rhs"] == "(0, 2, 1)"

@@ -1,6 +1,8 @@
 """Midconvexity predicate, closure, traces and the three decomposition routes."""
 
+import pathlib
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from midconvex.engine import (
     decompose_periodic,
     decompose_rational,
+    decompose_rational_set,
     described_midconvex_witness,
     doubling_claim_check,
     is_midconvex,
@@ -257,6 +260,39 @@ def test_decompose_rational_scaled_lattice():
     assert recovered.interval == QIntervalSpec(F(1, 2), F(13, 2))
 
 
+def test_decompose_rational_set_entry_point():
+    dyadics = desc(1, [2])
+    unit = RationalMidconvexDescription(QIntervalSpec(F(0), F(1)), dyadics, F(0))
+    result = decompose_rational_set(dyadics, unit)
+    # second point: the finest probe offset 1/64 above the base
+    assert (result.depth, result.radius) == (3, 2)
+    assert result.description == decompose_rational(dyadics, unit, F(0), F(1, 64), 3, F(2))
+    assert result.description.subgroup == dyadics
+
+    # points: the base is the lower of x and its nearest member
+    result = decompose_rational_set(desc(1), [F(0), F(3), F(6), F(9)], x=F(9))
+    assert result.description == RationalMidconvexDescription(
+        QIntervalSpec(F(0), F(9)), desc(3), F(6)
+    )
+    assert (result.depth, result.radius) == (3, 7)
+
+    result = decompose_rational_set(desc(1), [F(5)])
+    assert result.description == RationalMidconvexDescription(
+        QIntervalSpec(F(5), F(5)), desc(1), F(5)
+    )
+    assert result.depth is None and result.radius is None
+
+    with pytest.raises(NotMidconvex) as exc:
+        decompose_rational_set(desc(1), [F(0), F(2)])
+    assert exc.value.witness == (0, 2, 1)
+    impure = RationalMidconvexDescription(QIntervalSpec(F(0), F(10)), desc(2), F(0))
+    with pytest.raises(NotMidconvex) as exc:
+        decompose_rational_set(desc(1), impure)
+    assert exc.value.witness == (0, 2, 1)
+    with pytest.raises(ValueError):
+        decompose_rational_set(desc(1), [F(0), F(3)], x=F(6))
+
+
 def test_theorem3_if_sampling():
     group = desc(1, [2])
     dyadics = RationalMidconvexDescription(QIntervalSpec(F(0), F(1)), group, F(0))
@@ -327,3 +363,9 @@ def test_round_trip_synthetic_descriptions():
             r = base + h * F(k, 8)
             if abs(r - base) <= radius - h:
                 assert recovered.contains(r) == description.contains(r), (seed, r)
+
+
+def test_readme_library_example_runs():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    example = re.search(r"## Library example\n\n```python\n(.*?)```", readme, re.S).group(1)
+    exec(compile(example, "README.md", "exec"), {})

@@ -14,10 +14,8 @@ from midconvex.rationals import (
     is_prime,
     is_subgroup_of,
     is_two_pure,
-    member,
     padic_valuation,
     rational_gcd,
-    rational_membership_of_description,
     two_pure_closure,
 )
 
@@ -62,16 +60,16 @@ def test_descriptor_validation_and_normalization():
 
 
 def test_member_examples():
-    assert member(F(3, 4), desc(1, [2]))
-    assert not member(F(1, 3), desc(1, [2]))
-    assert member(F(5, 6), desc(F(1, 2), [3]))
+    assert desc(1, [2]).contains(F(3, 4))
+    assert not desc(1, [2]).contains(F(1, 3))
+    assert desc(F(1, 2), [3]).contains(F(5, 6))
 
 
 def test_member_zero_and_negatives():
     group = desc(F(3, 2))
-    assert member(F(0), group)
-    assert member(F(-9, 2), group)
-    assert not member(F(1, 2), group)
+    assert group.contains(F(0))
+    assert group.contains(F(-9, 2))
+    assert not group.contains(F(1, 2))
 
 
 @given(
@@ -84,9 +82,9 @@ def test_membership_is_closed_under_addition_and_negation(a, b, e1, e2):
     group = desc(F(3, 5), [2, 3])
     r = F(3, 5) * F(a, 2**e1)
     s = F(3, 5) * F(b, 3**e2)
-    assert member(r, group) and member(s, group)
-    assert member(r + s, group)
-    assert member(-r, group)
+    assert group.contains(r) and group.contains(s)
+    assert group.contains(r + s)
+    assert group.contains(-r)
 
 
 def test_is_subgroup_of_examples():
@@ -116,7 +114,7 @@ def sampled_purity_violation(sub, group, numerators=range(-24, 25), exps=range(0
     for den in dens:
         for num in numerators:
             g = group.gen * F(num, den)
-            if member(2 * g, sub) and not member(g, sub):
+            if sub.contains(2 * g) and not sub.contains(g):
                 return g
     return None
 
@@ -213,9 +211,9 @@ def test_description_membership_examples():
     unit_dyadics = RationalMidconvexDescription(
         QIntervalSpec(F(0), F(1)), desc(1, [2]), F(0)
     )
-    assert rational_membership_of_description(unit_dyadics, F(3, 8))
-    assert not rational_membership_of_description(unit_dyadics, F(1, 3))
-    assert not rational_membership_of_description(unit_dyadics, F(2))
+    assert unit_dyadics.contains(F(3, 8))
+    assert not unit_dyadics.contains(F(1, 3))
+    assert not unit_dyadics.contains(F(2))
 
 
 def test_description_validation():
