@@ -59,7 +59,6 @@ class PeriodicDecomposition:
 
     subgroup: GroupSubset
     base: GroupElement
-    odd_index: bool
 
     @property
     def index(self) -> int:
@@ -108,33 +107,38 @@ def midconvex_closure(group: FiniteAbelianGroup, subset: GroupSubset) -> GroupSu
     return GroupSubset(group, mask)
 
 
+def _trace(group: FiniteAbelianGroup, mask: int, xi: int, gi: int) -> IntWindowSet:
+    """Trace at index xi along index gi of the set with this mask.
+
+    The walk x, x + g, x + 2g, ... returns to x after ord(g) steps, the period.
+    """
+    if not mask >> xi & 1:
+        raise ValueError("trace base point must be a member")
+    residues, n, i = [0], 1, group.add_index(xi, gi)
+    while i != xi:
+        if mask >> i & 1:
+            residues.append(n)
+        n, i = n + 1, group.add_index(i, gi)
+    return IntWindowSet.from_residues(n, residues)
+
+
 def trace_in_group(
     group: FiniteAbelianGroup, subset: GroupSubset, x: GroupElement, g: GroupElement
 ) -> IntWindowSet:
     """Residues n mod ord(g) with x + n*g in X, as a periodic window set."""
-    if x not in subset:
-        raise ValueError("trace base point must be a member")
-    d = g.order()
-    point = x
-    residues = []
-    for n in range(d):
-        if point in subset:
-            residues.append(n)
-        point = point + g
-    return IntWindowSet.from_residues(d, residues)
+    return _trace(group, subset.mask, group.index_of(x), group.index_of(g))
 
 
 def theorem1_violation(
     group: FiniteAbelianGroup, subset: GroupSubset
 ) -> tuple[GroupElement, GroupElement, NotMidconvexTrace] | None:
     """First (x, g) whose trace admits no interval-and-odd-subgroup split."""
-    for x in subset.members():
-        for g in group:
-            trace = trace_in_group(group, subset, x, g)
+    for xi in subset.indices():
+        for gi in range(group.order):
             try:
-                decompose_trace(trace)
+                decompose_trace(_trace(group, subset.mask, xi, gi))
             except NotMidconvexTrace as exc:
-                return (x, g, exc)
+                return (group.element_at(xi), group.element_at(gi), exc)
     return None
 
 
@@ -159,7 +163,7 @@ def decompose_periodic(
         raise NotMidconvex("X - x is not a subgroup")
     if candidate.index % 2 == 0:
         raise NotMidconvex(f"X - x has even index {candidate.index}")
-    return PeriodicDecomposition(candidate, x, True)
+    return PeriodicDecomposition(candidate, x)
 
 
 def doubling_claim_check(
@@ -182,9 +186,10 @@ def lemma1_holds_in_group(
     is order-convex in the integers only when it is everything, and a window
     of two periods is wide enough to exhibit any gap.
     """
-    if x == y:
+    xi, yi = group.index_of(x), group.index_of(y)
+    if xi == yi:
         raise ValueError("lemma check needs two distinct members")
-    trace = trace_in_group(group, subset, x, y - x)
+    trace = _trace(group, subset.mask, xi, group.add_index(yi, group.neg_index(xi)))
     d = trace.period
     assert d is not None
     lifted = IntWindowSet.from_predicate(0, 2 * d - 1, trace.contains)

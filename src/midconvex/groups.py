@@ -91,18 +91,20 @@ class FiniteAbelianGroup:
         if tabs is None:
             if self.order > _TABLE_CAP:
                 raise CapExceeded(f"index tables not built for groups of order > {_TABLE_CAP}")
-            n = self.order
-            decoded = [self._decode(i) for i in range(n)]
-            enc = self._encode
-            add = [
-                tuple(enc([(a + b) % m for a, b, m in zip(ra, rb, self.orders)]) for rb in decoded)
-                for ra in decoded
-            ]
-            neg = tuple(enc([(-a) % m for a, m in zip(ra, self.orders)]) for ra in decoded)
-            halve = [0] * n
-            for z in range(n):
+            # Fold the factors in from the last (fastest) one. In Z(n) x H with
+            # |H| = h, index a*h + b plus a'*h + b' is ((a + a') % n)*h + (b + b'),
+            # so row a*h + b is row b of H offset by h times the residues of
+            # Z(n) rotated by a.
+            add, neg = [[0]], [0]
+            for n in reversed(self.orders):
+                h = len(neg)
+                first = [[c * h + j for c in range(n) for j in row] for row in add]
+                add = [row[a * h :] + row[: a * h] for a in range(n) for row in first]
+                neg = [(-a % n) * h + j for a in range(n) for j in neg]
+            halve = [0] * self.order
+            for z in range(self.order):
                 halve[add[z][z]] |= 1 << z
-            tabs = self._cache["tables"] = (add, neg, tuple(halve))
+            tabs = self._cache["tables"] = (add, neg, halve)
         return tabs
 
     def add_index(self, i: int, j: int) -> int:
@@ -326,15 +328,16 @@ class GroupSubset:
 
 
 def is_subgroup(subset: GroupSubset) -> bool:
-    """True iff the subset contains zero and is closed under addition and negation."""
+    """True iff the subset contains zero and is closed under addition.
+
+    Zero is index 0. A nonempty finite subset closed under addition is
+    closed under negation too, since -a is a multiple of a.
+    """
     group = subset.group
     mask = subset.mask
-    if not mask & 1 << group.index_of(group.zero()):
+    if not mask & 1:
         return False
     idxs = list(subset.indices())
-    for a in idxs:
-        if not mask >> group.neg_index(a) & 1:
-            return False
     for a in idxs:
         for b in idxs:
             if not mask >> group.add_index(a, b) & 1:
@@ -343,25 +346,21 @@ def is_subgroup(subset: GroupSubset) -> bool:
 
 
 def subgroup_generated(subset: GroupSubset) -> GroupSubset:
-    """Smallest subgroup containing the subset (the empty set generates {0})."""
+    """Smallest subgroup containing the subset (the empty set generates {0}).
+
+    A search from zero that adds one generator at a time: in a finite group
+    the multiples of a generator include its negative.
+    """
     group = subset.group
-    zero = group.index_of(group.zero())
-    mask = subset.mask | 1 << zero
-    work = [zero, *subset.indices()]
-    members = list(work)
+    gens = list(subset.indices())
+    mask, work = 1, [0]
     while work:
         a = work.pop()
-        na = group.neg_index(a)
-        if not mask >> na & 1:
-            mask |= 1 << na
-            work.append(na)
-            members.append(na)
-        for b in list(members):
-            s = group.add_index(a, b)
+        for g in gens:
+            s = group.add_index(a, g)
             if not mask >> s & 1:
                 mask |= 1 << s
                 work.append(s)
-                members.append(s)
     return GroupSubset(group, mask)
 
 

@@ -365,26 +365,26 @@ def bounded_closure_oracle(
     for p in points:
         if not group.contains(p):
             raise ValueError(f"starting point {p} is not in the ambient group")
-    for _ in range(max_iters):
-        pts = sorted(points)
-        added = set()
-        for i, a in enumerate(pts):
-            for b in pts[i + 1 :]:
-                c = (a + b) / 2
-                if c not in points and group.contains(c):
-                    added.add(c)
+    for rounds in range(max(max_iters, 0) + 1):
+        missing = _missing_midpoints(group, points)
+        if rounds >= max_iters:
+            # the last round only reports, so that a set completed on the
+            # last growing round is still reported complete
+            return points, next(missing, None) is None
+        added = set(missing)
         if not added:
             return points, True
         points = points | added
-    # a final stability probe so that a set completed on the last round is
-    # still reported complete
+
+
+def _missing_midpoints(group: RationalGroupDescriptor, points: frozenset[Fraction]):
+    """Midpoints of pairs of points that lie in the group but not among the points."""
     pts = sorted(points)
     for i, a in enumerate(pts):
         for b in pts[i + 1 :]:
             c = (a + b) / 2
             if c not in points and group.contains(c):
-                return points, False
-    return points, True
+                yield c
 
 
 def hull_candidate(

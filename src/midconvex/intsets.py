@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .errors import NotMidconvexTrace, WindowTooSmall
+from .errors import NotMidconvexTrace
 
 
 @dataclass(frozen=True)
@@ -241,12 +241,7 @@ def minimal_nonzero_member(window_set: IntWindowSet) -> int | None:
     return best
 
 
-def decompose_trace(
-    trace: IntWindowSet,
-    periodic_period: int | None = None,
-    *,
-    confidence_radius: int | None = None,
-) -> TraceDecomposition:
+def decompose_trace(trace: IntWindowSet) -> TraceDecomposition:
     """Split a trace containing 0 into an interval and an odd-modulus subgroup.
 
     Follows the minimal-|m| construction: find the nonzero member m of least
@@ -254,16 +249,10 @@ def decompose_trace(
     multiples of |m| and C to the smallest order-convex set with C and H
     intersecting to the trace, then verify the reconstruction.
 
-    A periodic trace (period given here or carried by the window set) is read
-    as the infinite periodic set it presents; its interval comes out unbounded.
-    If the trace shows only 0 and `confidence_radius` is given, the window must
-    cover [-radius, radius] before the singleton conclusion is drawn.
+    A periodic trace (one carrying a period) is read as the infinite periodic
+    set it presents; its interval comes out unbounded.
     """
-    d = periodic_period if periodic_period is not None else trace.period
-    if d is not None:
-        if trace.hi - trace.lo + 1 != d:
-            raise ValueError("periodic trace must be presented on one full period")
-        trace = IntWindowSet.from_residues(d, (n % d for n in trace.members()))
+    d = trace.period
     if not trace.contains(0):
         raise ValueError("a trace always contains 0")
 
@@ -288,13 +277,6 @@ def decompose_trace(
         return TraceDecomposition(IntIntervalSpec(None, None), ZSubgroupSpec(mod))
 
     if m is None:
-        if confidence_radius is not None and (
-            trace.lo > -confidence_radius or trace.hi < confidence_radius
-        ):
-            raise WindowTooSmall(
-                f"window [{trace.lo}, {trace.hi}] shows only 0 but does not cover "
-                f"[-{confidence_radius}, {confidence_radius}]"
-            )
         return TraceDecomposition(IntIntervalSpec(0, 0), ZSubgroupSpec(0))
 
     if m % 2 == 0:
@@ -314,12 +296,7 @@ def decompose_trace(
     return decomposition
 
 
-def decompose_z(
-    window_set: IntWindowSet,
-    x: int,
-    *,
-    confidence_radius: int | None = None,
-) -> TraceDecomposition:
+def decompose_z(window_set: IntWindowSet, x: int) -> TraceDecomposition:
     """Decompose a window-exact integer set around a member x.
 
     On success the returned decomposition, with its interval in the original
@@ -335,5 +312,5 @@ def decompose_z(
     shifted = IntWindowSet(
         window_set.lo - x, window_set.hi - x, window_set.membership
     )
-    inner = decompose_trace(shifted, confidence_radius=confidence_radius)
+    inner = decompose_trace(shifted)
     return TraceDecomposition(inner.interval.shift(x), inner.subgroup, base=x)

@@ -24,7 +24,7 @@ from midconvex.engine import (
     verify_theorem3_if,
 )
 from midconvex.errors import NotMidconvex, NotMidconvexTrace, WindowTooSmall
-from midconvex.groups import GroupSubset, make_group
+from midconvex.groups import GroupElement, GroupSubset, is_subgroup, make_group
 from midconvex.intsets import decompose_trace
 from midconvex.rationals import (
     QIntervalSpec,
@@ -158,7 +158,7 @@ def test_decompose_periodic_examples():
     coset = subset(g15, [1, 4, 7, 10, 13])
     dec = decompose_periodic(g15, coset, g15.element([1]))
     assert sorted(e.residues[0] for e in dec.subgroup.members()) == [0, 3, 6, 9, 12]
-    assert dec.index == 3 and dec.odd_index
+    assert dec.index == 3
 
     g4 = make_group([4])
     with pytest.raises(NotMidconvex):
@@ -214,6 +214,36 @@ def test_lemma1_lift_detects_gappy_traces():
     # {0,1} in Z15 is not midconvex and its trace along 1 has gaps
     bad = subset(g15, [0, 1])
     assert not lemma1_holds_in_group(g15, bad, g15.zero(), g15.element([1]))
+
+
+@pytest.mark.parametrize(
+    "orders,members",
+    [
+        ([15], [1, 4, 7, 10, 13]),
+        ([3, 9], [(1, 2), (1, 5), (1, 8)]),
+        ([5] * 5, [(a, 1, 2, 3, 4) for a in range(5)]),
+    ],
+    ids=["Z(15)", "Z(3x9)", "Z(5x5x5x5x5)"],
+)
+def test_finite_queries_on_a_midconvex_set_build_no_group_elements(monkeypatch, orders, members):
+    group = make_group(orders)
+    coset = subset(group, members)
+    x, y = coset.members()[:2]
+    g = group.element_at(group.order - 1)
+    built = []
+    original = GroupElement.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(GroupElement, "__post_init__", counting)
+    assert trace_in_group(group, coset, x, g).period == g.order()
+    dec = decompose_periodic(group, coset, x)
+    assert is_subgroup(dec.subgroup)
+    assert lemma1_holds_in_group(group, coset, x, y)
+    assert verify_theorem1(group, coset)
+    assert built == []
 
 
 # -- the rational decomposition route -----------------------------------------

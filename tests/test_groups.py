@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from midconvex.errors import CapExceeded
 from midconvex.groups import (
+    _TABLE_CAP,
     GroupSubset,
     halving_set,
     index_is_odd,
@@ -13,6 +14,7 @@ from midconvex.groups import (
     make_group,
     subgroup_generated,
 )
+from midconvex.harness import enumerate_abelian_groups
 
 small_orders = st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=3)
 
@@ -217,3 +219,32 @@ def test_trivial_group():
     assert zero + zero == zero
     assert halving_set(zero) == frozenset([zero])
     assert is_subgroup(GroupSubset.full(trivial))
+
+
+def assert_index_arithmetic_matches_elements(group, rows):
+    """Oracle: add, negate and double GroupElements, then take indices."""
+    elements = list(group)
+    halves = [0] * group.order
+    for z in elements:
+        halves[(z + z).index] |= 1 << z.index
+    for i in rows:
+        a = elements[i]
+        assert [group.add_index(i, j) for j in range(group.order)] == [(a + b).index for b in elements]
+        assert group.neg_index(i) == (-a).index
+        assert group.halving_index_mask(i) == halves[i]
+
+
+@pytest.mark.parametrize(
+    "group",
+    enumerate_abelian_groups(12) + [make_group([9, 27]), make_group([2, 2, 45]), make_group([512])],
+    ids=str,
+)
+def test_index_tables_match_element_arithmetic(group):
+    assert group.order <= _TABLE_CAP
+    assert_index_arithmetic_matches_elements(group, range(group.order))
+
+
+def test_per_call_index_arithmetic_matches_element_arithmetic():
+    group = make_group([4, 3, 45])
+    assert group.order > _TABLE_CAP
+    assert_index_arithmetic_matches_elements(group, range(0, group.order, 7))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from midconvex.errors import NotMidconvexTrace, WindowTooSmall
+from midconvex.errors import NotMidconvexTrace
 from midconvex.intsets import (
     IntIntervalSpec,
     IntWindowSet,
@@ -157,9 +157,9 @@ def test_decompose_trace_periodic_example():
     dec = decompose_trace(IntWindowSet.from_residues(15, range(0, 15, 3)))
     assert dec.interval == IntIntervalSpec(None, None)
     assert dec.subgroup == ZSubgroupSpec(3)
-    # the same set presented as a plain window plus an explicit period
-    explicit = decompose_trace(wset(0, 14, [0, 3, 6, 9, 12]), periodic_period=15)
-    assert explicit == dec
+    # the same set given by unreduced residues
+    unreduced = decompose_trace(IntWindowSet.from_residues(15, [0, 18, -9, 9, 12, 30]))
+    assert unreduced == dec
 
 
 def test_decompose_trace_singleton_marker():
@@ -189,18 +189,6 @@ def test_decompose_trace_periodic_non_subgroup_fails():
 def test_decompose_trace_requires_zero():
     with pytest.raises(ValueError):
         decompose_trace(wset(0, 9, [3, 6]))
-
-
-def test_decompose_trace_window_confidence():
-    with pytest.raises(WindowTooSmall):
-        decompose_trace(wset(-2, 2, [0]), confidence_radius=5)
-    dec = decompose_trace(wset(-5, 5, [0]), confidence_radius=5)
-    assert dec.subgroup == ZSubgroupSpec(0)
-
-
-def test_decompose_trace_periodic_window_must_cover_one_period():
-    with pytest.raises(ValueError):
-        decompose_trace(wset(0, 5, [0, 3]), periodic_period=15)
 
 
 def test_decompose_z_examples():
