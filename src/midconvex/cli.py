@@ -368,19 +368,25 @@ def _run_decompose(group, set_kind, set_obj, command, report):
     return EXIT_OK
 
 
+def _given(**sizes) -> dict:
+    """The sizes a statement sets; an absent size or 0 keeps the campaign's default."""
+    return {name: value for name, value in sizes.items() if value}
+
+
 def _run_verify(group, set_kind, set_obj, command, report, timings):
     seed = 0 if command.seed is None else command.seed
     report["stats"]["seed"] = seed
     if command.theorem in ("1", "2", "lemma1"):
+        order = _given(max_order=command.max_order)
         if command.theorem == "1":
-            campaign = harness.exhaustive_theorem1(command.max_order or 10, seed=seed)
+            campaign = harness.exhaustive_theorem1(seed=seed, **order)
         elif command.theorem == "2":
-            campaign = harness.exhaustive_theorem2(command.max_order or 12, seed=seed)
+            campaign = harness.exhaustive_theorem2(seed=seed, **order)
         else:
-            campaign = harness.exhaustive_lemma1(command.max_order or 12, seed=seed)
+            campaign = harness.exhaustive_lemma1(seed=seed, **order)
         count = campaign.counts.get("subsets", 0)
     elif command.theorem == "purity":
-        campaign = harness.sample_two_purity(command.samples or 100, seed)
+        campaign = harness.sample_two_purity(seed=seed, **_given(trials=command.samples))
         count = campaign.counts["pairs"]
     elif command.theorem == "hull":
         if set_kind not in ("points", "window"):
@@ -389,13 +395,15 @@ def _run_verify(group, set_kind, set_obj, command, report, timings):
         if not points:
             raise DslTypeError("hull verification needs a nonempty set")
         campaign = harness.conjecture_hull_check(
-            group, list(points), samples=command.samples or 200, seed=seed
+            group, list(points), seed=seed, **_given(samples=command.samples)
         )
         count = campaign.counts["oracle_points"]
     else:
         if set_kind != "description":
             raise DslTypeError("theorem 3 verification needs an interval-and-coset set in Q")
-        campaign = harness.roundtrip_theorem3(group, set_obj, command.samples or 1000, seed)
+        campaign = harness.roundtrip_theorem3(
+            group, set_obj, seed=seed, **_given(samples=command.samples)
+        )
         count = campaign.counts["samples"]
     report["campaign"] = campaign.to_dict(include_elapsed=timings)
     report["stats"]["count"] = count

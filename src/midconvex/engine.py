@@ -30,6 +30,12 @@ from .rationals import (
 # Bounds of the deterministic probe grid that looks for members near a base.
 _PROBE_NUMERATORS = 64
 _PROBE_EXPONENTS = 6
+# Bounds of the random lattice draws gen * num / den: |num| <= _DRAW_NUMERATORS,
+# den a product of the inverted primes with exponents up to _DRAW_EXPONENTS.
+_DRAW_NUMERATORS = 50
+_DRAW_EXPONENTS = 4
+# Most lattice points that one refinement level of decompose_rational scans.
+_LATTICE_CAP = 500_000
 
 
 @dataclass(frozen=True)
@@ -129,22 +135,15 @@ def trace_in_group(
     return _trace(group, subset.mask, group.index_of(x), group.index_of(g))
 
 
-def theorem1_violation(
-    group: FiniteAbelianGroup, subset: GroupSubset
-) -> tuple[GroupElement, GroupElement, NotMidconvexTrace] | None:
-    """First (x, g) whose trace admits no interval-and-odd-subgroup split."""
+def verify_theorem1(group: FiniteAbelianGroup, subset: GroupSubset) -> bool:
+    """True iff every trace of the set decomposes; equals is_midconvex."""
     for xi in subset.indices():
         for gi in range(group.order):
             try:
                 decompose_trace(_trace(group, subset.mask, xi, gi))
-            except NotMidconvexTrace as exc:
-                return (group.element_at(xi), group.element_at(gi), exc)
-    return None
-
-
-def verify_theorem1(group: FiniteAbelianGroup, subset: GroupSubset) -> bool:
-    """True iff every trace of the set decomposes; equals is_midconvex."""
-    return theorem1_violation(group, subset) is None
+            except NotMidconvexTrace:
+                return False
+    return True
 
 
 def decompose_periodic(
@@ -215,22 +214,28 @@ def _as_oracle(x) -> object:
     return FiniteRationalSet(x)
 
 
+def _missing_midpoints(group: RationalGroupDescriptor, points: Iterable[Fraction]):
+    """Each (x, y, z) with x < y points and z = (x+y)/2 in the group but not a point.
+
+    Pairs are scanned in increasing order; x = y never gives one, as z = x.
+    """
+    members = frozenset(points)
+    pts = sorted(members)
+    for i, x in enumerate(pts):
+        for y in pts[i + 1 :]:
+            z = (x + y) / 2
+            if z not in members and group.contains(z):
+                yield x, y, z
+
+
 def is_midconvex_q_finite(
     group: RationalGroupDescriptor, points: Iterable[Rational]
 ) -> tuple[Fraction, Fraction, Fraction] | None:
     """Exact midconvexity check of a finite set inside a rational group.
 
-    Returns the first violating (x, y, z) with z = (x+y)/2 in the ambient
-    group but outside the set, scanning pairs in increasing order.
+    Returns the first violating (x, y, z) of `_missing_midpoints`, or None.
     """
-    pts = sorted(Fraction(p) for p in points)
-    pset = set(pts)
-    for i, x in enumerate(pts):
-        for y in pts[i:]:
-            z = (x + y) / 2
-            if z not in pset and group.contains(z):
-                return (x, y, z)
-    return None
+    return next(_missing_midpoints(group, (Fraction(p) for p in points)), None)
 
 
 def decompose_rational(
@@ -240,8 +245,6 @@ def decompose_rational(
     x2: Rational,
     depth: int,
     window: Rational,
-    *,
-    lattice_cap: int = 500_000,
 ) -> RationalMidconvexDescription:
     """Recover an interval-and-subgroup description of a midconvex set.
 
@@ -255,7 +258,8 @@ def decompose_rational(
     sampled lattices inside the window.
 
     `window` is the rational radius around x that is examined at every level;
-    it must cover x2.
+    it must cover x2. A level whose lattice has more than _LATTICE_CAP points
+    raises CapExceeded.
     """
     oracle = _as_oracle(points)
     x, x2 = Fraction(x), Fraction(x2)
@@ -275,9 +279,9 @@ def decompose_rational(
 
     for step, g in enumerate(chain):
         k_max = floor(radius / g)
-        if 2 * k_max + 1 > lattice_cap:
+        if 2 * k_max + 1 > _LATTICE_CAP:
             raise CapExceeded(
-                f"level {step} lattice has {2 * k_max + 1} points, cap is {lattice_cap}"
+                f"level {step} lattice has {2 * k_max + 1} points, cap is {_LATTICE_CAP}"
             )
         members = [k for k in range(-k_max, k_max + 1) if oracle.contains(x + k * g)]
         trace = IntWindowSet.from_members(-k_max, k_max, members)
@@ -312,26 +316,40 @@ def decompose_rational(
     return RationalMidconvexDescription(interval, recovered, base=x)
 
 
+def _random_denominator(rng: random.Random, primes: list[int]) -> int:
+    """Product of p**e over the primes, each e drawn in turn from 0.._DRAW_EXPONENTS."""
+    den = 1
+    for p in primes:
+        den *= p ** rng.randint(0, _DRAW_EXPONENTS)
+    return den
+
+
+def _denominators(primes: Iterable[int], max_exponent: int) -> list[int]:
+    """Products of the primes with exponents up to max_exponent, the largest prime's fastest."""
+    dens = [1]
+    for p in sorted(primes):
+        dens = [d * p**e for d in dens for e in range(max_exponent + 1)]
+    return dens
+
+
 def draw_lattice_points(
     rng: random.Random,
     subgroup: RationalGroupDescriptor,
     interval: QIntervalSpec,
     base: Fraction,
     count: int,
-    numerator_bound: int,
-    exponent_bound: int,
 ) -> list[Fraction]:
-    """Sample points of (subgroup + base) inside the interval."""
+    """Sample points base + num * gen / den of (subgroup + base) inside the interval.
+
+    den is a `_random_denominator` and |num| <= _DRAW_NUMERATORS is clipped to the interval.
+    """
     primes = sorted(subgroup.primes)
     points: list[Fraction] = []
     attempts = 0
     while len(points) < count and attempts < 100 * count:
         attempts += 1
-        den = 1
-        for p in primes:
-            den *= p ** rng.randint(0, exponent_bound)
-        step = subgroup.gen / den
-        lo, hi = -numerator_bound, numerator_bound
+        step = subgroup.gen / _random_denominator(rng, primes)
+        lo, hi = -_DRAW_NUMERATORS, _DRAW_NUMERATORS
         if interval.lower is not None:
             lo = max(lo, -floor((base - interval.lower) / step))
         if interval.upper is not None:
@@ -349,9 +367,6 @@ def theorem3_if_violation(
     group: RationalGroupDescriptor,
     samples: int,
     seed: int,
-    *,
-    numerator_bound: int = 50,
-    exponent_bound: int = 4,
 ) -> tuple[Fraction, Fraction, Fraction] | None:
     """Random search for a midconvexity violation of a described set.
 
@@ -364,13 +379,7 @@ def theorem3_if_violation(
         raise ValueError("description subgroup is not two-pure in the ambient group")
     rng = random.Random(seed)
     points = draw_lattice_points(
-        rng,
-        description.subgroup,
-        description.interval,
-        description.base,
-        2 * samples,
-        numerator_bound,
-        exponent_bound,
+        rng, description.subgroup, description.interval, description.base, 2 * samples
     )
     if len(points) < 2:
         return None
@@ -400,9 +409,7 @@ def _probe_members(description: RationalMidconvexDescription, around: Fraction):
     with exponents up to _PROBE_EXPONENTS; +t is tried before -t.
     """
     sub = description.subgroup
-    dens = [1]
-    for p in sorted(sub.primes):
-        dens = [d * p**e for d in dens for e in range(_PROBE_EXPONENTS + 1)]
+    dens = _denominators(sub.primes, _PROBE_EXPONENTS)
     offsets = {Fraction(num, den) for den in dens for num in range(1, _PROBE_NUMERATORS + 1)}
     for t in sorted(offsets):
         for signed in (t, -t):

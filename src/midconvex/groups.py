@@ -81,9 +81,6 @@ class FiniteAbelianGroup:
         for residues in itertools.product(*(range(n) for n in self.orders)):
             yield GroupElement(self, residues)
 
-    def elements(self) -> list["GroupElement"]:
-        return list(self)
-
     # -- index arithmetic -----------------------------------------------
 
     def _tables(self):
@@ -327,40 +324,46 @@ class GroupSubset:
             raise ValueError("subsets of different groups")
 
 
+def _extend_by_cosets(group: FiniteAbelianGroup, gens: Iterable[int], bound: int) -> int | None:
+    """Mask of the subgroup generated by the indices gens, or None once it leaves bound.
+
+    Starting from H = {0}, each generator g not yet in H adds the cosets
+    H + g, H + 2g, ... up to the first multiple kg in H, which makes H the
+    group H + <g>. Every element is added once, so the work is linear in the
+    size of the result; each one is tested against the bound as it is added.
+    """
+    mask = 1
+    for g in gens:
+        if mask >> g & 1:
+            continue
+        members = list(_set_bits(mask))
+        shift = g
+        while not mask >> shift & 1:
+            for a in members:
+                s = group.add_index(a, shift)
+                if not bound >> s & 1:
+                    return None
+                mask |= 1 << s
+            shift = group.add_index(shift, g)
+    return mask
+
+
 def is_subgroup(subset: GroupSubset) -> bool:
     """True iff the subset contains zero and is closed under addition.
 
-    Zero is index 0. A nonempty finite subset closed under addition is
-    closed under negation too, since -a is a multiple of a.
+    Zero is index 0. The subset is a subgroup exactly when the subgroup its
+    members generate stays inside it.
     """
-    group = subset.group
-    mask = subset.mask
-    if not mask & 1:
+    if not subset.mask & 1:
         return False
-    idxs = list(subset.indices())
-    for a in idxs:
-        for b in idxs:
-            if not mask >> group.add_index(a, b) & 1:
-                return False
-    return True
+    return _extend_by_cosets(subset.group, subset.indices(), subset.mask) is not None
 
 
 def subgroup_generated(subset: GroupSubset) -> GroupSubset:
-    """Smallest subgroup containing the subset (the empty set generates {0}).
-
-    A search from zero that adds one generator at a time: in a finite group
-    the multiples of a generator include its negative.
-    """
+    """Smallest subgroup containing the subset (the empty set generates {0})."""
     group = subset.group
-    gens = list(subset.indices())
-    mask, work = 1, [0]
-    while work:
-        a = work.pop()
-        for g in gens:
-            s = group.add_index(a, g)
-            if not mask >> s & 1:
-                mask |= 1 << s
-                work.append(s)
+    mask = _extend_by_cosets(group, subset.indices(), (1 << group.order) - 1)
+    assert mask is not None, "the whole group bounds every subgroup"
     return GroupSubset(group, mask)
 
 

@@ -242,22 +242,20 @@ def _purity_violation(
     sub: RationalGroupDescriptor,
     rng: random.Random,
     samples: int,
-    numerator_bound: int,
-    exponent_bound: int,
 ) -> Fraction | None:
     """Grid point g with 2g in the subgroup but g outside, if the sampler finds one.
 
     The probe set is `samples` random grid points plus the halved subgroup
     generator, which is the canonical impurity witness whenever one exists;
-    including it makes the sampled verdict decisive at these bounds.
+    including it makes the sampled verdict decisive at these bounds. The grid
+    points are drawn with the bounds of `engine.draw_lattice_points`, but
+    without its interval clipping.
     """
     primes = sorted(group.primes)
     candidates = [sub.gen / 2]
     for _ in range(samples):
-        den = 1
-        for p in primes:
-            den *= p ** rng.randint(0, exponent_bound)
-        num = rng.randint(-numerator_bound, numerator_bound)
+        den = engine._random_denominator(rng, primes)
+        num = rng.randint(-engine._DRAW_NUMERATORS, engine._DRAW_NUMERATORS)
         candidates.append(group.gen * Fraction(num, den))
     for g in candidates:
         if group.contains(g) and sub.contains(2 * g) and not sub.contains(g):
@@ -271,8 +269,6 @@ def sample_two_purity(
     prime_pool: Sequence[int] = (2, 3, 5, 7),
     *,
     samples_per_pair: int = 200,
-    numerator_bound: int = 50,
-    exponent_bound: int = 4,
 ) -> VerificationReport:
     """Differential test of the two-purity formula against direct sampling."""
     started = time.perf_counter()
@@ -290,9 +286,7 @@ def sample_two_purity(
             ambient.gen * Fraction(rng.randint(1, 20), den), sub_primes
         )
         formula = is_two_pure(sub, ambient)
-        violation = _purity_violation(
-            ambient, sub, rng, samples_per_pair, numerator_bound, exponent_bound
-        )
+        violation = _purity_violation(ambient, sub, rng, samples_per_pair)
         if formula != (violation is None):
             record = report.add_mismatch(
                 ambient,
@@ -334,10 +328,7 @@ def roundtrip_theorem3(
     if decomposition is not None and decomposition.radius is not None:
         recovered = decomposition.description
         margin = decomposition.radius - description.subgroup.gen
-        dens = [1]
-        for p in sorted(group.primes):
-            dens = [d * p**e for d in dens for e in range(3)]
-        for den in dens:
+        for den in engine._denominators(group.primes, 2):
             for num in range(-24, 25):
                 r = description.base + group.gen * Fraction(num, den)
                 if abs(r - recovered.base) > margin:
@@ -366,7 +357,7 @@ def bounded_closure_oracle(
         if not group.contains(p):
             raise ValueError(f"starting point {p} is not in the ambient group")
     for rounds in range(max(max_iters, 0) + 1):
-        missing = _missing_midpoints(group, points)
+        missing = (z for _, _, z in engine._missing_midpoints(group, points))
         if rounds >= max_iters:
             # the last round only reports, so that a set completed on the
             # last growing round is still reported complete
@@ -375,16 +366,6 @@ def bounded_closure_oracle(
         if not added:
             return points, True
         points = points | added
-
-
-def _missing_midpoints(group: RationalGroupDescriptor, points: frozenset[Fraction]):
-    """Midpoints of pairs of points that lie in the group but not among the points."""
-    pts = sorted(points)
-    for i, a in enumerate(pts):
-        for b in pts[i + 1 :]:
-            c = (a + b) / 2
-            if c not in points and group.contains(c):
-                yield c
 
 
 def hull_candidate(
@@ -434,13 +415,7 @@ def conjecture_hull_check(
             )
     rng = random.Random(seed)
     sampled = engine.draw_lattice_points(
-        rng,
-        candidate.subgroup,
-        candidate.interval,
-        candidate.base,
-        samples,
-        numerator_bound=50,
-        exponent_bound=4,
+        rng, candidate.subgroup, candidate.interval, candidate.base, samples
     )
     unproduced = sorted({p for p in sampled if p not in produced})
     if complete:

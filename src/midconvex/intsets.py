@@ -40,15 +40,15 @@ class IntWindowSet:
                 raise ValueError("periodic sets must be presented on the window [0, period-1]")
 
     @classmethod
-    def from_members(cls, lo: int, hi: int, members: Iterable[int], period: int | None = None) -> "IntWindowSet":
+    def from_members(cls, lo: int, hi: int, members: Iterable[int]) -> "IntWindowSet":
         members = set(members)
         if any(n < lo or n > hi for n in members):
             raise ValueError("member outside the declared window")
-        return cls(lo, hi, tuple(n in members for n in range(lo, hi + 1)), period)
+        return cls(lo, hi, tuple(n in members for n in range(lo, hi + 1)))
 
     @classmethod
-    def from_predicate(cls, lo: int, hi: int, pred: Callable[[int], bool], period: int | None = None) -> "IntWindowSet":
-        return cls(lo, hi, tuple(bool(pred(n)) for n in range(lo, hi + 1)), period)
+    def from_predicate(cls, lo: int, hi: int, pred: Callable[[int], bool]) -> "IntWindowSet":
+        return cls(lo, hi, tuple(bool(pred(n)) for n in range(lo, hi + 1)))
 
     @classmethod
     def from_residues(cls, period: int, residues: Iterable[int]) -> "IntWindowSet":

@@ -183,6 +183,26 @@ def test_verify_other_theorems():
     )
 
 
+def test_verify_theorem1_default_size():
+    _, out = run_text("Z; {0}@window[0,0]; verify --theorem 1", fmt="json")
+    assert json.loads(out)["campaign"]["counts"]["subsets"] == 3086
+
+
+@pytest.mark.parametrize(
+    "text,size",
+    [
+        ("Z; {0}@window[0,0]; verify --theorem 1", "--max-order 0"),
+        ("Z; {0}@window[0,0]; verify --theorem lemma1", "--max-order 0"),
+        ("Z; {0}@window[0,0]; verify --theorem purity", "--samples 0"),
+        ("Q(gen=1, primes=[2]); {0,1}; verify --theorem hull", "--samples 0"),
+        ("Q(gen=1, primes=[2]); conv[0,2] ∩ ((1,[2]) + 0); verify --theorem 3", "--samples 0"),
+    ],
+)
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_size_zero_means_the_default(text, size, fmt):
+    assert run_text(f"{text} {size}", fmt) == run_text(text, fmt)
+
+
 def test_usage_errors_exit_2():
     # windows are mandatory for explicit Z sets
     assert run_text("Z; {0,1}; check")[0] == 2

@@ -13,6 +13,7 @@ from midconvex.engine import (
     decompose_rational_set,
     described_midconvex_witness,
     doubling_claim_check,
+    draw_lattice_points,
     is_midconvex,
     is_midconvex_q_finite,
     lemma1_holds_in_group,
@@ -334,6 +335,28 @@ def test_theorem3_if_sampling():
     impure = RationalMidconvexDescription(QIntervalSpec(F(0), F(10)), desc(2), F(0))
     with pytest.raises(ValueError):
         theorem3_if_violation(impure, desc(1), 100, 0)
+
+
+@pytest.mark.parametrize(
+    "sub,interval,base,seed,expected",
+    [
+        (desc(1, [2]), (F(0), F(2)), F(0), 0, ["13/8", "1", "31/16", "9/8", "11/8", "13/16"]),
+        (desc(1, [2]), (F(0), F(2)), F(0), 1, ["2", "1", "1", "15/8", "3/4", "1"]),
+        (
+            desc(F(3, 2), [2, 3]), (None, F(7)), F(1, 2), 0,
+            ["7/24", "29/54", "47/72", "139/324", "5/24", "-17/2"],
+        ),
+        (
+            desc(F(3, 2), [2, 3]), (None, F(7)), F(1, 2), 1,
+            ["64/81", "-61/18", "59/108", "-13/12", "3/8", "371/648"],
+        ),
+    ],
+)
+def test_draw_lattice_points_is_pinned_per_seed(sub, interval, base, seed, expected):
+    # the theorem-3 sampler and the hull check see these draws; a change in
+    # the order of the random calls changes them
+    points = draw_lattice_points(random.Random(seed), sub, QIntervalSpec(*interval), base, 6)
+    assert [str(p) for p in points] == expected
 
 
 def test_described_midconvex_witness():

@@ -1,5 +1,7 @@
 """Finite Abelian group arithmetic, subsets, subgroup and index queries."""
 
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -149,6 +151,43 @@ def test_subgroup_generated_output_is_a_subgroup():
         assert is_subgroup(generated)
         for e in seed:
             assert g12.element([e]) in generated
+
+
+def naive_is_subgroup(group, mask):
+    """Oracle: zero is a member and every sum of two members is a member."""
+    idxs = [i for i in range(group.order) if mask >> i & 1]
+    return bool(mask & 1) and all(mask >> group.add_index(a, b) & 1 for a in idxs for b in idxs)
+
+
+def naive_subgroup_generated(group, mask):
+    """Oracle: add every sum of two members until nothing new appears."""
+    mask |= 1
+    while True:
+        idxs = [i for i in range(group.order) if mask >> i & 1]
+        grown = mask
+        for a in idxs:
+            for b in idxs:
+                grown |= 1 << group.add_index(a, b)
+        if grown == mask:
+            return mask
+        mask = grown
+
+
+def test_subgroup_queries_match_the_quadratic_reference():
+    for group in enumerate_abelian_groups(10):
+        for mask in range(1 << group.order):
+            subset = GroupSubset(group, mask)
+            assert is_subgroup(subset) == naive_is_subgroup(group, mask), (group, mask)
+            generated = subgroup_generated(subset).mask
+            assert generated == naive_subgroup_generated(group, mask), (group, mask)
+
+
+def test_is_subgroup_is_linear_in_the_subgroup_size():
+    group = make_group([15625])
+    subgroup = GroupSubset.from_indices(group, range(0, 15625, 25))
+    started = time.perf_counter()
+    assert is_subgroup(subgroup)
+    assert time.perf_counter() - started < 0.5
 
 
 def test_index_is_odd_examples():

@@ -153,6 +153,16 @@ def test_hull_candidate_and_conjecture_examples():
     assert singleton.counts["oracle_points"] == 1
 
 
+@pytest.mark.parametrize("seed,unproduced", [(0, 5), (1, 2)])
+def test_conjecture_hull_check_draws_are_pinned_per_seed(seed, unproduced):
+    # one oracle round leaves most candidate points unproduced, so the count
+    # depends on which points the seeded sampler drew
+    start = [F(-1), F(4)]
+    report = conjecture_hull_check(desc(1, [2, 5]), start, max_iters=1, samples=8, seed=seed)
+    assert report.counts["candidate_samples"] == 8
+    assert report.details["candidate_points_not_yet_produced"] == unproduced
+
+
 def test_hull_candidate_structure():
     candidate = hull_candidate(desc(1), [F(0), F(4)])
     # the span 4Z closes to Z, so the candidate is the whole interval
