@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import CapExceeded, NotMidconvex, NotMidconvexTrace, WindowTooSmall
 from .groups import FiniteAbelianGroup, GroupElement, GroupSubset, is_subgroup
@@ -91,6 +91,51 @@ def midconvex_witness(group: FiniteAbelianGroup, subset: GroupSubset) -> Midconv
 
 def is_midconvex(group: FiniteAbelianGroup, subset: GroupSubset) -> bool:
     return midconvex_witness(group, subset) is None
+
+
+def subset_columns(group: FiniteAbelianGroup, masks: Sequence[int]) -> list[int]:
+    """Bit-sliced membership: bit k of column i is set iff masks[k] contains index i.
+
+    For every subset, range(1 << n), column i is bit i of k: runs of w = 2**i
+    zeros and w ones, built by doubling one period of 2w bits up to 2**n bits.
+    A list of masks is transposed.
+    """
+    n = group.order
+    if masks == range(1 << n):
+        columns = []
+        for i in range(n):
+            w = 1 << i
+            column, width = ((1 << w) - 1) << w, 2 * w
+            while width < 1 << n:
+                column |= column << width
+                width *= 2
+            columns.append(column)
+        return columns
+    if not masks:
+        return [0] * n
+    # row strings put bit n - 1 first and the last mask on top, so the
+    # columns of the zipped rows read highest element and highest k first
+    rows = [format(m, f"0{n}b") for m in reversed(masks)]
+    return [int("".join(bits), 2) for bits in reversed(list(zip(*rows)))]
+
+
+def midconvex_bits(group: FiniteAbelianGroup, columns: Sequence[int], count: int) -> int:
+    """Bit k is set iff the subset in bit k of the columns is midconvex.
+
+    One pass decides all `count` subsets at once: sums[s] holds the subsets
+    with two members, equal ones included, adding up to s, and a subset
+    fails exactly where it reaches some 2z without containing z.
+    """
+    n = group.order
+    sums = [0] * n
+    for i in range(n):
+        for j in range(i, n):
+            s = group.add_index(i, j)
+            sums[s] |= columns[i] & columns[j]
+    bad = 0
+    for z in range(n):
+        bad |= sums[group.add_index(z, z)] & ~columns[z]
+    return ((1 << count) - 1) & ~bad
 
 
 def midconvex_closure(group: FiniteAbelianGroup, subset: GroupSubset) -> GroupSubset:

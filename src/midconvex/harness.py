@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 from . import engine
 from .errors import NotMidconvex
-from .groups import FiniteAbelianGroup, GroupSubset, is_subgroup, make_group
+from .groups import FiniteAbelianGroup, GroupSubset, _extend_by_cosets, _set_bits, make_group
 from .rationals import (
     QIntervalSpec,
     Rational,
@@ -134,19 +134,6 @@ def _subset_masks(group: FiniteAbelianGroup, seed: int, sample_count: int) -> It
     return [rng.getrandbits(order) for _ in range(sample_count)]
 
 
-def _theorem2_holds(group: FiniteAbelianGroup, subset: GroupSubset, cache: dict) -> bool:
-    """The subgroup-plus-base characterization, quantified over every base point."""
-    for xi in subset.indices():
-        shifted = group.translate_mask(subset.mask, group.neg_index(xi))
-        verdict = cache.get(shifted)
-        if verdict is None:
-            candidate = GroupSubset(group, shifted)
-            verdict = cache[shifted] = is_subgroup(candidate) and candidate.index % 2 == 1
-        if not verdict:
-            return False
-    return True
-
-
 def _sweep(
     campaign: str,
     max_order: int,
@@ -154,15 +141,20 @@ def _sweep(
     sample_count: int,
     check,
 ) -> VerificationReport:
+    """Run check once per group, with all of the group's subsets decided at once.
+
+    check(report, group, masks, columns, midconvex) gets the subset masks, their
+    bit-sliced membership columns, and the bits k with masks[k] midconvex.
+    """
     started = time.perf_counter()
     report = VerificationReport(campaign, seed=seed)
     groups = enumerate_abelian_groups(max_order)
     total = 0
     for group in groups:
-        for mask in _subset_masks(group, seed, sample_count):
-            total += 1
-            subset = GroupSubset(group, mask)
-            check(group, subset, report)
+        masks = _subset_masks(group, seed, sample_count)
+        columns = engine.subset_columns(group, masks)
+        check(report, group, masks, columns, engine.midconvex_bits(group, columns, len(masks)))
+        total += len(masks)
     report.counts = {"groups": len(groups), "subsets": total}
     report.mismatches.sort(key=lambda m: (m["group"], m["subset"]))
     report.elapsed_s = time.perf_counter() - started
@@ -173,22 +165,63 @@ def _subset_label(subset: GroupSubset) -> str:
     return "{%s}" % ",".join(str(e) for e in subset.members())
 
 
+def _odd_index_cosets(group: FiniteAbelianGroup) -> set[int]:
+    """Masks of the cosets of the subgroups of odd index.
+
+    Every subgroup is reached from {0} by joining one element at a time.
+    """
+    everything = (1 << group.order) - 1
+    subgroups, frontier = {1}, [1]
+    while frontier:
+        grown = []
+        for h in frontier:
+            for g in range(group.order):
+                if not h >> g & 1:
+                    joined = _extend_by_cosets(group, [*_set_bits(h), g], everything)
+                    if joined not in subgroups:
+                        subgroups.add(joined)
+                        grown.append(joined)
+        frontier = grown
+    return {
+        group.translate_mask(h, d)
+        for h in subgroups
+        if group.order // h.bit_count() % 2 == 1
+        for d in range(group.order)
+    }
+
+
+def _odd_coset_bits(group: FiniteAbelianGroup, columns: Sequence[int], count: int) -> int:
+    """Bit k is set iff the subset in bit k of the columns is empty or an odd-index coset.
+
+    These are the subsets X with X - x an odd-index subgroup for every member
+    x. Subset k equals the mask m exactly where every column i reads bit i of m.
+    """
+    bits = 0
+    for coset in {0} | _odd_index_cosets(group):
+        match = (1 << count) - 1
+        for i, column in enumerate(columns):
+            match &= column if coset >> i & 1 else ~column
+        bits |= match
+    return bits
+
+
 def exhaustive_theorem2(
     max_order: int = 12, *, seed: int = 0, sample_count: int = SAMPLED_SUBSET_COUNT
 ) -> VerificationReport:
     """Midconvexity versus odd-index subgroup translate, over all small groups."""
     midconvex_counts: dict[str, int] = {}
-    subgroup_caches: dict[FiniteAbelianGroup, dict] = {}
 
-    def check(group, subset, report):
-        lhs = engine.is_midconvex(group, subset)
-        rhs = _theorem2_holds(group, subset, subgroup_caches.setdefault(group, {}))
-        label = str(group)
-        if lhs:
-            midconvex_counts[label] = midconvex_counts.get(label, 0) + 1
-        if lhs != rhs:
+    def check(report, group, masks, columns, midconvex):
+        cosets = _odd_coset_bits(group, columns, len(masks))
+        if midconvex:
+            midconvex_counts[str(group)] = midconvex.bit_count()
+        for k in _set_bits(midconvex ^ cosets):
             report.add_mismatch(
-                group, _subset_label(subset), "is_midconvex vs subgroup characterization", lhs, rhs
+                group,
+                _subset_label(GroupSubset(group, masks[k])),
+                "is_midconvex vs subgroup characterization",
+                bool(midconvex >> k & 1),
+                bool(cosets >> k & 1),
             )
 
     report = _sweep("theorem2", max_order, seed, sample_count, check)
@@ -201,13 +234,15 @@ def exhaustive_theorem1(
 ) -> VerificationReport:
     """Midconvexity versus decomposability of every trace."""
 
-    def check(group, subset, report):
-        lhs = engine.is_midconvex(group, subset)
-        rhs = engine.verify_theorem1(group, subset)
-        if lhs != rhs:
-            report.add_mismatch(
-                group, _subset_label(subset), "is_midconvex vs trace decomposition", lhs, rhs
-            )
+    def check(report, group, masks, columns, midconvex):
+        for k, mask in enumerate(masks):
+            subset = GroupSubset(group, mask)
+            lhs = bool(midconvex >> k & 1)
+            rhs = engine.verify_theorem1(group, subset)
+            if lhs != rhs:
+                report.add_mismatch(
+                    group, _subset_label(subset), "is_midconvex vs trace decomposition", lhs, rhs
+                )
 
     return _sweep("theorem1", max_order, seed, sample_count, check)
 
@@ -217,22 +252,22 @@ def exhaustive_lemma1(
 ) -> VerificationReport:
     """Order-convexity of traces along member differences, for midconvex sets."""
 
-    def check(group, subset, report):
-        if not engine.is_midconvex(group, subset):
-            return
-        members = subset.members()
-        for x in members:
-            for y in members:
-                if x == y:
-                    continue
-                if not engine.lemma1_holds_in_group(group, subset, x, y):
-                    report.add_mismatch(
-                        group,
-                        _subset_label(subset),
-                        f"trace at {x} along {y - x} not order-convex",
-                        True,
-                        False,
-                    )
+    def check(report, group, masks, columns, midconvex):
+        for k in _set_bits(midconvex):
+            subset = GroupSubset(group, masks[k])
+            members = subset.members()
+            for x in members:
+                for y in members:
+                    if x == y:
+                        continue
+                    if not engine.lemma1_holds_in_group(group, subset, x, y):
+                        report.add_mismatch(
+                            group,
+                            _subset_label(subset),
+                            f"trace at {x} along {y - x} not order-convex",
+                            True,
+                            False,
+                        )
 
     return _sweep("lemma1", max_order, seed, sample_count, check)
 

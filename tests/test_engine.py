@@ -17,8 +17,10 @@ from midconvex.engine import (
     is_midconvex,
     is_midconvex_q_finite,
     lemma1_holds_in_group,
+    midconvex_bits,
     midconvex_closure,
     midconvex_witness,
+    subset_columns,
     theorem3_if_violation,
     trace_in_group,
     verify_theorem1,
@@ -26,6 +28,7 @@ from midconvex.engine import (
 )
 from midconvex.errors import NotMidconvex, NotMidconvexTrace, WindowTooSmall
 from midconvex.groups import GroupElement, GroupSubset, is_subgroup, make_group
+from midconvex.harness import enumerate_abelian_groups
 from midconvex.intsets import decompose_trace
 from midconvex.rationals import (
     QIntervalSpec,
@@ -88,6 +91,38 @@ def test_is_midconvex_matches_definition_exhaustively():
                 group, members
             )
 
+
+
+def test_midconvex_bits_match_the_per_subset_predicate():
+    # the bit-sliced pass against is_midconvex, the per-subset reference, on
+    # every subset of every group up to order 10
+    for group in enumerate_abelian_groups(10):
+        masks = range(1 << group.order)
+        columns = subset_columns(group, masks)
+        expected = sum(
+            1 << k for k in masks if is_midconvex(group, GroupSubset(group, masks[k]))
+        )
+        assert midconvex_bits(group, columns, len(masks)) == expected, str(group)
+
+
+def test_subset_columns_transpose_a_list_of_masks():
+    rng = random.Random(3)
+    for orders in ([1], [6], [2, 2, 2], [3, 3]):
+        group = make_group(orders)
+        n = group.order
+        # the closed form for every subset equals the transposed list
+        assert subset_columns(group, range(1 << n)) == subset_columns(group, list(range(1 << n)))
+        masks = [rng.getrandbits(n) for _ in range(50)] + [0, (1 << n) - 1, 0]
+        columns = subset_columns(group, masks)
+        assert all(
+            (columns[i] >> k & 1) == (m >> i & 1) for k, m in enumerate(masks) for i in range(n)
+        )
+        bits = midconvex_bits(group, columns, len(masks))
+        assert [bits >> k & 1 for k in range(len(masks))] == [
+            is_midconvex(group, GroupSubset(group, m)) for m in masks
+        ]
+        assert subset_columns(group, []) == [0] * n
+        assert midconvex_bits(group, subset_columns(group, []), 0) == 0
 
 def test_midconvex_closure_examples():
     g4 = make_group([4])

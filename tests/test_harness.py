@@ -1,12 +1,15 @@
 """Differential campaigns: exhaustive sweeps, purity sampling, closure oracle."""
 
+import importlib.util
 import json
+import pathlib
 from fractions import Fraction as F
 
 import pytest
 
+from midconvex import engine, harness
 from midconvex.engine import is_midconvex
-from midconvex.groups import GroupSubset, make_group
+from midconvex.groups import GroupElement, GroupSubset, is_subgroup, make_group
 from midconvex.harness import (
     VerificationReport,
     bounded_closure_oracle,
@@ -20,9 +23,29 @@ from midconvex.harness import (
 )
 from midconvex.rationals import RationalGroupDescriptor
 
+REFS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "refs.py"
+
 
 def desc(gen, primes=()):
     return RationalGroupDescriptor(F(gen), frozenset(primes))
+
+
+def load_refs():
+    # the benchmark's closed-form references, loaded from their file; nothing
+    # under bench/ is imported as a package
+    spec = importlib.util.spec_from_file_location("bench_refs", REFS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def odd_coset_reference(group, mask):
+    """Per subset: X - x is a subgroup of odd index for every member x."""
+    for xi in GroupSubset(group, mask).indices():
+        shifted = GroupSubset(group, group.translate_mask(mask, group.neg_index(xi)))
+        if not (is_subgroup(shifted) and shifted.index % 2 == 1):
+            return False
+    return True
 
 
 def test_enumerate_abelian_groups_examples():
@@ -86,6 +109,81 @@ def test_sampled_subsets_used_above_exhaustive_cap():
     # orders 13 and 14 are sampled at 300 subsets each rather than swept
     assert report.counts["subsets"] == 13326 + 300 + 300
 
+
+def test_odd_coset_bits_match_the_per_subset_characterization():
+    for group in enumerate_abelian_groups(10):
+        masks = range(1 << group.order)
+        columns = engine.subset_columns(group, masks)
+        expected = sum(1 << k for k in masks if odd_coset_reference(group, masks[k]))
+        assert harness._odd_coset_bits(group, columns, len(masks)) == expected, str(group)
+
+
+def test_sampled_theorem2_matches_the_per_subset_sweep():
+    # the sweep as it ran subset by subset, over the same seeded masks
+    seed, sample_count = 0, 300
+    reference = VerificationReport("theorem2", seed=seed)
+    midconvex_counts, total = {}, 0
+    groups = enumerate_abelian_groups(14)
+    for group in groups:
+        for mask in harness._subset_masks(group, seed, sample_count):
+            total += 1
+            lhs = is_midconvex(group, GroupSubset(group, mask))
+            rhs = odd_coset_reference(group, mask)
+            if lhs:
+                midconvex_counts[str(group)] = midconvex_counts.get(str(group), 0) + 1
+            if lhs != rhs:
+                label = harness._subset_label(GroupSubset(group, mask))
+                reference.add_mismatch(group, label, "is_midconvex vs subgroup characterization", lhs, rhs)
+    reference.counts = {"groups": len(groups), "subsets": total}
+    reference.details["midconvex_counts"] = midconvex_counts
+    report = exhaustive_theorem2(14, seed=seed, sample_count=sample_count)
+    assert json.dumps(report.to_dict()) == json.dumps(reference.to_dict())
+
+
+@pytest.mark.parametrize("orders", [[20], [2, 2, 5], [2, 2, 2, 2], [3, 3, 2]])
+def test_every_subset_of_order_16_to_20_groups_is_decided(orders):
+    # 2**20 subsets of Z(20) and Z(2x2x5): the closed-form count 1 + sum |K|
+    # over subgroups K of the odd part, and the odd-index cosets, both agree
+    group = make_group(orders)
+    masks = range(1 << group.order)
+    columns = engine.subset_columns(group, masks)
+    midconvex = engine.midconvex_bits(group, columns, len(masks))
+    assert midconvex.bit_count() == load_refs().midconvex_count(tuple(orders))
+    assert midconvex == harness._odd_coset_bits(group, columns, len(masks))
+
+
+def test_theorem2_mismatches_are_labelled_and_sorted(monkeypatch):
+    # flip the coset reading on three subsets; each must be reported once,
+    # sorted by group label and then subset label, not by mask
+    flips = {"Z(4)": (1 << 2) | (1 << 9), "Z(2x2)": 1 << 6}
+    coset_bits = harness._odd_coset_bits
+
+    def flipped(group, columns, count):
+        return coset_bits(group, columns, count) ^ flips.get(str(group), 0)
+
+    monkeypatch.setattr(harness, "_odd_coset_bits", flipped)
+    report = exhaustive_theorem2(4)
+    operation = "is_midconvex vs subgroup characterization"
+    assert report.mismatches == [
+        {"group": "Z(2x2)", "subset": "{(0,1),(1,0)}", "operation": operation, "lhs": False, "rhs": True},
+        {"group": "Z(4)", "subset": "{0,3}", "operation": operation, "lhs": False, "rhs": True},
+        {"group": "Z(4)", "subset": "{1}", "operation": operation, "lhs": False, "rhs": True},
+    ]
+    assert report.counts == {"groups": 5, "subsets": 46}
+    assert report.details["midconvex_counts"] == {"Z(1)": 2, "Z(2)": 2, "Z(3)": 5, "Z(4)": 2, "Z(2x2)": 2}
+
+
+def test_passing_theorem2_sweep_builds_no_group_elements(monkeypatch):
+    built = []
+    original = GroupElement.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(GroupElement, "__post_init__", counting)
+    assert exhaustive_theorem2(8).passed
+    assert built == []
 
 def test_sample_two_purity_passes_and_is_deterministic():
     first = sample_two_purity(40, seed=11)
