@@ -121,7 +121,7 @@ class FiniteAbelianGroup:
         With d the index of -x this is the shift X - x.
         """
         shifted = 0
-        for i in _set_bits(mask):
+        for i in set_bits(mask):
             shifted |= 1 << self.add_index(i, d)
         return shifted
 
@@ -145,7 +145,7 @@ class FiniteAbelianGroup:
         return tuple(self._encode(v) for v in itertools.product(*per_component))
 
 
-def _set_bits(mask: int) -> Iterator[int]:
+def set_bits(mask: int) -> Iterator[int]:
     """Positions of the set bits of a mask, ascending."""
     while mask:
         low = mask & -mask
@@ -298,7 +298,7 @@ class GroupSubset:
         return self.group.order // self.size
 
     def indices(self) -> Iterator[int]:
-        return _set_bits(self.mask)
+        return set_bits(self.mask)
 
     def members(self) -> list[GroupElement]:
         return [self.group.element_at(i) for i in self.indices()]
@@ -336,7 +336,7 @@ def _extend_by_cosets(group: FiniteAbelianGroup, gens: Iterable[int], bound: int
     for g in gens:
         if mask >> g & 1:
             continue
-        members = list(_set_bits(mask))
+        members = list(set_bits(mask))
         shift = g
         while not mask >> shift & 1:
             for a in members:

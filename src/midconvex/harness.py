@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 from . import engine
 from .errors import NotMidconvex
-from .groups import FiniteAbelianGroup, GroupSubset, _extend_by_cosets, _set_bits, make_group
+from .groups import FiniteAbelianGroup, GroupSubset, make_group, set_bits, subgroup_generated
 from .rationals import (
     QIntervalSpec,
     Rational,
@@ -170,14 +170,13 @@ def _odd_index_cosets(group: FiniteAbelianGroup) -> set[int]:
 
     Every subgroup is reached from {0} by joining one element at a time.
     """
-    everything = (1 << group.order) - 1
     subgroups, frontier = {1}, [1]
     while frontier:
         grown = []
         for h in frontier:
             for g in range(group.order):
                 if not h >> g & 1:
-                    joined = _extend_by_cosets(group, [*_set_bits(h), g], everything)
+                    joined = subgroup_generated(GroupSubset(group, h | 1 << g)).mask
                     if joined not in subgroups:
                         subgroups.add(joined)
                         grown.append(joined)
@@ -215,7 +214,7 @@ def exhaustive_theorem2(
         cosets = _odd_coset_bits(group, columns, len(masks))
         if midconvex:
             midconvex_counts[str(group)] = midconvex.bit_count()
-        for k in _set_bits(midconvex ^ cosets):
+        for k in set_bits(midconvex ^ cosets):
             report.add_mismatch(
                 group,
                 _subset_label(GroupSubset(group, masks[k])),
@@ -253,7 +252,7 @@ def exhaustive_lemma1(
     """Order-convexity of traces along member differences, for midconvex sets."""
 
     def check(report, group, masks, columns, midconvex):
-        for k in _set_bits(midconvex):
+        for k in set_bits(midconvex):
             subset = GroupSubset(group, masks[k])
             members = subset.members()
             for x in members:
