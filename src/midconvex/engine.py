@@ -13,10 +13,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import CapExceeded, NotMidconvex, NotMidconvexTrace, WindowTooSmall
-from .groups import FiniteAbelianGroup, GroupElement, GroupSubset, is_subgroup
+from .groups import FiniteAbelianGroup, GroupElement, GroupSubset, is_subgroup, set_bits
 from .intsets import IntWindowSet, decompose_trace, is_order_convex
 from .rationals import (
     QIntervalSpec,
@@ -191,6 +191,58 @@ def verify_theorem1(group: FiniteAbelianGroup, subset: GroupSubset) -> bool:
             except NotMidconvexTrace:
                 return False
     return True
+
+
+def accepted_traces(period: int, exhaustive: bool) -> tuple[int, ...]:
+    """The traces of this period that decompose_trace accepts, bit r for residue r.
+
+    Exhaustive asks about every residue pattern that contains 0, 2**(period-1)
+    of them. Otherwise only the multiples of each odd divisor of the period
+    are asked about, the patterns that Theorem 1 allows in a finite group.
+    """
+    if exhaustive:
+        patterns: Iterable[int] = range(1, 1 << period, 2)
+    else:
+        patterns = [
+            sum(1 << r for r in range(0, period, d)) for d in range(1, period + 1, 2) if period % d == 0
+        ]
+    accepted = []
+    for pattern in patterns:
+        try:
+            decompose_trace(IntWindowSet.from_residues(period, set_bits(pattern)))
+        except NotMidconvexTrace:
+            continue
+        accepted.append(pattern)
+    return tuple(accepted)
+
+
+def theorem1_bits(
+    group: FiniteAbelianGroup, columns: Sequence[int], count: int, accepted: Mapping[int, Sequence[int]]
+) -> int:
+    """Bit k is set iff every trace of the subset in bit k of the columns is accepted.
+
+    The trace at x along g reads the columns at x, x + g, x + 2g, ... for one
+    period L = ord(g). A member x passes there where the subset matches some
+    pattern of accepted[L] exactly. As in verify_theorem1, every member and
+    every g are read, g = 0 included.
+    """
+    n = group.order
+    missing = [~column for column in columns]
+    bad = 0
+    for gi in range(n):
+        for xi in range(n):
+            walk, i = [xi], group.add_index(xi, gi)
+            while i != xi:
+                walk.append(i)
+                i = group.add_index(i, gi)
+            ok = 0
+            for pattern in accepted[len(walk)]:
+                match = columns[xi]
+                for r in range(1, len(walk)):
+                    match &= columns[walk[r]] if pattern >> r & 1 else missing[walk[r]]
+                ok |= match
+            bad |= columns[xi] & ~ok
+    return ((1 << count) - 1) & ~bad
 
 
 def decompose_periodic(

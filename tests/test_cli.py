@@ -22,6 +22,10 @@ def run_text(text, fmt="text"):
         ("check_z4", "Z(4); {0}; check"),
         ("decompose_z15", "Z(15); {1,4,7,10,13}; decompose x=1"),
         ("verify_theorem2", "Z; {0}@window[0,0]; verify --theorem 2 --max-order 12"),
+        ("verify_theorem1", "Z; {0}@window[0,0]; verify --theorem 1"),
+        # Z(13) is above the cap, but its 8,192 subsets are fewer than the 10,000
+        # samples, so all are swept; its period-13 traces use the candidate table
+        ("verify_theorem1_sampled", "Z; {0}@window[0,0]; verify --theorem 1 --max-order 13 --seed 7"),
         ("decompose_q2_unit", "Q(gen=1, primes=[2]); conv[0,1] ∩ ((1,[2]) + 0); decompose"),
         # the finest probe offset lands below the base, so x is that point
         (

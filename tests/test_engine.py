@@ -8,6 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 from midconvex.engine import (
+    accepted_traces,
     decompose_periodic,
     decompose_rational,
     decompose_rational_set,
@@ -21,6 +22,7 @@ from midconvex.engine import (
     midconvex_closure,
     midconvex_witness,
     subset_columns,
+    theorem1_bits,
     theorem3_if_violation,
     trace_in_group,
     verify_theorem1,
@@ -184,6 +186,23 @@ def test_verify_theorem1_equals_is_midconvex_small():
         for mask in range(1 << group.order):
             s = GroupSubset(group, mask)
             assert verify_theorem1(group, s) == is_midconvex(group, s)
+
+
+def test_theorem1_bits_equal_verify_theorem1_on_every_subset_up_to_order_10():
+    accepted = {period: accepted_traces(period, True) for period in range(1, 11)}
+    for group in enumerate_abelian_groups(10):
+        masks = range(1 << group.order)
+        bits = theorem1_bits(group, subset_columns(group, masks), len(masks), accepted)
+        expected = sum(1 << k for k in masks if verify_theorem1(group, GroupSubset(group, k)))
+        assert bits == expected, str(group)
+
+
+def test_candidate_traces_are_the_accepted_ones_up_to_period_12():
+    # above the exhaustive cap only the odd-modulus candidates are asked about
+    for period in range(1, 13):
+        assert sorted(accepted_traces(period, False)) == sorted(accepted_traces(period, True))
+    # 15 has the odd divisors 1, 3, 5 and 15
+    assert sorted(accepted_traces(15, False)) == [1, 0b10000100001, 0b1001001001001, 0b111111111111111]
 
 
 # -- the periodic decomposition route ----------------------------------------

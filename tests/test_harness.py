@@ -3,12 +3,14 @@
 import importlib.util
 import json
 import pathlib
+import time
 from fractions import Fraction as F
 
 import pytest
 
 from midconvex import engine, harness
 from midconvex.engine import is_midconvex
+from midconvex.errors import NotMidconvexTrace
 from midconvex.groups import GroupElement, GroupSubset, is_subgroup, make_group
 from midconvex.harness import (
     VerificationReport,
@@ -96,6 +98,76 @@ def test_exhaustive_theorem1_small():
     report = exhaustive_theorem1(6)
     assert report.passed
     assert report.counts["groups"] == 7
+
+
+def theorem1_reference(max_order, seed=0, sample_count=harness.SAMPLED_SUBSET_COUNT):
+    # the theorem-1 sweep as it ran subset by subset, over the same seeded
+    # masks, repeated draws included
+    reference = VerificationReport("theorem1", seed=seed)
+    total = 0
+    groups = enumerate_abelian_groups(max_order)
+    for group in groups:
+        for mask in harness._subset_masks(group, seed, sample_count):
+            total += 1
+            subset = GroupSubset(group, mask)
+            lhs, rhs = is_midconvex(group, subset), engine.verify_theorem1(group, subset)
+            if lhs != rhs:
+                label = harness._subset_label(subset)
+                reference.add_mismatch(group, label, "is_midconvex vs trace decomposition", lhs, rhs)
+    reference.counts = {"groups": len(groups), "subsets": total}
+    reference.mismatches.sort(key=lambda m: (m["group"], m["subset"]))
+    return reference
+
+
+def test_sampled_theorem1_matches_the_per_subset_sweep():
+    report = exhaustive_theorem1(14, sample_count=300)
+    assert report.counts["subsets"] == 13326 + 300 + 300
+    assert json.dumps(report.to_dict()) == json.dumps(theorem1_reference(14, sample_count=300).to_dict())
+
+
+def test_theorem1_campaign_reports_a_faulty_decompose_trace(monkeypatch):
+    # wrongly accept {0,2} mod 4 and wrongly reject {0,1,2} mod 3: the campaign
+    # must report exactly what the per-subset reference reports
+    decompose_trace = engine.decompose_trace
+
+    def faulty(trace):
+        pattern = (trace.period, trace.members())
+        if pattern == (4, (0, 2)):
+            return None
+        if pattern == (3, (0, 1, 2)):
+            raise NotMidconvexTrace("wrongly rejected")
+        return decompose_trace(trace)
+
+    monkeypatch.setattr(engine, "decompose_trace", faulty)
+    report = exhaustive_theorem1(8)
+    assert report.mismatches
+    assert json.dumps(report.to_dict()) == json.dumps(theorem1_reference(8).to_dict())
+
+
+def test_theorem1_campaign_asks_about_each_trace_once_per_call(monkeypatch):
+    calls = []
+    decompose_trace = engine.decompose_trace
+
+    def counting(trace):
+        calls.append(trace)
+        return decompose_trace(trace)
+
+    monkeypatch.setattr(engine, "decompose_trace", counting)
+    per_call = []
+    for _ in range(2):
+        calls.clear()
+        assert exhaustive_theorem1(10).passed
+        per_call.append(len(calls))
+    # every residue pattern that contains 0, for each period up to 10
+    assert per_call == [1023, 1023]
+
+
+def test_exhaustive_theorem1_to_order_20_in_bounded_time():
+    started = time.perf_counter()
+    report = exhaustive_theorem1(20)
+    assert time.perf_counter() - started < 3
+    assert report.passed
+    assert report.counts == {"groups": 31, "subsets": 151518}
 
 
 def test_exhaustive_lemma1_small():

@@ -186,6 +186,21 @@ def test_decompose_trace_periodic_non_subgroup_fails():
         decompose_trace(IntWindowSet.from_residues(7, [0, 3, 4]))
 
 
+def test_periodic_traces_accepted_are_exactly_the_odd_multiples():
+    # in a finite group Theorem 1 leaves dZ/LZ with d odd and d | L as the
+    # only decomposable traces of period L: all 4,095 patterns with 0 up to 12
+    for period in range(1, 13):
+        allowed = {frozenset(range(0, period, d)) for d in range(1, period + 1, 2) if period % d == 0}
+        for pattern in range(1 << period - 1):
+            residues = frozenset([0] + [r for r in range(1, period) if pattern >> r - 1 & 1])
+            try:
+                decompose_trace(IntWindowSet.from_residues(period, residues))
+                accepted = True
+            except NotMidconvexTrace:
+                accepted = False
+            assert accepted == (residues in allowed), (period, sorted(residues))
+
+
 def test_decompose_trace_requires_zero():
     with pytest.raises(ValueError):
         decompose_trace(wset(0, 9, [3, 6]))
