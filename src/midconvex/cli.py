@@ -93,9 +93,9 @@ def _bind_rational(group: RationalGroupDescriptor, element, what: str) -> Fracti
 
 def _bind_set(kind, group, expr):
     if isinstance(expr, ExplicitSetExpr):
+        if kind != "zed" and expr.window is not None:
+            raise DslTypeError("windows apply to Z sets only")
         if kind == "finite":
-            if expr.window is not None:
-                raise DslTypeError("windows apply to Z sets only")
             members = [_bind_finite_element(group, e) for e in expr.elements]
             return "subset", GroupSubset.from_elements(group, members)
         if kind == "zed":
@@ -109,8 +109,6 @@ def _bind_set(kind, group, expr):
             if bad:
                 raise DslTypeError(f"element {bad[0]} is outside the window [{lo},{hi}]")
             return "window", IntWindowSet.from_members(lo, hi, members)
-        if expr.window is not None:
-            raise DslTypeError("windows apply to Z sets only")
         return "points", [_bind_rational(group, e, "element") for e in expr.elements]
     if kind == "finite":
         raise DslTypeError("interval-and-coset sets live in Z or Q groups")
@@ -135,36 +133,32 @@ def _interval_dict(lower, upper) -> dict:
     }
 
 
-def _trace_decomposition_dict(dec: intsets.TraceDecomposition) -> dict:
-    return {
-        "C": _interval_dict(dec.interval.lower, dec.interval.upper),
-        "H": {"gen": None, "primes": None, "modulus": dec.subgroup.modulus},
-        "x": str(dec.base),
-    }
-
-
-def _periodic_decomposition_dict(dec: engine.PeriodicDecomposition) -> dict:
-    subgroup = dec.subgroup
-    group = subgroup.group
-    members = subgroup.members()
-    modulus = None
-    if len(group.orders) == 1:
-        nonzero = [e.residues[0] for e in members if e.residues[0] != 0]
-        modulus = min(nonzero) if nonzero else group.orders[0]
-    return {
-        "C": None,
-        "H": {
-            "gen": None,
-            "primes": None,
-            "modulus": modulus,
-            "elements": [str(e) for e in members],
-            "index": dec.index,
-        },
-        "x": str(dec.base),
-    }
-
-
-def _rational_decomposition_dict(desc: RationalMidconvexDescription, depth: int | None = None) -> dict:
+def _decomposition_dict(dec) -> dict:
+    if isinstance(dec, engine.PeriodicDecomposition):
+        group = dec.subgroup.group
+        members = dec.subgroup.members()
+        modulus = None
+        if len(group.orders) == 1:
+            nonzero = [e.residues[0] for e in members if e.residues[0] != 0]
+            modulus = min(nonzero) if nonzero else group.orders[0]
+        return {
+            "C": None,
+            "H": {
+                "gen": None,
+                "primes": None,
+                "modulus": modulus,
+                "elements": [str(e) for e in members],
+                "index": dec.index,
+            },
+            "x": str(dec.base),
+        }
+    if isinstance(dec, intsets.TraceDecomposition):
+        return {
+            "C": _interval_dict(dec.interval.lower, dec.interval.upper),
+            "H": {"gen": None, "primes": None, "modulus": dec.subgroup.modulus},
+            "x": str(dec.base),
+        }
+    desc = dec.description
     result = {
         "C": _interval_dict(desc.interval.lower, desc.interval.upper),
         "H": {
@@ -174,9 +168,9 @@ def _rational_decomposition_dict(desc: RationalMidconvexDescription, depth: int 
         },
         "x": str(desc.base),
     }
-    if depth is not None:
+    if dec.depth is not None:
         # the recovered subgroup is a finite-depth approximation of the limit
-        result["depth"] = depth
+        result["depth"] = dec.depth
     return result
 
 
@@ -246,19 +240,33 @@ def _render(report: dict, fmt: str) -> str:
 # -- command execution --------------------------------------------------------
 
 
+def _bind_element(set_kind, group, element, what: str):
+    if set_kind == "subset":
+        return _bind_finite_element(group, element, what)
+    if set_kind == "window":
+        return _bind_int(element, what)
+    return _bind_rational(group, element, what)
+
+
+def _member_count(set_kind, set_obj) -> int:
+    """Members of an explicit set; a described set counts as one."""
+    if set_kind == "subset":
+        return set_obj.size
+    if set_kind == "window":
+        return sum(set_obj.membership)
+    return len(set_obj) if set_kind == "points" else 1
+
+
 def _run_check(group, set_kind, set_obj, report):
     if set_kind == "subset":
         witness = engine.midconvex_witness(group, set_obj)
-        report["stats"]["count"] = set_obj.size
     elif set_kind == "window":
         witness = intsets.midconvex_z_witness(set_obj)
-        report["stats"]["count"] = len(set_obj.members())
     elif set_kind == "points":
         witness = engine.is_midconvex_q_finite(group, set_obj)
-        report["stats"]["count"] = len(set_obj)
     else:
         witness = engine.described_midconvex_witness(set_obj, group)
-        report["stats"]["count"] = 1
+    report["stats"]["count"] = _member_count(set_kind, set_obj)
     report["witness"] = _witness_dict(witness)
     if witness is None:
         report["result"] = "midconvex"
@@ -269,102 +277,62 @@ def _run_check(group, set_kind, set_obj, report):
 
 def _run_closure(group, set_kind, set_obj, report):
     if set_kind == "subset":
-        closed = engine.midconvex_closure(group, set_obj)
-        report["closure"] = "{%s}" % ",".join(str(e) for e in closed.members())
-        report["result"] = "closure computed"
-        report["stats"]["count"] = closed.size
-        return EXIT_OK
-    if set_kind == "window":
-        points, max_iters = set_obj.members(), 64
-    elif set_kind == "points":
-        points, max_iters = set_obj, 8
+        members = engine.midconvex_closure(group, set_obj).members()
+    elif set_kind in ("window", "points"):
+        points = set_obj.members() if set_kind == "window" else set_obj
+        closure = engine.rational_closure(group, points)
+        members = () if closure is None else engine.described_members(closure)
     else:
         raise DslTypeError("closure is only computed for explicit sets and finite groups")
-    closed, complete = harness.bounded_closure_oracle(group, points, max_iters)
-    report["closure"] = "{%s}" % ",".join(str(p) for p in sorted(closed))
-    report["stats"]["count"] = len(closed)
-    if complete:
-        report["result"] = "closure computed"
-        return EXIT_OK
-    report["result"] = f"closure incomplete after {max_iters} rounds"
-    return EXIT_RESOURCE
+    if members is None:
+        # a dense closure is given by its description and counts as one set
+        report["closure"] = str(closure)
+        report["stats"]["count"] = 1
+    else:
+        report["closure"] = "{%s}" % ",".join(str(e) for e in members)
+        report["stats"]["count"] = len(members)
+    report["result"] = "closure computed"
+    return EXIT_OK
 
 
 def _run_trace(group, set_kind, set_obj, command, report):
+    x = _bind_element(set_kind, group, command.x, "trace base")
     if set_kind == "subset":
-        x = _bind_finite_element(group, command.x, "trace base")
         g = _bind_finite_element(group, command.g, "trace direction")
         trace = engine.trace_in_group(group, set_obj, x, g)
-        report["trace"] = str(trace)
-        report["stats"]["count"] = trace.period
-        report["result"] = "trace computed"
-        return EXIT_OK
-    if set_kind == "window":
-        x = _bind_int(command.x, "trace base")
-        g = _bind_int(command.g, "trace direction")
-        trace = intsets.trace_z(set_obj, x, g)
-        report["trace"] = str(trace)
-        report["stats"]["count"] = trace.hi - trace.lo + 1
-        report["result"] = "trace computed"
-        return EXIT_OK
-    x = _bind_rational(group, command.x, "trace base")
-    if isinstance(command.g, tuple):
+    elif set_kind == "window":
+        trace = intsets.trace_z(set_obj, x, _bind_int(command.g, "trace direction"))
+    elif isinstance(command.g, tuple):
         raise DslTypeError("trace direction must be a rational")
-    g = Fraction(command.g)
-    if g == 0:
-        raise DslTypeError("trace direction must be nonzero")
-    oracle = engine._as_oracle(set_obj)
-    span = 64
-    trace = IntWindowSet.from_predicate(-span, span, lambda n: oracle.contains(x + n * g))
+    else:
+        trace = engine.lattice_trace(set_obj, x, Fraction(command.g))
     report["trace"] = str(trace)
-    report["stats"]["count"] = 2 * span + 1
+    report["stats"]["count"] = len(trace.membership)
     report["result"] = "trace computed"
     return EXIT_OK
 
 
 def _run_decompose(group, set_kind, set_obj, command, report):
-    if set_kind == "subset":
-        members = set_obj.members()
-        if not members:
-            raise DslTypeError("cannot decompose the empty set")
-        x = members[0] if command.x is None else _bind_finite_element(group, command.x, "base")
-        try:
-            dec = engine.decompose_periodic(group, set_obj, x)
-        except NotMidconvex as exc:
-            report["result"] = f"not midconvex: {exc.reason}"
-            return EXIT_COUNTEREXAMPLE
-        report["decomposition"] = _periodic_decomposition_dict(dec)
-        report["result"] = "decomposed"
-        report["stats"]["count"] = set_obj.size
-        return EXIT_OK
-    if set_kind == "window":
-        members = set_obj.members()
-        if not members:
-            raise DslTypeError("cannot decompose the empty set")
-        x = members[0] if command.x is None else _bind_int(command.x, "base")
-        try:
-            dec = intsets.decompose_z(set_obj, x)
-        except NotMidconvexTrace as exc:
-            report["result"] = f"not midconvex: {exc.reason}"
-            return EXIT_COUNTEREXAMPLE
-        report["decomposition"] = _trace_decomposition_dict(dec)
-        report["result"] = "decomposed"
-        report["stats"]["count"] = len(members)
-        return EXIT_OK
-
-    x = None if command.x is None else _bind_rational(group, command.x, "base")
+    x = None if command.x is None else _bind_element(set_kind, group, command.x, "base")
     try:
-        dec = engine.decompose_rational_set(group, set_obj, x)
-    except NotMidconvex as exc:
-        if exc.witness is None:
-            report["result"] = f"not midconvex: {exc.reason}"
+        if set_kind == "subset":
+            dec = engine.decompose_periodic(group, set_obj, x)
+        elif set_kind == "window":
+            dec = intsets.decompose_z(set_obj, x)
         else:
+            dec = engine.decompose_rational_set(group, set_obj, x)
+    except (NotMidconvex, NotMidconvexTrace) as exc:
+        # only a rational route carries a violating triple; a trace witness is one integer
+        if isinstance(exc, NotMidconvex) and exc.witness is not None:
             report["witness"] = _witness_dict(exc.witness)
             report["result"] = "not midconvex"
+        else:
+            report["result"] = f"not midconvex: {exc.reason}"
         return EXIT_COUNTEREXAMPLE
-    report["decomposition"] = _rational_decomposition_dict(dec.description, dec.depth)
-    report["result"] = "decomposed" if dec.depth is not None else "decomposed (singleton)"
-    report["stats"]["count"] = len(set_obj) if set_kind == "points" else 1
+    report["decomposition"] = _decomposition_dict(dec)
+    singleton = isinstance(dec, engine.RationalDecomposition) and dec.depth is None
+    report["result"] = "decomposed (singleton)" if singleton else "decomposed"
+    report["stats"]["count"] = _member_count(set_kind, set_obj)
     return EXIT_OK
 
 
@@ -376,14 +344,17 @@ def _given(**sizes) -> dict:
 def _run_verify(group, set_kind, set_obj, command, report, timings):
     seed = 0 if command.seed is None else command.seed
     report["stats"]["seed"] = seed
-    if command.theorem in ("1", "2", "lemma1"):
-        order = _given(max_order=command.max_order)
-        if command.theorem == "1":
-            campaign = harness.exhaustive_theorem1(seed=seed, **order)
-        elif command.theorem == "2":
-            campaign = harness.exhaustive_theorem2(seed=seed, **order)
-        else:
-            campaign = harness.exhaustive_lemma1(seed=seed, **order)
+    sweep = command.theorem in ("1", "2", "lemma1")
+    flag, value = ("--samples", command.samples) if sweep else ("--max-order", command.max_order)
+    if value is not None:
+        raise DslTypeError(f"verify --theorem {command.theorem} takes no {flag}")
+    if sweep:
+        run_sweep = {
+            "1": harness.exhaustive_theorem1,
+            "2": harness.exhaustive_theorem2,
+            "lemma1": harness.exhaustive_lemma1,
+        }[command.theorem]
+        campaign = run_sweep(seed=seed, **_given(max_order=command.max_order))
         count = campaign.counts.get("subsets", 0)
     elif command.theorem == "purity":
         campaign = harness.sample_two_purity(seed=seed, **_given(trials=command.samples))
@@ -392,8 +363,6 @@ def _run_verify(group, set_kind, set_obj, command, report, timings):
         if set_kind not in ("points", "window"):
             raise DslTypeError("hull verification needs an explicit set")
         points = set_obj.members() if set_kind == "window" else set_obj
-        if not points:
-            raise DslTypeError("hull verification needs a nonempty set")
         campaign = harness.conjecture_hull_check(
             group, list(points), seed=seed, **_given(samples=command.samples)
         )

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor
+from math import ceil, floor
 from typing import Iterable, Mapping, Sequence
 
 from .errors import CapExceeded, NotMidconvex, NotMidconvexTrace, WindowTooSmall
@@ -25,6 +25,8 @@ from .rationals import (
     RationalMidconvexDescription,
     cyclic_chain,
     is_two_pure,
+    rational_gcd,
+    two_pure_closure,
 )
 
 # Bounds of the deterministic probe grid that looks for members near a base.
@@ -36,6 +38,8 @@ _DRAW_NUMERATORS = 50
 _DRAW_EXPONENTS = 4
 # Most lattice points that one refinement level of decompose_rational scans.
 _LATTICE_CAP = 500_000
+# Radius of the lattice window that a trace of a rational set is read on.
+_TRACE_RADIUS = 64
 
 
 @dataclass(frozen=True)
@@ -246,13 +250,17 @@ def theorem1_bits(
 
 
 def decompose_periodic(
-    group: FiniteAbelianGroup, subset: GroupSubset, x: GroupElement
+    group: FiniteAbelianGroup, subset: GroupSubset, x: GroupElement | None = None
 ) -> PeriodicDecomposition:
-    """Split X as (X - x) + x with X - x a subgroup of odd index.
+    """Split X as (X - x) + x with X - x a subgroup of odd index, x by default the least member.
 
     For midconvex X this succeeds and the subgroup does not depend on the
     choice of the base point; otherwise NotMidconvex reports the reason.
     """
+    if not subset.mask:
+        raise ValueError("cannot decompose the empty set")
+    if x is None:
+        x = group.element_at((subset.mask & -subset.mask).bit_length() - 1)
     if x not in subset:
         raise ValueError("decomposition base point must be a member")
     shifted = group.translate_mask(subset.mask, group.neg_index(group.index_of(x)))
@@ -313,6 +321,20 @@ def _as_oracle(x) -> object:
     return FiniteRationalSet(x)
 
 
+def lattice_trace(
+    members: RationalMidconvexDescription | Iterable[Rational],
+    x: Fraction,
+    g: Fraction,
+    k_max: int = _TRACE_RADIUS,
+) -> IntWindowSet:
+    """The trace {k : x + k*g in X} of a described or finite set on [-k_max, k_max]."""
+    if g == 0:
+        raise ValueError("trace direction must be nonzero")
+    oracle = _as_oracle(members)
+    inside = [k for k in range(-k_max, k_max + 1) if oracle.contains(x + k * g)]
+    return IntWindowSet.from_members(-k_max, k_max, inside)
+
+
 def _missing_midpoints(group: RationalGroupDescriptor, points: Iterable[Fraction]):
     """Each (x, y, z) with x < y points and z = (x+y)/2 in the group but not a point.
 
@@ -335,6 +357,47 @@ def is_midconvex_q_finite(
     Returns the first violating (x, y, z) of `_missing_midpoints`, or None.
     """
     return next(_missing_midpoints(group, (Fraction(p) for p in points)), None)
+
+
+def rational_closure(
+    group: RationalGroupDescriptor, points: Iterable[Rational]
+) -> RationalMidconvexDescription | None:
+    """Least midconvex superset of a finite set of rationals; None for the empty set.
+
+    With x = min X and H the two-pure closure of the span <X - x>, it is
+    K = hull(X) ∩ (H + x). K contains X, and it is midconvex by the "if"
+    direction of Theorem 3, since G/H has no element of even order. By the
+    "only if" direction any midconvex Y ⊇ X is C' ∩ (H' + x) with C' ⊇ hull(X)
+    and G/H' free of even-order elements, for any subgroup H' of G, whether a
+    descriptor or not. Such an H' contains the span, and as 2g in H' forces g
+    in H', also the 2-isolator {g : 2^k g in <X - x> for some k}. That is what
+    two_pure_closure returns: span * Z[1/2] when 2 is inverted in G, else
+    span / 2^v * Z with 2^v the power of 2 in span / gen(G). So K ⊆ Y.
+    """
+    points = sorted(Fraction(p) for p in points)
+    if not points:
+        return None
+    base = points[0]
+    interval = QIntervalSpec(base, points[-1])
+    span = rational_gcd([p - base for p in points])
+    if span == 0:
+        # singleton: the order interval already pins the set to the base point
+        return RationalMidconvexDescription(interval, group, base)
+    closure = two_pure_closure(RationalGroupDescriptor(span), group)
+    return RationalMidconvexDescription(interval, closure, base)
+
+
+def described_members(description: RationalMidconvexDescription) -> tuple[Fraction, ...] | None:
+    """Members of a described set in order, None if infinite; CapExceeded past _LATTICE_CAP."""
+    lower, upper = description.interval.lower, description.interval.upper
+    if lower is None or upper is None or (description.subgroup.primes and lower != upper):
+        return None
+    base, step = description.base, description.subgroup.gen
+    first, last = ceil((lower - base) / step), floor((upper - base) / step)
+    if last - first + 1 > _LATTICE_CAP:
+        raise CapExceeded(f"{last - first + 1} lattice points to list, cap is {_LATTICE_CAP}")
+    lattice = (base + k * step for k in range(first, last + 1))
+    return tuple(r for r in lattice if description.interval.contains(r))
 
 
 def decompose_rational(
@@ -382,10 +445,8 @@ def decompose_rational(
             raise CapExceeded(
                 f"level {step} lattice has {2 * k_max + 1} points, cap is {_LATTICE_CAP}"
             )
-        members = [k for k in range(-k_max, k_max + 1) if oracle.contains(x + k * g)]
-        trace = IntWindowSet.from_members(-k_max, k_max, members)
         try:
-            dec = decompose_trace(trace)
+            dec = decompose_trace(lattice_trace(oracle, x, g, k_max))
         except NotMidconvexTrace as exc:
             raise NotMidconvex(f"level {step} (lattice step {g}): {exc.reason}") from exc
         m = dec.subgroup.modulus

@@ -19,15 +19,7 @@ from typing import Iterable, Sequence
 from . import engine
 from .errors import NotMidconvex
 from .groups import FiniteAbelianGroup, GroupSubset, make_group, set_bits, subgroup_generated
-from .rationals import (
-    QIntervalSpec,
-    Rational,
-    RationalGroupDescriptor,
-    RationalMidconvexDescription,
-    is_two_pure,
-    rational_gcd,
-    two_pure_closure,
-)
+from .rationals import Rational, RationalGroupDescriptor, RationalMidconvexDescription, is_two_pure
 
 EXHAUSTIVE_ORDER_CAP = 12
 SAMPLED_SUBSET_COUNT = 10_000
@@ -165,6 +157,13 @@ def _subset_label(subset: GroupSubset) -> str:
     return "{%s}" % ",".join(str(e) for e in subset.members())
 
 
+def _add_bit_mismatches(report, group, masks, operation: str, lhs: int, rhs: int) -> None:
+    """Record subset k as a mismatch wherever bit k of the two readings differs."""
+    for k in set_bits(lhs ^ rhs):
+        label = _subset_label(GroupSubset(group, masks[k]))
+        report.add_mismatch(group, label, operation, bool(lhs >> k & 1), bool(rhs >> k & 1))
+
+
 def _odd_index_cosets(group: FiniteAbelianGroup) -> set[int]:
     """Masks of the cosets of the subgroups of odd index.
 
@@ -214,14 +213,8 @@ def exhaustive_theorem2(
         cosets = _odd_coset_bits(group, columns, len(masks))
         if midconvex:
             midconvex_counts[str(group)] = midconvex.bit_count()
-        for k in set_bits(midconvex ^ cosets):
-            report.add_mismatch(
-                group,
-                _subset_label(GroupSubset(group, masks[k])),
-                "is_midconvex vs subgroup characterization",
-                bool(midconvex >> k & 1),
-                bool(cosets >> k & 1),
-            )
+        operation = "is_midconvex vs subgroup characterization"
+        _add_bit_mismatches(report, group, masks, operation, midconvex, cosets)
 
     report = _sweep("theorem2", max_order, seed, sample_count, check)
     report.details["midconvex_counts"] = midconvex_counts
@@ -246,14 +239,8 @@ def exhaustive_theorem1(
         for period in range(len(accepted) + 1, group.order + 1):
             accepted[period] = engine.accepted_traces(period, period <= EXHAUSTIVE_ORDER_CAP)
         traces = engine.theorem1_bits(group, columns, len(masks), accepted)
-        for k in set_bits(midconvex ^ traces):
-            report.add_mismatch(
-                group,
-                _subset_label(GroupSubset(group, masks[k])),
-                "is_midconvex vs trace decomposition",
-                bool(midconvex >> k & 1),
-                bool(traces >> k & 1),
-            )
+        operation = "is_midconvex vs trace decomposition"
+        _add_bit_mismatches(report, group, masks, operation, midconvex, traces)
 
     return _sweep("theorem1", max_order, seed, sample_count, check)
 
@@ -414,27 +401,6 @@ def bounded_closure_oracle(
         points = points | added
 
 
-def hull_candidate(
-    group: RationalGroupDescriptor, start: Sequence[Rational]
-) -> RationalMidconvexDescription:
-    """Order-convex hull intersected with the two-pure closure of the span.
-
-    This is the conjectured closed form of the midconvex closure in subgroups
-    of the rationals; it is checked against the bounded oracle, never trusted.
-    """
-    points = sorted(Fraction(p) for p in start)
-    if not points:
-        raise ValueError("candidate needs a nonempty starting set")
-    base = points[0]
-    interval = QIntervalSpec(points[0], points[-1])
-    span = rational_gcd([p - base for p in points])
-    if span == 0:
-        # singleton: the order interval already pins the set to the base point
-        return RationalMidconvexDescription(interval, group, base)
-    closure = two_pure_closure(RationalGroupDescriptor(span), group)
-    return RationalMidconvexDescription(interval, closure, base)
-
-
 def conjecture_hull_check(
     group: RationalGroupDescriptor,
     start: Sequence[Rational],
@@ -442,16 +408,17 @@ def conjecture_hull_check(
     samples: int = 200,
     seed: int = 0,
 ) -> VerificationReport:
-    """Compare the hull candidate with the bounded midpoint-closure oracle.
+    """Differential check of engine.rational_closure against the bounded midpoint oracle.
 
-    Containment of the oracle output in the candidate is asserted as fact.
-    The reverse containment cannot be certified by bounded iteration, so
-    candidate points the oracle has not yet produced are only counted and
-    the verdict on them is reported as unfalsified at this depth.
+    Every oracle point must lie in the closure. Sampled closure points the
+    oracle has not produced are mismatches once the oracle is complete; in a
+    dense closure, where it never completes, they are only counted.
     """
     started = time.perf_counter()
     report = VerificationReport("hull", seed=seed)
-    candidate = hull_candidate(group, start)
+    candidate = engine.rational_closure(group, start)
+    if candidate is None:
+        raise ValueError("hull verification needs a nonempty set")
     label = sorted(Fraction(s) for s in start)
     produced, complete = bounded_closure_oracle(group, start, max_iters)
     for p in sorted(produced):
@@ -465,16 +432,13 @@ def conjecture_hull_check(
     )
     unproduced = sorted({p for p in sampled if p not in produced})
     if complete:
-        # the oracle reached its fixpoint, so candidate points it never
-        # produced genuinely falsify the conjectured closed form
+        # the oracle reached its fixpoint, so closure points it never
+        # produced contradict the closure
         for p in unproduced:
             report.add_mismatch(
                 group, label, "candidate point outside completed closure", str(candidate), str(p)
             )
-    report.counts = {
-        "oracle_points": len(produced),
-        "candidate_samples": len(sampled),
-    }
+    report.counts = {"oracle_points": len(produced)}
     report.details = {
         "candidate": str(candidate),
         "oracle_complete": complete,

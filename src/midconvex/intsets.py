@@ -296,12 +296,16 @@ def decompose_trace(trace: IntWindowSet) -> TraceDecomposition:
     return decomposition
 
 
-def decompose_z(window_set: IntWindowSet, x: int) -> TraceDecomposition:
-    """Decompose a window-exact integer set around a member x.
+def decompose_z(window_set: IntWindowSet, x: int | None = None) -> TraceDecomposition:
+    """Decompose a window-exact integer set around a member x, by default the least.
 
     On success the returned decomposition, with its interval in the original
     coordinates and base x, reproduces the set exactly on the window.
     """
+    if window_set.is_empty:
+        raise ValueError("cannot decompose the empty set")
+    if x is None:
+        x = window_set.lo + window_set.membership.index(True)
     if not window_set.contains(x):
         raise ValueError(f"base point {x} is not a member")
     if window_set.period is not None:

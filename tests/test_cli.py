@@ -1,8 +1,10 @@
 """Front end: dispatch, exit codes, golden transcripts, output stability."""
 
+import ast
 import itertools
 import json
 import pathlib
+import time
 
 import pytest
 
@@ -87,9 +89,44 @@ def test_closure_reports():
     assert code == 0
     assert json.loads(output)["closure"] == "{0,1,2}"
 
-    # dense dyadic closure never stabilizes: resource exit
+    # a dense dyadic closure is reported by its description
     code, output = run_text("Q(gen=1, primes=[2]); {0,1}; closure")
-    assert code == 3
+    assert code == 0
+    assert "closure: conv[0,1] ∩ ((1,[2]) + 0)\nstats: elapsed_ms=0 count=1 seed=-\n" in output
+
+
+def test_closure_over_the_integers_is_exact():
+    # the bounded midpoint iteration stopped after 8 rounds here, at 257 points
+    code, output = run_text("Q(gen=1, primes=[]); {0,512}; closure", fmt="json")
+    report = json.loads(output)
+    assert code == 0 and report["result"] == "closure computed"
+    assert report["closure"] == "{%s}" % ",".join(map(str, range(513)))
+    assert report["stats"]["count"] == 513
+
+
+def test_windowed_closure_is_fast():
+    started = time.perf_counter()
+    code, output = run_text("Z; {0,1536}@window[0,1536]; closure", fmt="json")
+    assert time.perf_counter() - started < 0.5
+    assert code == 0 and json.loads(output)["closure"] == "{%s}" % ",".join(map(str, range(0, 1537, 3)))
+
+
+def test_closure_too_large_to_list_is_a_resource_exit():
+    # 2**19 closes to every integer in between, one more than the cap
+    started = time.perf_counter()
+    code, output = run_text("Q(gen=1, primes=[]); {0,524288}; closure")
+    assert time.perf_counter() - started < 0.5
+    assert code == cli.EXIT_RESOURCE
+    assert "result: resource: 524289 lattice points to list, cap is 500000\n" in output
+
+
+@pytest.mark.parametrize(
+    "group,empty", [("Z(4)", "{}"), ("Z", "{}@window[0,5]"), ("Q(gen=1, primes=[2])", "{}")]
+)
+def test_empty_closures_are_unchanged(group, empty):
+    code, output = run_text(f"{group}; {empty}; closure")
+    assert code == 0
+    assert output.endswith("result: closure computed\nclosure: {}\nstats: elapsed_ms=0 count=0 seed=-\n")
 
 
 def test_trace_reports():
@@ -205,6 +242,37 @@ def test_verify_theorem1_default_size():
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_verify_size_zero_means_the_default(text, size, fmt):
     assert run_text(f"{text} {size}", fmt) == run_text(text, fmt)
+
+
+@pytest.mark.parametrize(
+    "text,flag",
+    [
+        ("Z(15); {1}; verify --theorem 2 --samples 5", "--samples"),
+        ("Z(15); {1}; verify --theorem 1 --samples 5", "--samples"),
+        ("Z(15); {1}; verify --theorem lemma1 --samples 0", "--samples"),
+        ("Z(15); {1}; verify --theorem purity --max-order 3", "--max-order"),
+        ("Z; {0,4}@window[0,4]; verify --theorem hull --max-order 3", "--max-order"),
+        ("Q(gen=1, primes=[2]); conv[0,2] ∩ ((1,[2]) + 0); verify --theorem 3 --max-order 3", "--max-order"),
+    ],
+)
+def test_verify_rejects_size_flags_the_theorem_ignores(text, flag):
+    code, output = run_text(text)
+    assert code == cli.EXIT_USAGE
+    theorem = text.split("--theorem ")[1].split()[0]
+    assert f"result: error: verify --theorem {theorem} takes no {flag}\n" in output
+
+
+def test_cli_names_no_private_of_another_module():
+    # the command line binds input and renders output; the routes live in the library
+    source = pathlib.Path(cli.__file__).read_text(encoding="utf-8")
+    tree = ast.parse(source)
+    modules = {"dsl", "engine", "errors", "groups", "harness", "intsets", "rationals"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert not any(alias.name.startswith("_") for alias in node.names), ast.dump(node)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+            assert not node.attr.startswith("_"), f"{node.value.id}.{node.attr}"
+            assert (node.value.id, node.attr) != ("harness", "bounded_closure_oracle")
 
 
 def test_usage_errors_exit_2():

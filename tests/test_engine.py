@@ -12,15 +12,18 @@ from midconvex.engine import (
     decompose_periodic,
     decompose_rational,
     decompose_rational_set,
+    described_members,
     described_midconvex_witness,
     doubling_claim_check,
     draw_lattice_points,
     is_midconvex,
     is_midconvex_q_finite,
+    lattice_trace,
     lemma1_holds_in_group,
     midconvex_bits,
     midconvex_closure,
     midconvex_witness,
+    rational_closure,
     subset_columns,
     theorem1_bits,
     theorem3_if_violation,
@@ -28,7 +31,7 @@ from midconvex.engine import (
     verify_theorem1,
     verify_theorem3_if,
 )
-from midconvex.errors import NotMidconvex, NotMidconvexTrace, WindowTooSmall
+from midconvex.errors import CapExceeded, NotMidconvex, NotMidconvexTrace, WindowTooSmall
 from midconvex.groups import GroupElement, GroupSubset, is_subgroup, make_group
 from midconvex.harness import enumerate_abelian_groups
 from midconvex.intsets import decompose_trace
@@ -223,6 +226,17 @@ def test_decompose_periodic_examples():
     assert decompose_periodic(g15, full, g15.element([7])).index == 1
 
 
+def test_decompose_periodic_defaults_to_the_least_member():
+    g15 = make_group([15])
+    dec = decompose_periodic(g15, subset(g15, [13, 4, 7, 1, 10]))
+    assert dec.base == g15.element([1]) and dec.index == 3
+    with pytest.raises(ValueError, match="cannot decompose the empty set"):
+        decompose_periodic(g15, GroupSubset(g15, 0))
+    # the empty set is reported before the base is checked
+    with pytest.raises(ValueError, match="cannot decompose the empty set"):
+        decompose_periodic(g15, GroupSubset(g15, 0), g15.element([2]))
+
+
 def test_decompose_periodic_is_base_independent_for_midconvex_sets():
     g15 = make_group([15])
     coset = subset(g15, [1, 4, 7, 10, 13])
@@ -299,6 +313,45 @@ def test_finite_queries_on_a_midconvex_set_build_no_group_elements(monkeypatch, 
     assert lemma1_holds_in_group(group, coset, x, y)
     assert verify_theorem1(group, coset)
     assert built == []
+
+
+# -- closure and traces of rational sets ---------------------------------------
+
+
+def test_rational_closure_examples():
+    assert rational_closure(desc(1, [2]), []) is None
+    # the span 12 loses its power of 2 in Z, so the step is 3
+    closure = rational_closure(desc(1), [F(12), F(0)])
+    assert described_members(closure) == tuple(F(k) for k in range(0, 13, 3))
+    # odd inverted primes leave the closure finite
+    assert described_members(rational_closure(desc(1, [3]), [F(0), F(1)])) == (F(0), F(1))
+    # with 2 inverted two points spread densely; one point stays one
+    dense = rational_closure(desc(1, [2]), [F(0), F(1)])
+    assert str(dense) == "conv[0,1] ∩ ((1,[2]) + 0)" and described_members(dense) is None
+    assert described_members(rational_closure(desc(1, [2]), [F(7)])) == (F(7),)
+
+
+def test_described_members_lists_finite_sets_only():
+    def described(lower, upper, sub, base, **closed):
+        return RationalMidconvexDescription(QIntervalSpec(lower, upper, **closed), sub, base)
+
+    assert described_members(described(F(-1), F(5), desc(2), F(1))) == (F(-1), F(1), F(3), F(5))
+    half_open = described(F(0), F(4), desc(2), F(0), upper_closed=False)
+    assert described_members(half_open) == (F(0), F(2))
+    assert described_members(described(F(1, 2), F(1, 2), desc(1, [2]), F(1, 2))) == (F(1, 2),)
+    assert described_members(described(F(0), F(1), desc(1, [3]), F(0))) is None
+    assert described_members(described(None, F(1), desc(1), F(0))) is None
+    # the count is checked before any member is built
+    with pytest.raises(CapExceeded, match="500001 lattice points to list, cap is 500000"):
+        described_members(described(F(0), F(500_000), desc(1), F(0)))
+
+
+def test_lattice_trace_reads_a_window_around_the_base():
+    dyadic = RationalMidconvexDescription(QIntervalSpec(F(0), F(1)), desc(1, [2]), F(0))
+    assert str(lattice_trace(dyadic, F(0), F(1, 4))) == "{0,1,2,3,4}@window[-64,64]"
+    assert str(lattice_trace([F(0), F(3), F(6)], F(3), F(3), 2)) == "{-1,0,1}@window[-2,2]"
+    with pytest.raises(ValueError, match="trace direction must be nonzero"):
+        lattice_trace(dyadic, F(0), F(0))
 
 
 # -- the rational decomposition route -----------------------------------------

@@ -3,13 +3,14 @@
 import importlib.util
 import json
 import pathlib
+import random
 import time
 from fractions import Fraction as F
 
 import pytest
 
 from midconvex import engine, harness
-from midconvex.engine import is_midconvex
+from midconvex.engine import is_midconvex, rational_closure
 from midconvex.errors import NotMidconvexTrace
 from midconvex.groups import GroupElement, GroupSubset, is_subgroup, make_group
 from midconvex.harness import (
@@ -20,7 +21,6 @@ from midconvex.harness import (
     exhaustive_lemma1,
     exhaustive_theorem1,
     exhaustive_theorem2,
-    hull_candidate,
     sample_two_purity,
 )
 from midconvex.rationals import RationalGroupDescriptor
@@ -304,6 +304,29 @@ def test_bounded_closure_oracle_completes_on_final_round():
     assert complete and points == {F(0), F(1), F(2)}
 
 
+def test_rational_closure_matches_the_bounded_oracle():
+    # a closure without 2 inverted is finite, and the oracle reaches it; with 2
+    # inverted the oracle never completes on two or more points, so it gets
+    # few rounds, and the closure is dense and holds every point it produced
+    rng = random.Random(7)
+    groups = [desc(1), desc(1, [2]), desc(1, [3]), desc(F(1, 2), [2, 3]), desc(F(1, 2), [5]), desc(3)]
+    dense = 0
+    for _ in range(200):
+        group = rng.choice(groups)
+        dens = [1] + sorted(group.primes)
+        start = {group.gen * F(rng.randint(-4, 4), rng.choice(dens)) for _ in range(rng.randint(1, 4))}
+        closure = rational_closure(group, start)
+        inverts_two = 2 in group.primes
+        produced, complete = bounded_closure_oracle(group, start, 3 if inverts_two else 12)
+        if inverts_two and len(start) >= 2:
+            dense += 1
+            assert not complete and engine.described_members(closure) is None
+            assert start <= produced and all(closure.contains(p) for p in produced)
+        else:
+            assert complete and set(engine.described_members(closure)) == produced, (group, sorted(start))
+    assert 0 < dense < 200
+
+
 def test_hull_candidate_and_conjecture_examples():
     integers = desc(1)
     report = conjecture_hull_check(integers, [F(0), F(2)])
@@ -329,12 +352,11 @@ def test_conjecture_hull_check_draws_are_pinned_per_seed(seed, unproduced):
     # depends on which points the seeded sampler drew
     start = [F(-1), F(4)]
     report = conjecture_hull_check(desc(1, [2, 5]), start, max_iters=1, samples=8, seed=seed)
-    assert report.counts["candidate_samples"] == 8
     assert report.details["candidate_points_not_yet_produced"] == unproduced
 
 
 def test_hull_candidate_structure():
-    candidate = hull_candidate(desc(1), [F(0), F(4)])
+    candidate = rational_closure(desc(1), [F(0), F(4)])
     # the span 4Z closes to Z, so the candidate is the whole interval
     assert candidate.subgroup == desc(1)
     assert [candidate.contains(F(k)) for k in range(-1, 6)] == [

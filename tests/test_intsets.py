@@ -226,6 +226,16 @@ def test_decompose_z_requires_membership():
         decompose_z(wset(0, 9, [0, 3]), 1)
 
 
+def test_decompose_z_defaults_to_the_least_member():
+    dec = decompose_z(wset(0, 12, [3, 6, 9, 12]))
+    assert dec.base == 3 and dec.interval == IntIntervalSpec(3, 12) and dec.subgroup == ZSubgroupSpec(3)
+    assert decompose_z(IntWindowSet.from_residues(15, [13, 4, 10, 1, 7])).base == 1
+    # the empty set is reported before the base is checked
+    for x in (None, 2):
+        with pytest.raises(ValueError, match="cannot decompose the empty set"):
+            decompose_z(wset(0, 9, []), x)
+
+
 def test_decompose_z_round_trip_on_small_sets():
     lo, hi = -4, 6
     for mask in range(1, 1 << (hi - lo + 1)):
