@@ -29,9 +29,11 @@ from .rationals import (
     two_pure_closure,
 )
 
-# Bounds of the deterministic probe grid that looks for members near a base.
-_PROBE_NUMERATORS = 64
+# The probe for a neighbour of a base tries the offsets gen / den, den a product
+# of the subgroup's inverted primes with exponents up to _PROBE_EXPONENTS.
 _PROBE_EXPONENTS = 6
+# Subgroup steps that a decomposition window reaches on an unbounded side.
+_UNBOUNDED_REACH = 64
 # Bounds of the random lattice draws gen * num / den: |num| <= _DRAW_NUMERATORS,
 # den a product of the inverted primes with exponents up to _DRAW_EXPONENTS.
 _DRAW_NUMERATORS = 50
@@ -562,18 +564,16 @@ def verify_theorem3_if(
 
 
 def _probe_members(description: RationalMidconvexDescription, around: Fraction):
-    """Members around + t*gen of the description, finest offset t first.
+    """Members around + gen/den, then around - gen/den, of the description, den ascending.
 
-    The probe grid is deterministic: offsets num/den with 1 <= num <=
-    _PROBE_NUMERATORS and den a product of the subgroup's inverted primes
-    with exponents up to _PROBE_EXPONENTS; +t is tried before -t.
+    den runs through the products of the subgroup's inverted primes with
+    exponents up to _PROBE_EXPONENTS. The interval is convex, so a member at
+    around ± t*gen/den with t > 1 makes around ± gen/den a member too: the
+    first hit is the coarsest neighbour of `around` that the probe reaches.
     """
     sub = description.subgroup
-    dens = _denominators(sub.primes, _PROBE_EXPONENTS)
-    offsets = {Fraction(num, den) for den in dens for num in range(1, _PROBE_NUMERATORS + 1)}
-    for t in sorted(offsets):
-        for signed in (t, -t):
-            r = around + sub.gen * signed
+    for den in sorted(_denominators(sub.primes, _PROBE_EXPONENTS)):
+        for r in (around + sub.gen / den, around - sub.gen / den):
             if description.contains(r):
                 yield r
 
@@ -583,20 +583,19 @@ def described_midconvex_witness(
 ) -> tuple[Fraction, Fraction, Fraction] | None:
     """Witness that a described set is not midconvex, or None when it is.
 
-    With a two-pure subgroup the set is midconvex outright. Otherwise a
-    violation exists as soon as the set has a second point: the member
-    closest to the base along the subgroup lattice has an odd lattice
-    coordinate (an even one would yield a closer member by halving), and
-    its midpoint with the base lies in the ambient group but not in the set.
-    The members are searched on the probe grid of `_probe_members`.
+    With a two-pure subgroup the set is midconvex outright. Otherwise the
+    witness pairs the base with its coarsest neighbour, the first hit of
+    `_probe_members`, and their midpoint lies in the ambient group but not
+    in the set; with no neighbour within the probe's reach the set is taken
+    to be a single point.
     """
     description.validate_ambient(group)
     if is_two_pure(description.subgroup, group):
         return None
     base = description.base
     for r in _probe_members(description, base):
-        # minimality in the probe grid forces an odd numerator, so the
-        # midpoint with the base is off the subgroup lattice
+        # an impure subgroup does not invert 2, so r - base = ±gen/den with den
+        # odd, and the midpoint base ± gen/(2 den) is off the subgroup lattice
         c = (base + r) / 2
         if group.contains(c) and not description.contains(c):
             return (base, r, c) if r > base else (r, base, c)
@@ -611,44 +610,41 @@ def decompose_rational_set(
     """Decide and decompose a described set or a finite set of rationals.
 
     The set is decided exactly first; a set that is not midconvex raises
-    NotMidconvex carrying the violating triple. The base `x` (by default the
-    description's base or the least point) must be a member. The second
-    point is its nearest member: for a finite set the next point above, or
-    below at the top; for a description the first hit of the probe grid
-    around `x`. The lower of the two becomes the base of `decompose_rational`,
-    which runs at depth 3 * max(1, |P|) on a window one step past each end
-    of the set, reaching as far as the probe grid on an unbounded side. A
-    set without a second point is the singleton [x, x].
+    NotMidconvex carrying the violating triple. A finite set is then read as
+    its `rational_closure`, which it equals once midconvex. The base `x` (by
+    default the description's base, the least point of a finite set) must be
+    a member; the lower of it and its coarsest neighbour, the first hit of
+    `_probe_members`, becomes the base of `decompose_rational`. That runs at
+    depth 3 * max(1, |P|) on a window reaching one subgroup step past the
+    farther end of the set, an unbounded end counting as _UNBOUNDED_REACH
+    steps away. So only an unbounded side reaches the window's edge, and it
+    is reported as unbounded. A set without a second point is the singleton
+    [x, x].
     """
     if isinstance(members, RationalMidconvexDescription):
-        oracle = members
-        witness = described_midconvex_witness(members, group)
-        x = members.base if x is None else Fraction(x)
-        neighbours = _probe_members(members, x)
-        lo, hi, step = members.interval.lower, members.interval.upper, members.subgroup.gen
+        description, witness = members, described_midconvex_witness(members, group)
     else:
-        points = sorted({Fraction(p) for p in members})
-        if not points:
+        points = [Fraction(p) for p in members]
+        description = rational_closure(group, points)
+        if description is None:
             raise ValueError("cannot decompose the empty set")
-        oracle = FiniteRationalSet(points)
         witness = is_midconvex_q_finite(group, points)
-        x = points[0] if x is None else Fraction(x)
-        # a midconvex finite set is equally spaced, so the next point above
-        # (below, at the top) is a nearest one
-        neighbours = iter([p for p in points if p > x][:1] + [p for p in points if p < x][-1:])
-        lo, hi, step = points[0], points[-1], Fraction(1)
     if witness is not None:
         a, b, c = witness
         raise NotMidconvex(f"midpoint {c} of {a} and {b} is missing", witness=witness)
-    if not oracle.contains(x):
+    x = description.base if x is None else Fraction(x)
+    if not description.contains(x):
         raise ValueError(f"base point {x} is not a member")
-    second = next(neighbours, None)
+    second = next(_probe_members(description, x), None)
     if second is None:
         return RationalDecomposition(RationalMidconvexDescription(QIntervalSpec(x, x), group, x))
     base, x2 = min(x, second), max(x, second)
-    far = _PROBE_NUMERATORS * step
+    lo, hi, step = description.interval.lower, description.interval.upper, description.subgroup.gen
+    far = _UNBOUNDED_REACH * step
     radius = max(far if hi is None else hi - base, far if lo is None else base - lo) + step
     depth = 3 * max(1, len(group.primes))
-    return RationalDecomposition(
-        decompose_rational(group, oracle, base, x2, depth, radius), depth, radius
-    )
+    recovered = decompose_rational(group, description, base, x2, depth, radius)
+    lower = None if lo is None else recovered.interval.lower
+    upper = None if hi is None else recovered.interval.upper
+    reported = RationalMidconvexDescription(QIntervalSpec(lower, upper), recovered.subgroup, base)
+    return RationalDecomposition(reported, depth, radius)

@@ -29,7 +29,7 @@ def run_text(text, fmt="text"):
         # samples, so all are swept; its period-13 traces use the candidate table
         ("verify_theorem1_sampled", "Z; {0}@window[0,0]; verify --theorem 1 --max-order 13 --seed 7"),
         ("decompose_q2_unit", "Q(gen=1, primes=[2]); conv[0,1] ∩ ((1,[2]) + 0); decompose"),
-        # the finest probe offset lands below the base, so x is that point
+        # the base's coarsest neighbour lies below it, so x is that point
         (
             "decompose_q2_below_base",
             "Q(gen=1, primes=[2]); conv[-3,0] ∩ ((1,[2]) + 0); decompose",
@@ -175,7 +175,7 @@ def test_decompose_rational_rejects_off_lattice_points():
         ("Q(gen=1, primes=[]); conv[0,10] ∩ ((2,[]) + 0)", {"x": "0", "y": "2", "z": "1"}),
         (
             "Q(gen=1, primes=[3]); conv[0,4] ∩ ((2,[3]) + 0)",
-            {"x": "0", "y": "2/729", "z": "1/729"},
+            {"x": "0", "y": "2", "z": "1"},
         ),
     ],
 )
@@ -201,6 +201,37 @@ def test_decompose_described_probes_around_the_given_base(x):
     code, output = run_text(f"Q(gen=1, primes=[]); conv[0,5] ∩ ((1,[]) + 0); decompose x={x}")
     assert code == 0
     assert f"decomposition: C=[0,5] H=(1,[]) x={x}\n" in output
+
+
+@pytest.mark.parametrize(
+    "text,decomposition,seconds",
+    [
+        ("Q(gen=1, primes=[2,3]); conv[0,5] ∩ ((1,[2,3]) + 0)", "C=[0,5] H=(1,[2,3]) x=0", 1),
+        ("Q(gen=1, primes=[5]); conv[0,2] ∩ ((1,[5]) + 0)", "C=[0,2] H=(1,[5]) x=0", 1),
+        ("Q(gen=1, primes=[3]); conv[0,1] ∩ ((1,[3]) + 0)", "C=[0,1] H=(1,[3]) x=0", 1),
+        ("Q(gen=1/1000000, primes=[]); {0,1/1000000}", "C=[0,1/1000000] H=(1/1000000,[]) x=0", 1),
+        (
+            "Q(gen=3/2, primes=[2,3]); conv[-inf,inf] ∩ ((3,[2]) + 3/2); decompose x=3/2",
+            "C=[-inf,inf] H=(3,[2]) x=3/2",
+            5,
+        ),
+        # a side the set leaves unbounded is reported so; a finite one keeps
+        # the end that the lattice reaches
+        ("Q(gen=1, primes=[2]); conv[-inf,inf] ∩ ((1,[2]) + 0)", "C=[-inf,inf] H=(1,[2]) x=0", 1),
+        ("Q(gen=1, primes=[2]); conv[0,inf] ∩ ((1,[2]) + 0)", "C=[0,inf] H=(1,[2]) x=0", 1),
+        ("Q(gen=1, primes=[]); conv[-inf,5/2] ∩ ((1,[]) + 0)", "C=[-inf,2] H=(1,[]) x=0", 1),
+        ("Q(gen=1, primes=[]); conv[-1/2,inf] ∩ ((1,[]) + 0)", "C=[0,inf] H=(1,[]) x=0", 1),
+    ],
+)
+def test_decompose_reads_each_set_on_its_own_lattice(text, decomposition, seconds):
+    # the second point is the base's coarsest neighbour, so none of these
+    # runs out of lattice points on a needlessly fine level
+    statement = text if "decompose" in text else f"{text}; decompose"
+    started = time.perf_counter()
+    code, output = run_text(statement)
+    assert time.perf_counter() - started < seconds
+    assert code == 0
+    assert f"decomposition: {decomposition}\n" in output
 
 
 def test_decompose_rational_singleton():

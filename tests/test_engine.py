@@ -39,6 +39,7 @@ from midconvex.rationals import (
     QIntervalSpec,
     RationalGroupDescriptor,
     RationalMidconvexDescription,
+    is_two_pure,
     two_pure_closure,
 )
 
@@ -402,9 +403,9 @@ def test_decompose_rational_set_entry_point():
     dyadics = desc(1, [2])
     unit = RationalMidconvexDescription(QIntervalSpec(F(0), F(1)), dyadics, F(0))
     result = decompose_rational_set(dyadics, unit)
-    # second point: the finest probe offset 1/64 above the base
+    # second point: the coarsest probe offset, one generator above the base
     assert (result.depth, result.radius) == (3, 2)
-    assert result.description == decompose_rational(dyadics, unit, F(0), F(1, 64), 3, F(2))
+    assert result.description == decompose_rational(dyadics, unit, F(0), F(1), 3, F(2))
     assert result.description.subgroup == dyadics
 
     # points: the base is the lower of x and its nearest member
@@ -412,7 +413,8 @@ def test_decompose_rational_set_entry_point():
     assert result.description == RationalMidconvexDescription(
         QIntervalSpec(F(0), F(9)), desc(3), F(6)
     )
-    assert (result.depth, result.radius) == (3, 7)
+    # the points are read as their closure, so the window steps by its generator 3
+    assert (result.depth, result.radius) == (3, 9)
 
     result = decompose_rational_set(desc(1), [F(5)])
     assert result.description == RationalMidconvexDescription(
@@ -523,6 +525,53 @@ def test_round_trip_synthetic_descriptions():
             r = base + h * F(k, 8)
             if abs(r - base) <= radius - h:
                 assert recovered.contains(r) == description.contains(r), (seed, r)
+
+
+def test_described_sets_are_decided_and_decomposed_seeded():
+    # bounded, half-bounded and unbounded intervals, endpoints on and off the
+    # subgroup lattice, bases at the bottom, the top or inside; unbounded sides
+    # only with at most one inverted prime, as a two-prime window that far out
+    # takes seconds to scan
+    rng = random.Random(8)
+    pools = [(), (2,), (3,), (2, 3), (5,), (2, 5)]
+    kinds = {"pure": 0, "impure": 0}
+    for i in range(60):
+        primes = pools[i % len(pools)]
+        ambient = desc(F(rng.choice([1, 3]), rng.choice([1, 2])), primes)
+        sub = desc(
+            ambient.gen * rng.choice([1, 2, 3, 6]), frozenset(p for p in primes if rng.random() < 0.7)
+        )
+        h = sub.gen
+        base = ambient.gen * rng.randint(-3, 3)
+        below, above = rng.choice([(0, rng.randint(1, 4)), (rng.randint(1, 4), 0), (1, 2)])
+        lower = base - below * h - rng.choice([0, F(1, 3), F(2, 5)]) * h
+        upper = base + above * h + rng.choice([0, F(1, 3), F(2, 5)]) * h
+        if len(primes) <= 1:
+            lower = None if rng.random() < 0.3 else lower
+            upper = None if rng.random() < 0.3 else upper
+        description = RationalMidconvexDescription(QIntervalSpec(lower, upper), sub, base)
+        witness = described_midconvex_witness(description, ambient)
+        if witness is not None:
+            kinds["impure"] += 1
+            a, b, c = witness
+            assert description.contains(a) and description.contains(b), (i, description)
+            assert (a + b) / 2 == c and ambient.contains(c) and not description.contains(c)
+            with pytest.raises(NotMidconvex):
+                decompose_rational_set(ambient, description)
+            continue
+        kinds["pure"] += 1
+        assert is_two_pure(sub, ambient), (i, description)
+        result = decompose_rational_set(ambient, description)
+        recovered = result.description
+        assert (recovered.interval.lower is None) == (lower is None), (i, description)
+        assert (recovered.interval.upper is None) == (upper is None), (i, description)
+        margin = result.radius - h
+        for den in (1, 2, 3, 4, 5, 8, 9, 25):
+            for num in range(-30, 31):
+                r = base + h * F(num, den)
+                if abs(r - recovered.base) <= margin:
+                    assert recovered.contains(r) == description.contains(r), (i, description, r)
+    assert min(kinds.values()) >= 15, kinds
 
 
 def test_readme_library_example_runs():
