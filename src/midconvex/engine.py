@@ -10,9 +10,10 @@ deliberately includes the x = y pairs; dropping them is wrong in groups with
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor
+from math import ceil, floor, gcd
 from typing import Iterable, Mapping, Sequence
 
 from .errors import CapExceeded, NotMidconvex, NotMidconvexTrace, WindowTooSmall
@@ -29,9 +30,6 @@ from .rationals import (
     two_pure_closure,
 )
 
-# The probe for a neighbour of a base tries the offsets gen / den, den a product
-# of the subgroup's inverted primes with exponents up to _PROBE_EXPONENTS.
-_PROBE_EXPONENTS = 6
 # Subgroup steps that a decomposition window reaches on an unbounded side.
 _UNBOUNDED_REACH = 64
 # Bounds of the random lattice draws gen * num / den: |num| <= _DRAW_NUMERATORS,
@@ -307,20 +305,39 @@ def lemma1_holds_in_group(
 # -- subgroups of the rationals ------------------------------------------
 
 
-class FiniteRationalSet:
-    """Membership oracle backed by an explicit finite set of rationals."""
+def _described_range(
+    description: RationalMidconvexDescription, x: Fraction, g: Fraction, k_max: int
+) -> range:
+    """The k in [-k_max, k_max] with x + k*g in the described set, as one range.
 
-    def __init__(self, points: Iterable[Rational]):
-        self.points = frozenset(Fraction(p) for p in points)
-
-    def contains(self, r: Rational) -> bool:
-        return Fraction(r) in self.points
-
-
-def _as_oracle(x) -> object:
-    if hasattr(x, "contains"):
-        return x
-    return FiniteRationalSet(x)
+    Over one common denominator D, (x - base)/gen = A/D and g/gen = B/D. So
+    x + k*g lies in H + base iff (A + k*B)/D lies in Z[1/P], that is iff D'
+    divides A + k*B, with D' the part of D coprime to the inverted primes P:
+    one residue class of k modulo D'/gcd(B, D'), or none. The interval cuts
+    an interval of k out of it; for g < 0 its ends swap.
+    """
+    sub, interval = description.subgroup, description.interval
+    a, b = (x - description.base) / sub.gen, g / sub.gen
+    d = a.denominator * b.denominator // gcd(a.denominator, b.denominator)
+    big_a, big_b = a.numerator * (d // a.denominator), b.numerator * (d // b.denominator)
+    for p in sub.primes:
+        while d % p == 0:
+            d //= p
+    c = gcd(big_b, d)
+    if big_a % c:
+        return range(0)
+    m = d // c
+    r = -(big_a // c) * pow(big_b // c, -1, m) % m
+    lo, hi = -k_max, k_max
+    ends = [(interval.lower, interval.lower_closed), (interval.upper, interval.upper_closed)]
+    (below, below_closed), (above, above_closed) = ends if g > 0 else ends[::-1]
+    if below is not None:
+        t = (below - x) / g
+        lo = max(lo, ceil(t) if below_closed else floor(t) + 1)
+    if above is not None:
+        t = (above - x) / g
+        hi = min(hi, floor(t) if above_closed else ceil(t) - 1)
+    return range(lo + (r - lo) % m, hi + 1, m)
 
 
 def lattice_trace(
@@ -329,12 +346,26 @@ def lattice_trace(
     g: Fraction,
     k_max: int = _TRACE_RADIUS,
 ) -> IntWindowSet:
-    """The trace {k : x + k*g in X} of a described or finite set on [-k_max, k_max]."""
+    """The trace {k : x + k*g in X} of a described or finite set on [-k_max, k_max].
+
+    A described set's trace is one range of k in closed form, with no
+    per-point test. A finite set is read per point: k = (p - x)/g, kept when
+    it is an integer within the radius.
+    """
     if g == 0:
         raise ValueError("trace direction must be nonzero")
-    oracle = _as_oracle(members)
-    inside = [k for k in range(-k_max, k_max + 1) if oracle.contains(x + k * g)]
-    return IntWindowSet.from_members(-k_max, k_max, inside)
+    x, g = Fraction(x), Fraction(g)
+    flags = [False] * (2 * k_max + 1)
+    if isinstance(members, RationalMidconvexDescription):
+        ks = _described_range(members, x, g, k_max)
+        if ks:
+            flags[ks.start + k_max : ks.stop + k_max : ks.step] = [True] * len(ks)
+    else:
+        for p in members:
+            k = (p - x) / g
+            if k.denominator == 1 and -k_max <= k <= k_max:
+                flags[k.numerator + k_max] = True
+    return IntWindowSet(-k_max, k_max, tuple(flags))
 
 
 def _missing_midpoints(group: RationalGroupDescriptor, points: Iterable[Fraction]):
@@ -398,8 +429,8 @@ def described_members(description: RationalMidconvexDescription) -> tuple[Fracti
     first, last = ceil((lower - base) / step), floor((upper - base) / step)
     if last - first + 1 > _LATTICE_CAP:
         raise CapExceeded(f"{last - first + 1} lattice points to list, cap is {_LATTICE_CAP}")
-    lattice = (base + k * step for k in range(first, last + 1))
-    return tuple(r for r in lattice if description.interval.contains(r))
+    ks = _described_range(description, base, step, max(-first, last))
+    return tuple(base + k * step for k in ks)
 
 
 def decompose_rational(
@@ -418,18 +449,22 @@ def decompose_rational(
     the description at the deepest level. An inverted prime of the ambient
     group makes it into the recovered subgroup exactly when its most recent
     refinement strictly enlarged the subgroup, so the result is a finite-depth
-    approximation of the limit subgroup; membership is certified on the
-    sampled lattices inside the window.
+    approximation of the limit subgroup. Each level's trace is exact on its
+    whole lattice inside the window: `lattice_trace` gives a described set's
+    members there in closed form and reads a finite set point by point.
 
     `window` is the rational radius around x that is examined at every level;
     it must cover x2. A level whose lattice has more than _LATTICE_CAP points
-    raises CapExceeded.
+    in the window raises CapExceeded.
     """
-    oracle = _as_oracle(points)
     x, x2 = Fraction(x), Fraction(x2)
     if x >= x2:
         raise ValueError("need two base points with x < x2")
-    if not (oracle.contains(x) and oracle.contains(x2)):
+    if not isinstance(points, RationalMidconvexDescription):
+        points = [Fraction(p) for p in points]
+    # x and x2 are the points 0 and 1 of the trace at x along x2 - x
+    probe = lattice_trace(points, x, x2 - x, 1)
+    if not (probe.contains(0) and probe.contains(1)):
         raise ValueError("base points must be members of the set")
     radius = Fraction(window)
     if radius < x2 - x:
@@ -448,7 +483,7 @@ def decompose_rational(
                 f"level {step} lattice has {2 * k_max + 1} points, cap is {_LATTICE_CAP}"
             )
         try:
-            dec = decompose_trace(lattice_trace(oracle, x, g, k_max))
+            dec = decompose_trace(lattice_trace(points, x, g, k_max))
         except NotMidconvexTrace as exc:
             raise NotMidconvex(f"level {step} (lattice step {g}): {exc.reason}") from exc
         m = dec.subgroup.modulus
@@ -503,24 +538,36 @@ def draw_lattice_points(
 ) -> list[Fraction]:
     """Sample points base + num * gen / den of (subgroup + base) inside the interval.
 
-    den is a `_random_denominator` and |num| <= _DRAW_NUMERATORS is clipped to the interval.
+    den is a `_random_denominator` and |num| <= _DRAW_NUMERATORS is clipped to
+    the interval. With the interval's ends measured from the base in units of
+    gen, as the fractions u/v below and above it, the clipping is the integer
+    floor divisions of u * den by v; one Fraction is built per returned point.
     """
     primes = sorted(subgroup.primes)
+    base_num, base_den = base.numerator, base.denominator
+    gen_num, gen_den = subgroup.gen.numerator, subgroup.gen.denominator
+    below = None if interval.lower is None else (base - interval.lower) / subgroup.gen
+    above = None if interval.upper is None else (interval.upper - base) / subgroup.gen
     points: list[Fraction] = []
     attempts = 0
     while len(points) < count and attempts < 100 * count:
         attempts += 1
-        step = subgroup.gen / _random_denominator(rng, primes)
+        den = _random_denominator(rng, primes)
         lo, hi = -_DRAW_NUMERATORS, _DRAW_NUMERATORS
-        if interval.lower is not None:
-            lo = max(lo, -floor((base - interval.lower) / step))
-        if interval.upper is not None:
-            hi = min(hi, floor((interval.upper - base) / step))
+        if below is not None:
+            lo = max(lo, -(below.numerator * den // below.denominator))
+        if above is not None:
+            hi = min(hi, above.numerator * den // above.denominator)
         if lo > hi:
             continue
-        r = base + rng.randint(lo, hi) * step
-        if interval.contains(r):
-            points.append(r)
+        num = rng.randint(lo, hi)
+        # clipped, the point lies in the closed interval; an open end drops the point on it
+        on_lower = below is not None and num * below.denominator == -below.numerator * den
+        on_upper = above is not None and num * above.denominator == above.numerator * den
+        if (on_lower and not interval.lower_closed) or (on_upper and not interval.upper_closed):
+            continue
+        scale = den * gen_den
+        points.append(Fraction(base_num * scale + num * gen_num * base_den, base_den * scale))
     return points
 
 
@@ -563,19 +610,61 @@ def verify_theorem3_if(
     return theorem3_if_violation(description, group, samples, seed) is None
 
 
-def _probe_members(description: RationalMidconvexDescription, around: Fraction):
-    """Members around + gen/den, then around - gen/den, of the description, den ascending.
+def _least_denominator(primes: Iterable[int], least: int) -> int | None:
+    """Least product of the primes that is at least `least`; None if there is none.
 
-    den runs through the products of the subgroup's inverted primes with
-    exponents up to _PROBE_EXPONENTS. The interval is convex, so a member at
-    around ± t*gen/den with t > 1 makes around ± gen/den a member too: the
-    first hit is the coarsest neighbour of `around` that the probe reaches.
+    Some power of the least prime p is one, so the answer is d * p**e for a
+    product d of the other primes up to that power, with e the least exponent
+    that is enough for d.
     """
-    sub = description.subgroup
-    for den in sorted(_denominators(sub.primes, _PROBE_EXPONENTS)):
-        for r in (around + sub.gen / den, around - sub.gen / den):
-            if description.contains(r):
-                yield r
+    if least <= 1:
+        return 1
+    if not primes:
+        return None
+    p, *others = sorted(primes)
+    powers = [1]
+    while powers[-1] < least:
+        powers.append(powers[-1] * p)
+    products = [1]
+    for q in others:
+        grown = []
+        for d in products:
+            while d <= powers[-1]:
+                grown.append(d)
+                d *= q
+        products = grown
+    return min(d * powers[bisect_left(powers, -(-least // d))] for d in products)
+
+
+def _probe_members(description: RationalMidconvexDescription, around: Fraction):
+    """The coarsest members around ± gen/den of the description, one per side.
+
+    `around` must be a member. Then around ± gen/den lies in the coset for
+    every product den of the subgroup's inverted primes, so on each side the
+    coarsest member has the least den with gen/den within the distance to
+    that end of the interval, strictly when the end is open; an unbounded
+    side has den = 1. The interval is convex, so a member at around ± t*gen/den
+    with t > 1 makes around ± gen/den a member too. The side with the smaller
+    den comes first, + before - on a tie: the first hit is the coarsest
+    neighbour of `around`.
+    """
+    sub, interval = description.subgroup, description.interval
+    sides = []
+    ends = ((1, interval.upper, interval.upper_closed), (-1, interval.lower, interval.lower_closed))
+    for sign, end, closed in ends:
+        if end is None:
+            den = 1
+        elif end == around:
+            continue
+        else:
+            # gen/den must be at most the distance to a closed end, below it at an open one
+            bound = sub.gen / abs(end - around)
+            den = _least_denominator(sub.primes, ceil(bound) if closed else floor(bound) + 1)
+        if den is not None:
+            # on a tie the + side, keyed False, sorts first
+            sides.append((den, sign < 0, around + sign * sub.gen / den))
+    for _, _, r in sorted(sides):
+        yield r
 
 
 def described_midconvex_witness(
@@ -586,8 +675,7 @@ def described_midconvex_witness(
     With a two-pure subgroup the set is midconvex outright. Otherwise the
     witness pairs the base with its coarsest neighbour, the first hit of
     `_probe_members`, and their midpoint lies in the ambient group but not
-    in the set; with no neighbour within the probe's reach the set is taken
-    to be a single point.
+    in the set; without a neighbour the set is a single point.
     """
     description.validate_ambient(group)
     if is_two_pure(description.subgroup, group):

@@ -1,8 +1,10 @@
 """Midconvexity predicate, closure, traces and the three decomposition routes."""
 
+import math
 import pathlib
 import random
 import re
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -34,7 +36,7 @@ from midconvex.engine import (
 from midconvex.errors import CapExceeded, NotMidconvex, NotMidconvexTrace, WindowTooSmall
 from midconvex.groups import GroupElement, GroupSubset, is_subgroup, make_group
 from midconvex.harness import enumerate_abelian_groups
-from midconvex.intsets import decompose_trace
+from midconvex.intsets import IntWindowSet, decompose_trace
 from midconvex.rationals import (
     QIntervalSpec,
     RationalGroupDescriptor,
@@ -355,6 +357,65 @@ def test_lattice_trace_reads_a_window_around_the_base():
         lattice_trace(dyadic, F(0), F(0))
 
 
+def scanned_trace(members, x, g, k_max):
+    """Reference: the trace by a membership test at every lattice point."""
+    if isinstance(members, RationalMidconvexDescription):
+        inside = [k for k in range(-k_max, k_max + 1) if members.contains(x + k * g)]
+    else:
+        points = {F(p) for p in members}
+        inside = [k for k in range(-k_max, k_max + 1) if x + k * g in points]
+    return IntWindowSet.from_members(-k_max, k_max, inside)
+
+
+def seeded_interval(rng, base, h):
+    """A closed, open, half-bounded, unbounded or degenerate interval around base,
+    with ends on or off the lattice of h."""
+    kind = rng.choice(["closed", "open", "half", "unbounded", "degenerate"])
+    if kind == "degenerate":
+        return QIntervalSpec(base, base)
+    if kind == "unbounded":
+        return QIntervalSpec()
+    lower = base - h * F(rng.randint(0, 8), rng.choice([1, 1, 2, 3, 7]))
+    upper = base + h * F(rng.randint(0, 8), rng.choice([1, 1, 2, 3, 7]))
+    if kind == "half":
+        lower, upper = rng.choice([(lower, None), (None, upper)])
+    # an open end must leave the base inside
+    lower_closed = kind != "open" or lower == base
+    upper_closed = kind != "open" or upper == base
+    return QIntervalSpec(lower, upper, lower_closed, upper_closed)
+
+
+def test_lattice_trace_matches_a_per_point_scan():
+    rng = random.Random(9)
+    pools = [(), (2,), (3,), (2, 3), (5,), (3, 5)]
+    for i in range(400):
+        primes = pools[i % len(pools)]
+        sub = desc(
+            F(rng.randint(1, 6), rng.choice([1, 2, 3, 4, 9])),
+            frozenset(p for p in primes if rng.random() < 0.7),
+        )
+        h = sub.gen
+        base = F(rng.randint(-6, 6), rng.choice([1, 2, 3, 5]))
+        description = RationalMidconvexDescription(seeded_interval(rng, base, h), sub, base)
+        # x on or off the coset (7 and 11 are never inverted), g of either sign
+        x = base + h * F(rng.randint(-9, 9), rng.choice([1, 2, 3, 5, 7, 9, 11, 25]))
+        g = h * F(rng.choice([1, -1]) * rng.randint(1, 4), rng.choice([1, 2, 3, 5, 6, 9, 27]))
+        k_max = rng.randint(0, 40)
+        assert lattice_trace(description, x, g, k_max) == scanned_trace(description, x, g, k_max), (
+            i, description, x, g, k_max,
+        )
+        # a base off the coset: no lattice point along a subgroup element is a member
+        off_x, off_g = base + h / 7, h * rng.choice([1, -1])
+        off = lattice_trace(description, off_x, off_g, k_max)
+        assert off.is_empty and off == scanned_trace(description, off_x, off_g, k_max)
+        # a finite set with points on the lattice inside and outside the
+        # radius and points off the lattice
+        points = [x + k * g for k in rng.sample(range(-60, 61), rng.randint(0, 8))]
+        points += [x + g * F(rng.randint(-90, 90), rng.choice([2, 3, 7])) for _ in range(rng.randint(0, 4))]
+        rng.shuffle(points)
+        assert lattice_trace(points, x, g, k_max) == scanned_trace(points, x, g, k_max), (i, points)
+
+
 # -- the rational decomposition route -----------------------------------------
 
 
@@ -468,6 +529,45 @@ def test_draw_lattice_points_is_pinned_per_seed(sub, interval, base, seed, expec
     assert [str(p) for p in points] == expected
 
 
+def fraction_draw(rng, subgroup, interval, base, count):
+    """Reference: the lattice draw with one Fraction step per attempt, 50 and 4 its bounds."""
+    primes = sorted(subgroup.primes)
+    points = []
+    attempts = 0
+    while len(points) < count and attempts < 100 * count:
+        attempts += 1
+        den = 1
+        for p in primes:
+            den *= p ** rng.randint(0, 4)
+        step = subgroup.gen / den
+        lo, hi = -50, 50
+        if interval.lower is not None:
+            lo = max(lo, -math.floor((base - interval.lower) / step))
+        if interval.upper is not None:
+            hi = min(hi, math.floor((interval.upper - base) / step))
+        if lo > hi:
+            continue
+        r = base + rng.randint(lo, hi) * step
+        if interval.contains(r):
+            points.append(r)
+    return points
+
+
+def test_draw_lattice_points_matches_the_fraction_draw():
+    pools = [(), (2,), (3,), (2, 3), (5,), (2, 3, 5)]
+    for seed in range(300):
+        rng = random.Random(seed)
+        sub = desc(F(rng.randint(1, 6), rng.choice([1, 2, 3, 5])), rng.choice(pools))
+        base = F(rng.randint(-6, 6), rng.choice([1, 2, 3, 4]))
+        interval = seeded_interval(rng, base, sub.gen * F(1, rng.choice([1, 8, 81])))
+        count = rng.randint(1, 40)
+        fast, slow = random.Random(seed), random.Random(seed)
+        drawn = draw_lattice_points(fast, sub, interval, base, count)
+        assert drawn == fraction_draw(slow, sub, interval, base, count), (seed, sub, interval, base)
+        # the same random calls in the same order
+        assert fast.random() == slow.random(), seed
+
+
 def test_described_midconvex_witness():
     ambient = desc(1)
     impure = RationalMidconvexDescription(QIntervalSpec(F(0), F(10)), desc(2), F(0))
@@ -572,6 +672,81 @@ def test_described_sets_are_decided_and_decomposed_seeded():
                 if abs(r - recovered.base) <= margin:
                     assert recovered.contains(r) == description.contains(r), (i, description, r)
     assert min(kinds.values()) >= 15, kinds
+
+
+def test_probe_finds_the_coarsest_neighbour_at_any_denominator():
+    # the only other members of these sets are finer than 3**10
+    ambient = desc(1, [3])
+    impure = RationalMidconvexDescription(QIntervalSpec(F(0), F(1, 59049)), desc(2, [3]), F(0))
+    assert described_midconvex_witness(impure, ambient) == (0, F(2, 177147), F(1, 177147))
+    # the neighbour 1/59049 puts the window's finest level past the lattice cap
+    pure = RationalMidconvexDescription(QIntervalSpec(F(0), F(1, 59049)), desc(1, [3]), F(0))
+    with pytest.raises(CapExceeded):
+        decompose_rational_set(ambient, pure)
+
+    # the witness pairs the base with its coarsest neighbour: the least den,
+    # + before - on a tie, found here by trying every den up to 5**8, past
+    # any den that these intervals need
+    rng = random.Random(12)
+    pools = [(3,), (5,), (3, 5)]
+    for i in range(120):
+        primes = pools[i % len(pools)]
+        ambient = desc(1, primes)
+        sub = desc(rng.choice([2, 4, 6, 10]), frozenset(p for p in primes if rng.random() < 0.7))
+        base = F(rng.randint(-4, 4))
+        interval = seeded_interval(rng, base, sub.gen * F(1, rng.choice([1, 10, 100, 3000])))
+        description = RationalMidconvexDescription(interval, sub, base)
+        witness = described_midconvex_witness(description, ambient)
+        reach = sorted(d for d in {3**a * 5**b for a in range(13) for b in range(9)} if d <= 5**8)
+        dens = [d for d in reach if desc(1, sub.primes).contains(F(1, d))]
+        neighbours = [
+            r for d in dens for r in (base + sub.gen / d, base - sub.gen / d) if description.contains(r)
+        ]
+        if not neighbours:
+            assert witness is None, (i, description)
+            continue
+        assert witness is not None, (i, description)
+        assert neighbours[0] in witness[:2] and base in witness[:2], (i, description)
+
+
+def test_unbounded_sides_on_two_prime_pools_seeded():
+    # the unbounded and half-bounded sides that the seeded test above leaves
+    # out for two inverted primes
+    rng = random.Random(10)
+    pools = [(2, 3), (2, 5), (3, 5)]
+    for i in range(12):
+        primes = pools[i % len(pools)]
+        ambient = desc(F(rng.choice([1, 3]), rng.choice([1, 2])), primes)
+        sub = two_pure_closure(
+            desc(ambient.gen * rng.choice([1, 3, 5]), frozenset(p for p in primes if rng.random() < 0.7)),
+            ambient,
+        )
+        h = sub.gen
+        base = h * rng.randint(-3, 3)
+        lower, upper = rng.choice(
+            [
+                (None, None),
+                (None, base + h * rng.randint(0, 3)),
+                (base - h * F(rng.randint(0, 9), 2), None),
+            ]
+        )
+        description = RationalMidconvexDescription(QIntervalSpec(lower, upper), sub, base)
+        result = decompose_rational_set(ambient, description)
+        recovered = result.description
+        assert (recovered.interval.lower is None) == (lower is None), (i, description)
+        assert (recovered.interval.upper is None) == (upper is None), (i, description)
+        margin = result.radius - h
+        for den in (1, 2, 3, 4, 5, 8, 9, 25):
+            for num in range(-30, 31):
+                r = base + h * F(num, den)
+                if abs(r - recovered.base) <= margin:
+                    assert recovered.contains(r) == description.contains(r), (i, description, r)
+    # the widest of these windows: 6 levels down to 1/3375 on 65 subgroup steps
+    started = time.perf_counter()
+    whole = RationalMidconvexDescription(QIntervalSpec(), desc(1, [3, 5]), F(0))
+    result = decompose_rational_set(desc(1, [3, 5]), whole)
+    assert time.perf_counter() - started < 2
+    assert result.description == whole
 
 
 def test_readme_library_example_runs():
