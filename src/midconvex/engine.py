@@ -17,7 +17,7 @@ from math import ceil, floor, gcd
 from typing import Iterable, Mapping, Sequence
 
 from .errors import CapExceeded, NotMidconvex, NotMidconvexTrace, WindowTooSmall
-from .groups import FiniteAbelianGroup, GroupElement, GroupSubset, is_subgroup, set_bits
+from .groups import FiniteAbelianGroup, GroupElement, GroupSubset, is_subgroup, set_bits, subgroup_generated
 from .intsets import IntWindowSet, decompose_trace, is_order_convex
 from .rationals import (
     QIntervalSpec,
@@ -79,12 +79,15 @@ class PeriodicDecomposition:
 
 
 def midconvex_witness(group: FiniteAbelianGroup, subset: GroupSubset) -> MidconvexWitness | None:
-    """First violating triple in enumeration order, or None when midconvex."""
-    mask = subset.mask
-    missing = ~mask
+    """First violating triple in enumeration order, or None when midconvex.
+
+    Each unordered pair is scanned once, as (x, y) with y not before x: the
+    pair (y, x) has the same sum and came first.
+    """
+    missing = ~subset.mask
     idxs = list(subset.indices())
-    for xi in idxs:
-        for yi in idxs:
+    for a, xi in enumerate(idxs):
+        for yi in idxs[a:]:
             s = group.add_index(xi, yi)
             bad = group.halving_index_mask(s) & missing
             if bad:
@@ -145,23 +148,27 @@ def midconvex_bits(group: FiniteAbelianGroup, columns: Sequence[int], count: int
 
 
 def midconvex_closure(group: FiniteAbelianGroup, subset: GroupSubset) -> GroupSubset:
-    """Least midconvex superset, by a worklist fixpoint over halving sets."""
-    mask = subset.mask
-    members = list(subset.indices())
-    work = list(members)
-    while work:
-        a = work.pop()
-        for b in list(members):
-            s = group.add_index(a, b)
-            new = group.halving_index_mask(s) & ~mask
-            while new:
-                low = new & -new
-                zi = low.bit_length() - 1
-                mask |= low
-                members.append(zi)
-                work.append(zi)
-                new ^= low
-    return GroupSubset(group, mask)
+    """Least midconvex superset: x + <X - x> + G_2 with x the least member; empty stays empty.
+
+    G_2 is the Sylow 2-subgroup. Three facts give the closed form. A nonempty
+    midconvex set is a coset of an odd-index subgroup (Theorem 2), so one
+    containing X is x + K with K an odd-index subgroup containing X - x.
+    Every odd-index K contains G_2: its image in G/K is a 2-group of odd
+    order, hence trivial. Odd-index subgroups are closed under intersection, as
+    G/(K ∩ K') embeds in G/K x G/K'. So the least such K exists, contains
+    <X - x> + G_2, and equals it, since G/G_2 has odd order.
+    """
+    if not subset.mask:
+        return subset
+    xi = (subset.mask & -subset.mask).bit_length() - 1
+    shifted = group.translate_mask(subset.mask, group.neg_index(xi))
+    # m times the unit of a factor of order 2^a * m, m odd, generates its 2-part (0 if a = 0)
+    two_part, stride = [], 1
+    for n in reversed(group.orders):
+        two_part.append(n // (n & -n) % n * stride)
+        stride *= n
+    h = subgroup_generated(GroupSubset(group, shifted) | GroupSubset.from_indices(group, two_part))
+    return GroupSubset(group, group.translate_mask(h.mask, xi))
 
 
 def _trace(group: FiniteAbelianGroup, mask: int, xi: int, gi: int) -> IntWindowSet:

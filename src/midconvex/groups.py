@@ -98,17 +98,22 @@ class FiniteAbelianGroup:
                 first = [[c * h + j for c in range(n) for j in row] for row in add]
                 add = [row[a * h :] + row[: a * h] for a in range(n) for row in first]
                 neg = [(-a % n) * h + j for a in range(n) for j in neg]
-            halve = [0] * self.order
+            halves: list[list[int]] = [[] for _ in range(self.order)]
             for z in range(self.order):
-                halve[add[z][z]] |= 1 << z
+                halves[add[z][z]].append(z)
+            halve = [_mask_of(self.order, zs) for zs in halves]
             tabs = self._cache["tables"] = (add, neg, halve)
         return tabs
 
     def add_index(self, i: int, j: int) -> int:
         if self.order <= _TABLE_CAP:
             return self._tables()[0][i][j]
-        ra, rb = self._decode(i), self._decode(j)
-        return self._encode([(a + b) % m for a, b, m in zip(ra, rb, self.orders)])
+        # residue k of index i is i // stride % n_k: residues add without decoding
+        idx, stride = 0, 1
+        for n in reversed(self.orders):
+            idx += (i // stride + j // stride) % n * stride
+            stride *= n
+        return idx
 
     def neg_index(self, i: int) -> int:
         if self.order <= _TABLE_CAP:
@@ -120,19 +125,17 @@ class FiniteAbelianGroup:
 
         With d the index of -x this is the shift X - x.
         """
-        shifted = 0
-        for i in set_bits(mask):
-            shifted |= 1 << self.add_index(i, d)
-        return shifted
+        if self.order <= _TABLE_CAP:
+            shifted = map(self._tables()[0][d].__getitem__, set_bits(mask))
+        else:
+            shifted = map(self.add_index, set_bits(mask), itertools.repeat(d))
+        return _mask_of(self.order, shifted)
 
     def halving_index_mask(self, s_index: int) -> int:
         """Bitmask of all element indices z with 2z equal to the element at s_index."""
         if self.order <= _TABLE_CAP:
             return self._tables()[2][s_index]
-        mask = 0
-        for z in self.halving_indices(s_index):
-            mask |= 1 << z
-        return mask
+        return _mask_of(self.order, self.halving_indices(s_index))
 
     def halving_indices(self, s_index: int) -> tuple[int, ...]:
         s = self._decode(s_index)
@@ -145,12 +148,26 @@ class FiniteAbelianGroup:
         return tuple(self._encode(v) for v in itertools.product(*per_component))
 
 
+# Masks are read and written a byte at a time, so both directions are linear
+# in the group order; peeling or setting one bit at a time on the integer
+# would copy the whole |G|-bit mask once per member.
+_BYTE_BITS = tuple(tuple(j for j in range(8) if b >> j & 1) for b in range(256))
+
+
 def set_bits(mask: int) -> Iterator[int]:
     """Positions of the set bits of a mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    for k, byte in enumerate(mask.to_bytes((mask.bit_length() + 7) >> 3, "little")):
+        if byte:
+            for j in _BYTE_BITS[byte]:
+                yield k << 3 | j
+
+
+def _mask_of(order: int, indices: Iterable[int]) -> int:
+    """Mask of a group of this order with the given element indices set."""
+    packed = bytearray((order + 7) >> 3)
+    for i in indices:
+        packed[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(packed, "little")
 
 
 def _halve_mod(c: int, n: int) -> tuple[int, ...]:
@@ -255,12 +272,11 @@ class GroupSubset:
 
     @classmethod
     def from_indices(cls, group: FiniteAbelianGroup, indices: Iterable[int]) -> "GroupSubset":
-        mask = 0
+        indices = list(indices)
         for i in indices:
             if not 0 <= i < group.order:
                 raise ValueError(f"element index {i} out of range")
-            mask |= 1 << i
-        return cls(group, mask)
+        return cls(group, _mask_of(group.order, indices))
 
     @classmethod
     def from_elements(cls, group: FiniteAbelianGroup, elements: Iterable) -> "GroupSubset":
@@ -275,15 +291,12 @@ class GroupSubset:
     def from_bools(cls, group: FiniteAbelianGroup, table: Sequence[bool]) -> "GroupSubset":
         if len(table) != group.order:
             raise ValueError("membership table length does not match group order")
-        mask = 0
-        for i, b in enumerate(table):
-            if b:
-                mask |= 1 << i
-        return cls(group, mask)
+        return cls(group, _mask_of(group.order, itertools.compress(range(group.order), table)))
 
     @property
     def membership(self) -> tuple[bool, ...]:
-        return tuple(bool(self.mask >> i & 1) for i in range(self.group.order))
+        members = set(self.indices())
+        return tuple(i in members for i in range(self.group.order))
 
     @property
     def size(self) -> int:
@@ -324,45 +337,48 @@ class GroupSubset:
             raise ValueError("subsets of different groups")
 
 
-def _extend_by_cosets(group: FiniteAbelianGroup, gens: Iterable[int], bound: int) -> int | None:
-    """Mask of the subgroup generated by the indices gens, or None once it leaves bound.
+def _extend_by_cosets(group: FiniteAbelianGroup, gens: Iterable[int], most: int) -> int | None:
+    """Mask of the subgroup generated by the indices gens, or None once it outgrows most elements.
 
     Starting from H = {0}, each generator g not yet in H adds the cosets
     H + g, H + 2g, ... up to the first multiple kg in H, which makes H the
     group H + <g>. Every element is added once, so the work is linear in the
-    size of the result; each one is tested against the bound as it is added.
+    size of the result, and each coset is checked against the size bound
+    before it is added. Membership is kept as byte flags, so each test and
+    each addition is one index, not a shift of a |G|-bit integer.
     """
-    mask = 1
+    inside, members = bytearray(group.order), [0]
+    inside[0] = 1
     for g in gens:
-        if mask >> g & 1:
+        if inside[g]:
             continue
-        members = list(set_bits(mask))
-        shift = g
-        while not mask >> shift & 1:
-            for a in members:
-                s = group.add_index(a, shift)
-                if not bound >> s & 1:
-                    return None
-                mask |= 1 << s
+        h, shift = len(members), g
+        while not inside[shift]:
+            if len(members) + h > most:
+                return None
+            for a in members[:h]:
+                s = group.add_index(a, shift) if a else shift
+                inside[s] = 1
+                members.append(s)
             shift = group.add_index(shift, g)
-    return mask
+    return _mask_of(group.order, members)
 
 
 def is_subgroup(subset: GroupSubset) -> bool:
     """True iff the subset contains zero and is closed under addition.
 
-    Zero is index 0. The subset is a subgroup exactly when the subgroup its
-    members generate stays inside it.
+    Zero is index 0. The subgroup its members generate contains it, so the
+    subset is a subgroup exactly when that subgroup is no larger.
     """
     if not subset.mask & 1:
         return False
-    return _extend_by_cosets(subset.group, subset.indices(), subset.mask) is not None
+    return _extend_by_cosets(subset.group, subset.indices(), subset.size) is not None
 
 
 def subgroup_generated(subset: GroupSubset) -> GroupSubset:
     """Smallest subgroup containing the subset (the empty set generates {0})."""
     group = subset.group
-    mask = _extend_by_cosets(group, subset.indices(), (1 << group.order) - 1)
+    mask = _extend_by_cosets(group, subset.indices(), group.order)
     assert mask is not None, "the whole group bounds every subgroup"
     return GroupSubset(group, mask)
 

@@ -222,23 +222,12 @@ def lemma1_check(window_set: IntWindowSet, x: int, y: int) -> bool:
 
 def minimal_nonzero_member(window_set: IntWindowSet) -> int | None:
     """Nonzero member of minimal absolute value; ties broken toward positive."""
-    if window_set.period is not None:
-        d = window_set.period
-        residues = set(window_set.members())
-        pos = min((r for r in residues if r > 0), default=d if 0 in residues else None)
-        neg = min((d - r for r in residues if r > 0), default=d if 0 in residues else None)
-        if pos is None and neg is None:
-            return None
-        if neg is None or (pos is not None and pos <= neg):
-            return pos
-        return -neg
-    best: int | None = None
-    for n in window_set.members():
-        if n == 0:
-            continue
-        if best is None or abs(n) < abs(best) or (abs(n) == abs(best) and n > 0):
-            best = n
-    return best
+    members = window_set.members()
+    if window_set.period is not None and members:
+        # the members of a periodic set nearest 0 lie within one period of it
+        members = (members[-1] - window_set.period, *members, members[0] + window_set.period)
+    # members ascend, so read backwards the positive one of a tie comes first
+    return min((n for n in reversed(members) if n), key=abs, default=None)
 
 
 def decompose_trace(trace: IntWindowSet) -> TraceDecomposition:
@@ -247,7 +236,8 @@ def decompose_trace(trace: IntWindowSet) -> TraceDecomposition:
     Follows the minimal-|m| construction: find the nonzero member m of least
     absolute value (ties toward positive), reject even m, set H to the
     multiples of |m| and C to the smallest order-convex set with C and H
-    intersecting to the trace, then verify the reconstruction.
+    intersecting to the trace, then verify the reconstruction; the witness
+    is the least point where they differ.
 
     A periodic trace (one carrying a period) is read as the infinite periodic
     set it presents; its interval comes out unbounded.
@@ -257,43 +247,29 @@ def decompose_trace(trace: IntWindowSet) -> TraceDecomposition:
         raise ValueError("a trace always contains 0")
 
     m = minimal_nonzero_member(trace)
-
-    if d is not None:
-        # m is at most d here (the set contains all multiples of d), so the
-        # window always certifies minimality.
-        assert m is not None
-        if m % 2 == 0:
-            raise NotMidconvexTrace(f"minimal nonzero trace element {m} is even", minimal=m)
-        mod = abs(m)
-        residues = set(trace.members())
-        if d % mod != 0 or residues != set(range(0, d, mod)):
-            bad = next(
-                (r for r in range(d) if (r in residues) != (d % mod == 0 and r % mod == 0)),
-                None,
-            )
-            raise NotMidconvexTrace(
-                f"periodic trace is not the multiples of {mod}", minimal=m, witness=bad
-            )
-        return TraceDecomposition(IntIntervalSpec(None, None), ZSubgroupSpec(mod))
-
     if m is None:
         return TraceDecomposition(IntIntervalSpec(0, 0), ZSubgroupSpec(0))
-
     if m % 2 == 0:
         raise NotMidconvexTrace(f"minimal nonzero trace element {m} is even", minimal=m)
 
     mod = abs(m)
     members = trace.members()
-    interval = IntIntervalSpec(members[0], members[-1])
-    decomposition = TraceDecomposition(interval, ZSubgroupSpec(mod))
-    for n in range(trace.lo, trace.hi + 1):
-        if trace.contains(n) != decomposition.contains(n):
-            raise NotMidconvexTrace(
-                f"trace differs from interval-and-subgroup reconstruction at {n}",
-                minimal=m,
-                witness=n,
-            )
-    return decomposition
+    if d is not None:
+        interval = IntIntervalSpec(None, None)
+        rebuilt = range(0, d, mod) if d % mod == 0 else range(0)
+    else:
+        # the multiples of mod in [first member, last member], all inside the window
+        interval = IntIntervalSpec(members[0], members[-1])
+        rebuilt = range(-(-members[0] // mod) * mod, members[-1] + 1, mod)
+    differ = set(members).symmetric_difference(rebuilt)
+    if differ:
+        n = min(differ)
+        if d is not None:
+            reason = f"periodic trace is not the multiples of {mod}"
+        else:
+            reason = f"trace differs from interval-and-subgroup reconstruction at {n}"
+        raise NotMidconvexTrace(reason, minimal=m, witness=n)
+    return TraceDecomposition(interval, ZSubgroupSpec(mod))
 
 
 def decompose_z(window_set: IntWindowSet, x: int | None = None) -> TraceDecomposition:

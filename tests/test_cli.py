@@ -35,6 +35,10 @@ def run_text(text, fmt="text"):
             "Q(gen=1, primes=[2]); conv[-3,0] ∩ ((1,[2]) + 0); decompose",
         ),
         ("decompose_q_points_x6", "Q(gen=1, primes=[]); {0,3,6,9}; decompose x=6"),
+        # (1,2) has order 6, and with G_2 = Z(2)xZ(2) it spans the whole group
+        ("closure_z2x6", "Z(2x6); {(0,1),(1,3)}; closure"),
+        # the difference (3,9) generates a subgroup of order 9, odd index 81
+        ("closure_z9x81", "Z(9x81); {(1,2),(4,11)}; closure"),
         (
             "verify_theorem3",
             "Q(gen=1, primes=[2]); conv[0,2] ∩ ((1,[2]) + 0); "
@@ -109,6 +113,15 @@ def test_windowed_closure_is_fast():
     code, output = run_text("Z; {0,1536}@window[0,1536]; closure", fmt="json")
     assert time.perf_counter() - started < 0.5
     assert code == 0 and json.loads(output)["closure"] == "{%s}" % ",".join(map(str, range(0, 1537, 3)))
+
+
+@pytest.mark.parametrize("text, order", [("Z(1024); {7}; closure", 1024), ("Z(4096); {1,2}; closure", 4096)])
+def test_finite_closure_above_the_table_cap_is_fast(text, order):
+    # a 2-group is its own Sylow 2-subgroup, so every closure is the whole group
+    started = time.perf_counter()
+    code, output = run_text(text, fmt="json")
+    assert time.perf_counter() - started < 2
+    assert code == 0 and json.loads(output)["closure"] == "{%s}" % ",".join(map(str, range(order)))
 
 
 def test_closure_too_large_to_list_is_a_resource_exit():

@@ -1,5 +1,6 @@
 """Midconvexity predicate, closure, traces and the three decomposition routes."""
 
+import functools
 import math
 import pathlib
 import random
@@ -34,7 +35,7 @@ from midconvex.engine import (
     verify_theorem3_if,
 )
 from midconvex.errors import CapExceeded, NotMidconvex, NotMidconvexTrace, WindowTooSmall
-from midconvex.groups import GroupElement, GroupSubset, is_subgroup, make_group
+from midconvex.groups import _TABLE_CAP, GroupElement, GroupSubset, is_subgroup, make_group
 from midconvex.harness import enumerate_abelian_groups
 from midconvex.intsets import IntWindowSet, decompose_trace
 from midconvex.rationals import (
@@ -154,6 +155,89 @@ def test_midconvex_closure_laws_small():
             assert midconvex_closure(group, cx) == cx
             assert is_midconvex(group, cx)
             assert is_midconvex(group, x) == (cx == x)
+
+
+def worklist_closure(group, subset):
+    """Reference: a worklist fixpoint that adds every missing halving point of every pair."""
+    # above the table cap each halving mask is built per call; there are |G| sums
+    halving_mask = functools.cache(group.halving_index_mask)
+    mask = subset.mask
+    members = list(subset.indices())
+    work = list(members)
+    while work:
+        a = work.pop()
+        for b in list(members):
+            s = group.add_index(a, b)
+            new = halving_mask(s) & ~mask
+            while new:
+                low = new & -new
+                zi = low.bit_length() - 1
+                mask |= low
+                members.append(zi)
+                work.append(zi)
+                new ^= low
+    return GroupSubset(group, mask)
+
+
+def test_closed_form_closure_matches_the_worklist_on_every_subset_up_to_order_10():
+    for group in enumerate_abelian_groups(10):
+        for mask in range(1 << group.order):
+            x = GroupSubset(group, mask)
+            assert midconvex_closure(group, x) == worklist_closure(group, x), (group, mask)
+
+
+def test_closed_form_closure_matches_the_worklist_on_random_subsets_up_to_order_24():
+    rng = random.Random(24)
+    for group in enumerate_abelian_groups(24):
+        for _ in range(30):
+            x = GroupSubset(group, rng.getrandbits(group.order))
+            assert midconvex_closure(group, x) == worklist_closure(group, x), (group, x.mask)
+
+
+def multiple(group, k, g):
+    total = 0
+    for _ in range(k):
+        total = group.add_index(total, g)
+    return total
+
+
+# a few multiples of g around x, with g a random element times each odd
+# divisor k of the order in turn, so the closures range from x + G_2 to the
+# whole group; in Z(1024) every nonempty closure is the whole group
+@pytest.mark.parametrize("orders", [[600], [2, 300], [1024]], ids=str)
+def test_closed_form_closure_matches_the_worklist_above_the_table_cap(orders):
+    group = make_group(orders)
+    assert group.order > _TABLE_CAP
+    rng = random.Random(group.order)
+    for k in range(1, group.order, 2):
+        if group.order % k:
+            continue
+        x = rng.randrange(group.order)
+        g = multiple(group, k, rng.randrange(group.order))
+        members = {group.add_index(x, multiple(group, rng.randrange(4), g)) for _ in range(4)}
+        subset = GroupSubset.from_indices(group, members)
+        assert midconvex_closure(group, subset) == worklist_closure(group, subset), (group, members)
+
+
+def ordered_pair_witness(group, subset):
+    """Reference: the first witness when every ordered pair (x, y) is scanned."""
+    missing = ~subset.mask
+    idxs = list(subset.indices())
+    for xi in idxs:
+        for yi in idxs:
+            bad = group.halving_index_mask(group.add_index(xi, yi)) & missing
+            if bad:
+                zi = (bad & -bad).bit_length() - 1
+                return (group.element_at(xi), group.element_at(yi), group.element_at(zi))
+    return None
+
+
+def test_unordered_pair_scan_finds_the_ordered_scan_witness_up_to_order_10():
+    for group in enumerate_abelian_groups(10):
+        for mask in range(1 << group.order):
+            witness = midconvex_witness(group, GroupSubset(group, mask))
+            found = None if witness is None else (witness.x, witness.y, witness.z)
+            assert found == ordered_pair_witness(group, GroupSubset(group, mask)), (group, mask)
 
 
 # -- traces and the first decomposition route --------------------------------

@@ -1,11 +1,15 @@
 """Finite Abelian group arithmetic, subsets, subgroup and index queries."""
 
+import ast
+import pathlib
+import random
 import time
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from midconvex import groups
 from midconvex.errors import CapExceeded
 from midconvex.groups import (
     _TABLE_CAP,
@@ -14,6 +18,7 @@ from midconvex.groups import (
     index_is_odd,
     is_subgroup,
     make_group,
+    set_bits,
     subgroup_generated,
 )
 from midconvex.harness import enumerate_abelian_groups
@@ -249,6 +254,64 @@ def test_group_subset_translate():
     group = make_group([15])
     coset = GroupSubset.from_elements(group, [0, 3, 6, 9, 12]).translate(group.element([1]))
     assert sorted(e.residues[0] for e in coset.members()) == [1, 4, 7, 10, 13]
+
+
+def test_mask_codec_round_trips():
+    rng = random.Random(8)
+    for order in (1, 7, 8, 9, 63, 64, 65, 1000):
+        group = make_group([order])
+        for mask in (0, 1, (1 << order) - 1, 1 << order - 1, rng.getrandbits(order)):
+            subset = GroupSubset(group, mask)
+            indices = [i for i in range(order) if mask >> i & 1]
+            assert list(set_bits(mask)) == indices
+            assert GroupSubset.from_indices(group, indices) == subset
+            assert subset.membership == tuple(bool(mask >> i & 1) for i in range(order))
+            assert GroupSubset.from_bools(group, subset.membership) == subset
+    with pytest.raises(ValueError, match="element index 7 out of range"):
+        GroupSubset.from_indices(make_group([7]), [0, 7])
+    with pytest.raises(ValueError, match="element index -1 out of range"):
+        GroupSubset.from_indices(make_group([7]), [-1])
+
+
+def test_mask_codec_is_linear_on_the_full_mask_of_a_large_group():
+    # peeling or setting one bit at a time copies the |G|-bit mask per member
+    group = make_group([1 << 18])
+    full = GroupSubset.full(group)
+    for name, call in [
+        ("set_bits", lambda: sum(1 for _ in set_bits(full.mask))),
+        ("translate_mask", lambda: group.translate_mask(full.mask, 5)),
+        ("from_indices", lambda: GroupSubset.from_indices(group, range(group.order))),
+        ("subgroup_generated", lambda: subgroup_generated(full)),
+    ]:
+        started = time.perf_counter()
+        call()
+        assert time.perf_counter() - started < 1, name
+
+
+def sets_one_bit(node):
+    """True for `mask |= 1 << i`."""
+    return (
+        isinstance(node, ast.AugAssign)
+        and isinstance(node.op, ast.BitOr)
+        and isinstance(node.value, ast.BinOp)
+        and isinstance(node.value.op, ast.LShift)
+        and isinstance(node.value.left, ast.Constant)
+        and node.value.left.value == 1
+    )
+
+
+def test_masks_are_built_bit_by_bit_only_in_the_builder():
+    # mask |= 1 << i copies the whole |G|-bit mask per bit; groups._mask_of sets
+    # bits in a packed byte buffer instead
+    for path in sorted(pathlib.Path(groups.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        builder = set()
+        if path.name == "groups.py":
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef) and node.name == "_mask_of":
+                    builder.update(ast.walk(node))
+        for node in ast.walk(tree):
+            assert not (sets_one_bit(node) and node not in builder), f"{path.name}:{node.lineno}"
 
 
 def test_trivial_group():

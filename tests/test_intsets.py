@@ -181,6 +181,82 @@ def test_decompose_trace_reconstruction_mismatch_fails():
         decompose_trace(wset(0, 9, [0, 3, 9]))
 
 
+def looped_minimal_nonzero_member(window_set):
+    """Reference: the nearest nonzero members on either side, found by loops."""
+    if window_set.period is not None:
+        d = window_set.period
+        residues = set(window_set.members())
+        pos = min((r for r in residues if r > 0), default=d if 0 in residues else None)
+        neg = min((d - r for r in residues if r > 0), default=d if 0 in residues else None)
+        if pos is None and neg is None:
+            return None
+        if neg is None or (pos is not None and pos <= neg):
+            return pos
+        return -neg
+    best = None
+    for n in window_set.members():
+        if n and (best is None or abs(n) < abs(best) or (abs(n) == abs(best) and n > 0)):
+            best = n
+    return best
+
+
+def pointwise_decomposition(trace):
+    """Reference: the reconstruction checked residue by residue or window point by point."""
+    m = looped_minimal_nonzero_member(trace)
+    d = trace.period
+    if d is None and m is None:
+        return TraceDecomposition(IntIntervalSpec(0, 0), ZSubgroupSpec(0))
+    if m % 2 == 0:
+        raise NotMidconvexTrace(f"minimal nonzero trace element {m} is even", minimal=m)
+    mod = abs(m)
+    if d is not None:
+        residues = set(trace.members())
+        if d % mod != 0 or residues != set(range(0, d, mod)):
+            bad = next((r for r in range(d) if (r in residues) != (d % mod == 0 and r % mod == 0)), None)
+            raise NotMidconvexTrace(f"periodic trace is not the multiples of {mod}", minimal=m, witness=bad)
+        return TraceDecomposition(IntIntervalSpec(None, None), ZSubgroupSpec(mod))
+    members = trace.members()
+    decomposition = TraceDecomposition(IntIntervalSpec(members[0], members[-1]), ZSubgroupSpec(mod))
+    for n in range(trace.lo, trace.hi + 1):
+        if trace.contains(n) != decomposition.contains(n):
+            raise NotMidconvexTrace(
+                f"trace differs from interval-and-subgroup reconstruction at {n}", minimal=m, witness=n
+            )
+    return decomposition
+
+
+def outcome(decompose, trace):
+    try:
+        return decompose(trace)
+    except NotMidconvexTrace as e:
+        return (str(e), e.minimal, e.witness)
+
+
+def test_decompose_trace_matches_the_pointwise_check_on_all_small_windows():
+    # every subset containing 0 of every window [lo, hi], -6 <= lo <= 0 <= hi <= 6:
+    # 127**2 = 16,129 traces
+    count = 0
+    for lo in range(-6, 1):
+        for hi in range(0, 7):
+            others = [n for n in range(lo, hi + 1) if n]
+            for pattern in range(1 << len(others)):
+                members = [0] + [n for k, n in enumerate(others) if pattern >> k & 1]
+                trace = wset(lo, hi, members)
+                assert minimal_nonzero_member(trace) == looped_minimal_nonzero_member(trace)
+                assert outcome(decompose_trace, trace) == outcome(pointwise_decomposition, trace), trace
+                count += 1
+    assert count == 16129
+
+
+def test_decompose_trace_matches_the_pointwise_check_on_all_periodic_traces_up_to_period_10():
+    for period in range(1, 11):
+        for pattern in range(1 << period):
+            window_set = IntWindowSet.from_residues(period, [r for r in range(period) if pattern >> r & 1])
+            assert minimal_nonzero_member(window_set) == looped_minimal_nonzero_member(window_set)
+            if pattern & 1:
+                assert outcome(decompose_trace, window_set) == outcome(pointwise_decomposition, window_set)
+
+
 def test_decompose_trace_periodic_non_subgroup_fails():
     with pytest.raises(NotMidconvexTrace):
         decompose_trace(IntWindowSet.from_residues(7, [0, 3, 4]))
