@@ -36,7 +36,7 @@ _UNBOUNDED_REACH = 64
 # den a product of the inverted primes with exponents up to _DRAW_EXPONENTS.
 _DRAW_NUMERATORS = 50
 _DRAW_EXPONENTS = 4
-# Most lattice points that one refinement level of decompose_rational scans.
+# Most members that described_members lists.
 _LATTICE_CAP = 500_000
 # Radius of the lattice window that a trace of a rational set is read on.
 _TRACE_RADIUS = 64
@@ -55,7 +55,7 @@ class MidconvexWitness:
 class RationalDecomposition:
     """A recovered description with the refinement depth and window radius used.
 
-    Both are None for a singleton, which is described without a lattice scan.
+    Both are None for a singleton, which is described without refinement.
     """
 
     description: RationalMidconvexDescription
@@ -175,12 +175,15 @@ def _trace(group: FiniteAbelianGroup, mask: int, xi: int, gi: int) -> IntWindowS
     """Trace at index xi along index gi of the set with this mask.
 
     The walk x, x + g, x + 2g, ... returns to x after ord(g) steps, the period.
+    The mask is read once as packed bytes, the codec's layout, so each step
+    tests one byte; a shift of the |G|-bit mask per step would be quadratic.
     """
-    if not mask >> xi & 1:
+    packed = mask.to_bytes((group.order + 7) >> 3, "little")
+    if not packed[xi >> 3] >> (xi & 7) & 1:
         raise ValueError("trace base point must be a member")
     residues, n, i = [0], 1, group.add_index(xi, gi)
     while i != xi:
-        if mask >> i & 1:
+        if packed[i >> 3] >> (i & 7) & 1:
             residues.append(n)
         n, i = n + 1, group.add_index(i, gi)
     return IntWindowSet.from_residues(n, residues)
@@ -442,36 +445,33 @@ def described_members(description: RationalMidconvexDescription) -> tuple[Fracti
 
 def decompose_rational(
     group: RationalGroupDescriptor,
-    points,
+    description: RationalMidconvexDescription,
     x: Rational,
     x2: Rational,
     depth: int,
     window: Rational,
 ) -> RationalMidconvexDescription:
-    """Recover an interval-and-subgroup description of a midconvex set.
+    """Recover the interval-and-subgroup form of a described midconvex set.
 
-    Builds the chain of cyclic groups seeded with {x, x2}, decomposes the
-    window-exact trace of the set on each lattice, checks that the interval
-    and the subgroup both grow monotonically across refinements, and returns
-    the description at the deepest level. An inverted prime of the ambient
-    group makes it into the recovered subgroup exactly when its most recent
-    refinement strictly enlarged the subgroup, so the result is a finite-depth
-    approximation of the limit subgroup. Each level's trace is exact on its
-    whole lattice inside the window: `lattice_trace` gives a described set's
-    members there in closed form and reads a finite set point by point.
+    Reads the set on each lattice x + k*g of the chain of cyclic groups
+    seeded with {x, x2}, within `window` of x, which must cover x2. There the
+    set is one progression of k through 0 and (x2 - x)/g, the range of
+    `_described_range`, so Theorem 1 reads each level in closed form: its
+    step m must be odd, m*g generates the level's subgroup, and its first and
+    last member are the level's ends. Ends and subgroup must grow across
+    levels; an inverted prime of the ambient group joins the recovered
+    subgroup H exactly when its latest refinement enlarged it.
 
-    `window` is the rational radius around x that is examined at every level;
-    it must cover x2. A level whose lattice has more than _LATTICE_CAP points
-    in the window raises CapExceeded.
+    A discrete H keeps the deepest level's ends. When H inverts a prime,
+    x + H is dense, so the level ends converge to those of the description's
+    interval cut to the closed window, and C is that cut. For a two-pure
+    description H is the description's subgroup, so the report equals the
+    input on the window.
     """
     x, x2 = Fraction(x), Fraction(x2)
     if x >= x2:
         raise ValueError("need two base points with x < x2")
-    if not isinstance(points, RationalMidconvexDescription):
-        points = [Fraction(p) for p in points]
-    # x and x2 are the points 0 and 1 of the trace at x along x2 - x
-    probe = lattice_trace(points, x, x2 - x, 1)
-    if not (probe.contains(0) and probe.contains(1)):
+    if not (description.contains(x) and description.contains(x2)):
         raise ValueError("base points must be members of the set")
     radius = Fraction(window)
     if radius < x2 - x:
@@ -481,24 +481,15 @@ def decompose_rational(
     primes = sorted(group.primes)
     grew_last: dict[int, bool] = {}
     prev_lower = prev_upper = prev_gen = None
-    lower = upper = h_gen = None
 
     for step, g in enumerate(chain):
-        k_max = floor(radius / g)
-        if 2 * k_max + 1 > _LATTICE_CAP:
-            raise CapExceeded(
-                f"level {step} lattice has {2 * k_max + 1} points, cap is {_LATTICE_CAP}"
+        ks = _described_range(description, x, g, floor(radius / g))
+        m = ks.step
+        if m % 2 == 0:
+            raise NotMidconvex(
+                f"level {step} (lattice step {g}): minimal nonzero trace element {m} is even"
             )
-        try:
-            dec = decompose_trace(lattice_trace(points, x, g, k_max))
-        except NotMidconvexTrace as exc:
-            raise NotMidconvex(f"level {step} (lattice step {g}): {exc.reason}") from exc
-        m = dec.subgroup.modulus
-        assert m >= 1, "two base points guarantee a nonzero trace element"
-        assert dec.interval.lower is not None and dec.interval.upper is not None
-        lower = x + g * dec.interval.lower
-        upper = x + g * dec.interval.upper
-        h_gen = m * g
+        lower, upper, h_gen = x + g * ks[0], x + g * ks[-1], m * g
         if step > 0:
             if not (lower <= prev_lower and prev_upper <= upper):
                 raise NotMidconvex(
@@ -513,10 +504,13 @@ def decompose_rational(
                 grew_last[primes[(step - 1) % len(primes)]] = ratio > 1
         prev_lower, prev_upper, prev_gen = lower, upper, h_gen
 
-    recovered = RationalGroupDescriptor(
-        h_gen, frozenset(p for p, grew in grew_last.items() if grew)
-    )
-    interval = QIntervalSpec(lower, upper)
+    recovered = RationalGroupDescriptor(h_gen, frozenset(p for p, grew in grew_last.items() if grew))
+    cut = description.interval
+    if recovered.primes:
+        lower = x - radius if cut.lower is None else max(cut.lower, x - radius)
+        upper = x + radius if cut.upper is None else min(cut.upper, x + radius)
+    # C is cut from the interval, so an end is closed exactly when the interval holds it
+    interval = QIntervalSpec(lower, upper, cut.contains(lower), cut.contains(upper))
     return RationalMidconvexDescription(interval, recovered, base=x)
 
 
@@ -713,8 +707,8 @@ def decompose_rational_set(
     depth 3 * max(1, |P|) on a window reaching one subgroup step past the
     farther end of the set, an unbounded end counting as _UNBOUNDED_REACH
     steps away. So only an unbounded side reaches the window's edge, and it
-    is reported as unbounded. A set without a second point is the singleton
-    [x, x].
+    is reported as unbounded; a finite end comes back exact, with its
+    closedness. A set without a second point is the singleton [x, x].
     """
     if isinstance(members, RationalMidconvexDescription):
         description, witness = members, described_midconvex_witness(members, group)
@@ -739,7 +733,8 @@ def decompose_rational_set(
     radius = max(far if hi is None else hi - base, far if lo is None else base - lo) + step
     depth = 3 * max(1, len(group.primes))
     recovered = decompose_rational(group, description, base, x2, depth, radius)
-    lower = None if lo is None else recovered.interval.lower
-    upper = None if hi is None else recovered.interval.upper
-    reported = RationalMidconvexDescription(QIntervalSpec(lower, upper), recovered.subgroup, base)
+    cut = recovered.interval
+    ends = (None if lo is None else cut.lower, None if hi is None else cut.upper)
+    interval = QIntervalSpec(*ends, cut.lower_closed, cut.upper_closed)
+    reported = RationalMidconvexDescription(interval, recovered.subgroup, base)
     return RationalDecomposition(reported, depth, radius)

@@ -167,7 +167,8 @@ def _add_bit_mismatches(report, group, masks, operation: str, lhs: int, rhs: int
 def _odd_index_cosets(group: FiniteAbelianGroup) -> set[int]:
     """Masks of the cosets of the subgroups of odd index.
 
-    Every subgroup is reached from {0} by joining one element at a time.
+    Every subgroup is reached from {0} by joining one element at a time, and
+    translated by the least element of each of its cosets.
     """
     subgroups, frontier = {1}, [1]
     while frontier:
@@ -180,12 +181,14 @@ def _odd_index_cosets(group: FiniteAbelianGroup) -> set[int]:
                         subgroups.add(joined)
                         grown.append(joined)
         frontier = grown
-    return {
-        group.translate_mask(h, d)
-        for h in subgroups
-        if group.order // h.bit_count() % 2 == 1
-        for d in range(group.order)
-    }
+    cosets = set()
+    for h in (h for h in subgroups if group.order // h.bit_count() % 2 == 1):
+        uncovered = (1 << group.order) - 1
+        while uncovered:
+            coset = group.translate_mask(h, (uncovered & -uncovered).bit_length() - 1)
+            cosets.add(coset)
+            uncovered &= ~coset
+    return cosets
 
 
 def _odd_coset_bits(group: FiniteAbelianGroup, columns: Sequence[int], count: int) -> int:

@@ -1,17 +1,26 @@
-"""The traced benchmark run wraps program names listed in bench/tracing.py.
+"""The benchmark's program names and library calls, checked from the tier-1 suite.
 
-A refactor that renames or drops one of them would break that run without
-failing any other test, so the names are checked here. Nothing under bench/
-is imported as a package or written; tracing.py is loaded from its file.
+The traced benchmark run wraps program names listed in bench/tracing.py, and
+the workloads in bench/workloads.py call the library by position. A refactor
+that renames, drops or reorders one of them would break the benchmark without
+failing any other test, so they are checked here. Nothing under bench/ is
+imported as a package or written; its modules are loaded from their files.
 """
 
 import importlib
 import importlib.util
 import pathlib
+import random
+import sys
+from types import SimpleNamespace
+
+import pytest
 
 from midconvex import engine, groups, harness
 
-TRACING = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
+TRACING = BENCH / "tracing.py"
+MODULES = ("errors", "groups", "intsets", "rationals", "engine", "harness", "dsl", "cli")
 
 
 def load_tracing():
@@ -21,8 +30,28 @@ def load_tracing():
     return module
 
 
+@pytest.fixture
+def workloads(monkeypatch):
+    # workloads.py imports refs by its bare name from bench/
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.delitem(sys.modules, "refs", raising=False)
+    # its dataclasses look their module up by name while it loads
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "bench_workloads", module)
+    spec.loader.exec_module(module)
+    yield module
+    sys.modules.pop("refs", None)
+
+
 def program_module(name):
     return importlib.import_module(f"midconvex.{name}")
+
+
+def program():
+    """The program's modules by short name, as the benchmark passes them to a workload."""
+    return SimpleNamespace(**{m: program_module(m) for m in MODULES})
 
 
 def test_every_traced_name_resolves():
@@ -42,3 +71,25 @@ def test_subgroup_test_is_imported_from_groups():
     assert engine.is_subgroup is groups.is_subgroup
     # the bit-sliced sweeps need no subgroup test; a binding left behind must be the same one
     assert getattr(harness, "is_subgroup", groups.is_subgroup) is groups.is_subgroup
+
+
+def test_roundtrip_calls_pass_their_checks(workloads):
+    # one spec per pool and base kind, built by Roundtrip.build from its rounds
+    # alone: constructing Roundtrip draws all 16 value sets
+    rng = random.Random(0)
+    specs = [
+        workloads._roundtrip_spec(rng, pool, workloads.KS[i % len(workloads.KS)], base_zero, frozenset(pool))
+        for i, pool in enumerate(workloads.POOLS)
+        for base_zero in (True, False)
+    ]
+    (items,) = workloads.Roundtrip.build(SimpleNamespace(rounds=[specs]), program())
+    for item in items:
+        assert item.check(item.run()) == [], item.label
+
+
+def test_each_query_template_passes_its_check(workloads):
+    rng = random.Random(0)
+    mc = program()
+    for name, template in workloads.TEMPLATES:
+        item = workloads._query_item(mc, name, *template(rng))
+        assert item.check(item.run()) == [], item.label

@@ -42,6 +42,7 @@ from midconvex.rationals import (
     QIntervalSpec,
     RationalGroupDescriptor,
     RationalMidconvexDescription,
+    cyclic_chain,
     is_two_pure,
     two_pure_closure,
 )
@@ -260,6 +261,37 @@ def test_trace_in_group_examples():
     assert trace2.members() == (0,)
     with pytest.raises(NotMidconvexTrace):
         decompose_trace(trace2)
+
+
+def bitwise_trace(group, mask, xi, gi):
+    """Reference: the trace read with one shift of the mask per step of the walk."""
+    residues, n, i = [0], 1, group.add_index(xi, gi)
+    while i != xi:
+        if mask >> i & 1:
+            residues.append(n)
+        n, i = n + 1, group.add_index(i, gi)
+    return IntWindowSet.from_residues(n, residues)
+
+
+def test_trace_matches_the_per_bit_reading_on_every_subset_up_to_order_8():
+    for group in enumerate_abelian_groups(8):
+        for mask in range(1, 1 << group.order):
+            s = GroupSubset(group, mask)
+            for xi in s.indices():
+                for gi in range(group.order):
+                    x, g = group.element_at(xi), group.element_at(gi)
+                    expected = bitwise_trace(group, mask, xi, gi)
+                    assert trace_in_group(group, s, x, g) == expected, (str(group), mask, x, g)
+
+
+def test_trace_of_a_full_set_is_linear_above_the_table_cap():
+    # one shift of the 2**18-bit mask per step took 1.7 s (2-vCPU Xeon)
+    group = make_group([2**18])
+    full = GroupSubset.full(group)
+    started = time.perf_counter()
+    trace = trace_in_group(group, full, group.element([0]), group.element([1]))
+    assert time.perf_counter() - started < 1
+    assert trace.period == 2**18 and all(trace.membership)
 
 
 def test_verify_theorem1_examples():
@@ -512,26 +544,34 @@ def test_decompose_rational_dyadic_interval():
     assert recovered.base == 0
 
 
+def described(lower, upper, sub, base):
+    return RationalMidconvexDescription(QIntervalSpec(lower, upper), sub, base)
+
+
 def test_decompose_rational_integer_progression():
-    recovered = decompose_rational(desc(1), [F(0), F(3), F(6), F(9)], F(0), F(3), 2, F(10))
+    # {0, 3, 6, 9} as a description
+    recovered = decompose_rational(desc(1), described(F(0), F(9), desc(3), F(0)), F(0), F(3), 2, F(10))
     assert recovered.interval == QIntervalSpec(F(0), F(9))
     assert recovered.subgroup == desc(3)
     assert recovered.base == 0
 
 
 def test_decompose_rational_flags_missing_midpoint():
-    with pytest.raises(NotMidconvex):
-        decompose_rational(desc(1, [2]), [F(0), F(1)], F(0), F(1), 3, F(2))
+    # {0, 1} among the dyadics: the next level's trace is {0, 2}
+    even = r"level 1 \(lattice step 1/2\): minimal nonzero trace element 2 is even"
+    with pytest.raises(NotMidconvex, match=even):
+        decompose_rational(desc(1, [2]), described(F(0), F(1), desc(1), F(0)), F(0), F(1), 3, F(2))
 
 
 def test_decompose_rational_preconditions():
     group = desc(1)
+    pair = described(F(0), F(3), desc(3), F(0))
     with pytest.raises(ValueError):
-        decompose_rational(group, [F(0), F(3)], F(3), F(0), 2, F(5))
-    with pytest.raises(ValueError):
-        decompose_rational(group, [F(0), F(3)], F(0), F(4), 2, F(5))
+        decompose_rational(group, pair, F(3), F(0), 2, F(5))
+    with pytest.raises(ValueError, match="base points must be members of the set"):
+        decompose_rational(group, pair, F(0), F(4), 2, F(5))
     with pytest.raises(WindowTooSmall):
-        decompose_rational(group, [F(0), F(3)], F(0), F(3), 2, F(2))
+        decompose_rational(group, pair, F(0), F(3), 2, F(2))
 
 
 def test_decompose_rational_scaled_lattice():
@@ -576,6 +616,123 @@ def test_decompose_rational_set_entry_point():
     assert exc.value.witness == (0, 2, 1)
     with pytest.raises(ValueError):
         decompose_rational_set(desc(1), [F(0), F(3)], x=F(6))
+
+
+def per_level_decompose_rational(group, description, x, x2, depth, window):
+    """Reference: each level's trace read point by point by decompose_trace on its window.
+
+    Returns the description at the deepest level and that level's step
+    between members, h_gen. The ends of a dense set are the first and last
+    member on the deepest lattice.
+    """
+    chain = cyclic_chain(group, (x, x2), depth)
+    primes = sorted(group.primes)
+    grew_last = {}
+    prev_lower = prev_upper = prev_gen = None
+    for step, g in enumerate(chain):
+        try:
+            dec = decompose_trace(lattice_trace(description, x, g, math.floor(window / g)))
+        except NotMidconvexTrace as exc:
+            raise NotMidconvex(f"level {step} (lattice step {g}): {exc.reason}") from exc
+        lower = x + g * dec.interval.lower
+        upper = x + g * dec.interval.upper
+        h_gen = dec.subgroup.modulus * g
+        if step > 0:
+            if not (lower <= prev_lower and prev_upper <= upper):
+                raise NotMidconvex(f"level {step}: interval does not extend")
+            ratio = prev_gen / h_gen
+            if ratio.denominator != 1 or ratio < 1:
+                raise NotMidconvex(f"level {step}: subgroup does not extend")
+            if primes:
+                grew_last[primes[(step - 1) % len(primes)]] = ratio > 1
+        prev_lower, prev_upper, prev_gen = lower, upper, h_gen
+    recovered = RationalGroupDescriptor(h_gen, frozenset(p for p, grew in grew_last.items() if grew))
+    return RationalMidconvexDescription(QIntervalSpec(lower, upper), recovered, x), h_gen
+
+
+def test_closed_form_levels_match_the_per_level_reading():
+    rng = random.Random(11)
+    pools = [(), (2,), (3,), (2, 3), (5,), (3, 5), (2, 3, 5)]
+    outcomes = {"dense": 0, "discrete": 0, "not midconvex": 0}
+    for i in range(350):
+        primes = pools[i % len(pools)]
+        ambient = desc(F(rng.choice([1, 2, 3]), rng.choice([1, 2])), primes)
+        sub = desc(
+            ambient.gen * rng.choice([1, 2, 3, 5, 6]), frozenset(p for p in primes if rng.random() < 0.7)
+        )
+        h = sub.gen
+        base = ambient.gen * rng.randint(-4, 4)
+        description = RationalMidconvexDescription(seeded_interval(rng, base, h), sub, base)
+        x = base
+        seconds = [x + h / d for d in (1, *sorted(sub.primes)) if description.contains(x + h / d)]
+        if not seconds:
+            continue
+        x2 = rng.choice(seconds)
+        depth, window = rng.randint(1, 4), (x2 - x) + h * rng.choice([0, 1, 2, 5])
+        try:
+            expected, last_step = per_level_decompose_rational(ambient, description, x, x2, depth, window)
+        except NotMidconvex as exc:
+            outcomes["not midconvex"] += 1
+            with pytest.raises(NotMidconvex) as got:
+                decompose_rational(ambient, description, x, x2, depth, window)
+            assert got.value.reason == exc.reason, (i, description)
+            continue
+        recovered = decompose_rational(ambient, description, x, x2, depth, window)
+        assert (recovered.subgroup, recovered.base) == (expected.subgroup, expected.base), (i, description)
+        if not recovered.subgroup.primes:
+            outcomes["discrete"] += 1
+            assert recovered.interval == expected.interval, (i, description)
+            continue
+        # the per-level ends are the outermost members of the deepest lattice inside the exact ends
+        outcomes["dense"] += 1
+        exact, ends = recovered.interval, expected.interval
+        assert exact.contains(ends.lower) and exact.contains(ends.upper), (i, description)
+        assert not exact.contains(ends.lower - last_step), (i, description)
+        assert not exact.contains(ends.upper + last_step), (i, description)
+    assert min(outcomes.values()) >= 30, outcomes
+
+
+def test_decomposition_round_trips_seeded_two_pure_descriptions():
+    # the exact ends: a dense set's off-lattice end and open ends come back as given
+    ambient = desc(1, [2])
+    given = RationalMidconvexDescription(QIntervalSpec(F(-1, 2), F(7, 3)), ambient, F(0))
+    recovered = decompose_rational_set(ambient, given).description
+    assert recovered == given and recovered.contains(F(37, 16))
+
+    rng = random.Random(13)
+    pools = [(), (2,), (3,), (2, 3), (5,), (3, 5), (2, 3, 5)]
+    disagreements = []
+    for i in range(280):
+        primes = pools[i % len(pools)]
+        ambient = desc(F(rng.choice([1, 2, 3, 5]), rng.choice([1, 2, 3, 4])), primes)
+        inverted = frozenset(p for p in primes if rng.random() < 0.7)
+        sub = two_pure_closure(desc(ambient.gen * rng.choice([1, 2, 3, 5, 9]), inverted), ambient)
+        h = sub.gen
+        base = ambient.gen * rng.randint(-6, 6)
+        # ends on the lattice, off it by a fine denominator of the pool, or off the group
+        dens = [p**e for p in (*primes, 7) for e in range(5)]
+        lower = base - h * F(rng.randint(0, 12), rng.choice(dens))
+        upper = base + h * F(rng.randint(0, 12), rng.choice(dens))
+        kind = rng.choice(["closed", "open", "half", "unbounded"])
+        if kind == "half":
+            lower, upper = rng.choice([(lower, None), (None, upper)])
+        elif kind == "unbounded":
+            lower = upper = None
+        lower_closed = kind != "open" or lower == base or rng.random() < 0.3
+        upper_closed = kind != "open" or upper == base or rng.random() < 0.3
+        interval = QIntervalSpec(lower, upper, lower_closed, upper_closed)
+        given = RationalMidconvexDescription(interval, sub, base)
+        recovered = decompose_rational_set(ambient, given).description
+        points = draw_lattice_points(rng, sub, given.interval, base, 30)
+        # points of the ambient group on and off the lattice, at and next to each end
+        offsets = [F(n, d) for d in dens for n in range(-36, 37, 4)]
+        points += [base + h * t for t in offsets]
+        ends = [end for end in (lower, upper) if end is not None]
+        points += [end + h * F(t, d) for end in ends for d in dens for t in (-1, 0, 1)]
+        wrong = [r for r in points if recovered.contains(r) != given.contains(r)]
+        if wrong:
+            disagreements.append((i, str(given), str(recovered), str(wrong[0])))
+    assert disagreements == [], disagreements[:3]
 
 
 def test_theorem3_if_sampling():
@@ -713,9 +870,7 @@ def test_round_trip_synthetic_descriptions():
 
 def test_described_sets_are_decided_and_decomposed_seeded():
     # bounded, half-bounded and unbounded intervals, endpoints on and off the
-    # subgroup lattice, bases at the bottom, the top or inside; unbounded sides
-    # only with at most one inverted prime, as a two-prime window that far out
-    # takes seconds to scan
+    # subgroup lattice, bases at the bottom, the top or inside
     rng = random.Random(8)
     pools = [(), (2,), (3,), (2, 3), (5,), (2, 5)]
     kinds = {"pure": 0, "impure": 0}
@@ -730,9 +885,8 @@ def test_described_sets_are_decided_and_decomposed_seeded():
         below, above = rng.choice([(0, rng.randint(1, 4)), (rng.randint(1, 4), 0), (1, 2)])
         lower = base - below * h - rng.choice([0, F(1, 3), F(2, 5)]) * h
         upper = base + above * h + rng.choice([0, F(1, 3), F(2, 5)]) * h
-        if len(primes) <= 1:
-            lower = None if rng.random() < 0.3 else lower
-            upper = None if rng.random() < 0.3 else upper
+        lower = None if rng.random() < 0.3 else lower
+        upper = None if rng.random() < 0.3 else upper
         description = RationalMidconvexDescription(QIntervalSpec(lower, upper), sub, base)
         witness = described_midconvex_witness(description, ambient)
         if witness is not None:
@@ -763,10 +917,10 @@ def test_probe_finds_the_coarsest_neighbour_at_any_denominator():
     ambient = desc(1, [3])
     impure = RationalMidconvexDescription(QIntervalSpec(F(0), F(1, 59049)), desc(2, [3]), F(0))
     assert described_midconvex_witness(impure, ambient) == (0, F(2, 177147), F(1, 177147))
-    # the neighbour 1/59049 puts the window's finest level past the lattice cap
+    # the neighbour 1/59049 is the second base point; each level is read in
+    # closed form, however many lattice points the window holds
     pure = RationalMidconvexDescription(QIntervalSpec(F(0), F(1, 59049)), desc(1, [3]), F(0))
-    with pytest.raises(CapExceeded):
-        decompose_rational_set(ambient, pure)
+    assert decompose_rational_set(ambient, pure).description == pure
 
     # the witness pairs the base with its coarsest neighbour: the least den,
     # + before - on a tie, found here by trying every den up to 5**8, past
@@ -794,8 +948,8 @@ def test_probe_finds_the_coarsest_neighbour_at_any_denominator():
 
 
 def test_unbounded_sides_on_two_prime_pools_seeded():
-    # the unbounded and half-bounded sides that the seeded test above leaves
-    # out for two inverted primes
+    # unbounded and half-bounded sides on two inverted primes, where the
+    # unbounded side's window is widest
     rng = random.Random(10)
     pools = [(2, 3), (2, 5), (3, 5)]
     for i in range(12):

@@ -12,7 +12,7 @@ import pytest
 from midconvex import engine, harness
 from midconvex.engine import is_midconvex, rational_closure
 from midconvex.errors import NotMidconvexTrace
-from midconvex.groups import GroupElement, GroupSubset, is_subgroup, make_group
+from midconvex.groups import FiniteAbelianGroup, GroupElement, GroupSubset, is_subgroup, make_group
 from midconvex.harness import (
     VerificationReport,
     bounded_closure_oracle,
@@ -188,6 +188,27 @@ def test_odd_coset_bits_match_the_per_subset_characterization():
         columns = engine.subset_columns(group, masks)
         expected = sum(1 << k for k in masks if odd_coset_reference(group, masks[k]))
         assert harness._odd_coset_bits(group, columns, len(masks)) == expected, str(group)
+
+
+def test_odd_index_cosets_translate_each_subgroup_once_per_coset(monkeypatch):
+    calls = []
+    translate = FiniteAbelianGroup.translate_mask
+    monkeypatch.setattr(
+        FiniteAbelianGroup, "translate_mask", lambda self, *a: calls.append(a) or translate(self, *a)
+    )
+    for group in enumerate_abelian_groups(12):
+        cosets = harness._odd_index_cosets(group)
+        # reference: every odd-index subgroup by every element
+        subgroups = {m for m in range(1 << group.order) if is_subgroup(GroupSubset(group, m))}
+        every = {
+            translate(group, h, d)
+            for h in subgroups
+            if group.order // h.bit_count() % 2 == 1
+            for d in range(group.order)
+        }
+        assert cosets == every, str(group)
+    # 90 cosets up to order 12, each translated once (248 calls by every element)
+    assert len(calls) == 90
 
 
 def test_sampled_theorem2_matches_the_per_subset_sweep():
