@@ -257,11 +257,22 @@ def _member_count(set_kind, set_obj) -> int:
     return len(set_obj) if set_kind == "points" else 1
 
 
+def _z_witness(window_set):
+    """The pair scan's witness, scanned for only when decompose_z rejects the set."""
+    if window_set.is_empty:
+        return None
+    try:
+        intsets.decompose_z(window_set)
+    except NotMidconvexTrace:
+        return intsets.midconvex_z_witness(window_set)
+    return None
+
+
 def _run_check(group, set_kind, set_obj, report):
     if set_kind == "subset":
         witness = engine.midconvex_witness(group, set_obj)
     elif set_kind == "window":
-        witness = intsets.midconvex_z_witness(set_obj)
+        witness = _z_witness(set_obj)
     elif set_kind == "points":
         witness = engine.is_midconvex_q_finite(group, set_obj)
     else:

@@ -13,7 +13,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, gcd
+from math import ceil, floor, gcd, inf, prod
 from typing import Iterable, Mapping, Sequence
 
 from .errors import CapExceeded, NotMidconvex, NotMidconvexTrace, WindowTooSmall
@@ -378,18 +378,45 @@ def lattice_trace(
     return IntWindowSet(-k_max, k_max, tuple(flags))
 
 
-def _missing_midpoints(group: RationalGroupDescriptor, points: Iterable[Fraction]):
-    """Each (x, y, z) with x < y points and z = (x+y)/2 in the group but not a point.
+def _integer_points(points: Iterable[Rational]) -> tuple[list[int], int]:
+    """The distinct points as ascending integer numerators over one common denominator."""
+    fracs = sorted({Fraction(p) for p in points})
+    den = 1
+    for p in fracs:
+        den = den * p.denominator // gcd(den, p.denominator)
+    return [p.numerator * (den // p.denominator) for p in fracs], den
 
-    Pairs are scanned in increasing order; x = y never gives one, as z = x.
+
+def _halving_modulus(group: RationalGroupDescriptor, den: int) -> int:
+    """The w with s/(2*den) in the group exactly when w divides s.
+
+    s/(2*den) over gen = a/b is s*b/(2*den*a), in Z[1/P] exactly when v, the
+    part of 2*den*a coprime to P, divides s*b, that is when v/gcd(v, b)
+    divides s.
     """
-    members = frozenset(points)
-    pts = sorted(members)
-    for i, x in enumerate(pts):
-        for y in pts[i + 1 :]:
-            z = (x + y) / 2
-            if z not in members and group.contains(z):
-                yield x, y, z
+    v = 2 * den * group.gen.numerator
+    for p in group.primes:
+        while v % p == 0:
+            v //= p
+    return v // gcd(v, group.gen.denominator)
+
+
+def _missing_midpoints(group: RationalGroupDescriptor, nums: Sequence[int], den: int):
+    """Each (a, b, s) with a < b points, numerators over den, whose midpoint s/(2*den) is missing.
+
+    nums ascend without repeats; s = a + b, and the midpoint is missing when
+    it lies in the group but is not a point. Pairs are scanned in increasing
+    order; a = b never gives one, as the midpoint is a. An odd s has its
+    midpoint off the den lattice, so not a point; an even one is the point
+    s/2 over den when that is listed.
+    """
+    members = set(nums)
+    w = _halving_modulus(group, den)
+    for i, a in enumerate(nums):
+        for b in nums[i + 1 :]:
+            s = a + b
+            if not s % w and (s & 1 or s >> 1 not in members):
+                yield a, b, s
 
 
 def is_midconvex_q_finite(
@@ -399,7 +426,10 @@ def is_midconvex_q_finite(
 
     Returns the first violating (x, y, z) of `_missing_midpoints`, or None.
     """
-    return next(_missing_midpoints(group, (Fraction(p) for p in points)), None)
+    nums, den = _integer_points(points)
+    for a, b, s in _missing_midpoints(group, nums, den):
+        return Fraction(a, den), Fraction(b, den), Fraction(s, 2 * den)
+    return None
 
 
 def rational_closure(
@@ -530,6 +560,52 @@ def _denominators(primes: Iterable[int], max_exponent: int) -> list[int]:
     return dens
 
 
+def _draw_numerators(
+    rng: random.Random,
+    subgroup: RationalGroupDescriptor,
+    interval: QIntervalSpec,
+    base: Fraction,
+    count: int,
+) -> tuple[list[int], int]:
+    """The lattice draw in integers: numerators t over L of points base + t * gen / L.
+
+    L = prod p**_DRAW_EXPONENTS over the subgroup's inverted primes, so every
+    `_random_denominator` den divides it. Each attempt draws den, then num
+    with |num| <= _DRAW_NUMERATORS clipped to the interval, and keeps
+    t = num * L/den. With the interval's ends measured from the base in units
+    of gen, as the fractions u/v below and above it, the clipping is the
+    integer floor division of u * den by v.
+    """
+    primes = sorted(subgroup.primes)
+    big_l = prod(p**_DRAW_EXPONENTS for p in primes)
+    below = None if interval.lower is None else (base - interval.lower) / subgroup.gen
+    above = None if interval.upper is None else (interval.upper - base) / subgroup.gen
+    if below is not None:
+        below_num, below_den = below.numerator, below.denominator
+    if above is not None:
+        above_num, above_den = above.numerator, above.denominator
+    nums: list[int] = []
+    attempts = 0
+    while len(nums) < count and attempts < 100 * count:
+        attempts += 1
+        den = _random_denominator(rng, primes)
+        lo, hi = -_DRAW_NUMERATORS, _DRAW_NUMERATORS
+        if below is not None:
+            lo = max(lo, -(below_num * den // below_den))
+        if above is not None:
+            hi = min(hi, above_num * den // above_den)
+        if lo > hi:
+            continue
+        num = rng.randint(lo, hi)
+        # clipped, the point lies in the closed interval; an open end drops the point on it
+        on_lower = below is not None and num * below_den == -below_num * den
+        on_upper = above is not None and num * above_den == above_num * den
+        if (on_lower and not interval.lower_closed) or (on_upper and not interval.upper_closed):
+            continue
+        nums.append(num * (big_l // den))
+    return nums, big_l
+
+
 def draw_lattice_points(
     rng: random.Random,
     subgroup: RationalGroupDescriptor,
@@ -540,36 +616,59 @@ def draw_lattice_points(
     """Sample points base + num * gen / den of (subgroup + base) inside the interval.
 
     den is a `_random_denominator` and |num| <= _DRAW_NUMERATORS is clipped to
-    the interval. With the interval's ends measured from the base in units of
-    gen, as the fractions u/v below and above it, the clipping is the integer
-    floor divisions of u * den by v; one Fraction is built per returned point.
+    the interval. The draw is `_draw_numerators`, which holds each point as
+    an integer t over one L; one Fraction is built per returned point.
     """
-    primes = sorted(subgroup.primes)
+    nums, big_l = _draw_numerators(rng, subgroup, interval, base, count)
     base_num, base_den = base.numerator, base.denominator
     gen_num, gen_den = subgroup.gen.numerator, subgroup.gen.denominator
-    below = None if interval.lower is None else (base - interval.lower) / subgroup.gen
-    above = None if interval.upper is None else (interval.upper - base) / subgroup.gen
-    points: list[Fraction] = []
-    attempts = 0
-    while len(points) < count and attempts < 100 * count:
-        attempts += 1
-        den = _random_denominator(rng, primes)
-        lo, hi = -_DRAW_NUMERATORS, _DRAW_NUMERATORS
-        if below is not None:
-            lo = max(lo, -(below.numerator * den // below.denominator))
-        if above is not None:
-            hi = min(hi, above.numerator * den // above.denominator)
-        if lo > hi:
-            continue
-        num = rng.randint(lo, hi)
-        # clipped, the point lies in the closed interval; an open end drops the point on it
-        on_lower = below is not None and num * below.denominator == -below.numerator * den
-        on_upper = above is not None and num * above.denominator == above.numerator * den
-        if (on_lower and not interval.lower_closed) or (on_upper and not interval.upper_closed):
-            continue
-        scale = den * gen_den
-        points.append(Fraction(base_num * scale + num * gen_num * base_den, base_den * scale))
-    return points
+    scale = big_l * gen_den
+    return [Fraction(base_num * scale + t * gen_num * base_den, base_den * scale) for t in nums]
+
+
+def _sampled_violation(
+    description: RationalMidconvexDescription,
+    group: RationalGroupDescriptor,
+    samples: int,
+    seed: int,
+) -> tuple[Fraction, Fraction, Fraction] | None:
+    """The sampler's scan, for any description: the first drawn pair whose midpoint is missing.
+
+    Pair i is points 2i and 2i + 1 of the `_draw_numerators` draw, cycled
+    when it returns fewer. With base = bn/m and the subgroup's generator
+    h = hn/m over one m, a point is base + h*t/L, so a midpoint is
+    c = (2L*bn + hn*s)/(2L*m), s the sum of the two numerators. Each test on
+    it is one in integers: c is in the group, and c - base = hn*s/(2L*m) in
+    the subgroup, when the `_halving_modulus` of each over L*m divides it;
+    c is in the interval when s lies between its ends, each scaled once to
+    (end - base)/h * 2L and rounded inward. A missing midpoint is one in the
+    group but not in the set; Fractions are built only for it.
+    """
+    sub, interval, base = description.subgroup, description.interval, description.base
+    nums, big_l = _draw_numerators(random.Random(seed), sub, interval, base, 2 * samples)
+    if len(nums) < 2:
+        return None
+    h = sub.gen
+    m = base.denominator * h.denominator // gcd(base.denominator, h.denominator)
+    offset = 2 * big_l * base.numerator * (m // base.denominator)
+    hn = h.numerator * (m // h.denominator)
+    in_group, in_sub = _halving_modulus(group, big_l * m), _halving_modulus(sub, big_l * m)
+    s_lo, s_hi = -inf, inf
+    if interval.lower is not None:
+        e = (interval.lower - base) / h * 2 * big_l
+        s_lo = ceil(e) if interval.lower_closed else floor(e) + 1
+    if interval.upper is not None:
+        e = (interval.upper - base) / h * 2 * big_l
+        s_hi = floor(e) if interval.upper_closed else ceil(e) - 1
+    n = len(nums)
+    for i in range(samples):
+        ta, tb = nums[2 * i % n], nums[(2 * i + 1) % n]
+        s = ta + tb
+        hs = hn * s
+        if not (offset + hs) % in_group and (hs % in_sub or not s_lo <= s <= s_hi):
+            a, b = (base + h * Fraction(t, big_l) for t in (ta, tb))
+            return a, b, (a + b) / 2
+    return None
 
 
 def theorem3_if_violation(
@@ -583,23 +682,12 @@ def theorem3_if_violation(
     The description must have a two-pure subgroup, which certifies that no
     violation exists; the sampler is the differential check of that argument.
     Draws pairs (a, b) of members and, whenever (a+b)/2 lands in the ambient
-    group, asserts that it is again a member. Deterministic for a fixed seed.
+    group, asserts that it is again a member; `_sampled_violation` does
+    this in integers. Deterministic for a fixed seed.
     """
     if not is_two_pure(description.subgroup, group):
         raise ValueError("description subgroup is not two-pure in the ambient group")
-    rng = random.Random(seed)
-    points = draw_lattice_points(
-        rng, description.subgroup, description.interval, description.base, 2 * samples
-    )
-    if len(points) < 2:
-        return None
-    for i in range(samples):
-        a = points[(2 * i) % len(points)]
-        b = points[(2 * i + 1) % len(points)]
-        c = (a + b) / 2
-        if group.contains(c) and not description.contains(c):
-            return (a, b, c)
-    return None
+    return _sampled_violation(description, group, samples, seed)
 
 
 def verify_theorem3_if(

@@ -386,22 +386,32 @@ def bounded_closure_oracle(
 
     Midpoints lie between their endpoints, so the result always stays inside
     the order interval of the starting set. In dense groups the fixpoint may
-    be unreachable; the flag then comes back False.
+    be unreachable; the flag then comes back False. The points are integer
+    numerators over one denominator D, as `engine._missing_midpoints` reads
+    them; a round that adds a midpoint off the D lattice doubles D once.
     """
-    points = frozenset(Fraction(p) for p in start)
+    points = [Fraction(p) for p in start]
     for p in points:
         if not group.contains(p):
             raise ValueError(f"starting point {p} is not in the ambient group")
+    nums, den = engine._integer_points(points)
     for rounds in range(max(max_iters, 0) + 1):
-        missing = (z for _, _, z in engine._missing_midpoints(group, points))
+        missing = engine._missing_midpoints(group, nums, den)
         if rounds >= max_iters:
             # the last round only reports, so that a set completed on the
             # last growing round is still reported complete
-            return points, next(missing, None) is None
-        added = set(missing)
-        if not added:
-            return points, True
-        points = points | added
+            complete = next(missing, None) is None
+            break
+        sums = {s for _, _, s in missing}
+        if not sums:
+            complete = True
+            break
+        if any(s & 1 for s in sums):
+            nums, den = [2 * n for n in nums] + list(sums), 2 * den
+        else:
+            nums = nums + [s >> 1 for s in sums]
+        nums.sort()
+    return frozenset(Fraction(n, den) for n in nums), complete
 
 
 def conjecture_hull_check(

@@ -172,10 +172,17 @@ def midconvex_z_witness(window_set: IntWindowSet) -> tuple[int, int, int] | None
     Witnesses are scanned in lexicographic order over (x, y), so reports are
     reproducible. Midpoints of window members never leave the window, hence
     a None answer is a true statement about the set restricted to the window.
+    A periodic set is read as the set it denotes: x runs over one period and
+    y over [x, x + 2*period), since the residue of (x + y)/2 modulo the
+    period depends only on y modulo twice the period.
     """
     members = window_set.members()
+    d = window_set.period
     for i, x in enumerate(members):
-        for y in members[i:]:
+        ys = members[i:]
+        if d is not None:
+            ys += tuple(y + d for y in members) + tuple(y + 2 * d for y in members[:i])
+        for y in ys:
             if (x + y) % 2 == 0:
                 z = (x + y) // 2
                 if not window_set.contains(z):

@@ -72,6 +72,31 @@ def test_check_passes_on_midconvex_inputs():
     assert run_text("Q(gen=1, primes=[]); {0,3}; check")[0] == 0
 
 
+def test_hull_check_on_a_dense_closure_is_fast():
+    # 8 oracle rounds grow {-3/2,0,5/2} to 2,028 dyadic points, every round over all pairs
+    started = time.perf_counter()
+    code, output = run_text("Q(gen=1, primes=[2]); {-3/2,0,5/2}; verify --theorem hull", fmt="json")
+    elapsed = time.perf_counter() - started
+    assert code == 0 and json.loads(output)["campaign"]["counts"]["oracle_points"] == 2028
+    assert elapsed < 2.0, elapsed
+
+
+def test_z_check_decides_by_decomposition_with_the_pair_scan_witness():
+    # every membership pattern of windows 1 to 12 wide, the empty one included, at two offsets
+    from midconvex.intsets import IntWindowSet, midconvex_z_witness
+
+    sets = 0
+    for lo in (-3, 0):
+        for width in range(1, 13):
+            for mask in range(1 << width):
+                window = IntWindowSet(lo, lo + width - 1, tuple(bool(mask >> i & 1) for i in range(width)))
+                assert cli._z_witness(window) == midconvex_z_witness(window), (lo, width, mask)
+                sets += 1
+    assert sets == 16380
+    code, output = run_text("Z; {0,2,4,6}@window[0,6]; check", fmt="json")
+    assert code == 1 and json.loads(output)["witness"] == {"x": "0", "y": "2", "z": "1"}
+
+
 def test_check_rational_counterexamples():
     code, output = run_text("Q(gen=1, primes=[]); {0,2}; check", fmt="json")
     assert code == 1

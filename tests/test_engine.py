@@ -11,6 +11,7 @@ from fractions import Fraction as F
 import pytest
 
 from midconvex.engine import (
+    _sampled_violation,
     accepted_traces,
     decompose_periodic,
     decompose_rational,
@@ -807,6 +808,44 @@ def test_draw_lattice_points_matches_the_fraction_draw():
         assert drawn == fraction_draw(slow, sub, interval, base, count), (seed, sub, interval, base)
         # the same random calls in the same order
         assert fast.random() == slow.random(), seed
+
+
+def fraction_sampled_violation(description, group, samples, seed):
+    """Reference: the sampler's scan with one Fraction midpoint and two contains per pair."""
+    rng = random.Random(seed)
+    points = draw_lattice_points(
+        rng, description.subgroup, description.interval, description.base, 2 * samples
+    )
+    if len(points) < 2:
+        return None
+    for i in range(samples):
+        a = points[(2 * i) % len(points)]
+        b = points[(2 * i + 1) % len(points)]
+        c = (a + b) / 2
+        if group.contains(c) and not description.contains(c):
+            return (a, b, c)
+    return None
+
+
+def test_integer_sampler_matches_the_fraction_scan():
+    # impure subgroups and bases off the ambient lattice included, so that
+    # every one of the three integer tests decides some pair
+    rng = random.Random(23)
+    pools = [(), (2,), (3,), (2, 3), (5,), (3, 5), (2, 3, 5)]
+    found = 0
+    for i in range(1500):
+        primes = pools[i % len(pools)]
+        ambient = desc(F(rng.choice([1, 2, 3, 5]), rng.choice([1, 2, 3, 4])), primes)
+        inverted = frozenset(p for p in primes if rng.random() < 0.6)
+        sub = desc(ambient.gen * F(rng.choice([1, 2, 3, 4, 6, 9]), rng.choice([1, 1, 2, 3])), inverted)
+        base = ambient.gen * F(rng.randint(-6, 6), rng.choice([1, 1, 1, 2, 3, 7]))
+        interval = seeded_interval(rng, base, sub.gen)
+        description = RationalMidconvexDescription(interval, sub, base)
+        samples, seed = rng.randint(1, 60), rng.randrange(1 << 31)
+        got = _sampled_violation(description, ambient, samples, seed)
+        assert got == fraction_sampled_violation(description, ambient, samples, seed), (i, str(description))
+        found += got is not None
+    assert found >= 300, found
 
 
 def test_described_midconvex_witness():

@@ -348,6 +348,49 @@ def test_rational_closure_matches_the_bounded_oracle():
     assert 0 < dense < 200
 
 
+def fraction_missing_midpoints(group, points):
+    """Reference: each (x, y, z) with x < y points and z = (x+y)/2 in the group but not a point."""
+    members = frozenset(points)
+    pts = sorted(members)
+    for i, x in enumerate(pts):
+        for y in pts[i + 1 :]:
+            z = (x + y) / 2
+            if z not in members and group.contains(z):
+                yield x, y, z
+
+
+def fraction_closure_oracle(group, start, max_iters):
+    """Reference: the bounded oracle's all-pairs rounds on Fraction points."""
+    points = frozenset(F(p) for p in start)
+    for rounds in range(max(max_iters, 0) + 1):
+        missing = (z for _, _, z in fraction_missing_midpoints(group, points))
+        if rounds >= max_iters:
+            return points, next(missing, None) is None
+        added = set(missing)
+        if not added:
+            return points, True
+        points = points | added
+
+
+def test_integer_oracle_matches_the_fraction_oracle():
+    rng = random.Random(31)
+    pools = [(), (2,), (3,), (2, 3), (5,), (3, 5), (2, 3, 5)]
+    violated = incomplete = 0
+    for i in range(350):
+        primes = pools[i % len(pools)]
+        group = desc(F(rng.choice([1, 2, 3, 5]), rng.choice([1, 2, 3, 4])), primes)
+        dens = [1, *primes]
+        start = [group.gen * F(rng.randint(-9, 9), rng.choice(dens)) for _ in range(rng.randint(1, 5))]
+        first = engine.is_midconvex_q_finite(group, start)
+        assert first == next(fraction_missing_midpoints(group, {F(p) for p in start}), None), (i, start)
+        violated += first is not None
+        rounds = rng.randint(0, 3 if 2 in primes else 6)
+        got = bounded_closure_oracle(group, start, rounds)
+        assert got == fraction_closure_oracle(group, start, rounds), (i, group, start, rounds)
+        incomplete += not got[1]
+    assert violated >= 100 and incomplete >= 50, (violated, incomplete)
+
+
 def test_hull_candidate_and_conjecture_examples():
     integers = desc(1)
     report = conjecture_hull_check(integers, [F(0), F(2)])

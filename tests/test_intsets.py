@@ -58,6 +58,34 @@ def test_midconvex_z_examples():
     assert is_midconvex_z(wset(0, 9, [7]))
 
 
+def test_periodic_witness_reads_across_the_period():
+    # 0 and 2 are members of 2Z and their midpoint 1 is not; one period holds only 0
+    evens = IntWindowSet.from_residues(2, [0])
+    assert midconvex_z_witness(evens) == (0, 2, 1)
+    assert not is_midconvex_z(evens)
+    assert is_midconvex_z(IntWindowSet.from_residues(3, [0]))
+
+
+def test_periodic_witness_agrees_with_decompose_z_on_every_pattern_to_period_12():
+    patterns = 0
+    for period in range(1, 13):
+        for mask in range(1, 1 << period):
+            window = IntWindowSet.from_residues(period, [r for r in range(period) if mask >> r & 1])
+            try:
+                decompose_z(window)
+                decomposes = True
+            except NotMidconvexTrace:
+                decomposes = False
+            witness = midconvex_z_witness(window)
+            assert decomposes == (witness is None) == is_midconvex_z(window), (period, mask)
+            if witness is not None:
+                x, y, z = witness
+                assert window.contains(x) and window.contains(y) and 2 * z == x + y
+                assert not window.contains(z)
+            patterns += 1
+    assert patterns == 8178
+
+
 def test_midconvex_z_witness_is_lexicographically_first():
     assert midconvex_z_witness(wset(0, 10, [0, 4, 8, 10])) == (0, 4, 2)
 
