@@ -136,18 +136,18 @@ def _interval_dict(lower, upper) -> dict:
 def _decomposition_dict(dec) -> dict:
     if isinstance(dec, engine.PeriodicDecomposition):
         group = dec.subgroup.group
-        members = dec.subgroup.members()
+        indices = list(dec.subgroup.indices())
         modulus = None
         if len(group.orders) == 1:
-            nonzero = [e.residues[0] for e in members if e.residues[0] != 0]
-            modulus = min(nonzero) if nonzero else group.orders[0]
+            # in a cyclic group an index is its residue, and the least one after 0 generates H
+            modulus = indices[1] if len(indices) > 1 else group.orders[0]
         return {
             "C": None,
             "H": {
                 "gen": None,
                 "primes": None,
                 "modulus": modulus,
-                "elements": [str(e) for e in members],
+                "elements": list(map(group.format_index, indices)),
                 "index": dec.index,
             },
             "x": str(dec.base),
@@ -257,27 +257,32 @@ def _member_count(set_kind, set_obj) -> int:
     return len(set_obj) if set_kind == "points" else 1
 
 
-def _z_witness(window_set):
-    """The pair scan's witness, scanned for only when decompose_z rejects the set."""
-    if window_set.is_empty:
-        return None
-    try:
-        intsets.decompose_z(window_set)
-    except NotMidconvexTrace:
-        return intsets.midconvex_z_witness(window_set)
+def _decided_witness(count, decompose, scan, *args):
+    """The pair scan's witness, scanned for only when the route's decomposition rejects the set.
+
+    Decomposing decides midconvexity in near-linear time, by Theorem 2 in a
+    finite group and by Theorem 1 on a window of Z, so the quadratic scan
+    runs only to name the violating triple. A set of no members is midconvex.
+    """
+    if count:
+        try:
+            decompose(*args)
+        except (NotMidconvex, NotMidconvexTrace):
+            return scan(*args)
     return None
 
 
 def _run_check(group, set_kind, set_obj, report):
+    count = _member_count(set_kind, set_obj)
     if set_kind == "subset":
-        witness = engine.midconvex_witness(group, set_obj)
+        witness = _decided_witness(count, engine.decompose_periodic, engine.midconvex_witness, group, set_obj)
     elif set_kind == "window":
-        witness = _z_witness(set_obj)
+        witness = _decided_witness(count, intsets.decompose_z, intsets.midconvex_z_witness, set_obj)
     elif set_kind == "points":
         witness = engine.is_midconvex_q_finite(group, set_obj)
     else:
         witness = engine.described_midconvex_witness(set_obj, group)
-    report["stats"]["count"] = _member_count(set_kind, set_obj)
+    report["stats"]["count"] = count
     report["witness"] = _witness_dict(witness)
     if witness is None:
         report["result"] = "midconvex"
@@ -288,7 +293,7 @@ def _run_check(group, set_kind, set_obj, report):
 
 def _run_closure(group, set_kind, set_obj, report):
     if set_kind == "subset":
-        members = engine.midconvex_closure(group, set_obj).members()
+        members = list(map(group.format_index, engine.midconvex_closure(group, set_obj).indices()))
     elif set_kind in ("window", "points"):
         points = set_obj.members() if set_kind == "window" else set_obj
         closure = engine.rational_closure(group, points)
@@ -300,7 +305,7 @@ def _run_closure(group, set_kind, set_obj, report):
         report["closure"] = str(closure)
         report["stats"]["count"] = 1
     else:
-        report["closure"] = "{%s}" % ",".join(str(e) for e in members)
+        report["closure"] = "{%s}" % ",".join(map(str, members))
         report["stats"]["count"] = len(members)
     report["result"] = "closure computed"
     return EXIT_OK

@@ -78,21 +78,29 @@ class PeriodicDecomposition:
 # -- finite groups -------------------------------------------------------
 
 
+def _packed(group: FiniteAbelianGroup, mask: int) -> bytes:
+    """The mask as packed bytes, the codec's layout: index i is bit i & 7 of byte i >> 3.
+
+    Reading membership there tests one byte; a shift of the |G|-bit mask per
+    test would make a scan quadratic in the group order.
+    """
+    return mask.to_bytes((group.order + 7) >> 3, "little")
+
+
 def midconvex_witness(group: FiniteAbelianGroup, subset: GroupSubset) -> MidconvexWitness | None:
     """First violating triple in enumeration order, or None when midconvex.
 
     Each unordered pair is scanned once, as (x, y) with y not before x: the
-    pair (y, x) has the same sum and came first.
+    pair (y, x) has the same sum and came first. The halves of x + y come in
+    ascending index order, so the first one missing is the least.
     """
-    missing = ~subset.mask
+    packed = _packed(group, subset.mask)
     idxs = list(subset.indices())
     for a, xi in enumerate(idxs):
         for yi in idxs[a:]:
-            s = group.add_index(xi, yi)
-            bad = group.halving_index_mask(s) & missing
-            if bad:
-                zi = (bad & -bad).bit_length() - 1
-                return MidconvexWitness(group.element_at(xi), group.element_at(yi), group.element_at(zi))
+            for zi in group.halving_indices(group.add_index(xi, yi)):
+                if not packed[zi >> 3] >> (zi & 7) & 1:
+                    return MidconvexWitness(group.element_at(xi), group.element_at(yi), group.element_at(zi))
     return None
 
 
@@ -175,10 +183,8 @@ def _trace(group: FiniteAbelianGroup, mask: int, xi: int, gi: int) -> IntWindowS
     """Trace at index xi along index gi of the set with this mask.
 
     The walk x, x + g, x + 2g, ... returns to x after ord(g) steps, the period.
-    The mask is read once as packed bytes, the codec's layout, so each step
-    tests one byte; a shift of the |G|-bit mask per step would be quadratic.
     """
-    packed = mask.to_bytes((group.order + 7) >> 3, "little")
+    packed = _packed(group, mask)
     if not packed[xi >> 3] >> (xi & 7) & 1:
         raise ValueError("trace base point must be a member")
     residues, n, i = [0], 1, group.add_index(xi, gi)

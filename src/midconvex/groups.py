@@ -18,48 +18,35 @@ from .errors import CapExceeded
 
 DEFAULT_ORDER_CAP = 1 << 20
 
-# Full index tables (addition, subtraction, halving masks) are only
-# materialized for groups up to this order; larger groups fall back to
-# per-call mixed-radix arithmetic.
-_TABLE_CAP = 512
-
 
 @dataclass(frozen=True)
 class FiniteAbelianGroup:
     """Direct sum of cyclic groups, given by the tuple of factor orders."""
 
     orders: tuple[int, ...]
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    # (stride, n) of each factor, slowest first: residue k of index i is i // stride % n
+    _radix: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    order: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "orders", tuple(int(n) for n in self.orders))
-        if any(n < 1 for n in self.orders):
-            raise ValueError(f"cyclic factor orders must be >= 1, got {self.orders!r}")
+        orders = tuple(int(n) for n in self.orders)
+        if any(n < 1 for n in orders):
+            raise ValueError(f"cyclic factor orders must be >= 1, got {orders!r}")
+        strides = [prod(orders[k + 1 :]) for k in range(len(orders))]
+        object.__setattr__(self, "orders", orders)
+        object.__setattr__(self, "_radix", tuple(zip(strides, orders)))
+        object.__setattr__(self, "order", prod(orders))
 
     def __str__(self) -> str:
         return "Z(%s)" % "x".join(str(n) for n in self.orders)
 
     # -- enumeration ----------------------------------------------------
 
-    @property
-    def order(self) -> int:
-        n = self._cache.get("order")
-        if n is None:
-            n = self._cache["order"] = prod(self.orders)
-        return n
-
     def _encode(self, residues: Sequence[int]) -> int:
-        idx = 0
-        for r, n in zip(residues, self.orders):
-            idx = idx * n + r
-        return idx
+        return sum(r * stride for r, (stride, _) in zip(residues, self._radix))
 
     def _decode(self, index: int) -> tuple[int, ...]:
-        res = []
-        for n in reversed(self.orders):
-            index, r = divmod(index, n)
-            res.append(r)
-        return tuple(reversed(res))
+        return tuple(index // stride % n for stride, n in self._radix)
 
     def element(self, residues: Iterable[int]) -> "GroupElement":
         return GroupElement(self, tuple(residues))
@@ -77,75 +64,57 @@ class FiniteAbelianGroup:
             raise ValueError("element belongs to a different group")
         return self._encode(element.residues)
 
+    def format_index(self, index: int) -> str:
+        """The element at this index as text: its residue in a cyclic group, else (r1,...,rk)."""
+        if len(self._radix) == 1:
+            return str(index)
+        return "(%s)" % ",".join([str(index // stride % n) for stride, n in self._radix])
+
     def __iter__(self) -> Iterator["GroupElement"]:
         for residues in itertools.product(*(range(n) for n in self.orders)):
             yield GroupElement(self, residues)
 
     # -- index arithmetic -----------------------------------------------
-
-    def _tables(self):
-        tabs = self._cache.get("tables")
-        if tabs is None:
-            if self.order > _TABLE_CAP:
-                raise CapExceeded(f"index tables not built for groups of order > {_TABLE_CAP}")
-            # Fold the factors in from the last (fastest) one. In Z(n) x H with
-            # |H| = h, index a*h + b plus a'*h + b' is ((a + a') % n)*h + (b + b'),
-            # so row a*h + b is row b of H offset by h times the residues of
-            # Z(n) rotated by a.
-            add, neg = [[0]], [0]
-            for n in reversed(self.orders):
-                h = len(neg)
-                first = [[c * h + j for c in range(n) for j in row] for row in add]
-                add = [row[a * h :] + row[: a * h] for a in range(n) for row in first]
-                neg = [(-a % n) * h + j for a in range(n) for j in neg]
-            halves: list[list[int]] = [[] for _ in range(self.order)]
-            for z in range(self.order):
-                halves[add[z][z]].append(z)
-            halve = [_mask_of(self.order, zs) for zs in halves]
-            tabs = self._cache["tables"] = (add, neg, halve)
-        return tabs
+    #
+    # Each residue is read off the index as i // stride % n, so the
+    # arithmetic works digit by digit without decoding the whole index.
 
     def add_index(self, i: int, j: int) -> int:
-        if self.order <= _TABLE_CAP:
-            return self._tables()[0][i][j]
-        # residue k of index i is i // stride % n_k: residues add without decoding
-        idx, stride = 0, 1
-        for n in reversed(self.orders):
+        idx = 0
+        for stride, n in self._radix:
             idx += (i // stride + j // stride) % n * stride
-            stride *= n
         return idx
 
     def neg_index(self, i: int) -> int:
-        if self.order <= _TABLE_CAP:
-            return self._tables()[1][i]
-        return self._encode([(-a) % m for a, m in zip(self._decode(i), self.orders)])
+        idx = 0
+        for stride, n in self._radix:
+            idx += -(i // stride) % n * stride
+        return idx
 
     def translate_mask(self, mask: int, d: int) -> int:
         """Bitmask of the indices i + d for every index i set in the mask.
 
         With d the index of -x this is the shift X - x.
         """
-        if self.order <= _TABLE_CAP:
-            shifted = map(self._tables()[0][d].__getitem__, set_bits(mask))
-        else:
-            shifted = map(self.add_index, set_bits(mask), itertools.repeat(d))
-        return _mask_of(self.order, shifted)
-
-    def halving_index_mask(self, s_index: int) -> int:
-        """Bitmask of all element indices z with 2z equal to the element at s_index."""
-        if self.order <= _TABLE_CAP:
-            return self._tables()[2][s_index]
-        return _mask_of(self.order, self.halving_indices(s_index))
+        return _mask_of(self.order, map(self.add_index, set_bits(mask), itertools.repeat(d)))
 
     def halving_indices(self, s_index: int) -> tuple[int, ...]:
-        s = self._decode(s_index)
-        per_component = []
-        for c, n in zip(s, self.orders):
-            sols = _halve_mod(c, n)
-            if not sols:
+        """Indices z with 2z the element at s_index, ascending; empty when none solves.
+
+        Factor by factor, 2z = c (mod n) has the one solution c(n + 1)/2 for
+        odd n, and for even n none when c is odd, else c/2 and c/2 + n/2.
+        """
+        halves = [0]
+        for stride, n in self._radix:
+            c = s_index // stride % n
+            if n % 2:
+                digits: tuple[int, ...] = (c * (n + 1) // 2 % n,)
+            elif c % 2:
                 return ()
-            per_component.append(sols)
-        return tuple(self._encode(v) for v in itertools.product(*per_component))
+            else:
+                digits = (c // 2, c // 2 + n // 2)
+            halves = [h + z * stride for h in halves for z in digits]
+        return tuple(halves)
 
 
 # Masks are read and written a byte at a time, so both directions are linear
@@ -168,17 +137,6 @@ def _mask_of(order: int, indices: Iterable[int]) -> int:
     for i in indices:
         packed[i >> 3] |= 1 << (i & 7)
     return int.from_bytes(packed, "little")
-
-
-def _halve_mod(c: int, n: int) -> tuple[int, ...]:
-    """Solutions z of 2z = c (mod n), ascending."""
-    if n % 2 == 1:
-        inv2 = pow(2, -1, n) if n > 1 else 0
-        return ((c * inv2) % n,)
-    if c % 2 == 1:
-        return ()
-    z0 = (c // 2) % (n // 2)
-    return (z0, z0 + n // 2)
 
 
 @dataclass(frozen=True)
@@ -221,9 +179,7 @@ class GroupElement:
         return GroupElement(self.group, tuple(k * a for a in self.residues))
 
     def __str__(self) -> str:
-        if len(self.residues) == 1:
-            return str(self.residues[0])
-        return "(%s)" % ",".join(str(r) for r in self.residues)
+        return self.group.format_index(self.index)
 
     def order(self) -> int:
         """Least n >= 1 with n times this element equal to zero."""

@@ -154,7 +154,7 @@ def _sweep(
 
 
 def _subset_label(subset: GroupSubset) -> str:
-    return "{%s}" % ",".join(str(e) for e in subset.members())
+    return "{%s}" % ",".join(map(subset.group.format_index, subset.indices()))
 
 
 def _add_bit_mismatches(report, group, masks, operation: str, lhs: int, rhs: int) -> None:

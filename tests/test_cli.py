@@ -10,6 +10,7 @@ import pytest
 
 from midconvex import cli, dsl, engine, harness
 from midconvex.errors import NotMidconvex
+from midconvex.groups import GroupSubset
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -83,18 +84,61 @@ def test_hull_check_on_a_dense_closure_is_fast():
 
 def test_z_check_decides_by_decomposition_with_the_pair_scan_witness():
     # every membership pattern of windows 1 to 12 wide, the empty one included, at two offsets
-    from midconvex.intsets import IntWindowSet, midconvex_z_witness
+    from midconvex.intsets import IntWindowSet, decompose_z, midconvex_z_witness
 
     sets = 0
     for lo in (-3, 0):
         for width in range(1, 13):
             for mask in range(1 << width):
                 window = IntWindowSet(lo, lo + width - 1, tuple(bool(mask >> i & 1) for i in range(width)))
-                assert cli._z_witness(window) == midconvex_z_witness(window), (lo, width, mask)
+                decided = cli._decided_witness(mask.bit_count(), decompose_z, midconvex_z_witness, window)
+                assert decided == midconvex_z_witness(window), (lo, width, mask)
                 sets += 1
     assert sets == 16380
     code, output = run_text("Z; {0,2,4,6}@window[0,6]; check", fmt="json")
     assert code == 1 and json.loads(output)["witness"] == {"x": "0", "y": "2", "z": "1"}
+
+
+def test_finite_check_decides_by_theorem_2_with_the_pair_scan_witness():
+    # every subset of every group up to order 10, the empty one included
+    sets = 0
+    for group in harness.enumerate_abelian_groups(10):
+        for mask in range(1 << group.order):
+            subset = GroupSubset(group, mask)
+            decided = cli._decided_witness(
+                subset.size, engine.decompose_periodic, engine.midconvex_witness, group, subset
+            )
+            assert decided == engine.midconvex_witness(group, subset), (str(group), mask)
+            sets += 1
+    assert sets == 3086
+    code, output = run_text("Z(2x4); {(0,0),(0,2)}; check", fmt="json")
+    assert code == 1 and json.loads(output)["witness"] == {"x": "(0,0)", "y": "(0,0)", "z": "(1,0)"}
+
+
+# the 729 multiples of 729 in Z(3**12), listed
+COSET = ",".join(str(k) for k in range(0, 3**12, 729))
+
+
+@pytest.mark.parametrize(
+    "text, witness",
+    [
+        (f"Z(531441); {{{COSET}}}; check", None),
+        (
+            "Z(531441); {%s}; check" % ",".join(n for n in COSET.split(",") if n != "218700"),
+            {"x": "0", "y": "437400", "z": "218700"},
+        ),
+        ("Z(1048576); {3,5}; check", {"x": "3", "y": "3", "z": "524291"}),
+    ],
+    ids=["coset", "coset-minus-one", "pair-in-2-group"],
+)
+def test_finite_check_at_large_orders_is_fast(text, witness):
+    # the per-pair halving masks of the scan took 36 s on the listed coset
+    program = dsl.parse(text)
+    started = time.perf_counter()
+    code, output = cli.run(program, fmt="json")
+    assert time.perf_counter() - started < 1
+    assert code == (0 if witness is None else 1)
+    assert json.loads(output)["witness"] == witness
 
 
 def test_check_rational_counterexamples():

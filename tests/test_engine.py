@@ -36,7 +36,7 @@ from midconvex.engine import (
     verify_theorem3_if,
 )
 from midconvex.errors import CapExceeded, NotMidconvex, NotMidconvexTrace, WindowTooSmall
-from midconvex.groups import _TABLE_CAP, GroupElement, GroupSubset, is_subgroup, make_group
+from midconvex.groups import GroupElement, GroupSubset, is_subgroup, make_group
 from midconvex.harness import enumerate_abelian_groups
 from midconvex.intsets import IntWindowSet, decompose_trace
 from midconvex.rationals import (
@@ -159,10 +159,15 @@ def test_midconvex_closure_laws_small():
             assert is_midconvex(group, x) == (cx == x)
 
 
+def halving_mask(group, s):
+    """Mask of the indices z with 2z the element at index s."""
+    return GroupSubset.from_indices(group, group.halving_indices(s)).mask
+
+
 def worklist_closure(group, subset):
     """Reference: a worklist fixpoint that adds every missing halving point of every pair."""
-    # above the table cap each halving mask is built per call; there are |G| sums
-    halving_mask = functools.cache(group.halving_index_mask)
+    # there are |G| sums, so each halving mask is built once
+    halving = functools.cache(functools.partial(halving_mask, group))
     mask = subset.mask
     members = list(subset.indices())
     work = list(members)
@@ -170,7 +175,7 @@ def worklist_closure(group, subset):
         a = work.pop()
         for b in list(members):
             s = group.add_index(a, b)
-            new = halving_mask(s) & ~mask
+            new = halving(s) & ~mask
             while new:
                 low = new & -new
                 zi = low.bit_length() - 1
@@ -207,9 +212,8 @@ def multiple(group, k, g):
 # divisor k of the order in turn, so the closures range from x + G_2 to the
 # whole group; in Z(1024) every nonempty closure is the whole group
 @pytest.mark.parametrize("orders", [[600], [2, 300], [1024]], ids=str)
-def test_closed_form_closure_matches_the_worklist_above_the_table_cap(orders):
+def test_closed_form_closure_matches_the_worklist_at_orders_above_512(orders):
     group = make_group(orders)
-    assert group.order > _TABLE_CAP
     rng = random.Random(group.order)
     for k in range(1, group.order, 2):
         if group.order % k:
@@ -227,7 +231,7 @@ def ordered_pair_witness(group, subset):
     idxs = list(subset.indices())
     for xi in idxs:
         for yi in idxs:
-            bad = group.halving_index_mask(group.add_index(xi, yi)) & missing
+            bad = halving_mask(group, group.add_index(xi, yi)) & missing
             if bad:
                 zi = (bad & -bad).bit_length() - 1
                 return (group.element_at(xi), group.element_at(yi), group.element_at(zi))
@@ -240,6 +244,15 @@ def test_unordered_pair_scan_finds_the_ordered_scan_witness_up_to_order_10():
             witness = midconvex_witness(group, GroupSubset(group, mask))
             found = None if witness is None else (witness.x, witness.y, witness.z)
             assert found == ordered_pair_witness(group, GroupSubset(group, mask)), (group, mask)
+
+
+def test_pair_scan_of_a_large_listed_coset_is_fast():
+    # the multiples of 729 in Z(3**12): a |G|-bit halving mask per pair took 36 s
+    group = make_group([3**12])
+    coset = GroupSubset.from_indices(group, range(0, group.order, 729))
+    started = time.perf_counter()
+    assert midconvex_witness(group, coset) is None
+    assert time.perf_counter() - started < 5
 
 
 # -- traces and the first decomposition route --------------------------------
@@ -285,7 +298,7 @@ def test_trace_matches_the_per_bit_reading_on_every_subset_up_to_order_8():
                     assert trace_in_group(group, s, x, g) == expected, (str(group), mask, x, g)
 
 
-def test_trace_of_a_full_set_is_linear_above_the_table_cap():
+def test_trace_of_a_full_set_is_linear_at_order_2_to_the_18():
     # one shift of the 2**18-bit mask per step took 1.7 s (2-vCPU Xeon)
     group = make_group([2**18])
     full = GroupSubset.full(group)
