@@ -128,67 +128,57 @@ _TOKEN_RE = re.compile(
     | (?P<int>-?\d+)
     | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<sym>[(){}\[\],;=@+/∩&])
+    | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    col: int
+def _syntax_error(text: str, offset: int, message: str) -> DslSyntaxError:
+    """The error at this offset of the text, with its line and column counted from 1."""
+    line = text.count("\n", 0, offset) + 1
+    return DslSyntaxError(message, line, offset - text.rfind("\n", 0, offset))
 
 
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) of each token, ending in an empty "eof" token.
+
+    Every character is matched by some alternative, so the scan is one pass.
+    """
     tokens = []
-    pos, line, col = 0, 1, 1
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise DslSyntaxError(f"unexpected character {text[pos]!r}", line, col)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        chunk = m.group()
+        if kind == "bad":
+            raise _syntax_error(text, m.start(), f"unexpected character {m.group()!r}")
         if kind != "ws":
-            tokens.append(_Token(kind, chunk, line, col))
-        newlines = chunk.count("\n")
-        if newlines:
-            line += newlines
-            col = len(chunk) - chunk.rfind("\n")
-        else:
-            col += len(chunk)
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
+            tokens.append((kind, m.group(), m.start()))
+    tokens.append(("eof", "", len(text)))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
 
-    @property
-    def current(self) -> _Token:
-        return self.tokens[self.pos]
-
     def error(self, message: str) -> DslSyntaxError:
-        tok = self.current
-        shown = tok.text or "end of input"
-        return DslSyntaxError(f"{message} (found {shown!r})", tok.line, tok.col)
+        _, shown, offset = self.tokens[self.pos]
+        return _syntax_error(self.text, offset, f"{message} (found {shown or 'end of input'!r})")
 
-    def accept(self, kind: str, text: str | None = None) -> _Token | None:
-        tok = self.current
-        if tok.kind == kind and (text is None or tok.text == text):
+    def accept(self, kind: str, text: str | None = None) -> str | None:
+        """The text of the current token, consumed, if it is of this kind (and text)."""
+        tok_kind, tok_text, _ = self.tokens[self.pos]
+        if tok_kind == kind and (text is None or tok_text == text):
             self.pos += 1
-            return tok
+            return tok_text
         return None
 
-    def expect(self, kind: str, text: str | None = None, what: str | None = None) -> _Token:
-        tok = self.accept(kind, text)
-        if tok is None:
+    def expect(self, kind: str, text: str | None = None, what: str | None = None) -> str:
+        tok_text = self.accept(kind, text)
+        if tok_text is None:
             raise self.error(f"expected {what or text or kind}")
-        return tok
+        return tok_text
 
     # -- grammar rules --------------------------------------------------
 
@@ -294,19 +284,13 @@ class _Parser:
             return DecomposeCmd(x)
         if self.accept("ident", "verify"):
             self.expect("flag", "--theorem", "'--theorem'")
-            tok = self.current
-            if tok.kind == "int" and tok.text in ("1", "2", "3"):
-                theorem = tok.text
-                self.pos += 1
-            elif tok.kind == "ident" and tok.text in ("lemma1", "purity", "hull"):
-                theorem = tok.text
-                self.pos += 1
-            else:
+            # each name is the text of one kind of token only: 1, 2, 3 of int, the rest of ident
+            theorem = self.tokens[self.pos][1]
+            if theorem not in ("1", "2", "3", "lemma1", "purity", "hull"):
                 raise self.error("expected a theorem name: 1, 2, 3, lemma1, purity or hull")
+            self.pos += 1
             max_order = samples = seed = None
-            while self.current.kind == "flag":
-                flag = self.current.text
-                self.pos += 1
+            while (flag := self.accept("flag")) is not None:
                 if flag == "--max-order":
                     max_order = self.parse_int("max order")
                 elif flag == "--samples":
@@ -321,24 +305,28 @@ class _Parser:
     # -- leaves -----------------------------------------------------------
 
     def parse_int(self, what: str) -> int:
-        tok = self.expect("int", what=what)
-        return int(tok.text)
+        return int(self.expect("int", what=what))
+
+    def parse_number(self, what: str) -> int | Fraction:
+        """An integer, or num/den when a denominator follows: an int if whole, else a Fraction."""
+        num = self.parse_int(what)
+        if not self.accept("sym", "/"):
+            return num
+        den = self.parse_int("denominator")
+        if den == 0:
+            raise self.error("zero denominator")
+        value = Fraction(num, den)
+        return value.numerator if value.denominator == 1 else value
 
     def parse_rational(self, what: str) -> Fraction:
-        num = self.parse_int(what)
-        if self.accept("sym", "/"):
-            den = self.parse_int("denominator")
-            if den == 0:
-                raise self.error("zero denominator")
-            return Fraction(num, den)
-        return Fraction(num)
+        return Fraction(self.parse_number(what))
 
     def parse_bound(self, *, lower: bool) -> Fraction | None:
-        tok = self.accept("inf")
-        if tok is not None:
-            if lower and tok.text != "-inf":
+        bound = self.accept("inf")
+        if bound is not None:
+            if lower and bound != "-inf":
                 raise self.error("a lower bound must be finite or -inf")
-            if not lower and tok.text != "inf":
+            if not lower and bound != "inf":
                 raise self.error("an upper bound must be finite or inf")
             return None
         return self.parse_rational("interval bound")
@@ -350,10 +338,7 @@ class _Parser:
                 parts.append(self.parse_int("residue"))
             self.expect("sym", ")", "')' closing the tuple")
             return tuple(parts)
-        value = self.parse_rational("element")
-        if value.denominator == 1:
-            return int(value)
-        return value
+        return self.parse_number("element")
 
 
 def parse(text: str) -> Program:

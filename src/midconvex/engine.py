@@ -299,23 +299,28 @@ def doubling_claim_check(
     return True
 
 
-def lemma1_holds_in_group(
-    group: FiniteAbelianGroup, subset: GroupSubset, x: GroupElement, y: GroupElement
-) -> bool:
-    """Order-convexity of the trace along y - x, lifted over two periods.
+def lemma1_holds_at(group: FiniteAbelianGroup, mask: int, xi: int, gi: int) -> bool:
+    """Order-convexity of the trace at index xi along index gi, lifted over two periods.
 
     The trace of a finite-group set is periodic; the periodic set it denotes
     is order-convex in the integers only when it is everything, and a window
     of two periods is wide enough to exhibit any gap.
     """
-    xi, yi = group.index_of(x), group.index_of(y)
-    if xi == yi:
-        raise ValueError("lemma check needs two distinct members")
-    trace = _trace(group, subset.mask, xi, group.add_index(yi, group.neg_index(xi)))
+    trace = _trace(group, mask, xi, gi)
     d = trace.period
     assert d is not None
     lifted = IntWindowSet.from_predicate(0, 2 * d - 1, trace.contains)
     return is_order_convex(lifted)
+
+
+def lemma1_holds_in_group(
+    group: FiniteAbelianGroup, subset: GroupSubset, x: GroupElement, y: GroupElement
+) -> bool:
+    """`lemma1_holds_at` at the member x along y - x."""
+    xi, yi = group.index_of(x), group.index_of(y)
+    if xi == yi:
+        raise ValueError("lemma check needs two distinct members")
+    return lemma1_holds_at(group, subset.mask, xi, group.add_index(yi, group.neg_index(xi)))
 
 
 # -- subgroups of the rationals ------------------------------------------
@@ -550,14 +555,6 @@ def decompose_rational(
     return RationalMidconvexDescription(interval, recovered, base=x)
 
 
-def _random_denominator(rng: random.Random, primes: list[int]) -> int:
-    """Product of p**e over the primes, each e drawn in turn from 0.._DRAW_EXPONENTS."""
-    den = 1
-    for p in primes:
-        den *= p ** rng.randint(0, _DRAW_EXPONENTS)
-    return den
-
-
 def _denominators(primes: Iterable[int], max_exponent: int) -> list[int]:
     """Products of the primes with exponents up to max_exponent, the largest prime's fastest."""
     dens = [1]
@@ -575,12 +572,12 @@ def _draw_numerators(
 ) -> tuple[list[int], int]:
     """The lattice draw in integers: numerators t over L of points base + t * gen / L.
 
-    L = prod p**_DRAW_EXPONENTS over the subgroup's inverted primes, so every
-    `_random_denominator` den divides it. Each attempt draws den, then num
-    with |num| <= _DRAW_NUMERATORS clipped to the interval, and keeps
-    t = num * L/den. With the interval's ends measured from the base in units
-    of gen, as the fractions u/v below and above it, the clipping is the
-    integer floor division of u * den by v.
+    L = prod p**_DRAW_EXPONENTS over the subgroup's inverted primes. Each
+    attempt draws den = prod p**e, each e in turn from 0.._DRAW_EXPONENTS, so
+    that den divides L; then num with |num| <= _DRAW_NUMERATORS clipped to
+    the interval, and keeps t = num * L/den. With the interval's ends
+    measured from the base in units of gen, as the fractions u/v below and
+    above it, the clipping is the integer floor division of u * den by v.
     """
     primes = sorted(subgroup.primes)
     big_l = prod(p**_DRAW_EXPONENTS for p in primes)
@@ -594,7 +591,9 @@ def _draw_numerators(
     attempts = 0
     while len(nums) < count and attempts < 100 * count:
         attempts += 1
-        den = _random_denominator(rng, primes)
+        den = 1
+        for p in primes:
+            den *= p ** rng.randint(0, _DRAW_EXPONENTS)
         lo, hi = -_DRAW_NUMERATORS, _DRAW_NUMERATORS
         if below is not None:
             lo = max(lo, -(below_num * den // below_den))
@@ -621,9 +620,10 @@ def draw_lattice_points(
 ) -> list[Fraction]:
     """Sample points base + num * gen / den of (subgroup + base) inside the interval.
 
-    den is a `_random_denominator` and |num| <= _DRAW_NUMERATORS is clipped to
-    the interval. The draw is `_draw_numerators`, which holds each point as
-    an integer t over one L; one Fraction is built per returned point.
+    den is a product of the inverted primes with exponents up to
+    _DRAW_EXPONENTS, and |num| <= _DRAW_NUMERATORS is clipped to the
+    interval. The draw is `_draw_numerators`, which holds each point as an
+    integer t over one L; one Fraction is built per returned point.
     """
     nums, big_l = _draw_numerators(rng, subgroup, interval, base, count)
     base_num, base_den = base.numerator, base.denominator

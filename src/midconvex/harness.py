@@ -19,7 +19,13 @@ from typing import Iterable, Sequence
 from . import engine
 from .errors import NotMidconvex
 from .groups import FiniteAbelianGroup, GroupSubset, make_group, set_bits, subgroup_generated
-from .rationals import Rational, RationalGroupDescriptor, RationalMidconvexDescription, is_two_pure
+from .rationals import (
+    QIntervalSpec,
+    Rational,
+    RationalGroupDescriptor,
+    RationalMidconvexDescription,
+    is_two_pure,
+)
 
 EXHAUSTIVE_ORDER_CAP = 12
 SAMPLED_SUBSET_COUNT = 10_000
@@ -255,17 +261,18 @@ def exhaustive_lemma1(
 
     def check(report, group, masks, columns, midconvex):
         for k in set_bits(midconvex):
-            subset = GroupSubset(group, masks[k])
-            members = subset.members()
-            for x in members:
-                for y in members:
-                    if x == y:
+            members = list(set_bits(masks[k]))
+            for xi in members:
+                for yi in members:
+                    if xi == yi:
                         continue
-                    if not engine.lemma1_holds_in_group(group, subset, x, y):
+                    gi = group.add_index(yi, group.neg_index(xi))
+                    if not engine.lemma1_holds_at(group, masks[k], xi, gi):
                         report.add_mismatch(
                             group,
-                            _subset_label(subset),
-                            f"trace at {x} along {y - x} not order-convex",
+                            _subset_label(GroupSubset(group, masks[k])),
+                            f"trace at {group.format_index(xi)} along {group.format_index(gi)}"
+                            " not order-convex",
                             True,
                             False,
                         )
@@ -281,21 +288,24 @@ def _purity_violation(
 ) -> Fraction | None:
     """Grid point g with 2g in the subgroup but g outside, if the sampler finds one.
 
-    The probe set is `samples` random grid points plus the halved subgroup
-    generator, which is the canonical impurity witness whenever one exists;
-    including it makes the sampled verdict decisive at these bounds. The grid
-    points are drawn with the bounds of `engine.draw_lattice_points`, but
-    without its interval clipping.
+    The probe set is the halved subgroup generator, which is the canonical
+    impurity witness whenever one exists (including it makes the sampled
+    verdict decisive at these bounds), then `samples` points of the engine's
+    lattice draw over the whole group. All are drawn before any is tested, so
+    the random generator advances the same way whatever the verdict. A drawn point
+    g = gen*t/L, gen = a/b, is 2ta/(2bL): with w the subgroup's halving
+    modulus over bL, g is outside the subgroup when w does not divide 2ta,
+    and 2g inside it when w divides 4ta.
     """
-    primes = sorted(group.primes)
-    candidates = [sub.gen / 2]
-    for _ in range(samples):
-        den = engine._random_denominator(rng, primes)
-        num = rng.randint(-engine._DRAW_NUMERATORS, engine._DRAW_NUMERATORS)
-        candidates.append(group.gen * Fraction(num, den))
-    for g in candidates:
-        if group.contains(g) and sub.contains(2 * g) and not sub.contains(g):
-            return g
+    nums, big_l = engine._draw_numerators(rng, group, QIntervalSpec(), Fraction(0), samples)
+    half = sub.gen / 2
+    if group.contains(half) and not sub.contains(half):
+        return half
+    a = group.gen.numerator
+    w = engine._halving_modulus(sub, group.gen.denominator * big_l)
+    for t in nums:
+        if 2 * t * a % w and not 4 * t * a % w:
+            return group.gen * Fraction(t, big_l)
     return None
 
 

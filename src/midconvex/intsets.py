@@ -32,7 +32,7 @@ class IntWindowSet:
             raise ValueError(f"empty window [{self.lo}, {self.hi}]")
         if len(self.membership) != self.hi - self.lo + 1:
             raise ValueError("membership table length does not match window")
-        object.__setattr__(self, "membership", tuple(bool(b) for b in self.membership))
+        object.__setattr__(self, "membership", tuple(map(bool, self.membership)))
         if self.period is not None:
             if self.period < 1:
                 raise ValueError("period must be positive")

@@ -175,6 +175,42 @@ def test_exhaustive_lemma1_small():
     assert report.passed
 
 
+def test_lemma1_sweep_builds_no_group_elements(monkeypatch):
+    built = []
+    original = GroupElement.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(GroupElement, "__post_init__", counting)
+    assert exhaustive_lemma1(8).passed
+    assert built == []
+
+
+def test_lemma1_mismatches_are_labelled_as_group_elements(monkeypatch):
+    # a faulty reading that rejects every trace along a direction of even order
+    def faulty(group, mask, xi, gi):
+        return group.element_at(gi).order() % 2 == 1
+
+    monkeypatch.setattr(engine, "lemma1_holds_at", faulty)
+    report = exhaustive_lemma1(6)
+    expected = []
+    for group in harness.enumerate_abelian_groups(6):
+        for mask in range(1 << group.order):
+            subset = GroupSubset(group, mask)
+            if not is_midconvex(group, subset):
+                continue
+            members = subset.members()
+            for x in members:
+                for y in members:
+                    if x != y and (y - x).order() % 2 == 0:
+                        label = "{%s}" % ",".join(str(m) for m in members)
+                        expected.append((str(group), label, f"trace at {x} along {y - x} not order-convex"))
+    got = [(m["group"], m["subset"], m["operation"]) for m in report.mismatches]
+    assert expected and sorted(got) == sorted(expected)
+
+
 def test_sampled_subsets_used_above_exhaustive_cap():
     report = exhaustive_theorem2(14, sample_count=300)
     assert report.passed
@@ -284,6 +320,73 @@ def test_sample_two_purity_passes_and_is_deterministic():
     assert first.passed
     assert json.dumps(first.to_dict()) == json.dumps(second.to_dict())
     assert first.counts == {"pairs": 40, "samples_per_pair": 200}
+
+
+def fraction_purity_violation(group, sub, rng, samples):
+    """The Fraction reading of the purity probe: every point built and tested as a Fraction."""
+    primes = sorted(group.primes)
+    candidates = [sub.gen / 2]
+    for _ in range(samples):
+        den = 1
+        for p in primes:
+            den *= p ** rng.randint(0, engine._DRAW_EXPONENTS)
+        num = rng.randint(-engine._DRAW_NUMERATORS, engine._DRAW_NUMERATORS)
+        candidates.append(group.gen * F(num, den))
+    for g in candidates:
+        if group.contains(g) and sub.contains(2 * g) and not sub.contains(g):
+            return g
+    return None
+
+
+def purity_pairs(rng, count, foreign):
+    """(ambient, sub) pairs drawn as sample_two_purity draws them.
+
+    A foreign sub has a generator that is no multiple of the ambient one, so
+    its halved generator may fall outside the ambient group and leave the
+    verdict to the drawn points.
+    """
+    for _ in range(count):
+        ambient_primes = frozenset(rng.sample([2, 3, 5, 7], rng.randint(0, 2)))
+        ambient = RationalGroupDescriptor(F(rng.randint(1, 12), rng.randint(1, 12)), ambient_primes)
+        sub_primes = frozenset(p for p in ambient_primes if rng.random() < 0.5)
+        den = 1
+        for p in ambient_primes:
+            den *= p ** rng.randint(0, 2)
+        gen = ambient.gen * F(rng.randint(1, 20), den)
+        if foreign:
+            gen = F(rng.randint(1, 30), rng.randint(1, 30))
+        yield ambient, RationalGroupDescriptor(gen, sub_primes)
+
+
+def test_integer_purity_probe_matches_the_fraction_probe():
+    rng = random.Random(2024)
+    drawn_verdicts = 0
+    for foreign in (False, True):
+        for k, (ambient, sub) in enumerate(purity_pairs(rng, 1200, foreign)):
+            samples = 10 + k % 4 * 20
+            state = rng.getstate()
+            got = harness._purity_violation(ambient, sub, rng, samples)
+            after = rng.getstate()
+            rng.setstate(state)
+            want = fraction_purity_violation(ambient, sub, rng, samples)
+            assert got == want and type(got) is type(want), (ambient, sub)
+            assert rng.getstate() == after
+            drawn_verdicts += got is not None and got != sub.gen / 2
+    # the drawn points, not only the halved generator, decide some foreign pairs
+    assert drawn_verdicts > 100
+
+
+def test_sample_two_purity_reports_are_unchanged_per_seed():
+    for seed in range(10):
+        assert sample_two_purity(100, seed=seed).to_dict() == {
+            "name": "purity",
+            "counts": {"pairs": 100, "samples_per_pair": 200},
+            "mismatches": [],
+            "elapsed_ms": 0,
+            "seed": seed,
+            "details": {},
+            "passed": True,
+        }
 
 
 def test_verification_report_shape():
