@@ -41,6 +41,9 @@ EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+# The largest campaign size a statement may set with each flag: the slowest
+# campaign it sizes, theorem 1 or purity, takes about 10 s there (2-vCPU Xeon).
+SIZE_CAPS = {"--max-order": 68, "--samples": 30_000}
 
 
 # -- binding parsed expressions to runtime objects --------------------------
@@ -253,7 +256,7 @@ def _member_count(set_kind, set_obj) -> int:
     if set_kind == "subset":
         return set_obj.size
     if set_kind == "window":
-        return sum(set_obj.membership)
+        return set_obj.mask.bit_count()
     return len(set_obj) if set_kind == "points" else 1
 
 
@@ -323,7 +326,7 @@ def _run_trace(group, set_kind, set_obj, command, report):
     else:
         trace = engine.lattice_trace(set_obj, x, Fraction(command.g))
     report["trace"] = str(trace)
-    report["stats"]["count"] = len(trace.membership)
+    report["stats"]["count"] = trace.hi - trace.lo + 1
     report["result"] = "trace computed"
     return EXIT_OK
 
@@ -361,9 +364,12 @@ def _run_verify(group, set_kind, set_obj, command, report, timings):
     seed = 0 if command.seed is None else command.seed
     report["stats"]["seed"] = seed
     sweep = command.theorem in ("1", "2", "lemma1")
-    flag, value = ("--samples", command.samples) if sweep else ("--max-order", command.max_order)
-    if value is not None:
-        raise DslTypeError(f"verify --theorem {command.theorem} takes no {flag}")
+    sizes = {"--max-order": command.max_order, "--samples": command.samples}
+    flag, other = ("--max-order", "--samples") if sweep else ("--samples", "--max-order")
+    if sizes[other] is not None:
+        raise DslTypeError(f"verify --theorem {command.theorem} takes no {other}")
+    if (sizes[flag] or 0) > SIZE_CAPS[flag]:
+        raise CapExceeded(f"{flag} {sizes[flag]} is above the campaign size cap, cap is {SIZE_CAPS[flag]}")
     if sweep:
         run_sweep = {
             "1": harness.exhaustive_theorem1,

@@ -11,13 +11,17 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
+from itertools import compress, count
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd, inf, prod
 from typing import Iterable, Mapping, Sequence
 
 from .errors import CapExceeded, NotMidconvex, NotMidconvexTrace, WindowTooSmall
-from .groups import FiniteAbelianGroup, GroupElement, GroupSubset, is_subgroup, set_bits, subgroup_generated
+from .groups import (
+    FiniteAbelianGroup, GroupElement, GroupSubset, bit_reader, is_subgroup, least_index, mask_of, periodic_mask,
+    subgroup_generated, sylow2_subgroup,
+)
 from .intsets import IntWindowSet, decompose_trace, is_order_convex
 from .rationals import (
     QIntervalSpec,
@@ -78,15 +82,6 @@ class PeriodicDecomposition:
 # -- finite groups -------------------------------------------------------
 
 
-def _packed(group: FiniteAbelianGroup, mask: int) -> bytes:
-    """The mask as packed bytes, the codec's layout: index i is bit i & 7 of byte i >> 3.
-
-    Reading membership there tests one byte; a shift of the |G|-bit mask per
-    test would make a scan quadratic in the group order.
-    """
-    return mask.to_bytes((group.order + 7) >> 3, "little")
-
-
 def midconvex_witness(group: FiniteAbelianGroup, subset: GroupSubset) -> MidconvexWitness | None:
     """First violating triple in enumeration order, or None when midconvex.
 
@@ -94,12 +89,12 @@ def midconvex_witness(group: FiniteAbelianGroup, subset: GroupSubset) -> Midconv
     pair (y, x) has the same sum and came first. The halves of x + y come in
     ascending index order, so the first one missing is the least.
     """
-    packed = _packed(group, subset.mask)
+    member = bit_reader(subset.mask, group.order)
     idxs = list(subset.indices())
     for a, xi in enumerate(idxs):
         for yi in idxs[a:]:
             for zi in group.halving_indices(group.add_index(xi, yi)):
-                if not packed[zi >> 3] >> (zi & 7) & 1:
+                if not member(zi):
                     return MidconvexWitness(group.element_at(xi), group.element_at(yi), group.element_at(zi))
     return None
 
@@ -112,22 +107,14 @@ def subset_columns(group: FiniteAbelianGroup, masks: Sequence[int]) -> list[int]
     """Bit-sliced membership: bit k of column i is set iff masks[k] contains index i.
 
     For every subset, range(1 << n), column i is bit i of k: runs of w = 2**i
-    zeros and w ones, built by doubling one period of 2w bits up to 2**n bits.
-    A list of masks is transposed. The closed form holds no per-subset rows:
-    for every subset of Z(20) it takes 3 ms, the transposition about 2.8 s
-    and 370 MB (2-vCPU Xeon).
+    zeros and w ones, one period of 2w bits repeated up to 2**n bits. A list
+    of masks is transposed. The closed form holds no per-subset rows: for
+    every subset of Z(20) it takes 3 ms, the transposition about 2.8 s and
+    370 MB (2-vCPU Xeon).
     """
     n = group.order
     if masks == range(1 << n):
-        columns = []
-        for i in range(n):
-            w = 1 << i
-            column, width = ((1 << w) - 1) << w, 2 * w
-            while width < 1 << n:
-                column |= column << width
-                width *= 2
-            columns.append(column)
-        return columns
+        return [periodic_mask(((1 << w) - 1) << w, 2 * w, 1 << n) for w in (1 << i for i in range(n))]
     if not masks:
         return [0] * n
     # row strings put bit n - 1 first and the last mask on top, so the
@@ -168,31 +155,23 @@ def midconvex_closure(group: FiniteAbelianGroup, subset: GroupSubset) -> GroupSu
     """
     if not subset.mask:
         return subset
-    xi = (subset.mask & -subset.mask).bit_length() - 1
+    xi = least_index(subset.mask)
     shifted = group.translate_mask(subset.mask, group.neg_index(xi))
-    # m times the unit of a factor of order 2^a * m, m odd, generates its 2-part (0 if a = 0)
-    two_part, stride = [], 1
-    for n in reversed(group.orders):
-        two_part.append(n // (n & -n) % n * stride)
-        stride *= n
-    h = subgroup_generated(GroupSubset(group, shifted) | GroupSubset.from_indices(group, two_part))
+    h = subgroup_generated(GroupSubset(group, shifted) | sylow2_subgroup(group))
     return GroupSubset(group, group.translate_mask(h.mask, xi))
 
 
 def _trace(group: FiniteAbelianGroup, mask: int, xi: int, gi: int) -> IntWindowSet:
     """Trace at index xi along index gi of the set with this mask.
 
-    The walk x, x + g, x + 2g, ... returns to x after ord(g) steps, the period.
+    The walk x, x + g, x + 2g, ... returns to x after ord(g) steps, the period;
+    bit t of the trace's mask is the set's bit at x + t*g.
     """
-    packed = _packed(group, mask)
-    if not packed[xi >> 3] >> (xi & 7) & 1:
+    if not mask >> xi & 1:
         raise ValueError("trace base point must be a member")
-    residues, n, i = [0], 1, group.add_index(xi, gi)
-    while i != xi:
-        if packed[i >> 3] >> (i & 7) & 1:
-            residues.append(n)
-        n, i = n + 1, group.add_index(i, gi)
-    return IntWindowSet.from_residues(n, residues)
+    period, member = group.index_order(gi), bit_reader(mask, group.order)
+    steps = compress(count(), map(member, group.walk(xi, gi)))
+    return IntWindowSet(0, period - 1, mask_of(period, steps), period)
 
 
 def trace_in_group(
@@ -229,7 +208,7 @@ def accepted_traces(period: int, exhaustive: bool) -> tuple[int, ...]:
     accepted = []
     for pattern in patterns:
         try:
-            decompose_trace(IntWindowSet.from_residues(period, set_bits(pattern)))
+            decompose_trace(IntWindowSet(0, period - 1, pattern, period))
         except NotMidconvexTrace:
             continue
         accepted.append(pattern)
@@ -250,13 +229,11 @@ def theorem1_bits(
     missing = [~column for column in columns]
     bad = 0
     for gi in range(n):
+        patterns = accepted[group.index_order(gi)]
         for xi in range(n):
-            walk, i = [xi], group.add_index(xi, gi)
-            while i != xi:
-                walk.append(i)
-                i = group.add_index(i, gi)
+            walk = list(group.walk(xi, gi))
             ok = 0
-            for pattern in accepted[len(walk)]:
+            for pattern in patterns:
                 match = columns[xi]
                 for r in range(1, len(walk)):
                     match &= columns[walk[r]] if pattern >> r & 1 else missing[walk[r]]
@@ -276,7 +253,7 @@ def decompose_periodic(
     if not subset.mask:
         raise ValueError("cannot decompose the empty set")
     if x is None:
-        x = group.element_at((subset.mask & -subset.mask).bit_length() - 1)
+        x = group.element_at(least_index(subset.mask))
     if x not in subset:
         raise ValueError("decomposition base point must be a member")
     shifted = group.translate_mask(subset.mask, group.neg_index(group.index_of(x)))
@@ -288,15 +265,11 @@ def decompose_periodic(
     return PeriodicDecomposition(candidate, x)
 
 
-def doubling_claim_check(
-    group: FiniteAbelianGroup, subset: GroupSubset, x: GroupElement
-) -> bool:
+def doubling_claim_check(group: FiniteAbelianGroup, subset: GroupSubset, x: GroupElement) -> bool:
     """True iff X - x is closed under doubling; holds for midconvex X."""
-    shifted = group.translate_mask(subset.mask, group.neg_index(group.index_of(x)))
-    for a in GroupSubset(group, shifted).indices():
-        if not shifted >> group.add_index(a, a) & 1:
-            return False
-    return True
+    shifted = GroupSubset(group, group.translate_mask(subset.mask, group.neg_index(group.index_of(x))))
+    member = bit_reader(shifted.mask, group.order)
+    return all(member(group.add_index(a, a)) for a in shifted.indices())
 
 
 def lemma1_holds_at(group: FiniteAbelianGroup, mask: int, xi: int, gi: int) -> bool:
@@ -307,10 +280,8 @@ def lemma1_holds_at(group: FiniteAbelianGroup, mask: int, xi: int, gi: int) -> b
     of two periods is wide enough to exhibit any gap.
     """
     trace = _trace(group, mask, xi, gi)
-    d = trace.period
-    assert d is not None
-    lifted = IntWindowSet.from_predicate(0, 2 * d - 1, trace.contains)
-    return is_order_convex(lifted)
+    d = group.index_order(gi)
+    return is_order_convex(IntWindowSet(0, 2 * d - 1, trace.mask | trace.mask << d))
 
 
 def lemma1_holds_in_group(
@@ -370,23 +341,20 @@ def lattice_trace(
     """The trace {k : x + k*g in X} of a described or finite set on [-k_max, k_max].
 
     A described set's trace is one range of k in closed form, with no
-    per-point test. A finite set is read per point: k = (p - x)/g, kept when
-    it is an integer within the radius.
+    per-point test, and its mask one periodic mask. A finite set is read per
+    point: k = (p - x)/g, kept when it is an integer within the radius.
     """
     if g == 0:
         raise ValueError("trace direction must be nonzero")
     x, g = Fraction(x), Fraction(g)
-    flags = [False] * (2 * k_max + 1)
     if isinstance(members, RationalMidconvexDescription):
         ks = _described_range(members, x, g, k_max)
-        if ks:
-            flags[ks.start + k_max : ks.stop + k_max : ks.step] = [True] * len(ks)
+        mask = periodic_mask(1, ks.step, len(ks) * ks.step) << ks.start + k_max if ks else 0
     else:
-        for p in members:
-            k = (p - x) / g
-            if k.denominator == 1 and -k_max <= k <= k_max:
-                flags[k.numerator + k_max] = True
-    return IntWindowSet(-k_max, k_max, tuple(flags))
+        ks = ((p - x) / g for p in members)
+        inside = (k.numerator + k_max for k in ks if k.denominator == 1 and -k_max <= k <= k_max)
+        mask = mask_of(2 * k_max + 1, inside)
+    return IntWindowSet(-k_max, k_max, mask)
 
 
 def _integer_points(points: Iterable[Rational]) -> tuple[list[int], int]:

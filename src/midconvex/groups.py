@@ -12,7 +12,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from math import gcd, lcm, prod
-from typing import Iterable, Iterator, Sequence
+from operator import add, mod
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import CapExceeded
 
@@ -91,12 +92,40 @@ class FiniteAbelianGroup:
             idx += -(i // stride) % n * stride
         return idx
 
-    def translate_mask(self, mask: int, d: int) -> int:
+    def _translate(self, mask: int, d: int) -> int:
         """Bitmask of the indices i + d for every index i set in the mask.
 
-        With d the index of -x this is the shift X - x.
+        With d the index of -x this is the shift X - x. Adding digit c in a
+        factor of stride s and order n moves the indices whose digit is below
+        n - c up by c*s and the others down by (n - c)*s: two whole-mask
+        shifts, the first kind being the first (n - c)*s of every n*s indices.
         """
-        return _mask_of(self.order, map(self.add_index, set_bits(mask), itertools.repeat(d)))
+        for stride, n in self._radix:
+            c = d // stride % n
+            if c:
+                low = periodic_mask((1 << (n - c) * stride) - 1, n * stride, self.order)
+                mask = (mask & low) << c * stride | (mask & ~low) >> (n - c) * stride
+        return mask
+
+    # subgroup generation calls _translate, so this name sees only the translates callers ask for
+    translate_mask = _translate
+
+    def index_order(self, g: int) -> int:
+        """Least n >= 1 with n times the element at index g equal to zero."""
+        return lcm(*(n // gcd(g // stride % n, n) for stride, n in self._radix))
+
+    def walk(self, i: int, g: int) -> Iterator[int]:
+        """Indices of i, i + g, i + 2g, ... for one period, index_order(g) steps, streamed.
+
+        Digit k of i + t*g is (i_k + t*g_k) mod n_k, so each factor that g
+        moves adds one progression, read modulo n_k*stride_k in index units.
+        """
+        period = self.index_order(g)
+        moved = [(i // s % n * s, g // s % n * s, n * s) for s, n in self._radix if g // s % n]
+        walk: Iterator[int] = itertools.repeat(i - sum(a for a, _, _ in moved), period)
+        for a, b, m in moved:
+            walk = map(add, walk, map(mod, range(a, a + period * b, b), itertools.repeat(m)))
+        return walk
 
     def halving_indices(self, s_index: int) -> tuple[int, ...]:
         """Indices z with 2z the element at s_index, ascending; empty when none solves.
@@ -117,26 +146,47 @@ class FiniteAbelianGroup:
         return tuple(halves)
 
 
-# Masks are read and written a byte at a time, so both directions are linear
-# in the group order; peeling or setting one bit at a time on the integer
-# would copy the whole |G|-bit mask once per member.
-_BYTE_BITS = tuple(tuple(j for j in range(8) if b >> j & 1) for b in range(256))
+# The mask codec reads and writes a mask through its binary digits, one flag
+# byte per index, linear in the group order; peeling or setting one bit at a
+# time on the integer would copy the whole |G|-bit mask once per member.
+_DIGITS_TO_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+_FLAGS_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _flags(mask: int, width: int = 0) -> bytes:
+    """Byte i is bit i of the mask, 0 or 1; at least width bytes."""
+    return format(mask, f"0{width}b").encode()[::-1].translate(_DIGITS_TO_FLAGS)
 
 
 def set_bits(mask: int) -> Iterator[int]:
     """Positions of the set bits of a mask, ascending."""
-    for k, byte in enumerate(mask.to_bytes((mask.bit_length() + 7) >> 3, "little")):
-        if byte:
-            for j in _BYTE_BITS[byte]:
-                yield k << 3 | j
+    return itertools.compress(itertools.count(), _flags(mask))
 
 
-def _mask_of(order: int, indices: Iterable[int]) -> int:
-    """Mask of a group of this order with the given element indices set."""
-    packed = bytearray((order + 7) >> 3)
+def least_index(mask: int) -> int:
+    """Position of the lowest set bit of a mask; -1 for the empty mask."""
+    return (mask & -mask).bit_length() - 1
+
+
+def mask_of(order: int, indices: Iterable[int]) -> int:
+    """Mask of a set of this many indices, 0 to order - 1, with the given indices set."""
+    flags = bytearray(order)
     for i in indices:
-        packed[i >> 3] |= 1 << (i & 7)
-    return int.from_bytes(packed, "little")
+        flags[i] = 1
+    return int(flags.translate(_FLAGS_TO_DIGITS)[::-1], 2)
+
+
+def bit_reader(mask: int, order: int) -> Callable[[int], int]:
+    """Bit i of the mask, 1 or 0, for each index i below order, each read in one step."""
+    return _flags(mask, order).__getitem__
+
+
+def periodic_mask(pattern: int, period: int, width: int) -> int:
+    """Mask of width bits that repeats the pattern every period bits, built by doubling."""
+    while period < width:
+        pattern |= pattern << period
+        period *= 2
+    return pattern & ((1 << width) - 1)
 
 
 @dataclass(frozen=True)
@@ -183,10 +233,7 @@ class GroupElement:
 
     def order(self) -> int:
         """Least n >= 1 with n times this element equal to zero."""
-        result = 1
-        for r, n in zip(self.residues, self.group.orders):
-            result = lcm(result, n // gcd(r, n))
-        return result
+        return self.group.index_order(self.index)
 
 
 def make_group(orders: Iterable[int], *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteAbelianGroup:
@@ -232,7 +279,7 @@ class GroupSubset:
         for i in indices:
             if not 0 <= i < group.order:
                 raise ValueError(f"element index {i} out of range")
-        return cls(group, _mask_of(group.order, indices))
+        return cls(group, mask_of(group.order, indices))
 
     @classmethod
     def from_elements(cls, group: FiniteAbelianGroup, elements: Iterable) -> "GroupSubset":
@@ -247,12 +294,11 @@ class GroupSubset:
     def from_bools(cls, group: FiniteAbelianGroup, table: Sequence[bool]) -> "GroupSubset":
         if len(table) != group.order:
             raise ValueError("membership table length does not match group order")
-        return cls(group, _mask_of(group.order, itertools.compress(range(group.order), table)))
+        return cls(group, mask_of(group.order, itertools.compress(range(group.order), table)))
 
     @property
     def membership(self) -> tuple[bool, ...]:
-        members = set(self.indices())
-        return tuple(i in members for i in range(self.group.order))
+        return tuple(map(bool, _flags(self.mask, self.group.order)))
 
     @property
     def size(self) -> int:
@@ -293,50 +339,40 @@ class GroupSubset:
             raise ValueError("subsets of different groups")
 
 
-def _extend_by_cosets(group: FiniteAbelianGroup, gens: Iterable[int], most: int) -> int | None:
-    """Mask of the subgroup generated by the indices gens, or None once it outgrows most elements.
+def _extend_by_cosets(group: FiniteAbelianGroup, gens: int, bound: int) -> int:
+    """Mask of the subgroup generated by the indices set in gens, or the first mask that leaves bound.
 
-    Starting from H = {0}, each generator g not yet in H adds the cosets
-    H + g, H + 2g, ... up to the first multiple kg in H, which makes H the
-    group H + <g>. Every element is added once, so the work is linear in the
-    size of the result, and each coset is checked against the size bound
-    before it is added. Membership is kept as byte flags, so each test and
-    each addition is one index, not a shift of a |G|-bit integer.
+    Starting from H = {0}, each generator g not yet in H joins by doubling,
+    H <- H | (H + 2^j*g) for j = 0, 1, ... With q the order of g modulo H,
+    H is the cosets H + t*g, t < min(2^j, q), so a step adds nothing exactly
+    when 2^j >= q and H is H + <g>. H at least doubles per generator: at most
+    log2|G| generators of as many steps, each one translate of the whole mask.
     """
-    inside, members = bytearray(group.order), [0]
-    inside[0] = 1
-    for g in gens:
-        if inside[g]:
-            continue
-        h, shift = len(members), g
-        while not inside[shift]:
-            if len(members) + h > most:
-                return None
-            for a in members[:h]:
-                s = group.add_index(a, shift) if a else shift
-                inside[s] = 1
-                members.append(s)
-            shift = group.add_index(shift, g)
-    return _mask_of(group.order, members)
+    h = 1
+    while rest := gens & ~h:
+        step = least_index(rest)
+        while (grown := h | group._translate(h, step)) != h:
+            if grown & ~bound:
+                return grown
+            h, step = grown, group.add_index(step, step)
+    return h
 
 
 def is_subgroup(subset: GroupSubset) -> bool:
-    """True iff the subset contains zero and is closed under addition.
-
-    Zero is index 0. The subgroup its members generate contains it, so the
-    subset is a subgroup exactly when that subgroup is no larger.
-    """
-    if not subset.mask & 1:
-        return False
-    return _extend_by_cosets(subset.group, subset.indices(), subset.size) is not None
+    """True iff the subset is the subgroup its members generate, which holds zero, index 0."""
+    return _extend_by_cosets(subset.group, subset.mask, subset.mask) == subset.mask
 
 
 def subgroup_generated(subset: GroupSubset) -> GroupSubset:
     """Smallest subgroup containing the subset (the empty set generates {0})."""
-    group = subset.group
-    mask = _extend_by_cosets(group, subset.indices(), group.order)
-    assert mask is not None, "the whole group bounds every subgroup"
-    return GroupSubset(group, mask)
+    return GroupSubset(subset.group, _extend_by_cosets(subset.group, subset.mask, -1))
+
+
+def sylow2_subgroup(group: FiniteAbelianGroup) -> GroupSubset:
+    """G_2, the elements of 2-power order: in a factor of order 2^a * m, m odd,
+    m times the unit generates the 2-part (0 when a = 0)."""
+    two_parts = [n // (n & -n) % n * stride for stride, n in group._radix]
+    return subgroup_generated(GroupSubset.from_indices(group, two_parts))
 
 
 def index_is_odd(subset: GroupSubset) -> bool:

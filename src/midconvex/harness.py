@@ -18,7 +18,9 @@ from typing import Iterable, Sequence
 
 from . import engine
 from .errors import NotMidconvex
-from .groups import FiniteAbelianGroup, GroupSubset, make_group, set_bits, subgroup_generated
+from .groups import (
+    FiniteAbelianGroup, GroupSubset, least_index, make_group, set_bits, subgroup_generated, sylow2_subgroup
+)
 from .rationals import (
     QIntervalSpec,
     Rational,
@@ -124,21 +126,16 @@ def enumerate_abelian_groups(max_order: int) -> list[FiniteAbelianGroup]:
     return groups
 
 
-def _subset_masks(group: FiniteAbelianGroup, seed: int, sample_count: int) -> Iterable[int]:
+def _subset_masks(group: FiniteAbelianGroup, seed: int) -> Iterable[int]:
+    """Every subset up to EXHAUSTIVE_ORDER_CAP, above it SAMPLED_SUBSET_COUNT seeded draws."""
     order = group.order
-    if order <= EXHAUSTIVE_ORDER_CAP or 1 << order <= sample_count:
+    if order <= EXHAUSTIVE_ORDER_CAP or 1 << order <= SAMPLED_SUBSET_COUNT:
         return range(1 << order)
     rng = random.Random(f"{seed}:{group}")
-    return [rng.getrandbits(order) for _ in range(sample_count)]
+    return [rng.getrandbits(order) for _ in range(SAMPLED_SUBSET_COUNT)]
 
 
-def _sweep(
-    campaign: str,
-    max_order: int,
-    seed: int,
-    sample_count: int,
-    check,
-) -> VerificationReport:
+def _sweep(campaign: str, max_order: int, seed: int, check) -> VerificationReport:
     """Run check once per group, with all of the group's subsets decided at once.
 
     check(report, group, masks, columns, midconvex) gets the subset masks, their
@@ -149,7 +146,7 @@ def _sweep(
     groups = enumerate_abelian_groups(max_order)
     total = 0
     for group in groups:
-        masks = _subset_masks(group, seed, sample_count)
+        masks = _subset_masks(group, seed)
         columns = engine.subset_columns(group, masks)
         check(report, group, masks, columns, engine.midconvex_bits(group, columns, len(masks)))
         total += len(masks)
@@ -173,10 +170,12 @@ def _add_bit_mismatches(report, group, masks, operation: str, lhs: int, rhs: int
 def _odd_index_cosets(group: FiniteAbelianGroup) -> set[int]:
     """Masks of the cosets of the subgroups of odd index.
 
-    Every subgroup is reached from {0} by joining one element at a time, and
+    These are the subgroups that contain G_2 (see engine.midconvex_closure).
+    Each is reached from G_2 by joining one element at a time, and
     translated by the least element of each of its cosets.
     """
-    subgroups, frontier = {1}, [1]
+    sylow2 = sylow2_subgroup(group).mask
+    subgroups, frontier = {sylow2}, [sylow2]
     while frontier:
         grown = []
         for h in frontier:
@@ -188,10 +187,10 @@ def _odd_index_cosets(group: FiniteAbelianGroup) -> set[int]:
                         grown.append(joined)
         frontier = grown
     cosets = set()
-    for h in (h for h in subgroups if group.order // h.bit_count() % 2 == 1):
+    for h in subgroups:
         uncovered = (1 << group.order) - 1
         while uncovered:
-            coset = group.translate_mask(h, (uncovered & -uncovered).bit_length() - 1)
+            coset = group.translate_mask(h, least_index(uncovered))
             cosets.add(coset)
             uncovered &= ~coset
     return cosets
@@ -212,9 +211,7 @@ def _odd_coset_bits(group: FiniteAbelianGroup, columns: Sequence[int], count: in
     return bits
 
 
-def exhaustive_theorem2(
-    max_order: int = 12, *, seed: int = 0, sample_count: int = SAMPLED_SUBSET_COUNT
-) -> VerificationReport:
+def exhaustive_theorem2(max_order: int = 12, *, seed: int = 0) -> VerificationReport:
     """Midconvexity versus odd-index subgroup translate, over all small groups."""
     midconvex_counts: dict[str, int] = {}
 
@@ -225,14 +222,12 @@ def exhaustive_theorem2(
         operation = "is_midconvex vs subgroup characterization"
         _add_bit_mismatches(report, group, masks, operation, midconvex, cosets)
 
-    report = _sweep("theorem2", max_order, seed, sample_count, check)
+    report = _sweep("theorem2", max_order, seed, check)
     report.details["midconvex_counts"] = midconvex_counts
     return report
 
 
-def exhaustive_theorem1(
-    max_order: int = 10, *, seed: int = 0, sample_count: int = SAMPLED_SUBSET_COUNT
-) -> VerificationReport:
+def exhaustive_theorem1(max_order: int = 10, *, seed: int = 0) -> VerificationReport:
     """Midconvexity versus decomposability of every trace.
 
     A trace in a group of order n has a period of at most n. The verdicts of
@@ -251,12 +246,10 @@ def exhaustive_theorem1(
         operation = "is_midconvex vs trace decomposition"
         _add_bit_mismatches(report, group, masks, operation, midconvex, traces)
 
-    return _sweep("theorem1", max_order, seed, sample_count, check)
+    return _sweep("theorem1", max_order, seed, check)
 
 
-def exhaustive_lemma1(
-    max_order: int = 12, *, seed: int = 0, sample_count: int = SAMPLED_SUBSET_COUNT
-) -> VerificationReport:
+def exhaustive_lemma1(max_order: int = 12, *, seed: int = 0) -> VerificationReport:
     """Order-convexity of traces along member differences, for midconvex sets."""
 
     def check(report, group, masks, columns, midconvex):
@@ -277,7 +270,7 @@ def exhaustive_lemma1(
                             False,
                         )
 
-    return _sweep("lemma1", max_order, seed, sample_count, check)
+    return _sweep("lemma1", max_order, seed, check)
 
 
 def _purity_violation(

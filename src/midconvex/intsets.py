@@ -13,26 +13,26 @@ it as the infinite set it denotes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .errors import NotMidconvexTrace
+from .groups import least_index, mask_of, set_bits
 
 
 @dataclass(frozen=True)
 class IntWindowSet:
-    """Subset of the integers known exactly inside [lo, hi]."""
+    """Subset of the integers known exactly inside [lo, hi], as a mask: bit n - lo stands for n."""
 
     lo: int
     hi: int
-    membership: tuple[bool, ...]
+    mask: int
     period: int | None = None
 
     def __post_init__(self) -> None:
         if self.lo > self.hi:
             raise ValueError(f"empty window [{self.lo}, {self.hi}]")
-        if len(self.membership) != self.hi - self.lo + 1:
-            raise ValueError("membership table length does not match window")
-        object.__setattr__(self, "membership", tuple(map(bool, self.membership)))
+        if not 0 <= self.mask < 1 << (self.hi - self.lo + 1):
+            raise ValueError("membership mask does not fit the window")
         if self.period is not None:
             if self.period < 1:
                 raise ValueError("period must be positive")
@@ -44,31 +44,26 @@ class IntWindowSet:
         members = set(members)
         if any(n < lo or n > hi for n in members):
             raise ValueError("member outside the declared window")
-        return cls(lo, hi, tuple(n in members for n in range(lo, hi + 1)))
-
-    @classmethod
-    def from_predicate(cls, lo: int, hi: int, pred: Callable[[int], bool]) -> "IntWindowSet":
-        return cls(lo, hi, tuple(bool(pred(n)) for n in range(lo, hi + 1)))
+        return cls(lo, hi, mask_of(hi - lo + 1, (n - lo for n in members)))
 
     @classmethod
     def from_residues(cls, period: int, residues: Iterable[int]) -> "IntWindowSet":
-        res = {r % period for r in residues}
-        return cls(0, period - 1, tuple(n in res for n in range(period)), period)
+        return cls(0, period - 1, mask_of(period, (r % period for r in residues)), period)
 
     def contains(self, n: int) -> bool:
         """Membership inside the window; False outside (window-exact reading)."""
         if self.period is not None:
-            return self.membership[n % self.period]
-        if n < self.lo or n > self.hi:
+            n %= self.period
+        elif n < self.lo or n > self.hi:
             return False
-        return self.membership[n - self.lo]
+        return bool(self.mask >> n - self.lo & 1)
 
     def members(self) -> tuple[int, ...]:
-        return tuple(n for n, b in zip(range(self.lo, self.hi + 1), self.membership) if b)
+        return tuple(map(self.lo.__add__, set_bits(self.mask)))
 
     @property
     def is_empty(self) -> bool:
-        return not any(self.membership)
+        return not self.mask
 
     def __str__(self) -> str:
         body = "{%s}" % ",".join(str(n) for n in self.members())
@@ -160,10 +155,9 @@ class TraceDecomposition:
 
 def is_order_convex(window_set: IntWindowSet) -> bool:
     """True iff no gap occurs between two members inside the window."""
-    members = window_set.members()
-    if len(members) <= 1:
-        return True
-    return members[-1] - members[0] + 1 == len(members)
+    # adding the lowest set bit carries through a run of ones and stops at a gap
+    mask = window_set.mask
+    return not (mask + (mask & -mask)) & mask
 
 
 def midconvex_z_witness(window_set: IntWindowSet) -> tuple[int, int, int] | None:
@@ -177,6 +171,7 @@ def midconvex_z_witness(window_set: IntWindowSet) -> tuple[int, int, int] | None
     period depends only on y modulo twice the period.
     """
     members = window_set.members()
+    inside = set(members)
     d = window_set.period
     for i, x in enumerate(members):
         ys = members[i:]
@@ -185,7 +180,7 @@ def midconvex_z_witness(window_set: IntWindowSet) -> tuple[int, int, int] | None
         for y in ys:
             if (x + y) % 2 == 0:
                 z = (x + y) // 2
-                if not window_set.contains(z):
+                if (z if d is None else z % d) not in inside:
                     return (x, y, z)
     return None
 
@@ -211,7 +206,9 @@ def trace_z(window_set: IntWindowSet, x: int, g: int) -> IntWindowSet:
     else:
         n_lo = -((hi - x) // -g)
         n_hi = (x - lo) // -g
-    return IntWindowSet.from_predicate(n_lo, n_hi, lambda n: window_set.contains(x + n * g))
+    # every member lies in the window, so its n lies in [n_lo, n_hi]
+    steps = ((n - x) // g for n in window_set.members() if (n - x) % g == 0)
+    return IntWindowSet.from_members(n_lo, n_hi, steps)
 
 
 def lemma1_check(window_set: IntWindowSet, x: int, y: int) -> bool:
@@ -285,19 +282,19 @@ def decompose_z(window_set: IntWindowSet, x: int | None = None) -> TraceDecompos
     On success the returned decomposition, with its interval in the original
     coordinates and base x, reproduces the set exactly on the window.
     """
-    if window_set.is_empty:
+    mask = window_set.mask
+    if not mask:
         raise ValueError("cannot decompose the empty set")
     if x is None:
-        x = window_set.lo + window_set.membership.index(True)
+        x = window_set.lo + least_index(mask)
     if not window_set.contains(x):
         raise ValueError(f"base point {x} is not a member")
     if window_set.period is not None:
-        d = window_set.period
-        shifted = IntWindowSet.from_residues(d, ((n - x) % d for n in window_set.members()))
-        inner = decompose_trace(shifted)
+        # X - x rotates the one period presented: residue r moves to r - x
+        d, r = window_set.period, x % window_set.period
+        rotated = (mask >> r | mask << d - r) & ((1 << d) - 1)
+        inner = decompose_trace(IntWindowSet(0, d - 1, rotated, d))
         return TraceDecomposition(inner.interval, inner.subgroup, base=x)
-    shifted = IntWindowSet(
-        window_set.lo - x, window_set.hi - x, window_set.membership
-    )
+    shifted = IntWindowSet(window_set.lo - x, window_set.hi - x, mask)
     inner = decompose_trace(shifted)
     return TraceDecomposition(inner.interval.shift(x), inner.subgroup, base=x)

@@ -91,7 +91,7 @@ def test_z_check_decides_by_decomposition_with_the_pair_scan_witness():
     for lo in (-3, 0):
         for width in range(1, 13):
             for mask in range(1 << width):
-                window = IntWindowSet(lo, lo + width - 1, tuple(bool(mask >> i & 1) for i in range(width)))
+                window = IntWindowSet(lo, lo + width - 1, mask)
                 decided = cli._decided_witness(mask.bit_count(), decompose_z, midconvex_z_witness, window)
                 assert decided == midconvex_z_witness(window), (lo, width, mask)
                 sets += 1
@@ -413,6 +413,48 @@ def test_verify_rejects_size_flags_the_theorem_ignores(text, flag):
     assert code == cli.EXIT_USAGE
     theorem = text.split("--theorem ")[1].split()[0]
     assert f"result: error: verify --theorem {theorem} takes no {flag}\n" in output
+
+
+# each cap is the largest size at which the slowest campaign it sizes, theorem
+# 1 or purity, was measured to finish in about 10 s
+MAX_ORDER, SAMPLES = ("--max-order", 68), ("--samples", 30_000)
+
+
+@pytest.mark.parametrize(
+    "text,size,campaign,keyword",
+    [
+        ("Z; {0}@window[0,0]; verify --theorem 1", MAX_ORDER, "exhaustive_theorem1", "max_order"),
+        ("Z; {0}@window[0,0]; verify --theorem 2", MAX_ORDER, "exhaustive_theorem2", "max_order"),
+        ("Z; {0}@window[0,0]; verify --theorem lemma1", MAX_ORDER, "exhaustive_lemma1", "max_order"),
+        ("Z; {0}@window[0,0]; verify --theorem purity", SAMPLES, "sample_two_purity", "trials"),
+        ("Q(gen=1, primes=[2]); {0,1}; verify --theorem hull", SAMPLES, "conjecture_hull_check", "samples"),
+        ("Q(gen=1, primes=[2]); conv[0,2] ∩ ((1,[2]) + 0); verify --theorem 3", SAMPLES, "roundtrip_theorem3", "samples"),
+    ],
+)
+def test_verify_sizes_are_capped_before_any_work(monkeypatch, text, size, campaign, keyword):
+    # the campaign is replaced by a stub: a campaign at the cap takes about 10 s
+    flag, cap = size
+    sizes = []
+
+    def stub(*args, **kwargs):
+        sizes.append(kwargs[keyword])
+        return harness.VerificationReport("stub", counts={"subsets": 0, "pairs": 0, "oracle_points": 0, "samples": 0})
+
+    monkeypatch.setattr(harness, campaign, stub)
+    assert run_text(f"{text} {flag} {cap}")[0] == cli.EXIT_OK and sizes == [cap]
+    code, output = run_text(f"{text} {flag} {cap + 1}")
+    assert code == cli.EXIT_RESOURCE and sizes == [cap]
+    assert f"result: resource: {flag} {cap + 1} is above the campaign size cap, cap is {cap}\n" in output
+
+
+def test_large_product_closure_is_whole_mask():
+    # Z(1024x1024) is its own Sylow 2-subgroup, so the closure lists all 2**20
+    # elements; 1.5 s measured (2-vCPU Xeon), 3.2 s for a translate and a
+    # subgroup built one member at a time
+    started = time.perf_counter()
+    code, output = run_text("Z(1024x1024); {(0,3),(0,5)}; closure")
+    assert time.perf_counter() - started < 6
+    assert code == 0 and "stats: elapsed_ms=0 count=1048576 seed=-" in output
 
 
 def test_cli_names_no_private_of_another_module():

@@ -10,6 +10,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from midconvex import engine
 from midconvex.engine import (
     _sampled_violation,
     accepted_traces,
@@ -36,7 +37,7 @@ from midconvex.engine import (
     verify_theorem3_if,
 )
 from midconvex.errors import CapExceeded, NotMidconvex, NotMidconvexTrace, WindowTooSmall
-from midconvex.groups import GroupElement, GroupSubset, is_subgroup, make_group
+from midconvex.groups import FiniteAbelianGroup, GroupElement, GroupSubset, is_subgroup, make_group
 from midconvex.harness import enumerate_abelian_groups
 from midconvex.intsets import IntWindowSet, decompose_trace
 from midconvex.rationals import (
@@ -305,7 +306,19 @@ def test_trace_of_a_full_set_is_linear_at_order_2_to_the_18():
     started = time.perf_counter()
     trace = trace_in_group(group, full, group.element([0]), group.element([1]))
     assert time.perf_counter() - started < 1
-    assert trace.period == 2**18 and all(trace.membership)
+    assert trace.period == 2**18 and trace.mask == (1 << 2**18) - 1
+
+
+def test_trace_walks_in_closed_form_without_add_index(monkeypatch):
+    # stepping the walk made one add_index call per step, 2**18 here
+    calls = []
+    add_index = FiniteAbelianGroup.add_index
+    monkeypatch.setattr(FiniteAbelianGroup, "add_index", lambda self, i, j: calls.append(i) or add_index(self, i, j))
+    group = make_group([2**18])
+    mask = GroupSubset.from_indices(group, [3, 5, 2**17 + 3]).mask
+    trace = engine._trace(group, mask, 3, 1)
+    assert (trace.period, trace.members()) == (2**18, (0, 2, 2**17))
+    assert calls == []
 
 
 def test_verify_theorem1_examples():

@@ -272,6 +272,64 @@ def test_mask_codec_round_trips():
         GroupSubset.from_indices(make_group([7]), [-1])
 
 
+def stepped_translate(group, mask, d):
+    """Reference: each member moved by one add_index call."""
+    return groups.mask_of(group.order, (group.add_index(i, d) for i in set_bits(mask)))
+
+
+def stepped_walk(group, i, g):
+    """Reference: i, i + g, i + 2g, ... stepped one add_index call at a time until i comes back."""
+    walk, j = [i], group.add_index(i, g)
+    while j != i:
+        walk.append(j)
+        j = group.add_index(j, g)
+    return walk
+
+
+def test_whole_mask_translate_and_closed_form_walk_match_the_stepped_references():
+    # every mask up to order 10 and seeded masks above, by every element, on
+    # every group up to order 16; every walk from every element along every element
+    rng = random.Random(16)
+    for group in enumerate_abelian_groups(16):
+        n = group.order
+        masks = range(1 << n) if n <= 10 else [rng.getrandbits(n) for _ in range(40)]
+        for d in range(n):
+            for mask in masks:
+                assert group.translate_mask(mask, d) == stepped_translate(group, mask, d), (group, mask, d)
+        for i in range(n):
+            for g in range(n):
+                walk = list(group.walk(i, g))
+                assert walk == stepped_walk(group, i, g), (group, i, g)
+                assert len(walk) == group.index_order(g)
+
+
+def count_add_index(monkeypatch):
+    calls = []
+    add_index = groups.FiniteAbelianGroup.add_index
+    monkeypatch.setattr(
+        groups.FiniteAbelianGroup, "add_index", lambda self, i, j: calls.append(i) or add_index(self, i, j)
+    )
+    return calls
+
+
+def test_translate_mask_makes_no_add_index_call(monkeypatch):
+    calls = count_add_index(monkeypatch)
+    rng = random.Random(3)
+    for group in [make_group([12]), make_group([4, 6]), make_group([2, 3, 5]), make_group([1024, 1024])]:
+        for _ in range(8):
+            group.translate_mask(rng.getrandbits(group.order), rng.randrange(group.order))
+    assert calls == []
+
+
+def test_subgroup_generation_doubles_whole_masks(monkeypatch):
+    # generating by cosets one element at a time made about 2**20 add_index
+    # calls here; doubling makes at most one per step, (log2 |G|)**2 in all
+    group = make_group([1 << 20])
+    calls = count_add_index(monkeypatch)
+    assert subgroup_generated(GroupSubset.full(group)) == GroupSubset.full(group)
+    assert len(calls) <= 400
+
+
 def test_mask_codec_is_linear_on_the_full_mask_of_a_large_group():
     # peeling or setting one bit at a time copies the |G|-bit mask per member
     group = make_group([1 << 18])
@@ -300,14 +358,14 @@ def sets_one_bit(node):
 
 
 def test_masks_are_built_bit_by_bit_only_in_the_builder():
-    # mask |= 1 << i copies the whole |G|-bit mask per bit; groups._mask_of sets
-    # bits in a packed byte buffer instead
+    # mask |= 1 << i copies the whole |G|-bit mask per bit; groups.mask_of sets
+    # one flag byte per index instead
     for path in sorted(pathlib.Path(groups.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         builder = set()
         if path.name == "groups.py":
             for node in ast.walk(tree):
-                if isinstance(node, ast.FunctionDef) and node.name == "_mask_of":
+                if isinstance(node, ast.FunctionDef) and node.name == "mask_of":
                     builder.update(ast.walk(node))
         for node in ast.walk(tree):
             assert not (sets_one_bit(node) and node not in builder), f"{path.name}:{node.lineno}"

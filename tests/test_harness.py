@@ -100,14 +100,14 @@ def test_exhaustive_theorem1_small():
     assert report.counts["groups"] == 7
 
 
-def theorem1_reference(max_order, seed=0, sample_count=harness.SAMPLED_SUBSET_COUNT):
+def theorem1_reference(max_order, seed=0):
     # the theorem-1 sweep as it ran subset by subset, over the same seeded
     # masks, repeated draws included
     reference = VerificationReport("theorem1", seed=seed)
     total = 0
     groups = enumerate_abelian_groups(max_order)
     for group in groups:
-        for mask in harness._subset_masks(group, seed, sample_count):
+        for mask in harness._subset_masks(group, seed):
             total += 1
             subset = GroupSubset(group, mask)
             lhs, rhs = is_midconvex(group, subset), engine.verify_theorem1(group, subset)
@@ -119,10 +119,11 @@ def theorem1_reference(max_order, seed=0, sample_count=harness.SAMPLED_SUBSET_CO
     return reference
 
 
-def test_sampled_theorem1_matches_the_per_subset_sweep():
-    report = exhaustive_theorem1(14, sample_count=300)
+def test_sampled_theorem1_matches_the_per_subset_sweep(monkeypatch):
+    monkeypatch.setattr(harness, "SAMPLED_SUBSET_COUNT", 300)
+    report = exhaustive_theorem1(14)
     assert report.counts["subsets"] == 13326 + 300 + 300
-    assert json.dumps(report.to_dict()) == json.dumps(theorem1_reference(14, sample_count=300).to_dict())
+    assert json.dumps(report.to_dict()) == json.dumps(theorem1_reference(14).to_dict())
 
 
 def test_theorem1_campaign_reports_a_faulty_decompose_trace(monkeypatch):
@@ -211,8 +212,9 @@ def test_lemma1_mismatches_are_labelled_as_group_elements(monkeypatch):
     assert expected and sorted(got) == sorted(expected)
 
 
-def test_sampled_subsets_used_above_exhaustive_cap():
-    report = exhaustive_theorem2(14, sample_count=300)
+def test_sampled_subsets_used_above_exhaustive_cap(monkeypatch):
+    monkeypatch.setattr(harness, "SAMPLED_SUBSET_COUNT", 300)
+    report = exhaustive_theorem2(14)
     assert report.passed
     # orders 13 and 14 are sampled at 300 subsets each rather than swept
     assert report.counts["subsets"] == 13326 + 300 + 300
@@ -247,14 +249,15 @@ def test_odd_index_cosets_translate_each_subgroup_once_per_coset(monkeypatch):
     assert len(calls) == 90
 
 
-def test_sampled_theorem2_matches_the_per_subset_sweep():
+def test_sampled_theorem2_matches_the_per_subset_sweep(monkeypatch):
     # the sweep as it ran subset by subset, over the same seeded masks
-    seed, sample_count = 0, 300
+    monkeypatch.setattr(harness, "SAMPLED_SUBSET_COUNT", 300)
+    seed = 0
     reference = VerificationReport("theorem2", seed=seed)
     midconvex_counts, total = {}, 0
     groups = enumerate_abelian_groups(14)
     for group in groups:
-        for mask in harness._subset_masks(group, seed, sample_count):
+        for mask in harness._subset_masks(group, seed):
             total += 1
             lhs = is_midconvex(group, GroupSubset(group, mask))
             rhs = odd_coset_reference(group, mask)
@@ -265,7 +268,7 @@ def test_sampled_theorem2_matches_the_per_subset_sweep():
                 reference.add_mismatch(group, label, "is_midconvex vs subgroup characterization", lhs, rhs)
     reference.counts = {"groups": len(groups), "subsets": total}
     reference.details["midconvex_counts"] = midconvex_counts
-    report = exhaustive_theorem2(14, seed=seed, sample_count=sample_count)
+    report = exhaustive_theorem2(14, seed=seed)
     assert json.dumps(report.to_dict()) == json.dumps(reference.to_dict())
 
 

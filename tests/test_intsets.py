@@ -1,5 +1,7 @@
 """Windowed integer sets: order convexity, midconvexity, traces, decompositions."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -37,13 +39,15 @@ def naive_midconvex(members):
 
 def test_window_validation():
     with pytest.raises(ValueError):
-        IntWindowSet(3, 1, ())
+        IntWindowSet(3, 1, 0)
     with pytest.raises(ValueError):
-        IntWindowSet(0, 2, (True, False))
+        IntWindowSet(0, 2, 0b1000)
+    with pytest.raises(ValueError):
+        IntWindowSet(0, 2, -1)
     with pytest.raises(ValueError):
         wset(0, 3, [5])
     with pytest.raises(ValueError):
-        IntWindowSet(1, 3, (True, True, True), period=3)
+        IntWindowSet(1, 3, 0b111, period=3)
 
 
 def test_is_order_convex_examples():
@@ -108,7 +112,7 @@ def test_trace_z_examples():
     assert identity.members() == (0, 3, 6, 9)
 
     # a lift of the residues {1,4,7,10,13} mod 15, traced along 2
-    lifted = IntWindowSet.from_predicate(-15, 30, lambda n: n % 15 in {1, 4, 7, 10, 13})
+    lifted = wset(-15, 30, [n for n in range(-15, 31) if n % 15 in {1, 4, 7, 10, 13}])
     trace2 = trace_z(lifted, 1, 2)
     assert set(trace2.members()) == {n for n in range(trace2.lo, trace2.hi + 1) if n % 3 == 0}
 
@@ -391,3 +395,89 @@ def test_interval_spec_validation_and_containment():
         IntIntervalSpec(3, 1)
     half_line = IntIntervalSpec(None, 4)
     assert half_line.contains(-1000) and half_line.contains(4) and not half_line.contains(5)
+
+
+class MemberSet:
+    """Reference: a window set held as a Python set of members, every reading one member at a time."""
+
+    def __init__(self, lo, hi, members, period=None):
+        self.lo, self.hi, self.period = lo, hi, period
+        self.inside = {n % period for n in members} if period else set(members)
+
+    def contains(self, n):
+        if self.period:
+            return n % self.period in self.inside
+        return self.lo <= n <= self.hi and n in self.inside
+
+    def members(self):
+        return tuple(sorted(self.inside))
+
+
+def member_trace(ref, x, g):
+    """(lo, hi, members) of the trace at x along g, by a membership test at every n."""
+    ns = [n for n in range(-(ref.hi - ref.lo) - 1, ref.hi - ref.lo + 2) if ref.lo <= x + n * g <= ref.hi]
+    return min(ns), max(ns), tuple(n for n in ns if ref.contains(x + n * g))
+
+
+def member_witness(ref):
+    """The first (x, y, z) with y in [x, x + 2*period) for a periodic set, y >= x in the window otherwise."""
+    for x in ref.members():
+        top = x + 2 * ref.period if ref.period else ref.hi + 1
+        for y in range(x, top):
+            if ref.contains(y) and (x + y) % 2 == 0 and not ref.contains((x + y) // 2):
+                return x, y, (x + y) // 2
+    return None
+
+
+def seeded_windows(rng, count):
+    """(mask-built set, member reference) pairs: windows and periods, random sets and progressions."""
+    for k in range(count):
+        periodic = k % 3 == 2
+        if periodic:
+            d = rng.randint(1, 24)
+            lo, hi = 0, d - 1
+        else:
+            lo = rng.randint(-20, 20)
+            hi = lo + rng.randint(0, 40)
+        if k % 2:
+            members = [n for n in range(lo, hi + 1) if rng.random() < 0.4]
+        else:
+            # a progression with an odd step, midconvex unless its step misses the period
+            step = rng.randrange(1, 8, 2)
+            first = rng.randint(lo, hi)
+            members = list(range(first, rng.randint(first, hi) + 1 if not periodic else hi + 1, step))
+        if periodic:
+            built = IntWindowSet.from_residues(d, [n + d * rng.randint(-3, 3) for n in members])
+        else:
+            built = IntWindowSet.from_members(lo, hi, members + members[: len(members) // 2])
+        yield built, MemberSet(lo, hi, members, d if periodic else None)
+
+
+def test_mask_windows_match_the_member_set_reference():
+    rng = random.Random(2026)
+    decomposed = failed = 0
+    for built, ref in seeded_windows(rng, 600):
+        lo, hi = ref.lo, ref.hi
+        assert (built.lo, built.hi, built.period) == (lo, hi, ref.period)
+        assert built.members() == ref.members() and built.is_empty == (not ref.inside)
+        span = range(lo - 2 * (hi - lo + 1), hi + 2 * (hi - lo + 1) + 1)
+        assert [built.contains(n) for n in span] == [ref.contains(n) for n in span], built
+        witness = member_witness(ref)
+        assert midconvex_z_witness(built) == witness, built
+        for x in ref.members()[:6]:
+            for g in (1, -1, 2, -3, 5, hi - lo + 1):
+                trace = trace_z(built, x, g)
+                assert (trace.lo, trace.hi, trace.members()) == member_trace(ref, x, g), (built, x, g)
+            try:
+                dec = decompose_z(built, x)
+            except NotMidconvexTrace:
+                assert witness is not None, (built, x)
+                failed += 1
+                continue
+            assert witness is None and dec.base == x, (built, x)
+            assert [dec.contains(n) for n in span] == [ref.contains(n) for n in span], (built, x)
+            decomposed += 1
+        if ref.inside and witness is None:
+            # the default base is the least member
+            assert decompose_z(built).base == min(ref.inside), built
+    assert decomposed > 300 and failed > 300, (decomposed, failed)
