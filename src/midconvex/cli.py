@@ -44,6 +44,9 @@ EXIT_RESOURCE = 3
 # The largest campaign size a statement may set with each flag: the slowest
 # campaign it sizes, theorem 1 or purity, takes about 10 s there (2-vCPU Xeon).
 SIZE_CAPS = {"--max-order": 68, "--samples": 30_000}
+# The widest window an explicit Z set may declare: check, decompose, trace and
+# closure of a two-member set take about 1 s there for the whole process (2-vCPU Xeon).
+WINDOW_CAP = 20_000_000
 
 
 # -- binding parsed expressions to runtime objects --------------------------
@@ -107,6 +110,9 @@ def _bind_set(kind, group, expr):
             lo, hi = expr.window
             if lo > hi:
                 raise DslTypeError(f"empty window [{lo},{hi}]")
+            width = hi - lo + 1
+            if width > WINDOW_CAP:
+                raise CapExceeded(f"window [{lo},{hi}] is {width} wide, cap is {WINDOW_CAP}")
             members = [_bind_int(e, "element") for e in expr.elements]
             bad = [n for n in members if not lo <= n <= hi]
             if bad:
@@ -252,12 +258,12 @@ def _bind_element(set_kind, group, element, what: str):
 
 
 def _member_count(set_kind, set_obj) -> int:
-    """Members of an explicit set; a described set counts as one."""
+    """Distinct members of an explicit set; a described set counts as one."""
     if set_kind == "subset":
         return set_obj.size
     if set_kind == "window":
         return set_obj.mask.bit_count()
-    return len(set_obj) if set_kind == "points" else 1
+    return len(set(set_obj)) if set_kind == "points" else 1
 
 
 def _decided_witness(count, decompose, scan, *args):
@@ -368,8 +374,11 @@ def _run_verify(group, set_kind, set_obj, command, report, timings):
     flag, other = ("--max-order", "--samples") if sweep else ("--samples", "--max-order")
     if sizes[other] is not None:
         raise DslTypeError(f"verify --theorem {command.theorem} takes no {other}")
-    if (sizes[flag] or 0) > SIZE_CAPS[flag]:
-        raise CapExceeded(f"{flag} {sizes[flag]} is above the campaign size cap, cap is {SIZE_CAPS[flag]}")
+    size = sizes[flag] or 0
+    if size < 0:
+        raise DslTypeError(f"{flag} {size} is negative")
+    if size > SIZE_CAPS[flag]:
+        raise CapExceeded(f"{flag} {size} is above the campaign size cap, cap is {SIZE_CAPS[flag]}")
     if sweep:
         run_sweep = {
             "1": harness.exhaustive_theorem1,

@@ -395,13 +395,3 @@ def format_command(command: Command) -> str:
     if command.seed is not None:
         parts.append(f"--seed {command.seed}")
     return " ".join(parts)
-
-
-def format_program(program: Program) -> str:
-    return "; ".join(
-        (
-            format_group(program.group),
-            format_set(program.set_expr),
-            format_command(program.command),
-        )
-    )

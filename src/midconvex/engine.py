@@ -265,13 +265,6 @@ def decompose_periodic(
     return PeriodicDecomposition(candidate, x)
 
 
-def doubling_claim_check(group: FiniteAbelianGroup, subset: GroupSubset, x: GroupElement) -> bool:
-    """True iff X - x is closed under doubling; holds for midconvex X."""
-    shifted = GroupSubset(group, group.translate_mask(subset.mask, group.neg_index(group.index_of(x))))
-    member = bit_reader(shifted.mask, group.order)
-    return all(member(group.add_index(a, a)) for a in shifted.indices())
-
-
 def lemma1_holds_at(group: FiniteAbelianGroup, mask: int, xi: int, gi: int) -> bool:
     """Order-convexity of the trace at index xi along index gi, lifted over two periods.
 
@@ -662,15 +655,6 @@ def theorem3_if_violation(
     if not is_two_pure(description.subgroup, group):
         raise ValueError("description subgroup is not two-pure in the ambient group")
     return _sampled_violation(description, group, samples, seed)
-
-
-def verify_theorem3_if(
-    description: RationalMidconvexDescription,
-    group: RationalGroupDescriptor,
-    samples: int = 1000,
-    seed: int = 0,
-) -> bool:
-    return theorem3_if_violation(description, group, samples, seed) is None
 
 
 def _least_denominator(primes: Iterable[int], least: int) -> int | None:

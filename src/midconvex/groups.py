@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import CapExceeded
 
-DEFAULT_ORDER_CAP = 1 << 20
+ORDER_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -236,18 +236,12 @@ class GroupElement:
         return self.group.index_order(self.index)
 
 
-def make_group(orders: Iterable[int], *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteAbelianGroup:
-    """Build a direct sum of cyclic groups with the given factor orders."""
+def make_group(orders: Iterable[int]) -> FiniteAbelianGroup:
+    """Build a direct sum of cyclic groups with the given factor orders, of order at most ORDER_CAP."""
     group = FiniteAbelianGroup(tuple(orders))
-    if group.order > order_cap:
-        raise CapExceeded(f"group order {group.order} exceeds cap {order_cap}")
+    if group.order > ORDER_CAP:
+        raise CapExceeded(f"group order {group.order} exceeds cap {ORDER_CAP}")
     return group
-
-
-def halving_set(s: GroupElement) -> frozenset[GroupElement]:
-    """All elements z with 2z = s; empty when no component congruence solves."""
-    group = s.group
-    return frozenset(group.element_at(i) for i in group.halving_indices(s.index))
 
 
 @dataclass(frozen=True)
@@ -266,14 +260,6 @@ class GroupSubset:
             raise ValueError("membership table length does not match group order")
 
     @classmethod
-    def empty(cls, group: FiniteAbelianGroup) -> "GroupSubset":
-        return cls(group, 0)
-
-    @classmethod
-    def full(cls, group: FiniteAbelianGroup) -> "GroupSubset":
-        return cls(group, (1 << group.order) - 1)
-
-    @classmethod
     def from_indices(cls, group: FiniteAbelianGroup, indices: Iterable[int]) -> "GroupSubset":
         indices = list(indices)
         for i in indices:
@@ -289,16 +275,6 @@ class GroupSubset:
                 e = group.element(e if isinstance(e, (tuple, list)) else (e,))
             indices.append(group.index_of(e))
         return cls.from_indices(group, indices)
-
-    @classmethod
-    def from_bools(cls, group: FiniteAbelianGroup, table: Sequence[bool]) -> "GroupSubset":
-        if len(table) != group.order:
-            raise ValueError("membership table length does not match group order")
-        return cls(group, mask_of(group.order, itertools.compress(range(group.order), table)))
-
-    @property
-    def membership(self) -> tuple[bool, ...]:
-        return tuple(map(bool, _flags(self.mask, self.group.order)))
 
     @property
     def size(self) -> int:
@@ -325,10 +301,6 @@ class GroupSubset:
     def __and__(self, other: "GroupSubset") -> "GroupSubset":
         self._check_same_group(other)
         return GroupSubset(self.group, self.mask & other.mask)
-
-    def issubset(self, other: "GroupSubset") -> bool:
-        self._check_same_group(other)
-        return self.mask & ~other.mask == 0
 
     def translate(self, x: GroupElement) -> "GroupSubset":
         """The set of all members shifted by x."""

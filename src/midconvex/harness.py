@@ -31,6 +31,10 @@ from .rationals import (
 
 EXHAUSTIVE_ORDER_CAP = 12
 SAMPLED_SUBSET_COUNT = 10_000
+# The purity campaign draws its descriptor pairs over these primes and tests
+# each pair's implication on this many lattice points.
+PURITY_PRIME_POOL = (2, 3, 5, 7)
+PURITY_SAMPLES_PER_PAIR = 200
 
 
 @dataclass
@@ -302,20 +306,13 @@ def _purity_violation(
     return None
 
 
-def sample_two_purity(
-    trials: int = 100,
-    seed: int = 0,
-    prime_pool: Sequence[int] = (2, 3, 5, 7),
-    *,
-    samples_per_pair: int = 200,
-) -> VerificationReport:
+def sample_two_purity(trials: int = 100, seed: int = 0) -> VerificationReport:
     """Differential test of the two-purity formula against direct sampling."""
     started = time.perf_counter()
     rng = random.Random(seed)
-    pool = sorted(prime_pool)
     report = VerificationReport("purity", seed=seed)
     for trial in range(trials):
-        ambient_primes = frozenset(rng.sample(pool, rng.randint(0, min(2, len(pool)))))
+        ambient_primes = frozenset(rng.sample(PURITY_PRIME_POOL, rng.randint(0, 2)))
         ambient = RationalGroupDescriptor(
             Fraction(rng.randint(1, 12), rng.randint(1, 12)), ambient_primes
         )
@@ -325,7 +322,7 @@ def sample_two_purity(
             ambient.gen * Fraction(rng.randint(1, 20), den), sub_primes
         )
         formula = is_two_pure(sub, ambient)
-        violation = _purity_violation(ambient, sub, rng, samples_per_pair)
+        violation = _purity_violation(ambient, sub, rng, PURITY_SAMPLES_PER_PAIR)
         if formula != (violation is None):
             record = report.add_mismatch(
                 ambient,
@@ -335,7 +332,7 @@ def sample_two_purity(
                 violation is None,
             )
             record["violation"] = str(violation)
-    report.counts = {"pairs": trials, "samples_per_pair": samples_per_pair}
+    report.counts = {"pairs": trials, "samples_per_pair": PURITY_SAMPLES_PER_PAIR}
     report.elapsed_s = time.perf_counter() - started
     return report
 

@@ -46,10 +46,6 @@ class IntWindowSet:
             raise ValueError("member outside the declared window")
         return cls(lo, hi, mask_of(hi - lo + 1, (n - lo for n in members)))
 
-    @classmethod
-    def from_residues(cls, period: int, residues: Iterable[int]) -> "IntWindowSet":
-        return cls(0, period - 1, mask_of(period, (r % period for r in residues)), period)
-
     def contains(self, n: int) -> bool:
         """Membership inside the window; False outside (window-exact reading)."""
         if self.period is not None:
@@ -60,10 +56,6 @@ class IntWindowSet:
 
     def members(self) -> tuple[int, ...]:
         return tuple(map(self.lo.__add__, set_bits(self.mask)))
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.mask
 
     def __str__(self) -> str:
         body = "{%s}" % ",".join(str(n) for n in self.members())
@@ -185,10 +177,6 @@ def midconvex_z_witness(window_set: IntWindowSet) -> tuple[int, int, int] | None
     return None
 
 
-def is_midconvex_z(window_set: IntWindowSet) -> bool:
-    return midconvex_z_witness(window_set) is None
-
-
 def trace_z(window_set: IntWindowSet, x: int, g: int) -> IntWindowSet:
     """The set of all n with x + n*g in X, on the largest window X determines.
 
@@ -209,19 +197,6 @@ def trace_z(window_set: IntWindowSet, x: int, g: int) -> IntWindowSet:
     # every member lies in the window, so its n lies in [n_lo, n_hi]
     steps = ((n - x) // g for n in window_set.members() if (n - x) % g == 0)
     return IntWindowSet.from_members(n_lo, n_hi, steps)
-
-
-def lemma1_check(window_set: IntWindowSet, x: int, y: int) -> bool:
-    """True iff the trace of X at x along y - x is order-convex.
-
-    This necessarily holds for every midconvex window-exact set and every
-    pair of distinct members; it is not sufficient.
-    """
-    if x == y:
-        raise ValueError("lemma1_check needs two distinct members")
-    if not (window_set.contains(x) and window_set.contains(y)):
-        raise ValueError("lemma1_check base points must be members")
-    return is_order_convex(trace_z(window_set, x, y - x))
 
 
 def minimal_nonzero_member(window_set: IntWindowSet) -> int | None:

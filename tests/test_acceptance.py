@@ -28,7 +28,7 @@ from midconvex.harness import (
     exhaustive_theorem2,
     sample_two_purity,
 )
-from midconvex.intsets import IntWindowSet, decompose_z, is_midconvex_z
+from midconvex.intsets import IntWindowSet, decompose_z, midconvex_z_witness
 from midconvex.rationals import (
     QIntervalSpec,
     RationalGroupDescriptor,
@@ -136,9 +136,9 @@ def test_criterion_5_closure_laws_1000_random_subsets():
         y = GroupSubset(group, x.mask | rng.getrandbits(group.order))
         cx = midconvex_closure(group, x)
         cy = midconvex_closure(group, y)
-        if not x.issubset(cx):
+        if x.mask & ~cx.mask:
             violations += 1
-        if not cx.issubset(cy):
+        if cx.mask & ~cy.mask:
             violations += 1
         if midconvex_closure(group, cx) != cx:
             violations += 1
@@ -154,12 +154,12 @@ def test_criterion_5_closure_laws_1000_random_subsets():
 
 def test_criterion_6_two_purity_formula_vs_sampling():
     started = time.perf_counter()
-    result = sample_two_purity(100, seed=0, prime_pool=(2, 3, 5, 7), samples_per_pair=200)
+    result = sample_two_purity(100, seed=0)
     elapsed = time.perf_counter() - started
     report(
         6,
         "two-purity formula agrees with the sampled implication on 100 pairs",
-        result.passed and elapsed < 30,
+        result.passed and result.counts == {"pairs": 100, "samples_per_pair": 200} and elapsed < 30,
         f"{result.counts['pairs']} pairs x {result.counts['samples_per_pair']} samples, {elapsed:.1f}s",
     )
 
@@ -238,7 +238,7 @@ def test_criterion_8_windowed_integer_equivalence():
             except NotMidconvexTrace:
                 decomposes = False
                 break
-        if decomposes != is_midconvex_z(window):
+        if decomposes != (midconvex_z_witness(window) is None):
             mismatches += 1
     report(
         8,

@@ -447,6 +447,53 @@ def test_verify_sizes_are_capped_before_any_work(monkeypatch, text, size, campai
     assert f"result: resource: {flag} {cap + 1} is above the campaign size cap, cap is {cap}\n" in output
 
 
+@pytest.mark.parametrize(
+    "text,flag,campaign",
+    [
+        ("Z; {0}@window[0,0]; verify --theorem 1", "--max-order", "exhaustive_theorem1"),
+        ("Z; {0}@window[0,0]; verify --theorem 2", "--max-order", "exhaustive_theorem2"),
+        ("Z; {0}@window[0,0]; verify --theorem lemma1", "--max-order", "exhaustive_lemma1"),
+        ("Z(4); {0}; verify --theorem purity", "--samples", "sample_two_purity"),
+        ("Q(gen=1, primes=[]); {0,2}; verify --theorem hull", "--samples", "conjecture_hull_check"),
+        ("Q(gen=1, primes=[2]); conv[0,1] ∩ ((1,[2]) + 0); verify --theorem 3", "--samples", "roundtrip_theorem3"),
+    ],
+)
+@pytest.mark.parametrize("size", [-1, -7])
+def test_verify_rejects_negative_sizes_before_any_work(monkeypatch, text, flag, campaign, size):
+    # a negative size once ran and reported a pass with a negative count
+    monkeypatch.setattr(harness, campaign, lambda *args, **kwargs: pytest.fail("campaign ran"))
+    code, output = run_text(f"{text} {flag} {size}")
+    assert code == cli.EXIT_USAGE
+    assert f"result: error: {flag} {size} is negative\n" in output
+
+
+def test_z_windows_are_capped_at_bind_time():
+    # a window of 2 * 10**10 + 1 integers once died allocating its mask
+    cap = cli.WINDOW_CAP
+    assert cap == 20_000_000
+    window = cli._bind_set("zed", None, dsl.ExplicitSetExpr((0, 5), (-cap // 2, cap - cap // 2 - 1)))[1]
+    assert window.hi - window.lo + 1 == cap and window.members() == (0, 5)
+    for lo, hi in [(-cap // 2, cap - cap // 2), (-10**10, 10**10)]:
+        for command in ("check", "decompose", "trace x=0 g=1", "closure"):
+            code, output = run_text(f"Z; {{0,5}}@window[{lo},{hi}]; {command}")
+            assert code == cli.EXIT_RESOURCE
+            assert f"result: resource: window [{lo},{hi}] is {hi - lo + 1} wide, cap is {cap}\n" in output
+
+
+@pytest.mark.parametrize("command", ["check", "decompose"])
+@pytest.mark.parametrize("members,count", [("0,0,2", 2), ("0,3,3,6", 3), ("6,3,0,3,6", 3)])
+def test_count_is_the_number_of_distinct_members_on_every_route(command, members, count):
+    outputs = [
+        run_text(f"{group}; {{{members}}}{window}; {command}", fmt="json")
+        for group, window in [("Z(9)", ""), ("Z", "@window[0,6]"), ("Q(gen=1, primes=[])", "")]
+    ]
+    codes = {code for code, _ in outputs}
+    assert len(codes) == 1
+    # a failed decomposition reports no count on any route
+    expected = count if command == "check" or codes == {cli.EXIT_OK} else 0
+    assert [json.loads(out)["stats"]["count"] for _, out in outputs] == [expected] * 3
+
+
 def test_large_product_closure_is_whole_mask():
     # Z(1024x1024) is its own Sylow 2-subgroup, so the closure lists all 2**20
     # elements; 1.5 s measured (2-vCPU Xeon), 3.2 s for a translate and a

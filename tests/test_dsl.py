@@ -19,7 +19,9 @@ from midconvex.dsl import (
     TraceCmd,
     VerifyCmd,
     ZGroupExpr,
-    format_program,
+    format_command,
+    format_group,
+    format_set,
     parse,
 )
 
@@ -77,6 +79,11 @@ def test_parse_empty_set_and_bare_decompose():
     program = parse("Z(5); {}; check")
     assert program.set_expr == ExplicitSetExpr((), None)
     assert parse("Z(5); {0}; decompose").command == DecomposeCmd(None)
+
+
+def format_program(program):
+    """The statement printed back as text, its three parts joined by "; "."""
+    return "; ".join((format_group(program.group), format_set(program.set_expr), format_command(program.command)))
 
 
 @pytest.mark.parametrize(

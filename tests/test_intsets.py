@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from midconvex.errors import NotMidconvexTrace
+from midconvex.groups import mask_of
 from midconvex.intsets import (
     IntIntervalSpec,
     IntWindowSet,
@@ -14,9 +15,7 @@ from midconvex.intsets import (
     ZSubgroupSpec,
     decompose_trace,
     decompose_z,
-    is_midconvex_z,
     is_order_convex,
-    lemma1_check,
     midconvex_z_witness,
     minimal_nonzero_member,
     trace_z,
@@ -25,6 +24,24 @@ from midconvex.intsets import (
 
 def wset(lo, hi, members):
     return IntWindowSet.from_members(lo, hi, members)
+
+
+def residue_set(period, residues):
+    """The periodic set of the residues modulo the period, on the window [0, period - 1]."""
+    return IntWindowSet(0, period - 1, mask_of(period, (r % period for r in residues)), period)
+
+
+def lemma1_check(window_set, x, y):
+    """True iff the trace of X at x along y - x is order-convex.
+
+    This necessarily holds for every midconvex window-exact set and every
+    pair of distinct members; it is not sufficient.
+    """
+    if x == y:
+        raise ValueError("lemma1_check needs two distinct members")
+    if not (window_set.contains(x) and window_set.contains(y)):
+        raise ValueError("lemma1_check base points must be members")
+    return is_order_convex(trace_z(window_set, x, y - x))
 
 
 def naive_midconvex(members):
@@ -57,31 +74,30 @@ def test_is_order_convex_examples():
 
 
 def test_midconvex_z_examples():
-    assert is_midconvex_z(wset(0, 9, [0, 3, 6, 9]))
+    assert midconvex_z_witness(wset(0, 9, [0, 3, 6, 9])) is None
     assert midconvex_z_witness(wset(-5, 5, [0, 2, 4])) == (0, 2, 1)
-    assert is_midconvex_z(wset(0, 9, [7]))
+    assert midconvex_z_witness(wset(0, 9, [7])) is None
 
 
 def test_periodic_witness_reads_across_the_period():
     # 0 and 2 are members of 2Z and their midpoint 1 is not; one period holds only 0
-    evens = IntWindowSet.from_residues(2, [0])
+    evens = residue_set(2, [0])
     assert midconvex_z_witness(evens) == (0, 2, 1)
-    assert not is_midconvex_z(evens)
-    assert is_midconvex_z(IntWindowSet.from_residues(3, [0]))
+    assert midconvex_z_witness(residue_set(3, [0])) is None
 
 
 def test_periodic_witness_agrees_with_decompose_z_on_every_pattern_to_period_12():
     patterns = 0
     for period in range(1, 13):
         for mask in range(1, 1 << period):
-            window = IntWindowSet.from_residues(period, [r for r in range(period) if mask >> r & 1])
+            window = residue_set(period, [r for r in range(period) if mask >> r & 1])
             try:
                 decompose_z(window)
                 decomposes = True
             except NotMidconvexTrace:
                 decomposes = False
             witness = midconvex_z_witness(window)
-            assert decomposes == (witness is None) == is_midconvex_z(window), (period, mask)
+            assert decomposes == (witness is None), (period, mask)
             if witness is not None:
                 x, y, z = witness
                 assert window.contains(x) and window.contains(y) and 2 * z == x + y
@@ -98,7 +114,7 @@ def test_midconvex_z_matches_definition_on_all_small_sets():
     lo, hi = 0, 8
     for mask in range(1 << (hi - lo + 1)):
         members = [lo + i for i in range(hi - lo + 1) if mask >> i & 1]
-        assert is_midconvex_z(wset(lo, hi, members)) == naive_midconvex(members)
+        assert (midconvex_z_witness(wset(lo, hi, members)) is None) == naive_midconvex(members)
 
 
 def test_trace_z_examples():
@@ -151,7 +167,7 @@ def test_lemma1_necessity_on_all_small_midconvex_sets():
     for mask in range(1 << (hi - lo + 1)):
         members = [lo + i for i in range(hi - lo + 1) if mask >> i & 1]
         window = wset(lo, hi, members)
-        if not is_midconvex_z(window):
+        if midconvex_z_witness(window) is not None:
             continue
         for x in members:
             for y in members:
@@ -163,11 +179,11 @@ def test_lemma1_detects_gaps_on_either_side_of_zero():
     # gap strictly above the base pair: trace {0,1,5} misses 2..4
     above = wset(-6, 6, [0, 1, 5])
     assert not lemma1_check(above, 0, 1)
-    assert not is_midconvex_z(above)
+    assert midconvex_z_witness(above) is not None
     # gap strictly below: trace {-5,0,1} misses -4..-1
     below = wset(-6, 6, [-5, 0, 1])
     assert not lemma1_check(below, 0, 1)
-    assert not is_midconvex_z(below)
+    assert midconvex_z_witness(below) is not None
     # filling the gaps restores both directions
     assert lemma1_check(wset(-6, 6, range(-5, 2)), 0, 1)
 
@@ -186,11 +202,11 @@ def test_decompose_trace_bounded_example():
 
 
 def test_decompose_trace_periodic_example():
-    dec = decompose_trace(IntWindowSet.from_residues(15, range(0, 15, 3)))
+    dec = decompose_trace(residue_set(15, range(0, 15, 3)))
     assert dec.interval == IntIntervalSpec(None, None)
     assert dec.subgroup == ZSubgroupSpec(3)
     # the same set given by unreduced residues
-    unreduced = decompose_trace(IntWindowSet.from_residues(15, [0, 18, -9, 9, 12, 30]))
+    unreduced = decompose_trace(residue_set(15, [0, 18, -9, 9, 12, 30]))
     assert unreduced == dec
 
 
@@ -283,7 +299,7 @@ def test_decompose_trace_matches_the_pointwise_check_on_all_small_windows():
 def test_decompose_trace_matches_the_pointwise_check_on_all_periodic_traces_up_to_period_10():
     for period in range(1, 11):
         for pattern in range(1 << period):
-            window_set = IntWindowSet.from_residues(period, [r for r in range(period) if pattern >> r & 1])
+            window_set = residue_set(period, [r for r in range(period) if pattern >> r & 1])
             assert minimal_nonzero_member(window_set) == looped_minimal_nonzero_member(window_set)
             if pattern & 1:
                 assert outcome(decompose_trace, window_set) == outcome(pointwise_decomposition, window_set)
@@ -291,7 +307,7 @@ def test_decompose_trace_matches_the_pointwise_check_on_all_periodic_traces_up_t
 
 def test_decompose_trace_periodic_non_subgroup_fails():
     with pytest.raises(NotMidconvexTrace):
-        decompose_trace(IntWindowSet.from_residues(7, [0, 3, 4]))
+        decompose_trace(residue_set(7, [0, 3, 4]))
 
 
 def test_periodic_traces_accepted_are_exactly_the_odd_multiples():
@@ -302,7 +318,7 @@ def test_periodic_traces_accepted_are_exactly_the_odd_multiples():
         for pattern in range(1 << period - 1):
             residues = frozenset([0] + [r for r in range(1, period) if pattern >> r - 1 & 1])
             try:
-                decompose_trace(IntWindowSet.from_residues(period, residues))
+                decompose_trace(residue_set(period, residues))
                 accepted = True
             except NotMidconvexTrace:
                 accepted = False
@@ -337,7 +353,7 @@ def test_decompose_z_requires_membership():
 def test_decompose_z_defaults_to_the_least_member():
     dec = decompose_z(wset(0, 12, [3, 6, 9, 12]))
     assert dec.base == 3 and dec.interval == IntIntervalSpec(3, 12) and dec.subgroup == ZSubgroupSpec(3)
-    assert decompose_z(IntWindowSet.from_residues(15, [13, 4, 10, 1, 7])).base == 1
+    assert decompose_z(residue_set(15, [13, 4, 10, 1, 7])).base == 1
     # the empty set is reported before the base is checked
     for x in (None, 2):
         with pytest.raises(ValueError, match="cannot decompose the empty set"):
@@ -359,7 +375,7 @@ def test_decompose_z_round_trip_on_small_sets():
 
 
 def test_decompose_z_periodic_input():
-    window = IntWindowSet.from_residues(15, [1, 4, 7, 10, 13])
+    window = residue_set(15, [1, 4, 7, 10, 13])
     dec = decompose_z(window, 1)
     assert dec.interval == IntIntervalSpec(None, None)
     assert dec.subgroup == ZSubgroupSpec(3)
@@ -382,7 +398,7 @@ def test_window_equivalence_midconvex_iff_every_base_decomposes(shift, offsets):
         except NotMidconvexTrace:
             decomposes = False
             break
-    assert decomposes == is_midconvex_z(window)
+    assert decomposes == (midconvex_z_witness(window) is None)
 
 
 def test_trace_decomposition_rejects_even_modulus():
@@ -447,7 +463,7 @@ def seeded_windows(rng, count):
             first = rng.randint(lo, hi)
             members = list(range(first, rng.randint(first, hi) + 1 if not periodic else hi + 1, step))
         if periodic:
-            built = IntWindowSet.from_residues(d, [n + d * rng.randint(-3, 3) for n in members])
+            built = residue_set(d, [n + d * rng.randint(-3, 3) for n in members])
         else:
             built = IntWindowSet.from_members(lo, hi, members + members[: len(members) // 2])
         yield built, MemberSet(lo, hi, members, d if periodic else None)
@@ -459,7 +475,7 @@ def test_mask_windows_match_the_member_set_reference():
     for built, ref in seeded_windows(rng, 600):
         lo, hi = ref.lo, ref.hi
         assert (built.lo, built.hi, built.period) == (lo, hi, ref.period)
-        assert built.members() == ref.members() and built.is_empty == (not ref.inside)
+        assert built.members() == ref.members() and (not built.mask) == (not ref.inside)
         span = range(lo - 2 * (hi - lo + 1), hi + 2 * (hi - lo + 1) + 1)
         assert [built.contains(n) for n in span] == [ref.contains(n) for n in span], built
         witness = member_witness(ref)
