@@ -161,10 +161,13 @@ def _decomposition_dict(dec) -> dict:
             },
             "x": str(dec.base),
         }
-    if isinstance(dec, intsets.TraceDecomposition):
+    if isinstance(dec, RationalMidconvexDescription):
+        # a window set of Z: H = (m, []) is reported as its modulus m, and as 0 when C is one point
+        c = dec.interval
+        modulus = 0 if c.lower is not None and c.lower == c.upper else int(dec.subgroup.gen)
         return {
-            "C": _interval_dict(dec.interval.lower, dec.interval.upper),
-            "H": {"gen": None, "primes": None, "modulus": dec.subgroup.modulus},
+            "C": _interval_dict(c.lower, c.upper),
+            "H": {"gen": None, "primes": None, "modulus": modulus},
             "x": str(dec.base),
         }
     desc = dec.description
@@ -339,6 +342,7 @@ def _run_trace(group, set_kind, set_obj, command, report):
 
 def _run_decompose(group, set_kind, set_obj, command, report):
     x = None if command.x is None else _bind_element(set_kind, group, command.x, "base")
+    report["stats"]["count"] = _member_count(set_kind, set_obj)
     try:
         if set_kind == "subset":
             dec = engine.decompose_periodic(group, set_obj, x)
@@ -357,7 +361,6 @@ def _run_decompose(group, set_kind, set_obj, command, report):
     report["decomposition"] = _decomposition_dict(dec)
     singleton = isinstance(dec, engine.RationalDecomposition) and dec.depth is None
     report["result"] = "decomposed (singleton)" if singleton else "decomposed"
-    report["stats"]["count"] = _member_count(set_kind, set_obj)
     return EXIT_OK
 
 

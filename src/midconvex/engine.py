@@ -298,8 +298,8 @@ def _described_range(
     Over one common denominator D, (x - base)/gen = A/D and g/gen = B/D. So
     x + k*g lies in H + base iff (A + k*B)/D lies in Z[1/P], that is iff D'
     divides A + k*B, with D' the part of D coprime to the inverted primes P:
-    one residue class of k modulo D'/gcd(B, D'), or none. The interval cuts
-    an interval of k out of it; for g < 0 its ends swap.
+    one residue class of k modulo D'/gcd(B, D'), or none. The interval's
+    lattice cut bounds k.
     """
     sub, interval = description.subgroup, description.interval
     a, b = (x - description.base) / sub.gen, g / sub.gen
@@ -313,15 +313,9 @@ def _described_range(
         return range(0)
     m = d // c
     r = -(big_a // c) * pow(big_b // c, -1, m) % m
-    lo, hi = -k_max, k_max
-    ends = [(interval.lower, interval.lower_closed), (interval.upper, interval.upper_closed)]
-    (below, below_closed), (above, above_closed) = ends if g > 0 else ends[::-1]
-    if below is not None:
-        t = (below - x) / g
-        lo = max(lo, ceil(t) if below_closed else floor(t) + 1)
-    if above is not None:
-        t = (above - x) / g
-        hi = min(hi, floor(t) if above_closed else ceil(t) - 1)
+    lo, hi = interval.lattice_cut(x, g)
+    lo = -k_max if lo is None else max(lo, -k_max)
+    hi = k_max if hi is None else min(hi, k_max)
     return range(lo + (r - lo) % m, hi + 1, m)
 
 
@@ -329,9 +323,8 @@ def lattice_trace(
     members: RationalMidconvexDescription | Iterable[Rational],
     x: Fraction,
     g: Fraction,
-    k_max: int = _TRACE_RADIUS,
 ) -> IntWindowSet:
-    """The trace {k : x + k*g in X} of a described or finite set on [-k_max, k_max].
+    """The trace {k : x + k*g in X} of a described or finite set on [-_TRACE_RADIUS, _TRACE_RADIUS].
 
     A described set's trace is one range of k in closed form, with no
     per-point test, and its mask one periodic mask. A finite set is read per
@@ -339,7 +332,7 @@ def lattice_trace(
     """
     if g == 0:
         raise ValueError("trace direction must be nonzero")
-    x, g = Fraction(x), Fraction(g)
+    x, g, k_max = Fraction(x), Fraction(g), _TRACE_RADIUS
     if isinstance(members, RationalMidconvexDescription):
         ks = _described_range(members, x, g, k_max)
         mask = periodic_mask(1, ks.step, len(ks) * ks.step) << ks.start + k_max if ks else 0
@@ -437,12 +430,12 @@ def described_members(description: RationalMidconvexDescription) -> tuple[Fracti
     lower, upper = description.interval.lower, description.interval.upper
     if lower is None or upper is None or (description.subgroup.primes and lower != upper):
         return None
+    # every k gives a point of H + base, so the interval's cut alone decides
     base, step = description.base, description.subgroup.gen
-    first, last = ceil((lower - base) / step), floor((upper - base) / step)
+    first, last = description.interval.lattice_cut(base, step)
     if last - first + 1 > _LATTICE_CAP:
         raise CapExceeded(f"{last - first + 1} lattice points to list, cap is {_LATTICE_CAP}")
-    ks = _described_range(description, base, step, max(-first, last))
-    return tuple(base + k * step for k in ks)
+    return tuple(base + k * step for k in range(first, last + 1))
 
 
 def decompose_rational(
@@ -607,9 +600,9 @@ def _sampled_violation(
     c = (2L*bn + hn*s)/(2L*m), s the sum of the two numerators. Each test on
     it is one in integers: c is in the group, and c - base = hn*s/(2L*m) in
     the subgroup, when the `_halving_modulus` of each over L*m divides it;
-    c is in the interval when s lies between its ends, each scaled once to
-    (end - base)/h * 2L and rounded inward. A missing midpoint is one in the
-    group but not in the set; Fractions are built only for it.
+    c = base + s*h/2L is in the interval when s lies in the interval's lattice
+    cut along h/2L. A missing midpoint is one in the group but not in the
+    set; Fractions are built only for it.
     """
     sub, interval, base = description.subgroup, description.interval, description.base
     nums, big_l = _draw_numerators(random.Random(seed), sub, interval, base, 2 * samples)
@@ -620,13 +613,8 @@ def _sampled_violation(
     offset = 2 * big_l * base.numerator * (m // base.denominator)
     hn = h.numerator * (m // h.denominator)
     in_group, in_sub = _halving_modulus(group, big_l * m), _halving_modulus(sub, big_l * m)
-    s_lo, s_hi = -inf, inf
-    if interval.lower is not None:
-        e = (interval.lower - base) / h * 2 * big_l
-        s_lo = ceil(e) if interval.lower_closed else floor(e) + 1
-    if interval.upper is not None:
-        e = (interval.upper - base) / h * 2 * big_l
-        s_hi = floor(e) if interval.upper_closed else ceil(e) - 1
+    s_lo, s_hi = interval.lattice_cut(base, h / (2 * big_l))
+    s_lo, s_hi = -inf if s_lo is None else s_lo, inf if s_hi is None else s_hi
     n = len(nums)
     for i in range(samples):
         ta, tb = nums[2 * i % n], nums[(2 * i + 1) % n]

@@ -35,6 +35,8 @@ SAMPLED_SUBSET_COUNT = 10_000
 # each pair's implication on this many lattice points.
 PURITY_PRIME_POOL = (2, 3, 5, 7)
 PURITY_SAMPLES_PER_PAIR = 200
+# Midpoint rounds the hull check runs the bounded closure oracle for.
+HULL_ROUNDS = 8
 
 
 @dataclass
@@ -417,11 +419,10 @@ def bounded_closure_oracle(
 def conjecture_hull_check(
     group: RationalGroupDescriptor,
     start: Sequence[Rational],
-    max_iters: int = 8,
     samples: int = 200,
     seed: int = 0,
 ) -> VerificationReport:
-    """Differential check of engine.rational_closure against the bounded midpoint oracle.
+    """Differential check of engine.rational_closure against HULL_ROUNDS of the bounded midpoint oracle.
 
     Every oracle point must lie in the closure. Sampled closure points the
     oracle has not produced are mismatches once the oracle is complete; in a
@@ -433,7 +434,7 @@ def conjecture_hull_check(
     if candidate is None:
         raise ValueError("hull verification needs a nonempty set")
     label = sorted(Fraction(s) for s in start)
-    produced, complete = bounded_closure_oracle(group, start, max_iters)
+    produced, complete = bounded_closure_oracle(group, start, HULL_ROUNDS)
     for p in sorted(produced):
         if not candidate.contains(p):
             report.add_mismatch(

@@ -8,6 +8,9 @@ checked on the window is genuinely midconvexity of X restricted to it.
 A set may additionally be flagged as periodic: the window then presents one
 full period of a periodic subset of the integers, and decompositions treat
 it as the infinite set it denotes.
+
+A decomposition is the rationals' description C ∩ (H + x) read over Z = (1, []):
+C an interval with integer ends and H the descriptor (m, []) of the multiples of m.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from typing import Iterable
 
 from .errors import NotMidconvexTrace
 from .groups import least_index, mask_of, set_bits
+from .rationals import QIntervalSpec, RationalGroupDescriptor, RationalMidconvexDescription
 
 
 @dataclass(frozen=True)
@@ -62,87 +66,6 @@ class IntWindowSet:
         if self.period is not None:
             return f"{body} mod {self.period}"
         return f"{body}@window[{self.lo},{self.hi}]"
-
-
-@dataclass(frozen=True)
-class IntIntervalSpec:
-    """Order-convex subset of the integers; a missing endpoint means unbounded."""
-
-    lower: int | None
-    upper: int | None
-
-    def __post_init__(self) -> None:
-        if self.lower is not None and self.upper is not None and self.lower > self.upper:
-            raise ValueError("interval lower endpoint exceeds upper endpoint")
-
-    def contains(self, n: int) -> bool:
-        if self.lower is not None and n < self.lower:
-            return False
-        if self.upper is not None and n > self.upper:
-            return False
-        return True
-
-    def shift(self, dx: int) -> "IntIntervalSpec":
-        return IntIntervalSpec(
-            None if self.lower is None else self.lower + dx,
-            None if self.upper is None else self.upper + dx,
-        )
-
-    def __str__(self) -> str:
-        lo = "-inf" if self.lower is None else str(self.lower)
-        hi = "inf" if self.upper is None else str(self.upper)
-        return f"[{lo},{hi}]"
-
-
-@dataclass(frozen=True)
-class ZSubgroupSpec:
-    """Subgroup of the integers, encoded by a nonnegative modulus.
-
-    modulus m >= 1 encodes the subgroup of all multiples of m. modulus 0 is a
-    reserved marker used by trace decompositions for the singleton case: the
-    trace was exactly {0}, decomposed with the singleton interval and the full
-    group of integers. (Membership-wise both readings of m = 0 coincide there
-    because the paired interval already pins the set to a single point.)
-    """
-
-    modulus: int
-
-    def __post_init__(self) -> None:
-        if self.modulus < 0:
-            raise ValueError("modulus must be nonnegative")
-
-    def contains(self, n: int) -> bool:
-        if self.modulus == 0:
-            return n == 0
-        return n % self.modulus == 0
-
-    def __str__(self) -> str:
-        if self.modulus == 0:
-            return "Z (singleton marker)"
-        return f"{self.modulus}Z"
-
-
-@dataclass(frozen=True)
-class TraceDecomposition:
-    """Split of a trace as interval `C` intersected with coset `H + base`."""
-
-    interval: IntIntervalSpec
-    subgroup: ZSubgroupSpec
-    base: int = 0
-
-    def __post_init__(self) -> None:
-        if self.subgroup.modulus >= 1 and self.subgroup.modulus % 2 == 0:
-            raise ValueError("decomposition subgroup modulus must be odd")
-
-    def contains(self, n: int) -> bool:
-        if not self.interval.contains(n):
-            return False
-        m = self.subgroup.modulus
-        if m == 0:
-            # singleton marker: interval is [base, base], the subgroup is all
-            # of the integers, so the interval alone decides membership
-            return True
-        return (n - self.base) % m == 0
 
 
 def is_order_convex(window_set: IntWindowSet) -> bool:
@@ -209,14 +132,15 @@ def minimal_nonzero_member(window_set: IntWindowSet) -> int | None:
     return min((n for n in reversed(members) if n), key=abs, default=None)
 
 
-def decompose_trace(trace: IntWindowSet) -> TraceDecomposition:
-    """Split a trace containing 0 into an interval and an odd-modulus subgroup.
+def decompose_trace(trace: IntWindowSet) -> RationalMidconvexDescription:
+    """Write a trace containing 0 as C ∩ H, a description over Z with base 0.
 
     Follows the minimal-|m| construction: find the nonzero member m of least
     absolute value (ties toward positive), reject even m, set H to the
     multiples of |m| and C to the smallest order-convex set with C and H
     intersecting to the trace, then verify the reconstruction; the witness
-    is the least point where they differ.
+    is the least point where they differ. A trace of one member is C = [0, 0]
+    with H = Z.
 
     A periodic trace (one carrying a period) is read as the infinite periodic
     set it presents; its interval comes out unbounded.
@@ -227,18 +151,18 @@ def decompose_trace(trace: IntWindowSet) -> TraceDecomposition:
 
     m = minimal_nonzero_member(trace)
     if m is None:
-        return TraceDecomposition(IntIntervalSpec(0, 0), ZSubgroupSpec(0))
+        return RationalMidconvexDescription(QIntervalSpec(0, 0), RationalGroupDescriptor(1), 0)
     if m % 2 == 0:
         raise NotMidconvexTrace(f"minimal nonzero trace element {m} is even", minimal=m)
 
     mod = abs(m)
     members = trace.members()
     if d is not None:
-        interval = IntIntervalSpec(None, None)
+        interval = QIntervalSpec()
         rebuilt = range(0, d, mod) if d % mod == 0 else range(0)
     else:
         # the multiples of mod in [first member, last member], all inside the window
-        interval = IntIntervalSpec(members[0], members[-1])
+        interval = QIntervalSpec(members[0], members[-1])
         rebuilt = range(-(-members[0] // mod) * mod, members[-1] + 1, mod)
     differ = set(members).symmetric_difference(rebuilt)
     if differ:
@@ -248,14 +172,15 @@ def decompose_trace(trace: IntWindowSet) -> TraceDecomposition:
         else:
             reason = f"trace differs from interval-and-subgroup reconstruction at {n}"
         raise NotMidconvexTrace(reason, minimal=m, witness=n)
-    return TraceDecomposition(interval, ZSubgroupSpec(mod))
+    return RationalMidconvexDescription(interval, RationalGroupDescriptor(mod), 0)
 
 
-def decompose_z(window_set: IntWindowSet, x: int | None = None) -> TraceDecomposition:
+def decompose_z(window_set: IntWindowSet, x: int | None = None) -> RationalMidconvexDescription:
     """Decompose a window-exact integer set around a member x, by default the least.
 
-    On success the returned decomposition, with its interval in the original
-    coordinates and base x, reproduces the set exactly on the window.
+    On success the returned description, with base x, reproduces the set
+    exactly on the window: C runs from its least to its greatest member, or
+    is unbounded for a periodic set, and H is the subgroup of the trace X - x.
     """
     mask = window_set.mask
     if not mask:
@@ -268,8 +193,10 @@ def decompose_z(window_set: IntWindowSet, x: int | None = None) -> TraceDecompos
         # X - x rotates the one period presented: residue r moves to r - x
         d, r = window_set.period, x % window_set.period
         rotated = (mask >> r | mask << d - r) & ((1 << d) - 1)
-        inner = decompose_trace(IntWindowSet(0, d - 1, rotated, d))
-        return TraceDecomposition(inner.interval, inner.subgroup, base=x)
-    shifted = IntWindowSet(window_set.lo - x, window_set.hi - x, mask)
-    inner = decompose_trace(shifted)
-    return TraceDecomposition(inner.interval.shift(x), inner.subgroup, base=x)
+        trace = IntWindowSet(0, d - 1, rotated, d)
+        interval = QIntervalSpec()
+    else:
+        trace = IntWindowSet(window_set.lo - x, window_set.hi - x, mask)
+        lo = window_set.lo
+        interval = QIntervalSpec(lo + least_index(mask), lo + mask.bit_length() - 1)
+    return RationalMidconvexDescription(interval, decompose_trace(trace).subgroup, x)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import ceil, floor, gcd
 from typing import Iterable, Sequence
 
 Rational = Fraction | int
@@ -212,6 +212,22 @@ class QIntervalSpec:
             if r > self.upper or (r == self.upper and not self.upper_closed):
                 return False
         return True
+
+    def lattice_cut(self, x: Fraction, g: Fraction) -> tuple[int | None, int | None]:
+        """The least and greatest integer k with x + k*g inside; None on an unbounded side.
+
+        For g < 0 the ends swap: the upper end bounds k from below.
+        """
+        ends = [(self.lower, self.lower_closed), (self.upper, self.upper_closed)]
+        (below, below_closed), (above, above_closed) = ends if g > 0 else ends[::-1]
+        lo = hi = None
+        if below is not None:
+            t = (below - x) / g
+            lo = ceil(t) if below_closed else floor(t) + 1
+        if above is not None:
+            t = (above - x) / g
+            hi = floor(t) if above_closed else ceil(t) - 1
+        return lo, hi
 
     def __str__(self) -> str:
         lo = "-inf" if self.lower is None else str(self.lower)

@@ -24,6 +24,9 @@ def run_text(text, fmt="text"):
     [
         ("check_z4", "Z(4); {0}; check"),
         ("decompose_z15", "Z(15); {1,4,7,10,13}; decompose x=1"),
+        ("decompose_z_window", "Z; {3,6,9,12}@window[0,12]; decompose"),
+        # one member: C is the point [5,5] over H = Z, reported as modulus 0
+        ("decompose_z_singleton", "Z; {5}@window[0,9]; decompose"),
         ("verify_theorem2", "Z; {0}@window[0,0]; verify --theorem 2 --max-order 12"),
         ("verify_theorem1", "Z; {0}@window[0,0]; verify --theorem 1"),
         # Z(13) is above the cap, but its 8,192 subsets are fewer than the 10,000
@@ -227,7 +230,7 @@ def test_decompose_at_the_order_cap():
     assert run_text("Z(1048576); {3}; decompose") == (
         1,
         "command: decompose\ngroup: Z(1048576)\nset: {3}\n"
-        "result: not midconvex: X - x has even index 1048576\nstats: elapsed_ms=0 count=0 seed=-\n",
+        "result: not midconvex: X - x has even index 1048576\nstats: elapsed_ms=0 count=1 seed=-\n",
     )
     assert run_text("Z(1048576); {3,5}; decompose")[0] == 1
     assert time.perf_counter() - started < 0.5
@@ -489,9 +492,7 @@ def test_count_is_the_number_of_distinct_members_on_every_route(command, members
     ]
     codes = {code for code, _ in outputs}
     assert len(codes) == 1
-    # a failed decomposition reports no count on any route
-    expected = count if command == "check" or codes == {cli.EXIT_OK} else 0
-    assert [json.loads(out)["stats"]["count"] for _, out in outputs] == [expected] * 3
+    assert [json.loads(out)["stats"]["count"] for _, out in outputs] == [count] * 3
 
 
 def test_large_product_closure_is_whole_mask():

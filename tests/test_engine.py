@@ -496,10 +496,11 @@ def test_described_members_lists_finite_sets_only():
         described_members(described(F(0), F(500_000), desc(1), F(0)))
 
 
-def test_lattice_trace_reads_a_window_around_the_base():
+def test_lattice_trace_reads_a_window_around_the_base(monkeypatch):
     dyadic = RationalMidconvexDescription(QIntervalSpec(F(0), F(1)), desc(1, [2]), F(0))
     assert str(lattice_trace(dyadic, F(0), F(1, 4))) == "{0,1,2,3,4}@window[-64,64]"
-    assert str(lattice_trace([F(0), F(3), F(6)], F(3), F(3), 2)) == "{-1,0,1}@window[-2,2]"
+    monkeypatch.setattr(engine, "_TRACE_RADIUS", 2)
+    assert str(lattice_trace([F(0), F(3), F(6)], F(3), F(3))) == "{-1,0,1}@window[-2,2]"
     with pytest.raises(ValueError, match="trace direction must be nonzero"):
         lattice_trace(dyadic, F(0), F(0))
 
@@ -532,7 +533,7 @@ def seeded_interval(rng, base, h):
     return QIntervalSpec(lower, upper, lower_closed, upper_closed)
 
 
-def test_lattice_trace_matches_a_per_point_scan():
+def test_lattice_trace_matches_a_per_point_scan(monkeypatch):
     rng = random.Random(9)
     pools = [(), (2,), (3,), (2, 3), (5,), (3, 5)]
     for i in range(400):
@@ -548,19 +549,20 @@ def test_lattice_trace_matches_a_per_point_scan():
         x = base + h * F(rng.randint(-9, 9), rng.choice([1, 2, 3, 5, 7, 9, 11, 25]))
         g = h * F(rng.choice([1, -1]) * rng.randint(1, 4), rng.choice([1, 2, 3, 5, 6, 9, 27]))
         k_max = rng.randint(0, 40)
-        assert lattice_trace(description, x, g, k_max) == scanned_trace(description, x, g, k_max), (
+        monkeypatch.setattr(engine, "_TRACE_RADIUS", k_max)
+        assert lattice_trace(description, x, g) == scanned_trace(description, x, g, k_max), (
             i, description, x, g, k_max,
         )
         # a base off the coset: no lattice point along a subgroup element is a member
         off_x, off_g = base + h / 7, h * rng.choice([1, -1])
-        off = lattice_trace(description, off_x, off_g, k_max)
+        off = lattice_trace(description, off_x, off_g)
         assert not off.mask and off == scanned_trace(description, off_x, off_g, k_max)
         # a finite set with points on the lattice inside and outside the
         # radius and points off the lattice
         points = [x + k * g for k in rng.sample(range(-60, 61), rng.randint(0, 8))]
         points += [x + g * F(rng.randint(-90, 90), rng.choice([2, 3, 7])) for _ in range(rng.randint(0, 4))]
         rng.shuffle(points)
-        assert lattice_trace(points, x, g, k_max) == scanned_trace(points, x, g, k_max), (i, points)
+        assert lattice_trace(points, x, g) == scanned_trace(points, x, g, k_max), (i, points)
 
 
 # -- the rational decomposition route -----------------------------------------
@@ -662,12 +664,12 @@ def per_level_decompose_rational(group, description, x, x2, depth, window):
     prev_lower = prev_upper = prev_gen = None
     for step, g in enumerate(chain):
         try:
-            dec = decompose_trace(lattice_trace(description, x, g, math.floor(window / g)))
+            dec = decompose_trace(scanned_trace(description, x, g, math.floor(window / g)))
         except NotMidconvexTrace as exc:
             raise NotMidconvex(f"level {step} (lattice step {g}): {exc.reason}") from exc
         lower = x + g * dec.interval.lower
         upper = x + g * dec.interval.upper
-        h_gen = dec.subgroup.modulus * g
+        h_gen = dec.subgroup.gen * g
         if step > 0:
             if not (lower <= prev_lower and prev_upper <= upper):
                 raise NotMidconvex(f"level {step}: interval does not extend")

@@ -497,7 +497,7 @@ def test_integer_oracle_matches_the_fraction_oracle():
     assert violated >= 100 and incomplete >= 50, (violated, incomplete)
 
 
-def test_hull_candidate_and_conjecture_examples():
+def test_hull_candidate_and_conjecture_examples(monkeypatch):
     integers = desc(1)
     report = conjecture_hull_check(integers, [F(0), F(2)])
     assert report.passed
@@ -506,7 +506,8 @@ def test_hull_candidate_and_conjecture_examples():
     assert report.counts["oracle_points"] == 3
 
     dyadic = desc(1, [2])
-    report = conjecture_hull_check(dyadic, [F(0), F(1)], max_iters=4)
+    monkeypatch.setattr(harness, "HULL_ROUNDS", 4)
+    report = conjecture_hull_check(dyadic, [F(0), F(1)])
     assert report.passed
     assert not report.details["oracle_complete"]
     assert report.details["reverse_containment"] == "unfalsified at this depth"
@@ -517,11 +518,12 @@ def test_hull_candidate_and_conjecture_examples():
 
 
 @pytest.mark.parametrize("seed,unproduced", [(0, 5), (1, 2)])
-def test_conjecture_hull_check_draws_are_pinned_per_seed(seed, unproduced):
+def test_conjecture_hull_check_draws_are_pinned_per_seed(seed, unproduced, monkeypatch):
     # one oracle round leaves most candidate points unproduced, so the count
     # depends on which points the seeded sampler drew
     start = [F(-1), F(4)]
-    report = conjecture_hull_check(desc(1, [2, 5]), start, max_iters=1, samples=8, seed=seed)
+    monkeypatch.setattr(harness, "HULL_ROUNDS", 1)
+    report = conjecture_hull_check(desc(1, [2, 5]), start, samples=8, seed=seed)
     assert report.details["candidate_points_not_yet_produced"] == unproduced
 
 

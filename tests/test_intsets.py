@@ -9,10 +9,7 @@ from hypothesis import strategies as st
 from midconvex.errors import NotMidconvexTrace
 from midconvex.groups import mask_of
 from midconvex.intsets import (
-    IntIntervalSpec,
     IntWindowSet,
-    TraceDecomposition,
-    ZSubgroupSpec,
     decompose_trace,
     decompose_z,
     is_order_convex,
@@ -20,6 +17,14 @@ from midconvex.intsets import (
     minimal_nonzero_member,
     trace_z,
 )
+from midconvex.rationals import QIntervalSpec, RationalGroupDescriptor, RationalMidconvexDescription
+
+UNBOUNDED = QIntervalSpec()
+
+
+def over_z(interval, modulus, base=0):
+    """The description C ∩ (mZ + base) of a decomposition over Z."""
+    return RationalMidconvexDescription(interval, RationalGroupDescriptor(modulus), base)
 
 
 def wset(lo, hi, members):
@@ -196,24 +201,20 @@ def test_minimal_nonzero_member_tie_break():
 
 
 def test_decompose_trace_bounded_example():
-    dec = decompose_trace(wset(0, 9, [0, 3, 6, 9]))
-    assert dec.interval == IntIntervalSpec(0, 9)
-    assert dec.subgroup == ZSubgroupSpec(3)
+    assert decompose_trace(wset(0, 9, [0, 3, 6, 9])) == over_z(QIntervalSpec(0, 9), 3)
 
 
 def test_decompose_trace_periodic_example():
     dec = decompose_trace(residue_set(15, range(0, 15, 3)))
-    assert dec.interval == IntIntervalSpec(None, None)
-    assert dec.subgroup == ZSubgroupSpec(3)
+    assert dec == over_z(UNBOUNDED, 3)
     # the same set given by unreduced residues
     unreduced = decompose_trace(residue_set(15, [0, 18, -9, 9, 12, 30]))
     assert unreduced == dec
 
 
-def test_decompose_trace_singleton_marker():
+def test_decompose_trace_singleton_is_a_point_interval_over_z():
     dec = decompose_trace(wset(-2, 2, [0]))
-    assert dec.interval == IntIntervalSpec(0, 0)
-    assert dec.subgroup == ZSubgroupSpec(0)
+    assert dec == over_z(QIntervalSpec(0, 0), 1)
     assert dec.contains(0) and not dec.contains(1)
 
 
@@ -253,7 +254,7 @@ def pointwise_decomposition(trace):
     m = looped_minimal_nonzero_member(trace)
     d = trace.period
     if d is None and m is None:
-        return TraceDecomposition(IntIntervalSpec(0, 0), ZSubgroupSpec(0))
+        return over_z(QIntervalSpec(0, 0), 1)
     if m % 2 == 0:
         raise NotMidconvexTrace(f"minimal nonzero trace element {m} is even", minimal=m)
     mod = abs(m)
@@ -262,9 +263,9 @@ def pointwise_decomposition(trace):
         if d % mod != 0 or residues != set(range(0, d, mod)):
             bad = next((r for r in range(d) if (r in residues) != (d % mod == 0 and r % mod == 0)), None)
             raise NotMidconvexTrace(f"periodic trace is not the multiples of {mod}", minimal=m, witness=bad)
-        return TraceDecomposition(IntIntervalSpec(None, None), ZSubgroupSpec(mod))
+        return over_z(UNBOUNDED, mod)
     members = trace.members()
-    decomposition = TraceDecomposition(IntIntervalSpec(members[0], members[-1]), ZSubgroupSpec(mod))
+    decomposition = over_z(QIntervalSpec(members[0], members[-1]), mod)
     for n in range(trace.lo, trace.hi + 1):
         if trace.contains(n) != decomposition.contains(n):
             raise NotMidconvexTrace(
@@ -331,14 +332,10 @@ def test_decompose_trace_requires_zero():
 
 
 def test_decompose_z_examples():
-    dec = decompose_z(wset(0, 9, [0, 3, 6, 9]), 0)
-    assert dec.interval == IntIntervalSpec(0, 9)
-    assert dec.subgroup == ZSubgroupSpec(3)
-    assert dec.base == 0
+    assert decompose_z(wset(0, 9, [0, 3, 6, 9]), 0) == over_z(QIntervalSpec(0, 9), 3, 0)
 
     singleton = decompose_z(wset(0, 9, [5]), 5)
-    assert singleton.interval == IntIntervalSpec(5, 5)
-    assert singleton.subgroup == ZSubgroupSpec(0)
+    assert singleton == over_z(QIntervalSpec(5, 5), 1, 5)
     assert singleton.contains(5) and not singleton.contains(0)
 
     with pytest.raises(NotMidconvexTrace):
@@ -351,8 +348,7 @@ def test_decompose_z_requires_membership():
 
 
 def test_decompose_z_defaults_to_the_least_member():
-    dec = decompose_z(wset(0, 12, [3, 6, 9, 12]))
-    assert dec.base == 3 and dec.interval == IntIntervalSpec(3, 12) and dec.subgroup == ZSubgroupSpec(3)
+    assert decompose_z(wset(0, 12, [3, 6, 9, 12])) == over_z(QIntervalSpec(3, 12), 3, 3)
     assert decompose_z(residue_set(15, [13, 4, 10, 1, 7])).base == 1
     # the empty set is reported before the base is checked
     for x in (None, 2):
@@ -377,9 +373,7 @@ def test_decompose_z_round_trip_on_small_sets():
 def test_decompose_z_periodic_input():
     window = residue_set(15, [1, 4, 7, 10, 13])
     dec = decompose_z(window, 1)
-    assert dec.interval == IntIntervalSpec(None, None)
-    assert dec.subgroup == ZSubgroupSpec(3)
-    assert dec.base == 1
+    assert dec == over_z(UNBOUNDED, 3, 1)
     assert dec.contains(4) and dec.contains(-2) and not dec.contains(2)
 
 
@@ -399,18 +393,6 @@ def test_window_equivalence_midconvex_iff_every_base_decomposes(shift, offsets):
             decomposes = False
             break
     assert decomposes == (midconvex_z_witness(window) is None)
-
-
-def test_trace_decomposition_rejects_even_modulus():
-    with pytest.raises(ValueError):
-        TraceDecomposition(IntIntervalSpec(0, 4), ZSubgroupSpec(2))
-
-
-def test_interval_spec_validation_and_containment():
-    with pytest.raises(ValueError):
-        IntIntervalSpec(3, 1)
-    half_line = IntIntervalSpec(None, 4)
-    assert half_line.contains(-1000) and half_line.contains(4) and not half_line.contains(5)
 
 
 class MemberSet:

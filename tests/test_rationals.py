@@ -1,5 +1,6 @@
 """Rational subgroup descriptors: membership, purity, closures, cyclic chains."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -205,6 +206,28 @@ def test_interval_spec():
     assert closed.contains(F(0)) and closed.contains(F(1)) and closed.contains(F(1, 3))
     open_left = QIntervalSpec(F(0), None, lower_closed=False)
     assert not open_left.contains(F(0)) and open_left.contains(F(1000000))
+
+
+def test_lattice_cut_matches_a_per_point_scan():
+    # closed, open, half-bounded and degenerate intervals, ends on and off
+    # the lattice x + k*g, g of either sign
+    rng = random.Random(4)
+    for i in range(500):
+        lower, upper = sorted(F(rng.randint(-30, 30), rng.choice([1, 2, 3])) for _ in range(2))
+        closed = (True, True) if lower == upper else (rng.random() < 0.5, rng.random() < 0.5)
+        interval = QIntervalSpec(*rng.choice([(lower, upper), (lower, None), (None, upper)]), *closed)
+        x = F(rng.randint(-20, 20), rng.choice([1, 2, 5]))
+        g = F(rng.choice([1, -1]) * rng.randint(1, 6), rng.choice([1, 2, 3, 4]))
+        inside = [k for k in range(-200, 201) if interval.contains(x + k * g)]
+        lo, hi = interval.lattice_cut(x, g)
+        # an unbounded side reaches past the scanned range; a bounded one stays inside it
+        want_lo = None if -200 in inside else min(inside, default=None)
+        want_hi = None if 200 in inside else max(inside, default=None)
+        if not inside:
+            assert lo is not None and hi is not None and lo > hi, (i, interval, x, g)
+        else:
+            assert (lo, hi) == (want_lo, want_hi), (i, interval, x, g)
+    assert QIntervalSpec().lattice_cut(F(0), F(1)) == (None, None)
 
 
 def test_description_membership_examples():
