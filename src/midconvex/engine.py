@@ -15,12 +15,12 @@ from itertools import compress, count
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd, inf, prod
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import CapExceeded, NotMidconvex, NotMidconvexTrace, WindowTooSmall
 from .groups import (
     FiniteAbelianGroup, GroupElement, GroupSubset, bit_reader, is_subgroup, least_index, mask_of, periodic_mask,
-    subgroup_generated, sylow2_subgroup,
+    set_bits, subgroup_generated, sylow2_subgroup,
 )
 from .intsets import IntWindowSet, decompose_trace, is_order_convex
 from .rationals import (
@@ -215,30 +215,64 @@ def accepted_traces(period: int, exhaustive: bool) -> tuple[int, ...]:
     return tuple(accepted)
 
 
+def _coset_walks(group: FiniteAbelianGroup, gi: int) -> Iterator[list[int]]:
+    """The walk from each coset's least index along g, one per coset of <g>."""
+    seen = bytearray(group.order)
+    for start in range(group.order):
+        if not seen[start]:
+            walk = list(group.walk(start, gi))
+            for i in walk:
+                seen[i] = 1
+            yield walk
+
+
+def _coset_patterns(patterns: Sequence[int], period: int) -> list[tuple[int, ...]]:
+    """The patterns Q a coset may read along its walk: 0, and each Q whose trace at every member is accepted.
+
+    The trace at the member t of Q is Q rotated down by t, bit r read at t + r,
+    so every nonempty such Q is an accepted pattern rotated up by one of its
+    members. Each Q comes as its bits, bit r first.
+    """
+    full = (1 << period) - 1
+    accepted = set(patterns)
+    rotations = {(p << t | p >> period - t) & full for p in accepted for t in range(period)}
+    return [
+        tuple(q >> r & 1 for r in range(period))
+        for q in rotations | {0}
+        if all((q >> t | q << period - t) & full in accepted for t in set_bits(q))
+    ]
+
+
 def theorem1_bits(
     group: FiniteAbelianGroup, columns: Sequence[int], count: int, accepted: Mapping[int, Sequence[int]]
 ) -> int:
     """Bit k is set iff every trace of the subset in bit k of the columns is accepted.
 
     The trace at x along g reads the columns at x, x + g, x + 2g, ... for one
-    period L = ord(g). A member x passes there where the subset matches some
-    pattern of accepted[L] exactly. As in verify_theorem1, every member and
-    every g are read, g = 0 included.
+    period L = ord(g), and a member x passes there where the subset matches
+    some pattern of accepted[L] exactly. As in verify_theorem1, every member
+    and every g are read, g = 0 included. The members of one coset of <g>
+    read rotations of one pattern Q, the coset's columns along the walk, so
+    each coset is walked once: it passes where Q is empty or one of the
+    patterns whose every member's rotation is accepted (_coset_patterns).
     """
     n = group.order
-    missing = [~column for column in columns]
+    closed: dict[int, list[tuple[int, ...]]] = {}
     bad = 0
     for gi in range(n):
-        patterns = accepted[group.index_order(gi)]
-        for xi in range(n):
-            walk = list(group.walk(xi, gi))
+        period = group.index_order(gi)
+        if period not in closed:
+            closed[period] = _coset_patterns(accepted[period], period)
+        for walk in _coset_walks(group, gi):
+            # (missing, member) columns of the coset, in walk order
+            pairs = [(~columns[i], columns[i]) for i in walk]
             ok = 0
-            for pattern in patterns:
-                match = columns[xi]
-                for r in range(1, len(walk)):
-                    match &= columns[walk[r]] if pattern >> r & 1 else missing[walk[r]]
+            for bits in closed[period]:
+                match = -1
+                for pair, bit in zip(pairs, bits):
+                    match &= pair[bit]
                 ok |= match
-            bad |= columns[xi] & ~ok
+            bad |= ~ok
     return ((1 << count) - 1) & ~bad
 
 
@@ -265,26 +299,45 @@ def decompose_periodic(
     return PeriodicDecomposition(candidate, x)
 
 
-def lemma1_holds_at(group: FiniteAbelianGroup, mask: int, xi: int, gi: int) -> bool:
-    """Order-convexity of the trace at index xi along index gi, lifted over two periods.
+def lemma1_holds_in_group(
+    group: FiniteAbelianGroup, subset: GroupSubset, x: GroupElement, y: GroupElement
+) -> bool:
+    """Order-convexity of the trace at the member x along y - x, lifted over two periods.
 
     The trace of a finite-group set is periodic; the periodic set it denotes
     is order-convex in the integers only when it is everything, and a window
     of two periods is wide enough to exhibit any gap.
     """
-    trace = _trace(group, mask, xi, gi)
-    d = group.index_order(gi)
-    return is_order_convex(IntWindowSet(0, 2 * d - 1, trace.mask | trace.mask << d))
-
-
-def lemma1_holds_in_group(
-    group: FiniteAbelianGroup, subset: GroupSubset, x: GroupElement, y: GroupElement
-) -> bool:
-    """`lemma1_holds_at` at the member x along y - x."""
     xi, yi = group.index_of(x), group.index_of(y)
     if xi == yi:
         raise ValueError("lemma check needs two distinct members")
-    return lemma1_holds_at(group, subset.mask, xi, group.add_index(yi, group.neg_index(xi)))
+    gi = group.add_index(yi, group.neg_index(xi))
+    trace = _trace(group, subset.mask, xi, gi)
+    d = trace.period
+    return is_order_convex(IntWindowSet(0, 2 * d - 1, trace.mask | trace.mask << d))
+
+
+def lemma1_failures(group: FiniteAbelianGroup, columns: Sequence[int], within: int) -> list[tuple[int, int, int]]:
+    """Sorted (k, x, y), subset k among the bits of within, where lemma1_holds_in_group fails.
+
+    The two-period lift of the trace at x along g = y - x holds bits 0 and
+    ord(g), so it is order-convex exactly when the trace is full, that is when
+    the subset holds the whole coset x + <g>. For each g != 0 the subsets
+    holding a coset are the AND of its columns, and those holding x and y but
+    not their coset fail.
+    """
+    failures = []
+    for gi in range(1, group.order):
+        for walk in _coset_walks(group, gi):
+            whole = within
+            for i in walk:
+                whole &= columns[i]
+            # the walk steps by g, so each member's y = x + g is the next one
+            for xi, yi in zip(walk, walk[1:] + walk[:1]):
+                bad = within & columns[xi] & columns[yi] & ~whole
+                failures.extend((k, xi, yi) for k in set_bits(bad))
+    failures.sort()
+    return failures
 
 
 # -- subgroups of the rationals ------------------------------------------

@@ -240,7 +240,9 @@ def exhaustive_theorem1(max_order: int = 10, *, seed: int = 0) -> VerificationRe
     decompose_trace are taken once per call and period: on every residue
     pattern up to period EXHAUSTIVE_ORDER_CAP, and above it, where the
     2**(period-1) patterns grow too many, on the odd-modulus candidates
-    (see engine.accepted_traces).
+    (see engine.accepted_traces). The columns are then read once per g and
+    coset of <g>, against the patterns whose every rotation to a member is
+    accepted (engine.theorem1_bits).
     """
     accepted: dict[int, tuple[int, ...]] = {}
 
@@ -256,25 +258,23 @@ def exhaustive_theorem1(max_order: int = 10, *, seed: int = 0) -> VerificationRe
 
 
 def exhaustive_lemma1(max_order: int = 12, *, seed: int = 0) -> VerificationReport:
-    """Order-convexity of traces along member differences, for midconvex sets."""
+    """Order-convexity of traces along member differences, for midconvex sets.
+
+    The midconvex bits are read against every coset of every cyclic subgroup
+    at once (engine.lemma1_failures); each failing subset and pair of members
+    is reported in the order of its subset, then x, then y.
+    """
 
     def check(report, group, masks, columns, midconvex):
-        for k in set_bits(midconvex):
-            members = list(set_bits(masks[k]))
-            for xi in members:
-                for yi in members:
-                    if xi == yi:
-                        continue
-                    gi = group.add_index(yi, group.neg_index(xi))
-                    if not engine.lemma1_holds_at(group, masks[k], xi, gi):
-                        report.add_mismatch(
-                            group,
-                            _subset_label(GroupSubset(group, masks[k])),
-                            f"trace at {group.format_index(xi)} along {group.format_index(gi)}"
-                            " not order-convex",
-                            True,
-                            False,
-                        )
+        for k, xi, yi in engine.lemma1_failures(group, columns, midconvex):
+            gi = group.add_index(yi, group.neg_index(xi))
+            report.add_mismatch(
+                group,
+                _subset_label(GroupSubset(group, masks[k])),
+                f"trace at {group.format_index(xi)} along {group.format_index(gi)} not order-convex",
+                True,
+                False,
+            )
 
     return _sweep("lemma1", max_order, seed, check)
 

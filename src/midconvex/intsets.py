@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import NotMidconvexTrace
-from .groups import least_index, mask_of, set_bits
+from .groups import least_index, mask_of, periodic_mask, set_bits
 from .rationals import QIntervalSpec, RationalGroupDescriptor, RationalMidconvexDescription
 
 
@@ -123,13 +123,30 @@ def trace_z(window_set: IntWindowSet, x: int, g: int) -> IntWindowSet:
 
 
 def minimal_nonzero_member(window_set: IntWindowSet) -> int | None:
-    """Nonzero member of minimal absolute value; ties broken toward positive."""
-    members = window_set.members()
-    if window_set.period is not None and members:
-        # the members of a periodic set nearest 0 lie within one period of it
-        members = (members[-1] - window_set.period, *members, members[0] + window_set.period)
-    # members ascend, so read backwards the positive one of a tie comes first
-    return min((n for n in reversed(members) if n), key=abs, default=None)
+    """Nonzero member of minimal absolute value; ties broken toward positive.
+
+    Read off the mask: the least positive member is the lowest set bit above
+    the bit of 0, the nearest negative one the highest set bit below it. In
+    a periodic set the nearest negative member is the top residue minus the
+    period, and 0 alone has the period itself as its least positive member.
+    """
+    mask, lo = window_set.mask, window_set.lo
+    if window_set.period is not None:
+        if not mask:
+            return None
+        above = mask >> 1
+        pos = least_index(above) + 1 if above else window_set.period
+        neg = mask.bit_length() - 1 - window_set.period
+    else:
+        # bit -lo stands for 0; bits above it are the positive members
+        shift = max(1 - lo, 0)
+        above = mask >> shift
+        pos = lo + shift + least_index(above) if above else None
+        below = mask & ((1 << -lo) - 1) if lo < 0 else 0
+        neg = lo + below.bit_length() - 1 if below else None
+    if neg is None or (pos is not None and pos <= -neg):
+        return pos
+    return neg
 
 
 def decompose_trace(trace: IntWindowSet) -> RationalMidconvexDescription:
@@ -143,9 +160,10 @@ def decompose_trace(trace: IntWindowSet) -> RationalMidconvexDescription:
     with H = Z.
 
     A periodic trace (one carrying a period) is read as the infinite periodic
-    set it presents; its interval comes out unbounded.
+    set it presents; its interval comes out unbounded. The reconstruction is
+    one mask of the multiples of |m|, compared with the trace's by one XOR.
     """
-    d = trace.period
+    d, lo, mask = trace.period, trace.lo, trace.mask
     if not trace.contains(0):
         raise ValueError("a trace always contains 0")
 
@@ -156,17 +174,18 @@ def decompose_trace(trace: IntWindowSet) -> RationalMidconvexDescription:
         raise NotMidconvexTrace(f"minimal nonzero trace element {m} is even", minimal=m)
 
     mod = abs(m)
-    members = trace.members()
     if d is not None:
         interval = QIntervalSpec()
-        rebuilt = range(0, d, mod) if d % mod == 0 else range(0)
+        rebuilt = periodic_mask(1, mod, d) if d % mod == 0 else 0
     else:
         # the multiples of mod in [first member, last member], all inside the window
-        interval = QIntervalSpec(members[0], members[-1])
-        rebuilt = range(-(-members[0] // mod) * mod, members[-1] + 1, mod)
-    differ = set(members).symmetric_difference(rebuilt)
+        first, last = lo + least_index(mask), lo + mask.bit_length() - 1
+        interval = QIntervalSpec(first, last)
+        start = -(-first // mod) * mod - lo
+        rebuilt = periodic_mask(1, mod, last - lo + 1 - start) << start
+    differ = mask ^ rebuilt
     if differ:
-        n = min(differ)
+        n = lo + least_index(differ)
         if d is not None:
             reason = f"periodic trace is not the multiples of {mod}"
         else:

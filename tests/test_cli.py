@@ -484,7 +484,20 @@ def test_z_windows_are_capped_at_bind_time():
 
 
 @pytest.mark.parametrize("command", ["check", "decompose"])
-@pytest.mark.parametrize("members,count", [("0,0,2", 2), ("0,3,3,6", 3), ("6,3,0,3,6", 3)])
+def test_windows_at_the_cap_decompose_on_the_mask(command):
+    # reading the members of a window of WINDOW_CAP integers took 0.8 s;
+    # the mask reading takes about 0.12 s (2-vCPU Xeon)
+    cap = cli.WINDOW_CAP
+    program = dsl.parse(f"Z; {{0,5,10,15}}@window[{-cap // 2},{cap - cap // 2 - 1}]; {command}")
+    started = time.perf_counter()
+    code, output = cli.run(program)
+    assert time.perf_counter() - started < 0.5
+    assert code == 0
+    assert ("result: midconvex\n" if command == "check" else "decomposition: C=[0,15] H=5Z x=0\n") in output
+
+
+@pytest.mark.parametrize("command", ["check", "decompose"])
+@pytest.mark.parametrize("members,count",[("0,0,2", 2), ("0,3,3,6", 3), ("6,3,0,3,6", 3)])
 def test_count_is_the_number_of_distinct_members_on_every_route(command, members, count):
     outputs = [
         run_text(f"{group}; {{{members}}}{window}; {command}", fmt="json")

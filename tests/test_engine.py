@@ -344,6 +344,52 @@ def test_theorem1_bits_equal_verify_theorem1_on_every_subset_up_to_order_10():
         assert bits == expected, str(group)
 
 
+def per_member_theorem1_bits(group, columns, count, accepted):
+    """Reference: theorem1_bits reading the walk from every member along every g."""
+    n = group.order
+    missing = [~column for column in columns]
+    bad = 0
+    for gi in range(n):
+        patterns = accepted[group.index_order(gi)]
+        for xi in range(n):
+            walk = list(group.walk(xi, gi))
+            ok = 0
+            for pattern in patterns:
+                match = columns[xi]
+                for r in range(1, len(walk)):
+                    match &= columns[walk[r]] if pattern >> r & 1 else missing[walk[r]]
+                ok |= match
+            bad |= columns[xi] & ~ok
+    return ((1 << count) - 1) & ~bad
+
+
+def closed_under_rotation(patterns, period):
+    """True iff every pattern, read from each of its members, is again a pattern."""
+    full = (1 << period) - 1
+    return all((p >> t | p << period - t) & full in patterns for p in patterns for t in set_bits(p))
+
+
+def test_per_coset_theorem1_bits_match_the_per_member_reading_on_faulty_tables():
+    # 40 seeded tables that drop accepted patterns and add rejected ones, with
+    # 0 in every pattern, over every subset of every group up to order 8
+    rng = random.Random(18)
+    honest = {period: set(accepted_traces(period, True)) for period in range(1, 9)}
+    groups = enumerate_abelian_groups(8)
+    columns = {group: subset_columns(group, range(1 << group.order)) for group in groups}
+    unclosed = 0
+    for _ in range(40):
+        accepted = {
+            period: tuple(p for p in range(1, 1 << period, 2) if rng.random() < (0.8 if p in honest[period] else 0.2))
+            for period in range(1, 9)
+        }
+        unclosed += not all(closed_under_rotation(set(accepted[p]), p) for p in accepted)
+        for group in groups:
+            count = 1 << group.order
+            got = theorem1_bits(group, columns[group], count, accepted)
+            assert got == per_member_theorem1_bits(group, columns[group], count, accepted), str(group)
+    assert unclosed == 40
+
+
 def test_candidate_traces_are_the_accepted_ones_up_to_period_12():
     # above the exhaustive cap only the odd-modulus candidates are asked about
     for period in range(1, 13):
@@ -433,6 +479,25 @@ def test_lemma1_lift_detects_gappy_traces():
     # {0,1} in Z15 is not midconvex and its trace along 1 has gaps
     bad = subset(g15, [0, 1])
     assert not lemma1_holds_in_group(g15, bad, g15.zero(), g15.element([1]))
+
+
+def test_lemma1_failures_match_the_per_pair_check_on_every_subset_up_to_order_8():
+    # every subset, midconvex or not, against lemma1_holds_in_group at every
+    # pair of distinct members; the bits outside `within` are never reported
+    for group in enumerate_abelian_groups(8):
+        masks = range(1 << group.order)
+        columns = subset_columns(group, masks)
+        elements = list(group)
+        expected = []
+        for k in masks:
+            subset = GroupSubset(group, k)
+            for xi in subset.indices():
+                for yi in subset.indices():
+                    if xi != yi and not lemma1_holds_in_group(group, subset, elements[xi], elements[yi]):
+                        expected.append((k, xi, yi))
+        assert engine.lemma1_failures(group, columns, (1 << len(masks)) - 1) == expected, str(group)
+        within = sum(1 << k for k in masks if k % 3)
+        assert engine.lemma1_failures(group, columns, within) == [f for f in expected if f[0] % 3], str(group)
 
 
 @pytest.mark.parametrize(

@@ -190,26 +190,58 @@ def test_lemma1_sweep_builds_no_group_elements(monkeypatch):
 
 
 def test_lemma1_mismatches_are_labelled_as_group_elements(monkeypatch):
-    # a faulty reading that rejects every trace along a direction of even order
-    def faulty(group, mask, xi, gi):
-        return group.element_at(gi).order() % 2 == 1
+    # a faulty midconvexity pass that also claims every third subset: the sweep
+    # must report each such subset at each pair x != y whose coset x + <y - x>
+    # it does not hold, labelled and ordered as the reference built from
+    # GroupElements
+    midconvex_bits = engine.midconvex_bits
 
-    monkeypatch.setattr(engine, "lemma1_holds_at", faulty)
+    def faulty(group, columns, count):
+        return midconvex_bits(group, columns, count) | sum(1 << k for k in range(0, count, 3))
+
+    monkeypatch.setattr(engine, "midconvex_bits", faulty)
     report = exhaustive_lemma1(6)
     expected = []
     for group in harness.enumerate_abelian_groups(6):
         for mask in range(1 << group.order):
             subset = GroupSubset(group, mask)
-            if not is_midconvex(group, subset):
+            if mask % 3 and not is_midconvex(group, subset):
                 continue
             members = subset.members()
+            label = "{%s}" % ",".join(str(m) for m in members)
             for x in members:
                 for y in members:
-                    if x != y and (y - x).order() % 2 == 0:
-                        label = "{%s}" % ",".join(str(m) for m in members)
-                        expected.append((str(group), label, f"trace at {x} along {y - x} not order-convex"))
-    got = [(m["group"], m["subset"], m["operation"]) for m in report.mismatches]
-    assert expected and sorted(got) == sorted(expected)
+                    g = y - x
+                    if x != y and any(x + t * g not in subset for t in range(g.order())):
+                        operation = f"trace at {x} along {g} not order-convex"
+                        record = {"group": str(group), "subset": label, "operation": operation}
+                        expected.append({**record, "lhs": True, "rhs": False})
+    expected.sort(key=lambda m: (m["group"], m["subset"]))
+    assert len(expected) > 100 and report.mismatches == expected
+
+
+def test_sweeps_walk_each_coset_once_and_lemma1_reads_no_trace(monkeypatch):
+    def refuse(*args):
+        pytest.fail("the lemma-1 sweep read a trace")
+
+    monkeypatch.setattr(engine, "_trace", refuse)
+    monkeypatch.setattr(engine, "lemma1_holds_in_group", refuse)
+    assert exhaustive_lemma1(12).passed
+
+    walks = []
+    walk = FiniteAbelianGroup.walk
+
+    def recording(self, i, g):
+        steps = list(walk(self, i, g))
+        walks.append((str(self), g, frozenset(steps)))
+        return iter(steps)
+
+    monkeypatch.setattr(FiniteAbelianGroup, "walk", recording)
+    assert exhaustive_theorem1(10).passed
+    # one walk per g and coset of <g>: order / ord(g) of them
+    assert len(set(walks)) == len(walks) == sum(
+        group.order // group.index_order(g) for group in enumerate_abelian_groups(10) for g in range(group.order)
+    )
 
 
 def test_sampled_subsets_used_above_exhaustive_cap(monkeypatch):

@@ -306,6 +306,70 @@ def test_decompose_trace_matches_the_pointwise_check_on_all_periodic_traces_up_t
                 assert outcome(decompose_trace, window_set) == outcome(pointwise_decomposition, window_set)
 
 
+def members_minimal_nonzero_member(window_set):
+    """Reference: the minimal nonzero member read from the tuple of members."""
+    members = window_set.members()
+    if window_set.period is not None and members:
+        members = (members[-1] - window_set.period, *members, members[0] + window_set.period)
+    return min((n for n in reversed(members) if n), key=abs, default=None)
+
+
+def members_decompose_trace(trace):
+    """Reference: decompose_trace with its reconstruction built as a set of members."""
+    d = trace.period
+    if not trace.contains(0):
+        raise ValueError("a trace always contains 0")
+    m = members_minimal_nonzero_member(trace)
+    if m is None:
+        return over_z(QIntervalSpec(0, 0), 1)
+    if m % 2 == 0:
+        raise NotMidconvexTrace(f"minimal nonzero trace element {m} is even", minimal=m)
+    mod = abs(m)
+    members = trace.members()
+    if d is not None:
+        interval = UNBOUNDED
+        rebuilt = range(0, d, mod) if d % mod == 0 else range(0)
+    else:
+        interval = QIntervalSpec(members[0], members[-1])
+        rebuilt = range(-(-members[0] // mod) * mod, members[-1] + 1, mod)
+    differ = set(members).symmetric_difference(rebuilt)
+    if differ:
+        n = min(differ)
+        if d is not None:
+            reason = f"periodic trace is not the multiples of {mod}"
+        else:
+            reason = f"trace differs from interval-and-subgroup reconstruction at {n}"
+        raise NotMidconvexTrace(reason, minimal=m, witness=n)
+    return over_z(interval, mod)
+
+
+def full_outcome(decompose, trace):
+    """The description, or the error's type and message with a trace error's minimal and witness."""
+    try:
+        return decompose(trace)
+    except (ValueError, NotMidconvexTrace) as e:
+        return (type(e), str(e), getattr(e, "minimal", None), getattr(e, "witness", None))
+
+
+def test_mask_reading_matches_the_members_reading_on_windows_and_periods():
+    # every subset of every window with lo in [-6, 2] and width up to 9, 0
+    # inside the window or not, and every pattern of every period up to 14
+    traces = [
+        IntWindowSet(lo, lo + width - 1, mask)
+        for lo in range(-6, 3)
+        for width in range(1, 10)
+        for mask in range(1 << width)
+    ]
+    traces += [IntWindowSet(0, d - 1, mask, d) for d in range(1, 15) for mask in range(1 << d)]
+    rejected = 0
+    for trace in traces:
+        assert minimal_nonzero_member(trace) == members_minimal_nonzero_member(trace), trace
+        got, want = full_outcome(decompose_trace, trace), full_outcome(members_decompose_trace, trace)
+        assert got == want, trace
+        rejected += isinstance(want, tuple) and want[0] is NotMidconvexTrace
+    assert len(traces) == 9 * 1022 + 32766 and rejected > 10_000
+
+
 def test_decompose_trace_periodic_non_subgroup_fails():
     with pytest.raises(NotMidconvexTrace):
         decompose_trace(residue_set(7, [0, 3, 4]))
