@@ -17,6 +17,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from . import dsl, engine, harness, intsets
 from .dsl import (
@@ -189,10 +190,7 @@ def _decomposition_dict(dec) -> dict:
 def _witness_dict(witness) -> dict | None:
     if witness is None:
         return None
-    if isinstance(witness, engine.MidconvexWitness):
-        x, y, z = witness.x, witness.y, witness.z
-    else:
-        x, y, z = witness
+    x, y, z = witness
     return {"x": str(x), "y": str(y), "z": str(z)}
 
 
@@ -269,12 +267,18 @@ def _member_count(set_kind, set_obj) -> int:
     return len(set(set_obj)) if set_kind == "points" else 1
 
 
+def _points(set_kind, set_obj):
+    """The members of a window set or the points of a point set, the finite sets of Z and Q."""
+    return set_obj.members() if set_kind == "window" else set_obj
+
+
 def _decided_witness(count, decompose, scan, *args):
     """The pair scan's witness, scanned for only when the route's decomposition rejects the set.
 
-    Decomposing decides midconvexity in near-linear time, by Theorem 2 in a
+    Decomposing decides midconvexity in one mask pass, by Theorem 2 in a
     finite group and by Theorem 1 on a window of Z, so the quadratic scan
     runs only to name the violating triple. A set of no members is midconvex.
+    A finite set of Q is decided by Theorem 3 inside is_midconvex_q_finite.
     """
     if count:
         try:
@@ -307,8 +311,7 @@ def _run_closure(group, set_kind, set_obj, report):
     if set_kind == "subset":
         members = list(map(group.format_index, engine.midconvex_closure(group, set_obj).indices()))
     elif set_kind in ("window", "points"):
-        points = set_obj.members() if set_kind == "window" else set_obj
-        closure = engine.rational_closure(group, points)
+        closure = engine.rational_closure(group, _points(set_kind, set_obj))
         members = () if closure is None else engine.described_members(closure)
     else:
         raise DslTypeError("closure is only computed for explicit sets and finite groups")
@@ -396,9 +399,8 @@ def _run_verify(group, set_kind, set_obj, command, report, timings):
     elif command.theorem == "hull":
         if set_kind not in ("points", "window"):
             raise DslTypeError("hull verification needs an explicit set")
-        points = set_obj.members() if set_kind == "window" else set_obj
         campaign = harness.conjecture_hull_check(
-            group, list(points), seed=seed, **_given(samples=command.samples)
+            group, list(_points(set_kind, set_obj)), seed=seed, **_given(samples=command.samples)
         )
         count = campaign.counts["oracle_points"]
     else:
@@ -456,6 +458,12 @@ def run(program: Program, *, fmt: str = "text", timings: bool = False) -> tuple[
     return code, _render(report, fmt)
 
 
+def _usage_error(exc: Exception, fmt: str) -> int:
+    """Report an input that could not be read or parsed, in the chosen format; exit 2."""
+    print(json.dumps({"error": str(exc)}, indent=2) if fmt == "json" else f"error: {exc}")
+    return EXIT_USAGE
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="midconvex",
@@ -480,23 +488,14 @@ def main(argv: list[str] | None = None) -> int:
         help="report real elapsed times instead of the deterministic 0",
     )
     args = parser.parse_args(argv)
-    if args.input == "-":
-        text = sys.stdin.read()
-    else:
-        try:
-            with open(args.input, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except OSError as exc:
-            print(f"error: {exc}")
-            return EXIT_USAGE
+    try:
+        text = sys.stdin.read() if args.input == "-" else Path(args.input).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        return _usage_error(exc, args.format)
     try:
         program = dsl.parse(text)
     except DslSyntaxError as exc:
-        if args.format == "json":
-            print(json.dumps({"error": str(exc)}, indent=2))
-        else:
-            print(f"error: {exc}")
-        return EXIT_USAGE
+        return _usage_error(exc, args.format)
     code, output = run(program, fmt=args.format, timings=args.timings)
     sys.stdout.write(output)
     return code

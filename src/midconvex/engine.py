@@ -14,7 +14,8 @@ from bisect import bisect_left
 from itertools import compress, count
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, gcd, inf, prod
+from math import ceil, floor, gcd, inf, lcm, prod
+from operator import sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import CapExceeded, NotMidconvex, NotMidconvexTrace, WindowTooSmall
@@ -28,9 +29,9 @@ from .rationals import (
     Rational,
     RationalGroupDescriptor,
     RationalMidconvexDescription,
+    coprime_part,
     cyclic_chain,
     is_two_pure,
-    rational_gcd,
     two_pure_closure,
 )
 
@@ -44,15 +45,6 @@ _DRAW_EXPONENTS = 4
 _LATTICE_CAP = 500_000
 # Radius of the lattice window that a trace of a rational set is read on.
 _TRACE_RADIUS = 64
-
-
-@dataclass(frozen=True)
-class MidconvexWitness:
-    """A violating triple: x, y members, 2z = x + y, z not a member."""
-
-    x: GroupElement
-    y: GroupElement
-    z: GroupElement
 
 
 @dataclass(frozen=True)
@@ -82,8 +74,8 @@ class PeriodicDecomposition:
 # -- finite groups -------------------------------------------------------
 
 
-def midconvex_witness(group: FiniteAbelianGroup, subset: GroupSubset) -> MidconvexWitness | None:
-    """First violating triple in enumeration order, or None when midconvex.
+def midconvex_witness(group: FiniteAbelianGroup, subset: GroupSubset) -> tuple[GroupElement, ...] | None:
+    """First (x, y, z) in enumeration order with x, y members, 2z = x + y, z missing; None when midconvex.
 
     Each unordered pair is scanned once, as (x, y) with y not before x: the
     pair (y, x) has the same sum and came first. The halves of x + y come in
@@ -95,7 +87,7 @@ def midconvex_witness(group: FiniteAbelianGroup, subset: GroupSubset) -> Midconv
         for yi in idxs[a:]:
             for zi in group.halving_indices(group.add_index(xi, yi)):
                 if not member(zi):
-                    return MidconvexWitness(group.element_at(xi), group.element_at(yi), group.element_at(zi))
+                    return group.element_at(xi), group.element_at(yi), group.element_at(zi)
     return None
 
 
@@ -356,11 +348,9 @@ def _described_range(
     """
     sub, interval = description.subgroup, description.interval
     a, b = (x - description.base) / sub.gen, g / sub.gen
-    d = a.denominator * b.denominator // gcd(a.denominator, b.denominator)
+    d = lcm(a.denominator, b.denominator)
     big_a, big_b = a.numerator * (d // a.denominator), b.numerator * (d // b.denominator)
-    for p in sub.primes:
-        while d % p == 0:
-            d //= p
+    d = coprime_part(d, sub.primes)
     c = gcd(big_b, d)
     if big_a % c:
         return range(0)
@@ -396,15 +386,6 @@ def lattice_trace(
     return IntWindowSet(-k_max, k_max, mask)
 
 
-def _integer_points(points: Iterable[Rational]) -> tuple[list[int], int]:
-    """The distinct points as ascending integer numerators over one common denominator."""
-    fracs = sorted({Fraction(p) for p in points})
-    den = 1
-    for p in fracs:
-        den = den * p.denominator // gcd(den, p.denominator)
-    return [p.numerator * (den // p.denominator) for p in fracs], den
-
-
 def _halving_modulus(group: RationalGroupDescriptor, den: int) -> int:
     """The w with s/(2*den) in the group exactly when w divides s.
 
@@ -412,10 +393,7 @@ def _halving_modulus(group: RationalGroupDescriptor, den: int) -> int:
     part of 2*den*a coprime to P, divides s*b, that is when v/gcd(v, b)
     divides s.
     """
-    v = 2 * den * group.gen.numerator
-    for p in group.primes:
-        while v % p == 0:
-            v //= p
+    v = coprime_part(2 * den * group.gen.numerator, group.primes)
     return v // gcd(v, group.gen.denominator)
 
 
@@ -437,23 +415,63 @@ def _missing_midpoints(group: RationalGroupDescriptor, nums: Sequence[int], den:
                 yield a, b, s
 
 
-def is_midconvex_q_finite(
+def _finite_closure(
     group: RationalGroupDescriptor, points: Iterable[Rational]
-) -> tuple[Fraction, Fraction, Fraction] | None:
-    """Exact midconvexity check of a finite set inside a rational group.
+) -> tuple[list[int], int, RationalMidconvexDescription | None]:
+    """(nums, den, closure): the distinct points as ascending numerators over den, and their rational_closure.
 
-    Returns the first violating (x, y, z) of `_missing_midpoints`, or None.
+    den is the least common denominator, and each point is read by its
+    numerator and denominator, so an int builds no Fraction. The closure's
+    base and ends are the least and greatest numerator over den, and the span
+    of X - min X is the gcd of consecutive differences over den. X lies in the
+    group exactly when its base and span do; two_pure_closure rejects the span.
     """
-    nums, den = _integer_points(points)
+    points = list(points)
+    den = lcm(*{p.denominator for p in points})
+    nums = sorted({p.numerator * (den // p.denominator) for p in points})
+    if not nums:
+        return nums, den, None
+    base = Fraction(nums[0], den)
+    if not group.contains(base):
+        raise ValueError(f"point {base} is not in the ambient group {group}")
+    span = gcd(*map(sub, nums[1:], nums))
+    # a singleton's order interval already pins the set to the base point
+    h = two_pure_closure(RationalGroupDescriptor(Fraction(span, den)), group) if span else group
+    return nums, den, RationalMidconvexDescription(QIntervalSpec(base, Fraction(nums[-1], den)), h, base)
+
+
+def _finite_witness(
+    group: RationalGroupDescriptor, nums: Sequence[int], den: int, closure: RationalMidconvexDescription | None
+) -> tuple[Fraction, Fraction, Fraction] | None:
+    """The first violating (x, y, z) of `_missing_midpoints`, scanned for only when Theorem 3 rejects X.
+
+    The closure contains X, so X is midconvex exactly when the closure is
+    finite with |X| members, counted from its lattice cut without listing.
+    """
+    if closure is None:
+        return None
+    cut = _finite_cut(closure)
+    if cut is not None and cut[1] - cut[0] + 1 == len(nums):
+        return None
     for a, b, s in _missing_midpoints(group, nums, den):
         return Fraction(a, den), Fraction(b, den), Fraction(s, 2 * den)
     return None
 
 
+def is_midconvex_q_finite(
+    group: RationalGroupDescriptor, points: Iterable[Rational]
+) -> tuple[Fraction, Fraction, Fraction] | None:
+    """The first violating (x, y, z) of a finite set of members of a rational group, or None.
+
+    Decided by Theorem 3 in linear time; pairs are scanned only for a witness.
+    """
+    return _finite_witness(group, *_finite_closure(group, points))
+
+
 def rational_closure(
     group: RationalGroupDescriptor, points: Iterable[Rational]
 ) -> RationalMidconvexDescription | None:
-    """Least midconvex superset of a finite set of rationals; None for the empty set.
+    """Least midconvex superset of a finite set of members of a rational group; None for the empty set.
 
     With x = min X and H the two-pure closure of the span <X - x>, it is
     K = hull(X) ∩ (H + x). K contains X, and it is midconvex by the "if"
@@ -465,29 +483,27 @@ def rational_closure(
     two_pure_closure returns: span * Z[1/2] when 2 is inverted in G, else
     span / 2^v * Z with 2^v the power of 2 in span / gen(G). So K ⊆ Y.
     """
-    points = sorted(Fraction(p) for p in points)
-    if not points:
-        return None
-    base = points[0]
-    interval = QIntervalSpec(base, points[-1])
-    span = rational_gcd([p - base for p in points])
-    if span == 0:
-        # singleton: the order interval already pins the set to the base point
-        return RationalMidconvexDescription(interval, group, base)
-    closure = two_pure_closure(RationalGroupDescriptor(span), group)
-    return RationalMidconvexDescription(interval, closure, base)
+    return _finite_closure(group, points)[2]
 
 
-def described_members(description: RationalMidconvexDescription) -> tuple[Fraction, ...] | None:
-    """Members of a described set in order, None if infinite; CapExceeded past _LATTICE_CAP."""
+def _finite_cut(description: RationalMidconvexDescription) -> tuple[int, int] | None:
+    """The first and last k of the members base + k*gen of a described set; None if it is infinite."""
     lower, upper = description.interval.lower, description.interval.upper
     if lower is None or upper is None or (description.subgroup.primes and lower != upper):
         return None
     # every k gives a point of H + base, so the interval's cut alone decides
-    base, step = description.base, description.subgroup.gen
-    first, last = description.interval.lattice_cut(base, step)
+    return description.interval.lattice_cut(description.base, description.subgroup.gen)
+
+
+def described_members(description: RationalMidconvexDescription) -> tuple[Fraction, ...] | None:
+    """Members of a described set in order, None if infinite; CapExceeded past _LATTICE_CAP."""
+    cut = _finite_cut(description)
+    if cut is None:
+        return None
+    first, last = cut
     if last - first + 1 > _LATTICE_CAP:
         raise CapExceeded(f"{last - first + 1} lattice points to list, cap is {_LATTICE_CAP}")
+    base, step = description.base, description.subgroup.gen
     return tuple(base + k * step for k in range(first, last + 1))
 
 
@@ -662,7 +678,7 @@ def _sampled_violation(
     if len(nums) < 2:
         return None
     h = sub.gen
-    m = base.denominator * h.denominator // gcd(base.denominator, h.denominator)
+    m = lcm(base.denominator, h.denominator)
     offset = 2 * big_l * base.numerator * (m // base.denominator)
     hn = h.numerator * (m // h.denominator)
     in_group, in_sub = _halving_modulus(group, big_l * m), _halving_modulus(sub, big_l * m)
@@ -786,25 +802,26 @@ def decompose_rational_set(
     """Decide and decompose a described set or a finite set of rationals.
 
     The set is decided exactly first; a set that is not midconvex raises
-    NotMidconvex carrying the violating triple. A finite set is then read as
-    its `rational_closure`, which it equals once midconvex. The base `x` (by
-    default the description's base, the least point of a finite set) must be
-    a member; the lower of it and its coarsest neighbour, the first hit of
-    `_probe_members`, becomes the base of `decompose_rational`. That runs at
-    depth 3 * max(1, |P|) on a window reaching one subgroup step past the
-    farther end of the set, an unbounded end counting as _UNBOUNDED_REACH
-    steps away. So only an unbounded side reaches the window's edge, and it
-    is reported as unbounded; a finite end comes back exact, with its
-    closedness. A set without a second point is the singleton [x, x].
+    NotMidconvex carrying the violating triple. A finite set is read once,
+    in integers with its `rational_closure`, decided by Theorem 3 as in
+    is_midconvex_q_finite, and then read as that closure, which it equals.
+    The base `x` (by default the description's base, the least point of a
+    finite set) must be a member; the lower of it and its coarsest
+    neighbour, the first hit of `_probe_members`, becomes the base of
+    `decompose_rational`. That runs at depth 3 * max(1, |P|) on a window
+    reaching one subgroup step past the farther end of the set, an unbounded
+    end counting as _UNBOUNDED_REACH steps away. So only an unbounded side
+    reaches the window's edge, and it is reported as unbounded; a finite end
+    comes back exact, with its closedness. A set without a second point is
+    the singleton [x, x].
     """
     if isinstance(members, RationalMidconvexDescription):
         description, witness = members, described_midconvex_witness(members, group)
     else:
-        points = [Fraction(p) for p in members]
-        description = rational_closure(group, points)
+        nums, den, description = _finite_closure(group, members)
         if description is None:
             raise ValueError("cannot decompose the empty set")
-        witness = is_midconvex_q_finite(group, points)
+        witness = _finite_witness(group, nums, den, description)
     if witness is not None:
         a, b, c = witness
         raise NotMidconvex(f"midpoint {c} of {a} and {b} is missing", witness=witness)

@@ -389,14 +389,11 @@ def bounded_closure_oracle(
     Midpoints lie between their endpoints, so the result always stays inside
     the order interval of the starting set. In dense groups the fixpoint may
     be unreachable; the flag then comes back False. The points are integer
-    numerators over one denominator D, as `engine._missing_midpoints` reads
-    them; a round that adds a midpoint off the D lattice doubles D once.
+    numerators over one denominator D, read by `engine._finite_closure`,
+    which rejects a point outside the group; a round that adds a midpoint off
+    the D lattice doubles D once.
     """
-    points = [Fraction(p) for p in start]
-    for p in points:
-        if not group.contains(p):
-            raise ValueError(f"starting point {p} is not in the ambient group")
-    nums, den = engine._integer_points(points)
+    nums, den, _ = engine._finite_closure(group, start)
     for rounds in range(max(max_iters, 0) + 1):
         missing = engine._missing_midpoints(group, nums, den)
         if rounds >= max_iters:

@@ -78,26 +78,16 @@ def is_order_convex(window_set: IntWindowSet) -> bool:
 def midconvex_z_witness(window_set: IntWindowSet) -> tuple[int, int, int] | None:
     """First (x, y, z) with x, y members, 2z = x + y and z missing; None if midconvex.
 
-    Witnesses are scanned in lexicographic order over (x, y), so reports are
-    reproducible. Midpoints of window members never leave the window, hence
-    a None answer is a true statement about the set restricted to the window.
-    A periodic set is read as the set it denotes: x runs over one period and
-    y over [x, x + 2*period), since the residue of (x + y)/2 modulo the
-    period depends only on y modulo twice the period.
+    Read as a finite set of Z = (1, []) by engine.is_midconvex_q_finite, whose
+    pair scan is lexicographic in (x, y). Midpoints of window members stay in
+    the window, so None is true of the set restricted to it; a periodic set is not read.
     """
-    members = window_set.members()
-    inside = set(members)
-    d = window_set.period
-    for i, x in enumerate(members):
-        ys = members[i:]
-        if d is not None:
-            ys += tuple(y + d for y in members) + tuple(y + 2 * d for y in members[:i])
-        for y in ys:
-            if (x + y) % 2 == 0:
-                z = (x + y) // 2
-                if (z if d is None else z % d) not in inside:
-                    return (x, y, z)
-    return None
+    from .engine import is_midconvex_q_finite  # engine imports this module
+
+    if window_set.period is not None:
+        raise ValueError("a periodic set has no finite pair scan")
+    witness = is_midconvex_q_finite(RationalGroupDescriptor(1), window_set.members())
+    return None if witness is None else tuple(map(int, witness))
 
 
 def trace_z(window_set: IntWindowSet, x: int, g: int) -> IntWindowSet:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, gcd
+from math import ceil, floor, gcd, lcm
 from typing import Iterable, Sequence
 
 Rational = Fraction | int
@@ -62,18 +62,16 @@ def rational_gcd(values: Iterable[Rational]) -> Fraction:
     for v in values:
         f = Fraction(v)
         num = gcd(num, f.numerator)
-        den = den * f.denominator // gcd(den, f.denominator)
+        den = lcm(den, f.denominator)
     return Fraction(num, den)
 
 
-def _strip_primes(q: Fraction, primes: frozenset[int]) -> Fraction:
-    num, den = q.numerator, q.denominator
+def coprime_part(n: int, primes: Iterable[int]) -> int:
+    """n with every factor of the primes divided out; n must be nonzero."""
     for p in primes:
-        while num % p == 0:
-            num //= p
-        while den % p == 0:
-            den //= p
-    return Fraction(num, den)
+        while n % p == 0:
+            n //= p
+    return n
 
 
 @dataclass(frozen=True)
@@ -96,16 +94,12 @@ class RationalGroupDescriptor:
         for p in sorted(primes):
             if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
-        object.__setattr__(self, "gen", _strip_primes(gen, primes))
+        gen = Fraction(coprime_part(gen.numerator, primes), coprime_part(gen.denominator, primes))
+        object.__setattr__(self, "gen", gen)
         object.__setattr__(self, "primes", primes)
 
     def contains(self, r: Rational) -> bool:
-        ratio = Fraction(r) / self.gen
-        den = ratio.denominator
-        for p in self.primes:
-            while den % p == 0:
-                den //= p
-        return den == 1
+        return coprime_part((Fraction(r) / self.gen).denominator, self.primes) == 1
 
     def __str__(self) -> str:
         primes = ",".join(str(p) for p in sorted(self.primes))

@@ -510,23 +510,35 @@ def fraction_closure_oracle(group, start, max_iters):
         points = points | added
 
 
-def test_integer_oracle_matches_the_fraction_oracle():
+def test_integer_oracle_matches_the_fraction_oracle(monkeypatch):
+    # the finite check scans pairs only for a set that Theorem 3 rejects
+    scans = []
+    scan = engine._missing_midpoints
+    monkeypatch.setattr(engine, "_missing_midpoints", lambda *args: scans.append(args) or scan(*args))
     rng = random.Random(31)
     pools = [(), (2,), (3,), (2, 3), (5,), (3, 5), (2, 3, 5)]
-    violated = incomplete = 0
+    violated = incomplete = listed = 0
     for i in range(350):
         primes = pools[i % len(pools)]
         group = desc(F(rng.choice([1, 2, 3, 5]), rng.choice([1, 2, 3, 4])), primes)
         dens = [1, *primes]
         start = [group.gen * F(rng.randint(-9, 9), rng.choice(dens)) for _ in range(rng.randint(1, 5))]
+        if i % 5 == 4:
+            # a finite closure, listed, is a midconvex start: Theorem 3 decides it by its count
+            members = engine.described_members(rational_closure(group, start))
+            if members is not None:
+                start = list(members)
+                listed += 1
+        scans.clear()
         first = engine.is_midconvex_q_finite(group, start)
         assert first == next(fraction_missing_midpoints(group, {F(p) for p in start}), None), (i, start)
+        assert bool(scans) == (first is not None), (i, start)
         violated += first is not None
         rounds = rng.randint(0, 3 if 2 in primes else 6)
         got = bounded_closure_oracle(group, start, rounds)
         assert got == fraction_closure_oracle(group, start, rounds), (i, group, start, rounds)
         incomplete += not got[1]
-    assert violated >= 100 and incomplete >= 50, (violated, incomplete)
+    assert violated >= 100 and incomplete >= 50 and listed >= 30, (violated, incomplete, listed)
 
 
 def test_hull_candidate_and_conjecture_examples(monkeypatch):
