@@ -95,26 +95,6 @@ def is_midconvex(group: FiniteAbelianGroup, subset: GroupSubset) -> bool:
     return midconvex_witness(group, subset) is None
 
 
-def subset_columns(group: FiniteAbelianGroup, masks: Sequence[int]) -> list[int]:
-    """Bit-sliced membership: bit k of column i is set iff masks[k] contains index i.
-
-    For every subset, range(1 << n), column i is bit i of k: runs of w = 2**i
-    zeros and w ones, one period of 2w bits repeated up to 2**n bits. A list
-    of masks is transposed. The closed form holds no per-subset rows: for
-    every subset of Z(20) it takes 3 ms, the transposition about 2.8 s and
-    370 MB (2-vCPU Xeon).
-    """
-    n = group.order
-    if masks == range(1 << n):
-        return [periodic_mask(((1 << w) - 1) << w, 2 * w, 1 << n) for w in (1 << i for i in range(n))]
-    if not masks:
-        return [0] * n
-    # row strings put bit n - 1 first and the last mask on top, so the
-    # columns of the zipped rows read highest element and highest k first
-    rows = [format(m, f"0{n}b") for m in reversed(masks)]
-    return [int("".join(bits), 2) for bits in reversed(list(zip(*rows)))]
-
-
 def midconvex_bits(group: FiniteAbelianGroup, columns: Sequence[int], count: int) -> int:
     """Bit k is set iff the subset in bit k of the columns is midconvex.
 

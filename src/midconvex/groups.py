@@ -52,9 +52,6 @@ class FiniteAbelianGroup:
     def element(self, residues: Iterable[int]) -> "GroupElement":
         return GroupElement(self, tuple(residues))
 
-    def zero(self) -> "GroupElement":
-        return GroupElement(self, (0,) * len(self.orders))
-
     def element_at(self, index: int) -> "GroupElement":
         if not 0 <= index < self.order:
             raise IndexError(f"element index {index} out of range for {self}")
@@ -301,10 +298,6 @@ class GroupSubset:
     def __and__(self, other: "GroupSubset") -> "GroupSubset":
         self._check_same_group(other)
         return GroupSubset(self.group, self.mask & other.mask)
-
-    def translate(self, x: GroupElement) -> "GroupSubset":
-        """The set of all members shifted by x."""
-        return GroupSubset(self.group, self.group.translate_mask(self.mask, self.group.index_of(x)))
 
     def _check_same_group(self, other: "GroupSubset") -> None:
         if self.group != other.group:

@@ -19,7 +19,8 @@ from typing import Iterable, Sequence
 from . import engine
 from .errors import NotMidconvex
 from .groups import (
-    FiniteAbelianGroup, GroupSubset, least_index, make_group, set_bits, subgroup_generated, sylow2_subgroup
+    FiniteAbelianGroup, GroupSubset, least_index, make_group, periodic_mask, set_bits, subgroup_generated,
+    sylow2_subgroup,
 )
 from .rationals import (
     QIntervalSpec,
@@ -132,44 +133,57 @@ def enumerate_abelian_groups(max_order: int) -> list[FiniteAbelianGroup]:
     return groups
 
 
-def _subset_masks(group: FiniteAbelianGroup, seed: int) -> Iterable[int]:
-    """Every subset up to EXHAUSTIVE_ORDER_CAP, above it SAMPLED_SUBSET_COUNT seeded draws."""
-    order = group.order
-    if order <= EXHAUSTIVE_ORDER_CAP or 1 << order <= SAMPLED_SUBSET_COUNT:
-        return range(1 << order)
+def _subset_columns(group: FiniteAbelianGroup, seed: int) -> tuple[list[int], int]:
+    """The subsets a sweep decides, bit-sliced: bit k of column i is set iff subset k holds index i.
+
+    Up to EXHAUSTIVE_ORDER_CAP subset k is every k < 2**n, so column i is bit
+    i of k: runs of w = 2**i zeros and w ones, one period of 2w bits repeated
+    up to 2**n bits. Above it subset k is the k-th of SAMPLED_SUBSET_COUNT
+    seeded getrandbits(n) draws, repeats included. Their digits, last draw
+    first and index n - 1 first in each, are joined into one string, so column
+    i reads every n-th digit from n - 1 - i, highest k first.
+    """
+    n = group.order
+    if n <= EXHAUSTIVE_ORDER_CAP or 1 << n <= SAMPLED_SUBSET_COUNT:
+        count = 1 << n
+        return [periodic_mask(((1 << w) - 1) << w, 2 * w, count) for w in (1 << i for i in range(n))], count
+    count = SAMPLED_SUBSET_COUNT
     rng = random.Random(f"{seed}:{group}")
-    return [rng.getrandbits(order) for _ in range(SAMPLED_SUBSET_COUNT)]
+    draws = [rng.getrandbits(n) for _ in range(count)]
+    digits = "".join(map(f"{{:0{n}b}}".format, reversed(draws)))
+    return [int(digits[n - 1 - i :: n], 2) for i in range(n)], count
 
 
 def _sweep(campaign: str, max_order: int, seed: int, check) -> VerificationReport:
     """Run check once per group, with all of the group's subsets decided at once.
 
-    check(report, group, masks, columns, midconvex) gets the subset masks, their
-    bit-sliced membership columns, and the bits k with masks[k] midconvex.
+    check(report, group, columns, count, midconvex) gets the group's `count`
+    subsets as bit-sliced membership columns (see _subset_columns), and the
+    bits k with subset k midconvex.
     """
     started = time.perf_counter()
     report = VerificationReport(campaign, seed=seed)
     groups = enumerate_abelian_groups(max_order)
     total = 0
     for group in groups:
-        masks = _subset_masks(group, seed)
-        columns = engine.subset_columns(group, masks)
-        check(report, group, masks, columns, engine.midconvex_bits(group, columns, len(masks)))
-        total += len(masks)
+        columns, count = _subset_columns(group, seed)
+        check(report, group, columns, count, engine.midconvex_bits(group, columns, count))
+        total += count
     report.counts = {"groups": len(groups), "subsets": total}
     report.mismatches.sort(key=lambda m: (m["group"], m["subset"]))
     report.elapsed_s = time.perf_counter() - started
     return report
 
 
-def _subset_label(subset: GroupSubset) -> str:
-    return "{%s}" % ",".join(map(subset.group.format_index, subset.indices()))
+def _subset_label(group: FiniteAbelianGroup, columns: Sequence[int], k: int) -> str:
+    """Subset k of the columns as text, its members in index order."""
+    return "{%s}" % ",".join(group.format_index(i) for i, column in enumerate(columns) if column >> k & 1)
 
 
-def _add_bit_mismatches(report, group, masks, operation: str, lhs: int, rhs: int) -> None:
+def _add_bit_mismatches(report, group, columns, operation: str, lhs: int, rhs: int) -> None:
     """Record subset k as a mismatch wherever bit k of the two readings differs."""
     for k in set_bits(lhs ^ rhs):
-        label = _subset_label(GroupSubset(group, masks[k]))
+        label = _subset_label(group, columns, k)
         report.add_mismatch(group, label, operation, bool(lhs >> k & 1), bool(rhs >> k & 1))
 
 
@@ -221,12 +235,12 @@ def exhaustive_theorem2(max_order: int = 12, *, seed: int = 0) -> VerificationRe
     """Midconvexity versus odd-index subgroup translate, over all small groups."""
     midconvex_counts: dict[str, int] = {}
 
-    def check(report, group, masks, columns, midconvex):
-        cosets = _odd_coset_bits(group, columns, len(masks))
+    def check(report, group, columns, count, midconvex):
+        cosets = _odd_coset_bits(group, columns, count)
         if midconvex:
             midconvex_counts[str(group)] = midconvex.bit_count()
         operation = "is_midconvex vs subgroup characterization"
-        _add_bit_mismatches(report, group, masks, operation, midconvex, cosets)
+        _add_bit_mismatches(report, group, columns, operation, midconvex, cosets)
 
     report = _sweep("theorem2", max_order, seed, check)
     report.details["midconvex_counts"] = midconvex_counts
@@ -246,13 +260,13 @@ def exhaustive_theorem1(max_order: int = 10, *, seed: int = 0) -> VerificationRe
     """
     accepted: dict[int, tuple[int, ...]] = {}
 
-    def check(report, group, masks, columns, midconvex):
+    def check(report, group, columns, count, midconvex):
         # groups come in ascending order, so this asks about each period once
         for period in range(len(accepted) + 1, group.order + 1):
             accepted[period] = engine.accepted_traces(period, period <= EXHAUSTIVE_ORDER_CAP)
-        traces = engine.theorem1_bits(group, columns, len(masks), accepted)
+        traces = engine.theorem1_bits(group, columns, count, accepted)
         operation = "is_midconvex vs trace decomposition"
-        _add_bit_mismatches(report, group, masks, operation, midconvex, traces)
+        _add_bit_mismatches(report, group, columns, operation, midconvex, traces)
 
     return _sweep("theorem1", max_order, seed, check)
 
@@ -265,12 +279,12 @@ def exhaustive_lemma1(max_order: int = 12, *, seed: int = 0) -> VerificationRepo
     is reported in the order of its subset, then x, then y.
     """
 
-    def check(report, group, masks, columns, midconvex):
+    def check(report, group, columns, count, midconvex):
         for k, xi, yi in engine.lemma1_failures(group, columns, midconvex):
             gi = group.add_index(yi, group.neg_index(xi))
             report.add_mismatch(
                 group,
-                _subset_label(GroupSubset(group, masks[k])),
+                _subset_label(group, columns, k),
                 f"trace at {group.format_index(xi)} along {group.format_index(gi)} not order-convex",
                 True,
                 False,
@@ -354,13 +368,13 @@ def roundtrip_theorem3(
     report = VerificationReport("theorem3", seed=seed)
     violation = engine.theorem3_if_violation(description, group, samples, seed)
     if violation is not None:
-        pair, midpoint = str(violation[:2]), str(violation[2])
+        pair, midpoint = "(%s,%s)" % violation[:2], str(violation[2])
         report.add_mismatch(group, description, "midpoint escaped the described set", pair, midpoint)
     grid_checked = 0
     try:
         decomposition = engine.decompose_rational_set(group, description)
     except NotMidconvex as exc:
-        witness = None if exc.witness is None else str(exc.witness)
+        witness = None if exc.witness is None else "(%s,%s,%s)" % exc.witness
         report.add_mismatch(group, description, "decomposition rejected the set", exc.reason, witness)
         decomposition = None
     if decomposition is not None and decomposition.radius is not None:
@@ -430,7 +444,7 @@ def conjecture_hull_check(
     candidate = engine.rational_closure(group, start)
     if candidate is None:
         raise ValueError("hull verification needs a nonempty set")
-    label = sorted(Fraction(s) for s in start)
+    label = "{%s}" % ",".join(map(str, sorted(map(Fraction, start))))
     produced, complete = bounded_closure_oracle(group, start, HULL_ROUNDS)
     for p in sorted(produced):
         if not candidate.contains(p):

@@ -99,7 +99,10 @@ class RationalGroupDescriptor:
         object.__setattr__(self, "primes", primes)
 
     def contains(self, r: Rational) -> bool:
-        return coprime_part((Fraction(r) / self.gen).denominator, self.primes) == 1
+        # r / gen = n*b / (d*a) for r = n/d and gen = a/b, in lowest terms once
+        # the gcd is divided out; r is a member iff the primes clear its denominator
+        a, b, n, d = self.gen.numerator, self.gen.denominator, r.numerator, r.denominator
+        return coprime_part(d * a // gcd(n * b, d * a), self.primes) == 1
 
     def __str__(self) -> str:
         primes = ",".join(str(p) for p in sorted(self.primes))

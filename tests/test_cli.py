@@ -677,4 +677,4 @@ def test_verify_theorem3_reports_a_rejected_decomposition(monkeypatch):
     assert report["campaign"]["counts"]["grid_points"] == 0
     [mismatch] = report["campaign"]["mismatches"]
     assert mismatch["operation"] == "decomposition rejected the set"
-    assert mismatch["rhs"] == "(0, 2, 1)"
+    assert mismatch["rhs"] == "(0,2,1)"

@@ -28,14 +28,15 @@ from midconvex.engine import (
     midconvex_closure,
     midconvex_witness,
     rational_closure,
-    subset_columns,
     theorem1_bits,
     theorem3_if_violation,
     trace_in_group,
     verify_theorem1,
 )
 from midconvex.errors import CapExceeded, NotMidconvex, NotMidconvexTrace, WindowTooSmall
-from midconvex.groups import FiniteAbelianGroup, GroupElement, GroupSubset, is_subgroup, make_group, mask_of, set_bits
+from midconvex.groups import (
+    FiniteAbelianGroup, GroupElement, GroupSubset, is_subgroup, make_group, mask_of, periodic_mask, set_bits
+)
 from midconvex.harness import enumerate_abelian_groups
 from midconvex.intsets import IntWindowSet, decompose_trace
 from midconvex.rationals import (
@@ -66,6 +67,19 @@ def naive_is_midconvex(group, members):
                 if z + z == target and z not in members:
                     return False
     return True
+
+
+def every_subset_columns(n):
+    """Bit k of column i is bit i of k, for every k < 2**n: runs of 2**i zeros and 2**i ones."""
+    return [periodic_mask(((1 << w) - 1) << w, 2 * w, 1 << n) for w in (1 << i for i in range(n))]
+
+
+def transposed_columns(n, masks):
+    """Reference transposition of a list of masks: bit k of column i is bit i of masks[k]."""
+    # row strings put bit n - 1 first and the last mask on top, so the
+    # columns of the zipped rows read highest element and highest k first
+    rows = [format(m, f"0{n}b") for m in reversed(masks)]
+    return [int("".join(bits), 2) for bits in reversed(list(zip(*rows)))]
 
 
 # -- predicate and closure -------------------------------------------------
@@ -108,7 +122,7 @@ def test_midconvex_bits_match_the_per_subset_predicate():
     # every subset of every group up to order 10
     for group in enumerate_abelian_groups(10):
         masks = range(1 << group.order)
-        columns = subset_columns(group, masks)
+        columns = every_subset_columns(group.order)
         expected = sum(
             1 << k for k in masks if is_midconvex(group, GroupSubset(group, masks[k]))
         )
@@ -121,9 +135,9 @@ def test_subset_columns_transpose_a_list_of_masks():
         group = make_group(orders)
         n = group.order
         # the closed form for every subset equals the transposed list
-        assert subset_columns(group, range(1 << n)) == subset_columns(group, list(range(1 << n)))
+        assert every_subset_columns(n) == transposed_columns(n, list(range(1 << n)))
         masks = [rng.getrandbits(n) for _ in range(50)] + [0, (1 << n) - 1, 0]
-        columns = subset_columns(group, masks)
+        columns = transposed_columns(n, masks)
         assert all(
             (columns[i] >> k & 1) == (m >> i & 1) for k, m in enumerate(masks) for i in range(n)
         )
@@ -131,8 +145,6 @@ def test_subset_columns_transpose_a_list_of_masks():
         assert [bits >> k & 1 for k in range(len(masks))] == [
             is_midconvex(group, GroupSubset(group, m)) for m in masks
         ]
-        assert subset_columns(group, []) == [0] * n
-        assert midconvex_bits(group, subset_columns(group, []), 0) == 0
 
 def test_midconvex_closure_examples():
     g4 = make_group([4])
@@ -263,12 +275,12 @@ def test_trace_in_group_examples():
     assert trace.period == 15
     assert trace.members() == (0, 3, 6, 9, 12)
 
-    zero_trace = trace_in_group(g15, coset, g15.element([1]), g15.zero())
+    zero_trace = trace_in_group(g15, coset, g15.element([1]), g15.element_at(0))
     assert zero_trace.period == 1
     assert zero_trace.members() == (0,)
 
     g4 = make_group([4])
-    trace2 = trace_in_group(g4, subset(g4, [0]), g4.zero(), g4.element([2]))
+    trace2 = trace_in_group(g4, subset(g4, [0]), g4.element_at(0), g4.element([2]))
     assert trace2.period == 2
     assert trace2.members() == (0,)
     with pytest.raises(NotMidconvexTrace):
@@ -338,7 +350,7 @@ def test_theorem1_bits_equal_verify_theorem1_on_every_subset_up_to_order_10():
     accepted = {period: accepted_traces(period, True) for period in range(1, 11)}
     for group in enumerate_abelian_groups(10):
         masks = range(1 << group.order)
-        bits = theorem1_bits(group, subset_columns(group, masks), len(masks), accepted)
+        bits = theorem1_bits(group, every_subset_columns(group.order), len(masks), accepted)
         expected = sum(1 << k for k in masks if verify_theorem1(group, GroupSubset(group, k)))
         assert bits == expected, str(group)
 
@@ -374,7 +386,7 @@ def test_per_coset_theorem1_bits_match_the_per_member_reading_on_faulty_tables()
     rng = random.Random(18)
     honest = {period: set(accepted_traces(period, True)) for period in range(1, 9)}
     groups = enumerate_abelian_groups(8)
-    columns = {group: subset_columns(group, range(1 << group.order)) for group in groups}
+    columns = {group: every_subset_columns(group.order) for group in groups}
     unclosed = 0
     for _ in range(40):
         accepted = {
@@ -409,7 +421,7 @@ def test_decompose_periodic_examples():
 
     g4 = make_group([4])
     with pytest.raises(NotMidconvex):
-        decompose_periodic(g4, subset(g4, [0, 2]), g4.zero())
+        decompose_periodic(g4, subset(g4, [0, 2]), g4.element_at(0))
 
     full = GroupSubset(g15, (1 << 15) - 1)
     assert decompose_periodic(g15, full, g15.element([7])).index == 1
@@ -438,7 +450,7 @@ def test_decompose_periodic_is_base_independent_for_midconvex_sets():
 def test_decompose_periodic_not_a_subgroup_reason():
     g9 = make_group([9])
     with pytest.raises(NotMidconvex, match="not a subgroup"):
-        decompose_periodic(g9, subset(g9, [0, 1]), g9.zero())
+        decompose_periodic(g9, subset(g9, [0, 1]), g9.element_at(0))
 
 
 def test_decompose_periodic_agrees_with_predicate_small():
@@ -468,7 +480,7 @@ def test_doubling_claim_examples():
     g5 = make_group([5])
     assert doubling_claim_check(g5, subset(g5, [2]), g5.element([2]))
     g9 = make_group([9])
-    assert doubling_claim_check(g9, subset(g9, [0, 3, 6]), g9.zero())
+    assert doubling_claim_check(g9, subset(g9, [0, 3, 6]), g9.element_at(0))
 
 
 def test_lemma1_lift_detects_gappy_traces():
@@ -477,7 +489,7 @@ def test_lemma1_lift_detects_gappy_traces():
     assert lemma1_holds_in_group(g15, coset, g15.element([1]), g15.element([4]))
     # {0,1} in Z15 is not midconvex and its trace along 1 has gaps
     bad = subset(g15, [0, 1])
-    assert not lemma1_holds_in_group(g15, bad, g15.zero(), g15.element([1]))
+    assert not lemma1_holds_in_group(g15, bad, g15.element_at(0), g15.element([1]))
 
 
 def test_lemma1_failures_match_the_per_pair_check_on_every_subset_up_to_order_8():
@@ -485,7 +497,7 @@ def test_lemma1_failures_match_the_per_pair_check_on_every_subset_up_to_order_8(
     # pair of distinct members; the bits outside `within` are never reported
     for group in enumerate_abelian_groups(8):
         masks = range(1 << group.order)
-        columns = subset_columns(group, masks)
+        columns = every_subset_columns(group.order)
         elements = list(group)
         expected = []
         for k in masks:

@@ -5,6 +5,7 @@ import json
 import pathlib
 import random
 import time
+import types
 from fractions import Fraction as F
 
 import pytest
@@ -12,7 +13,7 @@ import pytest
 from midconvex import engine, harness
 from midconvex.engine import is_midconvex, rational_closure
 from midconvex.errors import NotMidconvexTrace
-from midconvex.groups import FiniteAbelianGroup, GroupElement, GroupSubset, is_subgroup, make_group
+from midconvex.groups import FiniteAbelianGroup, GroupElement, GroupSubset, is_subgroup, make_group, periodic_mask
 from midconvex.harness import (
     VerificationReport,
     bounded_closure_oracle,
@@ -23,7 +24,7 @@ from midconvex.harness import (
     exhaustive_theorem2,
     sample_two_purity,
 )
-from midconvex.rationals import RationalGroupDescriptor
+from midconvex.rationals import QIntervalSpec, RationalGroupDescriptor, RationalMidconvexDescription
 
 REFS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "refs.py"
 
@@ -39,6 +40,27 @@ def load_refs():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def subset_masks(group, seed):
+    """The sweep's subsets one mask each: every subset up to the cap, above it the seeded draws."""
+    order = group.order
+    if order <= harness.EXHAUSTIVE_ORDER_CAP or 1 << order <= harness.SAMPLED_SUBSET_COUNT:
+        return range(1 << order)
+    rng = random.Random(f"{seed}:{group}")
+    return [rng.getrandbits(order) for _ in range(harness.SAMPLED_SUBSET_COUNT)]
+
+
+def transposed_columns(n, masks):
+    """Reference transposition through zipped rows: bit k of column i is bit i of masks[k]."""
+    # row strings put bit n - 1 first and the last mask on top, so the
+    # columns of the zipped rows read highest element and highest k first
+    rows = [format(m, f"0{n}b") for m in reversed(masks)]
+    return [int("".join(bits), 2) for bits in reversed(list(zip(*rows)))]
+
+
+def mask_label(group, mask):
+    return "{%s}" % ",".join(map(group.format_index, GroupSubset(group, mask).indices()))
 
 
 def odd_coset_reference(group, mask):
@@ -107,12 +129,12 @@ def theorem1_reference(max_order, seed=0):
     total = 0
     groups = enumerate_abelian_groups(max_order)
     for group in groups:
-        for mask in harness._subset_masks(group, seed):
+        for mask in subset_masks(group, seed):
             total += 1
             subset = GroupSubset(group, mask)
             lhs, rhs = is_midconvex(group, subset), engine.verify_theorem1(group, subset)
             if lhs != rhs:
-                label = harness._subset_label(subset)
+                label = mask_label(group, mask)
                 reference.add_mismatch(group, label, "is_midconvex vs trace decomposition", lhs, rhs)
     reference.counts = {"groups": len(groups), "subsets": total}
     reference.mismatches.sort(key=lambda m: (m["group"], m["subset"]))
@@ -244,6 +266,81 @@ def test_sweeps_walk_each_coset_once_and_lemma1_reads_no_trace(monkeypatch):
     )
 
 
+class ScriptedDraws:
+    """Seeded draws of which about one in four is 0, the full mask or an earlier draw."""
+
+    def __init__(self, seed):
+        self.rng, self.drawn = random.Random(seed), []
+
+    def getrandbits(self, n):
+        pick, mask = self.rng.randrange(12), self.rng.getrandbits(n)
+        if pick < 3 and self.drawn:
+            mask = (0, (1 << n) - 1, self.rng.choice(self.drawn))[pick]
+        self.drawn.append(mask)
+        return mask
+
+
+def test_subset_columns_stride_the_seeded_draws(monkeypatch):
+    # above the cap the columns are the seeded draws in draw order, as the
+    # zipped rows transpose them, for the honest draws and for scripted ones
+    # that hold repeats, 0 and the full mask
+    monkeypatch.setattr(harness, "SAMPLED_SUBSET_COUNT", 500)
+    groups = [make_group(orders) for orders in ([14], [2, 2, 2, 2], [27], [8, 5], [64], [2] * 6, [68], [4, 17])]
+    for group in groups:
+        masks = subset_masks(group, 3)
+        assert harness._subset_columns(group, 3) == (transposed_columns(group.order, masks), 500), str(group)
+    monkeypatch.setattr(harness, "random", types.SimpleNamespace(Random=ScriptedDraws))
+    for group in groups:
+        rng, full = ScriptedDraws(f"3:{group}"), (1 << group.order) - 1
+        masks = [rng.getrandbits(group.order) for _ in range(500)]
+        assert 0 in masks and full in masks and len(set(masks)) < 450
+        assert harness._subset_columns(group, 3) == (transposed_columns(group.order, masks), 500), str(group)
+
+
+def flip_every_97th_subset(monkeypatch):
+    """Plant a midconvex_bits fault: subsets 5, 102, 199, ... of each group read flipped."""
+    honest = engine.midconvex_bits
+
+    def faulty(group, columns, count):
+        return honest(group, columns, count) ^ sum(1 << k for k in range(5, count, 97))
+
+    monkeypatch.setattr(engine, "midconvex_bits", faulty)
+    return faulty
+
+
+@pytest.mark.parametrize("max_order,count", [(14, 300), (40, harness.SAMPLED_SUBSET_COUNT)])
+def test_sampled_mismatch_labels_are_read_from_the_columns(monkeypatch, max_order, count):
+    # every flipped subset is a theorem-2 mismatch, labelled as its mask reads
+    monkeypatch.setattr(harness, "SAMPLED_SUBSET_COUNT", count)
+    flip_every_97th_subset(monkeypatch)
+    groups = enumerate_abelian_groups(max_order)
+    expected = [
+        (str(group), mask_label(group, masks[k]))
+        for group in groups
+        for masks in [subset_masks(group, 0)]
+        for k in range(5, len(masks), 97)
+    ]
+    report = exhaustive_theorem2(max_order)
+    assert [(m["group"], m["subset"]) for m in report.mismatches] == sorted(expected)
+    sampled = {str(g) for g in groups if g.order > harness.EXHAUSTIVE_ORDER_CAP and 1 << g.order > count}
+    assert sum(name in sampled for name, _ in expected) == len(sampled) * len(range(5, count, 97)) > 0
+
+
+def test_sampled_lemma1_labels_are_read_from_the_columns(monkeypatch):
+    # each failure of a flipped subset is reported under its mask's label
+    monkeypatch.setattr(harness, "SAMPLED_SUBSET_COUNT", 300)
+    faulty = flip_every_97th_subset(monkeypatch)
+    expected, sampled = [], {"Z(13)", "Z(2x7)"}
+    for group in enumerate_abelian_groups(14):
+        masks = list(subset_masks(group, 0))
+        columns = transposed_columns(group.order, masks)
+        for k, _, _ in engine.lemma1_failures(group, columns, faulty(group, columns, len(masks))):
+            expected.append((str(group), mask_label(group, masks[k])))
+    report = exhaustive_lemma1(14)
+    assert [(m["group"], m["subset"]) for m in report.mismatches] == sorted(expected)
+    assert {name for name, _ in expected} >= sampled
+
+
 def test_sampled_subsets_used_above_exhaustive_cap(monkeypatch):
     monkeypatch.setattr(harness, "SAMPLED_SUBSET_COUNT", 300)
     report = exhaustive_theorem2(14)
@@ -254,10 +351,9 @@ def test_sampled_subsets_used_above_exhaustive_cap(monkeypatch):
 
 def test_odd_coset_bits_match_the_per_subset_characterization():
     for group in enumerate_abelian_groups(10):
-        masks = range(1 << group.order)
-        columns = engine.subset_columns(group, masks)
-        expected = sum(1 << k for k in masks if odd_coset_reference(group, masks[k]))
-        assert harness._odd_coset_bits(group, columns, len(masks)) == expected, str(group)
+        columns, count = harness._subset_columns(group, 0)
+        expected = sum(1 << k for k in range(count) if odd_coset_reference(group, k))
+        assert harness._odd_coset_bits(group, columns, count) == expected, str(group)
 
 
 def test_odd_index_cosets_translate_each_subgroup_once_per_coset(monkeypatch):
@@ -289,14 +385,14 @@ def test_sampled_theorem2_matches_the_per_subset_sweep(monkeypatch):
     midconvex_counts, total = {}, 0
     groups = enumerate_abelian_groups(14)
     for group in groups:
-        for mask in harness._subset_masks(group, seed):
+        for mask in subset_masks(group, seed):
             total += 1
             lhs = is_midconvex(group, GroupSubset(group, mask))
             rhs = odd_coset_reference(group, mask)
             if lhs:
                 midconvex_counts[str(group)] = midconvex_counts.get(str(group), 0) + 1
             if lhs != rhs:
-                label = harness._subset_label(GroupSubset(group, mask))
+                label = mask_label(group, mask)
                 reference.add_mismatch(group, label, "is_midconvex vs subgroup characterization", lhs, rhs)
     reference.counts = {"groups": len(groups), "subsets": total}
     reference.details["midconvex_counts"] = midconvex_counts
@@ -309,11 +405,12 @@ def test_every_subset_of_order_16_to_20_groups_is_decided(orders):
     # 2**20 subsets of Z(20) and Z(2x2x5): the closed-form count 1 + sum |K|
     # over subgroups K of the odd part, and the odd-index cosets, both agree
     group = make_group(orders)
-    masks = range(1 << group.order)
-    columns = engine.subset_columns(group, masks)
-    midconvex = engine.midconvex_bits(group, columns, len(masks))
+    count = 1 << group.order
+    # bit k of column i is bit i of k: runs of 2**i zeros and 2**i ones
+    columns = [periodic_mask(((1 << w) - 1) << w, 2 * w, count) for w in (1 << i for i in range(group.order))]
+    midconvex = engine.midconvex_bits(group, columns, count)
     assert midconvex.bit_count() == load_refs().midconvex_count(tuple(orders))
-    assert midconvex == harness._odd_coset_bits(group, columns, len(masks))
+    assert midconvex == harness._odd_coset_bits(group, columns, count)
 
 
 def test_theorem2_mismatches_are_labelled_and_sorted(monkeypatch):
@@ -559,6 +656,27 @@ def test_hull_candidate_and_conjecture_examples(monkeypatch):
     singleton = conjecture_hull_check(integers, [F(7)])
     assert singleton.passed
     assert singleton.counts["oracle_points"] == 1
+
+
+def test_failing_rational_campaigns_render_points_as_numbers(monkeypatch):
+    # planted faults make the hull and theorem-3 campaigns report points,
+    # which read {0,3} and (1/2,3/4) as in the other campaigns, not as reprs
+    honest_closure = engine.rational_closure
+    monkeypatch.setattr(engine, "rational_closure", lambda group, points: honest_closure(group, [min(points)]))
+    hull = conjecture_hull_check(desc(1), [F(3), F(0)])
+    assert [m["subset"] for m in hull.mismatches] == ["{0,3}"]
+
+    triple = (F(1, 2), F(3, 4), F(5, 8))
+    monkeypatch.setattr(engine, "_sampled_violation", lambda *args: triple)
+    monkeypatch.setattr(engine, "described_midconvex_witness", lambda *args: triple)
+    description = RationalMidconvexDescription(QIntervalSpec(F(0), F(1)), desc(1, [2]), F(0))
+    theorem3 = harness.roundtrip_theorem3(desc(1, [2]), description, samples=10)
+    assert [(m["lhs"], m["rhs"]) for m in theorem3.mismatches] == [
+        ("(1/2,3/4)", "5/8"),
+        ("midpoint 5/8 of 1/2 and 3/4 is missing", "(1/2,3/4,5/8)"),
+    ]
+    for report in (hull, theorem3):
+        assert "Fraction(" not in json.dumps(report.to_dict())
 
 
 @pytest.mark.parametrize("seed,unproduced", [(0, 5), (1, 2)])

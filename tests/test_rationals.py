@@ -73,6 +73,31 @@ def test_member_zero_and_negatives():
     assert not group.contains(F(1, 2))
 
 
+def test_integer_membership_matches_the_fraction_division():
+    # seeded descriptors and values: 0, negatives, ints, and denominators
+    # with primes foreign to the group, against the quotient r / gen
+    rng = random.Random(20)
+    pool = (2, 3, 5, 7, 11)
+    checked = members = 0
+    for _ in range(300):
+        primes = frozenset(rng.sample(pool, rng.randint(0, 3)))
+        group = desc(F(rng.randint(1, 60), rng.randint(1, 60)), primes)
+        values = [0, F(0), rng.randint(-500, 500)]
+        values += [F(rng.randint(-500, 500), rng.choice(pool) ** rng.randint(0, 4) * rng.randint(1, 12))
+                   for _ in range(40)]
+        values += [group.gen * rng.randint(-9, 9) / rng.choice(pool) ** rng.randint(0, 3) for _ in range(20)]
+        for r in values:
+            den = (F(r) / group.gen).denominator
+            for p in primes:
+                while den % p == 0:
+                    den //= p
+            expected = den == 1
+            assert group.contains(r) == expected, (group, r)
+            checked += 1
+            members += expected
+    assert checked == 300 * 63 and 3000 < members < checked - 3000, members
+
+
 @given(
     st.integers(min_value=-40, max_value=40),
     st.integers(min_value=-40, max_value=40),
