@@ -45,9 +45,6 @@ EXIT_RESOURCE = 3
 # The largest campaign size a statement may set with each flag: the slowest
 # campaign it sizes, theorem 1 or purity, takes about 10 s there (2-vCPU Xeon).
 SIZE_CAPS = {"--max-order": 68, "--samples": 30_000}
-# The widest window an explicit Z set may declare: check, decompose, trace and
-# closure of a two-member set take about 1 s there for the whole process (2-vCPU Xeon).
-WINDOW_CAP = 20_000_000
 
 
 # -- binding parsed expressions to runtime objects --------------------------
@@ -111,14 +108,11 @@ def _bind_set(kind, group, expr):
             lo, hi = expr.window
             if lo > hi:
                 raise DslTypeError(f"empty window [{lo},{hi}]")
-            width = hi - lo + 1
-            if width > WINDOW_CAP:
-                raise CapExceeded(f"window [{lo},{hi}] is {width} wide, cap is {WINDOW_CAP}")
             members = [_bind_int(e, "element") for e in expr.elements]
             bad = [n for n in members if not lo <= n <= hi]
             if bad:
                 raise DslTypeError(f"element {bad[0]} is outside the window [{lo},{hi}]")
-            return "window", IntWindowSet.from_members(lo, hi, members)
+            return "window", IntWindowSet(lo, hi, tuple(sorted(set(members))))
         return "points", [_bind_rational(group, e, "element") for e in expr.elements]
     if kind == "finite":
         raise DslTypeError("interval-and-coset sets live in Z or Q groups")
@@ -263,20 +257,20 @@ def _member_count(set_kind, set_obj) -> int:
     if set_kind == "subset":
         return set_obj.size
     if set_kind == "window":
-        return set_obj.mask.bit_count()
+        return len(set_obj.members)
     return len(set(set_obj)) if set_kind == "points" else 1
 
 
 def _points(set_kind, set_obj):
     """The members of a window set or the points of a point set, the finite sets of Z and Q."""
-    return set_obj.members() if set_kind == "window" else set_obj
+    return set_obj.members if set_kind == "window" else set_obj
 
 
 def _decided_witness(count, decompose, scan, *args):
     """The pair scan's witness, scanned for only when the route's decomposition rejects the set.
 
-    Decomposing decides midconvexity in one mask pass, by Theorem 2 in a
-    finite group and by Theorem 1 on a window of Z, so the quadratic scan
+    Decomposing decides midconvexity in one pass, by Theorem 2 over a finite
+    group's mask and by Theorem 1 over a window's members, so the quadratic scan
     runs only to name the violating triple. A set of no members is midconvex.
     A finite set of Q is decided by Theorem 3 inside is_midconvex_q_finite.
     """
@@ -338,7 +332,7 @@ def _run_trace(group, set_kind, set_obj, command, report):
     else:
         trace = engine.lattice_trace(set_obj, x, Fraction(command.g))
     report["trace"] = str(trace)
-    report["stats"]["count"] = trace.hi - trace.lo + 1
+    report["stats"]["count"] = trace.period if set_kind == "subset" else trace.hi - trace.lo + 1
     report["result"] = "trace computed"
     return EXIT_OK
 

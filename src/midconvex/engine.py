@@ -20,10 +20,10 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import CapExceeded, NotMidconvex, NotMidconvexTrace, WindowTooSmall
 from .groups import (
-    FiniteAbelianGroup, GroupElement, GroupSubset, bit_reader, is_subgroup, least_index, mask_of, periodic_mask,
+    FiniteAbelianGroup, GroupElement, GroupSubset, bit_reader, is_subgroup, least_index, mask_of,
     set_bits, subgroup_generated, sylow2_subgroup,
 )
-from .intsets import IntWindowSet, decompose_trace, is_order_convex
+from .intsets import IntWindowSet, PeriodicTrace, decompose_trace, is_order_convex
 from .rationals import (
     QIntervalSpec,
     Rational,
@@ -133,7 +133,7 @@ def midconvex_closure(group: FiniteAbelianGroup, subset: GroupSubset) -> GroupSu
     return GroupSubset(group, group.translate_mask(h.mask, xi))
 
 
-def _trace(group: FiniteAbelianGroup, mask: int, xi: int, gi: int) -> IntWindowSet:
+def _trace(group: FiniteAbelianGroup, mask: int, xi: int, gi: int) -> PeriodicTrace:
     """Trace at index xi along index gi of the set with this mask.
 
     The walk x, x + g, x + 2g, ... returns to x after ord(g) steps, the period;
@@ -143,13 +143,13 @@ def _trace(group: FiniteAbelianGroup, mask: int, xi: int, gi: int) -> IntWindowS
         raise ValueError("trace base point must be a member")
     period, member = group.index_order(gi), bit_reader(mask, group.order)
     steps = compress(count(), map(member, group.walk(xi, gi)))
-    return IntWindowSet(0, period - 1, mask_of(period, steps), period)
+    return PeriodicTrace(period, mask_of(period, steps))
 
 
 def trace_in_group(
     group: FiniteAbelianGroup, subset: GroupSubset, x: GroupElement, g: GroupElement
-) -> IntWindowSet:
-    """Residues n mod ord(g) with x + n*g in X, as a periodic window set."""
+) -> PeriodicTrace:
+    """Residues n mod ord(g) with x + n*g in X, as a periodic trace."""
     return _trace(group, subset.mask, group.index_of(x), group.index_of(g))
 
 
@@ -180,7 +180,7 @@ def accepted_traces(period: int, exhaustive: bool) -> tuple[int, ...]:
     accepted = []
     for pattern in patterns:
         try:
-            decompose_trace(IntWindowSet(0, period - 1, pattern, period))
+            decompose_trace(PeriodicTrace(period, pattern))
         except NotMidconvexTrace:
             continue
         accepted.append(pattern)
@@ -285,8 +285,7 @@ def lemma1_holds_in_group(
         raise ValueError("lemma check needs two distinct members")
     gi = group.add_index(yi, group.neg_index(xi))
     trace = _trace(group, subset.mask, xi, gi)
-    d = trace.period
-    return is_order_convex(IntWindowSet(0, 2 * d - 1, trace.mask | trace.mask << d))
+    return is_order_convex(trace.mask | trace.mask << trace.period)
 
 
 def lemma1_failures(group: FiniteAbelianGroup, columns: Sequence[int], within: int) -> list[tuple[int, int, int]]:
@@ -350,20 +349,18 @@ def lattice_trace(
     """The trace {k : x + k*g in X} of a described or finite set on [-_TRACE_RADIUS, _TRACE_RADIUS].
 
     A described set's trace is one range of k in closed form, with no
-    per-point test, and its mask one periodic mask. A finite set is read per
+    per-point test, and its members are that range. A finite set is read per
     point: k = (p - x)/g, kept when it is an integer within the radius.
     """
     if g == 0:
         raise ValueError("trace direction must be nonzero")
     x, g, k_max = Fraction(x), Fraction(g), _TRACE_RADIUS
     if isinstance(members, RationalMidconvexDescription):
-        ks = _described_range(members, x, g, k_max)
-        mask = periodic_mask(1, ks.step, len(ks) * ks.step) << ks.start + k_max if ks else 0
+        inside = _described_range(members, x, g, k_max)
     else:
         ks = ((p - x) / g for p in members)
-        inside = (k.numerator + k_max for k in ks if k.denominator == 1 and -k_max <= k <= k_max)
-        mask = mask_of(2 * k_max + 1, inside)
-    return IntWindowSet(-k_max, k_max, mask)
+        inside = sorted({k.numerator for k in ks if k.denominator == 1 and -k_max <= k <= k_max})
+    return IntWindowSet(-k_max, k_max, tuple(inside))
 
 
 def _halving_modulus(group: RationalGroupDescriptor, den: int) -> int:

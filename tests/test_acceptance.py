@@ -230,7 +230,7 @@ def test_criterion_8_windowed_integer_equivalence():
     mismatches = 0
     for mask in range(1 << (hi - lo + 1)):
         members = [lo + i for i in range(hi - lo + 1) if mask >> i & 1]
-        window = IntWindowSet.from_members(lo, hi, members)
+        window = IntWindowSet(lo, hi, tuple(members))
         decomposes = True
         for x in members:
             try:

@@ -10,7 +10,7 @@ import pytest
 
 from midconvex import cli, dsl, engine, harness
 from midconvex.errors import NotMidconvex
-from midconvex.groups import GroupSubset
+from midconvex.groups import GroupSubset, set_bits
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -88,7 +88,7 @@ def test_hull_check_on_a_dense_closure_is_fast():
 
 def window_pair_scan(window):
     """Reference: the first (x, y, z) over pairs x <= y of members in lexicographic order, z missing."""
-    members = window.members()
+    members = window.members
     inside = set(members)
     for i, x in enumerate(members):
         for y in members[i:]:
@@ -105,7 +105,7 @@ def test_z_check_decides_by_decomposition_with_the_pair_scan_witness():
     for lo in (-3, 0):
         for width in range(1, 13):
             for mask in range(1 << width):
-                window = IntWindowSet(lo, lo + width - 1, mask)
+                window = IntWindowSet(lo, lo + width - 1, tuple(lo + i for i in set_bits(mask)))
                 decided = cli._decided_witness(mask.bit_count(), decompose_z, midconvex_z_witness, window)
                 assert decided == window_pair_scan(window), (lo, width, mask)
                 sets += 1
@@ -496,24 +496,45 @@ def test_verify_rejects_negative_sizes_before_any_work(monkeypatch, text, flag, 
     assert f"result: error: {flag} {size} is negative\n" in output
 
 
+def test_wide_z_windows_are_answered_from_their_members():
+    # a window set is held as its members, so its width costs nothing; a
+    # window of 2 * 10**7 integers once took 0.9 s to trace, and a wider one exited 3
+    wide, widest = "{0,5}@window[%d,%d]" % (-10**10, 10**10), "{0,5,10,15}@window[%d,%d]" % (-10**18, 10**18)
+    cases = [
+        (f"Z; {wide}; check", "result: midconvex\n"),
+        (f"Z; {wide}; decompose", "decomposition: C=[0,5] H=5Z x=0\n"),
+        (f"Z; {wide}; trace x=0 g=1", f"trace: {wide}\n"),
+        (f"Z; {wide}; closure", "closure: {0,5}\n"),
+        (f"Z; {widest}; check", "result: midconvex\n"),
+        (f"Z; {widest}; trace x=0 g=5", "trace: {0,1,2,3}@window[-200000000000000000,200000000000000000]\n"),
+    ]
+    for text, answer in cases:
+        program = dsl.parse(text)
+        started = time.perf_counter()
+        code, output = cli.run(program)
+        assert time.perf_counter() - started < 0.5, text
+        assert code == cli.EXIT_OK and answer in output, (text, output)
+
+
+# the width of the window cap that binding once enforced (exit 3 above it)
+FORMER_WINDOW_CAP = 20_000_000
+
+
 def test_z_windows_are_capped_at_bind_time():
-    # a window of 2 * 10**10 + 1 integers once died allocating its mask
-    cap = cli.WINDOW_CAP
-    assert cap == 20_000_000
-    window = cli._bind_set("zed", None, dsl.ExplicitSetExpr((0, 5), (-cap // 2, cap - cap // 2 - 1)))[1]
-    assert window.hi - window.lo + 1 == cap and window.members() == (0, 5)
-    for lo, hi in [(-cap // 2, cap - cap // 2), (-10**10, 10**10)]:
-        for command in ("check", "decompose", "trace x=0 g=1", "closure"):
-            code, output = run_text(f"Z; {{0,5}}@window[{lo},{hi}]; {command}")
-            assert code == cli.EXIT_RESOURCE
-            assert f"result: resource: window [{lo},{hi}] is {hi - lo + 1} wide, cap is {cap}\n" in output
+    # a window of 2 * 10**10 + 1 integers once died allocating its mask, and a
+    # bind-time cap then refused it; binding now keeps the bounds and the members only
+    assert not hasattr(cli, "WINDOW_CAP")
+    cap = FORMER_WINDOW_CAP
+    for lo, hi in [(-cap // 2, cap - cap // 2 - 1), (-cap // 2, cap - cap // 2), (-10**10, 10**10)]:
+        window = cli._bind_set("zed", None, dsl.ExplicitSetExpr((5, 0, 5), (lo, hi)))[1]
+        assert (window.lo, window.hi, window.members) == (lo, hi, (0, 5))
 
 
 @pytest.mark.parametrize("command", ["check", "decompose"])
 def test_windows_at_the_cap_decompose_on_the_mask(command):
-    # reading the members of a window of WINDOW_CAP integers took 0.8 s;
-    # the mask reading takes about 0.12 s (2-vCPU Xeon)
-    cap = cli.WINDOW_CAP
+    # reading a window of the former cap width once walked its mask (0.12 s,
+    # 2-vCPU Xeon); it is now read from the members alone
+    cap = FORMER_WINDOW_CAP
     program = dsl.parse(f"Z; {{0,5,10,15}}@window[{-cap // 2},{cap - cap // 2 - 1}]; {command}")
     started = time.perf_counter()
     code, output = cli.run(program)

@@ -38,7 +38,7 @@ from midconvex.groups import (
     FiniteAbelianGroup, GroupElement, GroupSubset, is_subgroup, make_group, mask_of, periodic_mask, set_bits
 )
 from midconvex.harness import enumerate_abelian_groups
-from midconvex.intsets import IntWindowSet, decompose_trace
+from midconvex.intsets import IntWindowSet, PeriodicTrace, decompose_trace, decompose_z
 from midconvex.rationals import (
     QIntervalSpec,
     RationalGroupDescriptor,
@@ -273,16 +273,16 @@ def test_trace_in_group_examples():
     coset = subset(g15, [1, 4, 7, 10, 13])
     trace = trace_in_group(g15, coset, g15.element([1]), g15.element([1]))
     assert trace.period == 15
-    assert trace.members() == (0, 3, 6, 9, 12)
+    assert tuple(set_bits(trace.mask)) == (0, 3, 6, 9, 12)
 
     zero_trace = trace_in_group(g15, coset, g15.element([1]), g15.element_at(0))
     assert zero_trace.period == 1
-    assert zero_trace.members() == (0,)
+    assert tuple(set_bits(zero_trace.mask)) == (0,)
 
     g4 = make_group([4])
     trace2 = trace_in_group(g4, subset(g4, [0]), g4.element_at(0), g4.element([2]))
     assert trace2.period == 2
-    assert trace2.members() == (0,)
+    assert tuple(set_bits(trace2.mask)) == (0,)
     with pytest.raises(NotMidconvexTrace):
         decompose_trace(trace2)
 
@@ -294,7 +294,7 @@ def bitwise_trace(group, mask, xi, gi):
         if mask >> i & 1:
             residues.append(n)
         n, i = n + 1, group.add_index(i, gi)
-    return IntWindowSet(0, n - 1, mask_of(n, residues), n)
+    return PeriodicTrace(n, mask_of(n, residues))
 
 
 def test_trace_matches_the_per_bit_reading_on_every_subset_up_to_order_8():
@@ -326,7 +326,7 @@ def test_trace_walks_in_closed_form_without_add_index(monkeypatch):
     group = make_group([2**18])
     mask = GroupSubset.from_indices(group, [3, 5, 2**17 + 3]).mask
     trace = engine._trace(group, mask, 3, 1)
-    assert (trace.period, trace.members()) == (2**18, (0, 2, 2**17))
+    assert (trace.period, tuple(set_bits(trace.mask))) == (2**18, (0, 2, 2**17))
     assert calls == []
 
 
@@ -588,7 +588,7 @@ def scanned_trace(members, x, g, k_max):
     else:
         points = {F(p) for p in members}
         inside = [k for k in range(-k_max, k_max + 1) if x + k * g in points]
-    return IntWindowSet.from_members(-k_max, k_max, inside)
+    return IntWindowSet(-k_max, k_max, tuple(inside))
 
 
 def seeded_interval(rng, base, h):
@@ -632,7 +632,7 @@ def test_lattice_trace_matches_a_per_point_scan(monkeypatch):
         # a base off the coset: no lattice point along a subgroup element is a member
         off_x, off_g = base + h / 7, h * rng.choice([1, -1])
         off = lattice_trace(description, off_x, off_g)
-        assert not off.mask and off == scanned_trace(description, off_x, off_g, k_max)
+        assert not off.members and off == scanned_trace(description, off_x, off_g, k_max)
         # a finite set with points on the lattice inside and outside the
         # radius and points off the lattice
         points = [x + k * g for k in rng.sample(range(-60, 61), rng.randint(0, 8))]
@@ -728,7 +728,7 @@ def test_decompose_rational_set_entry_point():
 
 
 def per_level_decompose_rational(group, description, x, x2, depth, window):
-    """Reference: each level's trace read point by point by decompose_trace on its window.
+    """Reference: each level's trace read point by point and decomposed at 0 on its window.
 
     Returns the description at the deepest level and that level's step
     between members, h_gen. The ends of a dense set are the first and last
@@ -740,7 +740,7 @@ def per_level_decompose_rational(group, description, x, x2, depth, window):
     prev_lower = prev_upper = prev_gen = None
     for step, g in enumerate(chain):
         try:
-            dec = decompose_trace(scanned_trace(description, x, g, math.floor(window / g)))
+            dec = decompose_z(scanned_trace(description, x, g, math.floor(window / g)), 0)
         except NotMidconvexTrace as exc:
             raise NotMidconvex(f"level {step} (lattice step {g}): {exc.reason}") from exc
         lower = x + g * dec.interval.lower
