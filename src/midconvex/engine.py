@@ -577,37 +577,64 @@ def _draw_numerators(
     that den divides L; then num with |num| <= _DRAW_NUMERATORS clipped to
     the interval, and keeps t = num * L/den. With the interval's ends
     measured from the base in units of gen, as the fractions u/v below and
-    above it, the clipping is the integer floor division of u * den by v.
+    above it, the clipping is the integer floor division of u * den by v; it
+    is worked out once per den in a call.
+
+    Each draw of a value in lo..hi is `Random.randint(lo, hi)`'s own
+    `_randbelow` rejection stream, read straight from `rng.getrandbits`:
+    getrandbits(k), k the bit length of the width hi - lo + 1, until the value
+    is below the width (a width of 1 still takes at least one word). The
+    drawn points and the generator's state after the draw are those of the
+    randint draw. That stream is the same in CPython 3.10 to 3.13 for any
+    width of at least 1; 3.11 is the only version checked, and the tests pin
+    it there.
     """
     primes = sorted(subgroup.primes)
     big_l = prod(p**_DRAW_EXPONENTS for p in primes)
+    powers = [[p**e for e in range(_DRAW_EXPONENTS + 1)] for p in primes]
     below = None if interval.lower is None else (base - interval.lower) / subgroup.gen
     above = None if interval.upper is None else (interval.upper - base) / subgroup.gen
-    if below is not None:
-        below_num, below_den = below.numerator, below.denominator
-    if above is not None:
-        above_num, above_den = above.numerator, above.denominator
+
+    def plan(den: int) -> tuple[int, int, int, int, tuple[int, ...]]:
+        """lo, the width, its bit length, L/den and the open ends' numerators of one den."""
+        lo, hi, skip = -_DRAW_NUMERATORS, _DRAW_NUMERATORS, ()
+        if below is not None:
+            q, r = divmod(below.numerator * den, below.denominator)
+            lo = max(lo, -q)
+            if not r and not interval.lower_closed:
+                skip += (-q,)
+        if above is not None:
+            q, r = divmod(above.numerator * den, above.denominator)
+            hi = min(hi, q)
+            if not r and not interval.upper_closed:
+                skip += (q,)
+        width = max(hi - lo + 1, 0)
+        return lo, width, width.bit_length(), big_l // den, skip
+
+    getrandbits = rng.getrandbits
+    e_bits = (_DRAW_EXPONENTS + 1).bit_length()
+    plans: dict[int, tuple[int, int, int, int, tuple[int, ...]]] = {}
     nums: list[int] = []
     attempts = 0
     while len(nums) < count and attempts < 100 * count:
         attempts += 1
         den = 1
-        for p in primes:
-            den *= p ** rng.randint(0, _DRAW_EXPONENTS)
-        lo, hi = -_DRAW_NUMERATORS, _DRAW_NUMERATORS
-        if below is not None:
-            lo = max(lo, -(below_num * den // below_den))
-        if above is not None:
-            hi = min(hi, above_num * den // above_den)
-        if lo > hi:
+        for table in powers:
+            e = getrandbits(e_bits)
+            while e > _DRAW_EXPONENTS:
+                e = getrandbits(e_bits)
+            den *= table[e]
+        if den not in plans:
+            plans[den] = plan(den)
+        lo, width, bits, scale, skip = plans[den]
+        if not width:
             continue
-        num = rng.randint(lo, hi)
+        r = getrandbits(bits)
+        while r >= width:
+            r = getrandbits(bits)
         # clipped, the point lies in the closed interval; an open end drops the point on it
-        on_lower = below is not None and num * below_den == -below_num * den
-        on_upper = above is not None and num * above_den == above_num * den
-        if (on_lower and not interval.lower_closed) or (on_upper and not interval.upper_closed):
-            continue
-        nums.append(num * (big_l // den))
+        if lo + r not in skip:
+            nums.append((lo + r) * scale)
     return nums, big_l
 
 

@@ -10,7 +10,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from midconvex import engine
+from midconvex import engine, harness
 from midconvex.engine import (
     _sampled_violation,
     accepted_traces,
@@ -916,6 +916,123 @@ def test_draw_lattice_points_matches_the_fraction_draw():
         assert drawn == fraction_draw(slow, sub, interval, base, count), (seed, sub, interval, base)
         # the same random calls in the same order
         assert fast.random() == slow.random(), seed
+
+
+def randint_draw(rng, subgroup, interval, base, count):
+    """Reference: the lattice draw through Random.randint, as it was written before getrandbits."""
+    primes = sorted(subgroup.primes)
+    big_l = math.prod(p**engine._DRAW_EXPONENTS for p in primes)
+    below = None if interval.lower is None else (base - interval.lower) / subgroup.gen
+    above = None if interval.upper is None else (interval.upper - base) / subgroup.gen
+    if below is not None:
+        below_num, below_den = below.numerator, below.denominator
+    if above is not None:
+        above_num, above_den = above.numerator, above.denominator
+    nums = []
+    attempts = 0
+    while len(nums) < count and attempts < 100 * count:
+        attempts += 1
+        den = 1
+        for p in primes:
+            den *= p ** rng.randint(0, engine._DRAW_EXPONENTS)
+        lo, hi = -engine._DRAW_NUMERATORS, engine._DRAW_NUMERATORS
+        if below is not None:
+            lo = max(lo, -(below_num * den // below_den))
+        if above is not None:
+            hi = min(hi, above_num * den // above_den)
+        if lo > hi:
+            continue
+        num = rng.randint(lo, hi)
+        on_lower = below is not None and num * below_den == -below_num * den
+        on_upper = above is not None and num * above_den == above_num * den
+        if (on_lower and not interval.lower_closed) or (on_upper and not interval.upper_closed):
+            continue
+        nums.append(num * (big_l // den))
+    return nums, big_l
+
+
+# ends in units of the subgroup generator from the base: (lower, upper, lower closed, upper closed)
+DRAW_INTERVALS = {
+    "closed": (F(-3), F(5, 2), True, True),
+    "open": (F(-2), F(3), False, False),
+    "half-open": (F(-1, 3), F(4), True, False),
+    "lower-only": (F(-1), None, False, True),
+    "upper-only": (None, F(7, 9), True, True),
+    "unbounded": (None, None, True, True),
+    # every attempt draws from a width of 1, which still takes a word
+    "one-point": (F(0), F(0), True, True),
+    # den = 1 clips to lo > hi and draws no numerator; larger dens draw
+    "short": (F(1, 7), F(2, 7), True, True),
+}
+
+
+@pytest.mark.parametrize("pool", [(), (2,), (3,), (2, 3), (5,), (2, 3, 5, 7)])
+@pytest.mark.parametrize("kind", sorted(DRAW_INTERVALS))
+def test_draw_numerators_is_the_randint_stream(pool, kind):
+    sub, base = desc(F(11, 13), pool), F(-5, 4)
+    lower, upper, lower_closed, upper_closed = DRAW_INTERVALS[kind]
+    interval = QIntervalSpec(
+        None if lower is None else base + lower * sub.gen,
+        None if upper is None else base + upper * sub.gen,
+        lower_closed,
+        upper_closed,
+    )
+    for seed in (0, 1, 2):
+        fast, slow = random.Random(seed), random.Random(seed)
+        assert engine._draw_numerators(fast, sub, interval, base, 60) == randint_draw(slow, sub, interval, base, 60)
+        assert fast.getstate() == slow.getstate(), seed
+
+
+def test_callers_of_the_draw_report_as_under_randint(monkeypatch):
+    # a passing report shows no drawn point, so each draw's result and the
+    # generator's state after it are recorded beside the reports: the purity
+    # campaign draws its next pair from that state
+    def reports(draw):
+        seen = []
+
+        def recorded(rng, *args):
+            out = draw(rng, *args)
+            seen.append((out, hash(rng.getstate())))
+            return out
+
+        monkeypatch.setattr(engine, "_draw_numerators", recorded)
+        out = [harness.sample_two_purity(trials=300, seed=seed).to_dict() for seed in (0, 5)]
+        for primes in [(2,), (2, 3), (3, 5)]:
+            ambient = desc(F(1, 2), primes)
+            interval = QIntervalSpec(F(-7, 3), F(5), False, True)
+            described = RationalMidconvexDescription(interval, desc(F(3, 2), primes), F(-1, 2))
+            out += [harness.roundtrip_theorem3(ambient, described, seed=seed).to_dict() for seed in (0, 3)]
+        # a one-point start draws every point from a width of 1
+        for start in ([F(0), F(1, 3), F(1)], [F(2, 3)]):
+            out += [harness.conjecture_hull_check(desc(1, [2, 3]), start, seed=seed).to_dict() for seed in (0, 7)]
+        return out, seen
+
+    assert reports(engine._draw_numerators) == reports(randint_draw)
+
+
+def test_the_lattice_draw_never_calls_randint(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the lattice draw went through randint")
+
+    sub = desc(F(3, 2), [2, 3])
+    described = RationalMidconvexDescription(QIntervalSpec(F(-4), F(9), False, True), sub, F(1, 2))
+    with monkeypatch.context() as patched:
+        for name in ("randint", "randrange", "_randbelow"):
+            patched.setattr(random.Random, name, refuse)
+        assert theorem3_if_violation(described, desc(F(1, 2), [2, 3]), 500, 0) is None
+        assert len(draw_lattice_points(random.Random(1), sub, described.interval, F(1, 2), 50)) == 50
+    # the purity campaign draws its pairs through randint itself, so the
+    # guard covers only its lattice draws
+    draw = engine._draw_numerators
+
+    def guarded(*args):
+        with monkeypatch.context() as patched:
+            patched.setattr(random.Random, "randint", refuse)
+            patched.setattr(random.Random, "randrange", refuse)
+            return draw(*args)
+
+    monkeypatch.setattr(engine, "_draw_numerators", guarded)
+    assert harness.sample_two_purity(trials=50).passed
 
 
 def fraction_sampled_violation(description, group, samples, seed):
