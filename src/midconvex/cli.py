@@ -99,8 +99,14 @@ def _bind_set(kind, group, expr):
     if isinstance(expr, ExplicitSetExpr):
         if kind != "zed" and expr.window is not None:
             raise DslTypeError("windows apply to Z sets only")
+        members = expr.elements
         if kind == "finite":
-            members = [_bind_finite_element(group, e) for e in expr.elements]
+            # each factor's residues are checked with one min and max
+            columns = group.residue_columns(members)
+            if columns is None or not all(0 <= min(c) and max(c) < n for c, n in zip(columns, group.orders) if c):
+                # name the first element that does not fit, as binding it alone does
+                for e in members:
+                    _bind_finite_element(group, e)
             return "subset", GroupSubset.from_elements(group, members)
         if kind == "zed":
             if expr.window is None:
@@ -108,12 +114,14 @@ def _bind_set(kind, group, expr):
             lo, hi = expr.window
             if lo > hi:
                 raise DslTypeError(f"empty window [{lo},{hi}]")
-            members = [_bind_int(e, "element") for e in expr.elements]
-            bad = [n for n in members if not lo <= n <= hi]
-            if bad:
-                raise DslTypeError(f"element {bad[0]} is outside the window [{lo},{hi}]")
+            if not set(map(type, members)) <= {int}:
+                for e in members:
+                    _bind_int(e, "element")
+            if members and not lo <= min(members) <= max(members) <= hi:
+                bad = next(n for n in members if not lo <= n <= hi)
+                raise DslTypeError(f"element {bad} is outside the window [{lo},{hi}]")
             return "window", IntWindowSet(lo, hi, tuple(sorted(set(members))))
-        return "points", [_bind_rational(group, e, "element") for e in expr.elements]
+        return "points", [_bind_rational(group, e, "element") for e in members]
     if kind == "finite":
         raise DslTypeError("interval-and-coset sets live in Z or Q groups")
     try:

@@ -17,8 +17,10 @@ parsed expression and reparsing it yields an equal expression.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 
 from .errors import MidconvexError
 
@@ -119,6 +121,10 @@ class Program:
 
 # -- lexer ----------------------------------------------------------------
 
+# A list is "{...}" holding only digits, "-", whitespace, commas and parentheses,
+# with each "-" before a digit, so it spans tokens that the alternatives below
+# would read without a bad character. It is one character-class run: a pattern
+# that repeats a member would keep backtracking state for each one.
 _TOKEN_RE = re.compile(
     r"""
       (?P<ws>\s+)
@@ -127,11 +133,13 @@ _TOKEN_RE = re.compile(
     | (?P<cross>(?<=\d)x(?=\d))
     | (?P<int>-?\d+)
     | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<list>\{(?![^}]*-(?!\d))[-\d\s,()]*\})
     | (?P<sym>[(){}\[\],;=@+/∩&])
     | (?P<bad>.)
     """,
     re.VERBOSE | re.DOTALL,
 )
+_DIGITS_APART = re.compile(r"\d\s+\d")
 
 
 def _syntax_error(text: str, offset: int, message: str) -> DslSyntaxError:
@@ -140,20 +148,54 @@ def _syntax_error(text: str, offset: int, message: str) -> DslSyntaxError:
     return DslSyntaxError(message, line, offset - text.rfind("\n", 0, offset))
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """(kind, text, offset) of each token, ending in an empty "eof" token.
+def _tokens(text: str, start: int, end: int) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) of each token of text[start:end], whitespace left out.
 
     Every character is matched by some alternative, so the scan is one pass.
     """
     tokens = []
-    for m in _TOKEN_RE.finditer(text):
+    for m in _TOKEN_RE.finditer(text, start, end):
         kind = m.lastgroup
         if kind == "bad":
             raise _syntax_error(text, m.start(), f"unexpected character {m.group()!r}")
         if kind != "ws":
             tokens.append((kind, m.group(), m.start()))
-    tokens.append(("eof", "", len(text)))
     return tokens
+
+
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """The tokens of the text, ending in an empty "eof" token."""
+    return _tokens(text, 0, len(text)) + [("eof", "", len(text))]
+
+
+def _read_list(inner: str) -> tuple | None:
+    """The members of a list token's inside, integers or residue tuples of one arity.
+
+    Each comma-separated member goes to int() with the whitespace around it,
+    which takes exactly what the grammar takes there, -?digits; int() calls and
+    the splits run in C, with no Python call per member. Anything else gives
+    None and is left to the grammar: an empty member, a list of mixed members or
+    arities, two numbers run together, and a literal longer than
+    sys.get_int_max_str_digits(), which the grammar reports where it stands.
+    """
+    try:
+        if "(" not in inner and ")" not in inner:
+            return tuple(map(int, inner.split(",")))
+        # whitespace between two digits splits a number; anywhere else dropping it changes nothing
+        if _DIGITS_APART.search(inner):
+            return None
+        compact = "".join(inner.split())
+        if compact[:1] != "(" or compact[-1:] != ")":
+            return None
+        body = compact[1:-1]
+        rows = body.split("),(")
+        residues = body.replace("),(", ",")
+        arity = rows[0].count(",") + 1
+        if "(" in residues or ")" in residues or set(map(str.count, rows, repeat(","))) != {arity - 1}:
+            return None
+        return tuple(zip(*[map(int, residues.split(","))] * arity))
+    except ValueError:
+        return None
 
 
 class _Parser:
@@ -163,7 +205,10 @@ class _Parser:
         self.pos = 0
 
     def error(self, message: str) -> DslSyntaxError:
-        _, shown, offset = self.tokens[self.pos]
+        kind, shown, offset = self.tokens[self.pos]
+        if kind == "list":
+            # a list met where no set may stand is the '{' the grammar would stop at
+            shown = "{"
         return _syntax_error(self.text, offset, f"{message} (found {shown or 'end of input'!r})")
 
     def accept(self, kind: str, text: str | None = None) -> str | None:
@@ -224,13 +269,15 @@ class _Parser:
         return tuple(primes)
 
     def parse_set(self) -> SetExpr:
-        if self.accept("sym", "{"):
+        elements = self.read_list()
+        if elements is None and self.accept("sym", "{"):
             elements = []
             if not self.accept("sym", "}"):
                 elements.append(self.parse_element())
                 while self.accept("sym", ","):
                     elements.append(self.parse_element())
                 self.expect("sym", "}", "'}' closing the element list")
+        if elements is not None:
             window = None
             if self.accept("sym", "@"):
                 self.expect("ident", "window", "'window[lo,hi]'")
@@ -304,8 +351,33 @@ class _Parser:
 
     # -- leaves -----------------------------------------------------------
 
+    def read_list(self) -> tuple | None:
+        """The members of a list token, consumed, when _read_list reads them; else None.
+
+        A list token it cannot read is split in place into the tokens the
+        grammar reads it from, so that input parses, and fails, as it would
+        token by token.
+        """
+        kind, text, offset = self.tokens[self.pos]
+        if kind != "list":
+            return None
+        elements = _read_list(text[1:-1])
+        if elements is None:
+            end = offset + len(text) - 1
+            inner = _tokens(self.text, offset + 1, end)
+            self.tokens[self.pos : self.pos + 1] = [("sym", "{", offset), *inner, ("sym", "}", end)]
+        else:
+            self.pos += 1
+        return elements
+
     def parse_int(self, what: str) -> int:
-        return int(self.expect("int", what=what))
+        offset = self.tokens[self.pos][2]
+        digits = self.expect("int", what=what)
+        try:
+            return int(digits)
+        except ValueError:  # more digits than int() converts
+            limit = sys.get_int_max_str_digits()
+            raise _syntax_error(self.text, offset, f"{what} has more than {limit} digits") from None
 
     def parse_number(self, what: str) -> int | Fraction:
         """An integer, or num/den when a denominator follows: an int if whole, else a Fraction."""
@@ -349,10 +421,17 @@ def parse(text: str) -> Program:
 # -- printing ---------------------------------------------------------------
 
 
+def _joined(elements) -> str:
+    """The elements printed and joined by commas, with no Python call per element.
+
+    str of a tuple of ints is the language's (a,b) but for a space after each
+    comma and a 1-tuple's trailing comma; ints and fractions print no space.
+    """
+    return ",".join(map(str, elements)).replace(" ", "").replace(",)", ")")
+
+
 def format_element(element: Element) -> str:
-    if isinstance(element, tuple):
-        return "(%s)" % ",".join(str(r) for r in element)
-    return str(element)
+    return _joined((element,))
 
 
 def format_group(group: GroupExpr) -> str:
@@ -366,7 +445,7 @@ def format_group(group: GroupExpr) -> str:
 
 def format_set(set_expr: SetExpr) -> str:
     if isinstance(set_expr, ExplicitSetExpr):
-        body = "{%s}" % ",".join(format_element(e) for e in set_expr.elements)
+        body = "{%s}" % _joined(set_expr.elements)
         if set_expr.window is not None:
             body += "@window[%d,%d]" % set_expr.window
         return body

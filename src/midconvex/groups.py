@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from math import gcd, lcm, prod
-from operator import add, mod
+from operator import add, mod, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import CapExceeded
@@ -61,6 +61,19 @@ class FiniteAbelianGroup:
         if element.group != self:
             raise ValueError("element belongs to a different group")
         return self._encode(element.residues)
+
+    def residue_columns(self, elements: Sequence) -> list | None:
+        """The residues of each factor, a column a factor, read in C.
+
+        None unless every element is a residue tuple of the group's arity, or
+        an integer when the group is cyclic.
+        """
+        kinds = set(map(type, elements))
+        if kinds <= {int} and len(self.orders) == 1:
+            return [elements]
+        if kinds <= {tuple} and set(map(len, elements)) <= {len(self.orders)}:
+            return list(zip(*elements))
+        return None
 
     def format_index(self, index: int) -> str:
         """The element at this index as text: its residue in a cyclic group, else (r1,...,rk)."""
@@ -266,11 +279,25 @@ class GroupSubset:
 
     @classmethod
     def from_elements(cls, group: FiniteAbelianGroup, elements: Iterable) -> "GroupSubset":
-        indices = []
-        for e in elements:
-            if not isinstance(e, GroupElement):
-                e = group.element(e if isinstance(e, (tuple, list)) else (e,))
-            indices.append(group.index_of(e))
+        """The subset of these elements: GroupElements, residue tuples or a cyclic group's residues.
+
+        Residues are reduced modulo their factor's order. Residue tuples of the
+        group's arity, or residues of a cyclic group, are encoded one factor's
+        column at a time, boxing no element.
+        """
+        elements = list(elements)
+        columns = group.residue_columns(elements)
+        if columns is None:
+            # GroupElements, lists or a mix: each read as the element it names
+            indices = []
+            for e in elements:
+                if not isinstance(e, GroupElement):
+                    e = group.element(e if isinstance(e, (tuple, list)) else (e,))
+                indices.append(group.index_of(e))
+            return cls.from_indices(group, indices)
+        indices = itertools.repeat(0, len(elements))
+        for column, (stride, n) in zip(columns, group._radix):
+            indices = map(add, indices, map(mul, map(mod, column, itertools.repeat(n)), itertools.repeat(stride)))
         return cls.from_indices(group, indices)
 
     @property

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import islice
+from operator import lt
 
 from .errors import NotMidconvexTrace
 from .groups import least_index, periodic_mask, set_bits
@@ -38,7 +40,7 @@ class IntWindowSet:
         if self.lo > self.hi:
             raise ValueError(f"empty window [{self.lo}, {self.hi}]")
         m = self.members
-        if m and not (self.lo <= m[0] and m[-1] <= self.hi and all(a < b for a, b in zip(m, m[1:]))):
+        if m and not (self.lo <= m[0] and m[-1] <= self.hi and all(map(lt, m, islice(m, 1, None)))):
             raise ValueError("members must ascend strictly inside the window")
 
     def __str__(self) -> str:

@@ -3,12 +3,15 @@
 import ast
 import itertools
 import json
+import os
 import pathlib
+import shutil
+import subprocess
 import time
 
 import pytest
 
-from midconvex import cli, dsl, engine, harness
+from midconvex import cli, dsl, engine, groups, harness
 from midconvex.errors import NotMidconvex
 from midconvex.groups import GroupSubset, set_bits
 
@@ -19,43 +22,80 @@ def run_text(text, fmt="text"):
     return cli.run(dsl.parse(text), fmt=fmt)
 
 
-@pytest.mark.parametrize(
-    "name,text",
-    [
-        ("check_z4", "Z(4); {0}; check"),
-        ("decompose_z15", "Z(15); {1,4,7,10,13}; decompose x=1"),
-        ("decompose_z_window", "Z; {3,6,9,12}@window[0,12]; decompose"),
-        # one member: C is the point [5,5] over H = Z, reported as modulus 0
-        ("decompose_z_singleton", "Z; {5}@window[0,9]; decompose"),
-        ("verify_theorem2", "Z; {0}@window[0,0]; verify --theorem 2 --max-order 12"),
-        ("verify_theorem1", "Z; {0}@window[0,0]; verify --theorem 1"),
-        # Z(13) is above the cap, but its 8,192 subsets are fewer than the 10,000
-        # samples, so all are swept; its period-13 traces use the candidate table
-        ("verify_theorem1_sampled", "Z; {0}@window[0,0]; verify --theorem 1 --max-order 13 --seed 7"),
-        ("decompose_q2_unit", "Q(gen=1, primes=[2]); conv[0,1] ∩ ((1,[2]) + 0); decompose"),
-        # the base's coarsest neighbour lies below it, so x is that point
-        (
-            "decompose_q2_below_base",
-            "Q(gen=1, primes=[2]); conv[-3,0] ∩ ((1,[2]) + 0); decompose",
-        ),
-        ("decompose_q_points_x6", "Q(gen=1, primes=[]); {0,3,6,9}; decompose x=6"),
-        # (1,2) has order 6, and with G_2 = Z(2)xZ(2) it spans the whole group
-        ("closure_z2x6", "Z(2x6); {(0,1),(1,3)}; closure"),
-        # the difference (3,9) generates a subgroup of order 9, odd index 81
-        ("closure_z9x81", "Z(9x81); {(1,2),(4,11)}; closure"),
-        (
-            "verify_theorem3",
-            "Q(gen=1, primes=[2]); conv[0,2] ∩ ((1,[2]) + 0); "
-            "verify --theorem 3 --samples 200 --seed 5",
-        ),
-        ("verify_purity", "Z; {0}@window[0,0]; verify --theorem purity --seed 3"),
-    ],
-)
-@pytest.mark.parametrize("fmt,ext", [("text", "txt"), ("json", "json")])
+GOLDEN_CASES = [
+    ("check_z4", "Z(4); {0}; check"),
+    ("decompose_z15", "Z(15); {1,4,7,10,13}; decompose x=1"),
+    ("decompose_z_window", "Z; {3,6,9,12}@window[0,12]; decompose"),
+    # one member: C is the point [5,5] over H = Z, reported as modulus 0
+    ("decompose_z_singleton", "Z; {5}@window[0,9]; decompose"),
+    ("verify_theorem2", "Z; {0}@window[0,0]; verify --theorem 2 --max-order 12"),
+    ("verify_theorem1", "Z; {0}@window[0,0]; verify --theorem 1"),
+    # Z(13) is above the cap, but its 8,192 subsets are fewer than the 10,000
+    # samples, so all are swept; its period-13 traces use the candidate table
+    ("verify_theorem1_sampled", "Z; {0}@window[0,0]; verify --theorem 1 --max-order 13 --seed 7"),
+    ("decompose_q2_unit", "Q(gen=1, primes=[2]); conv[0,1] ∩ ((1,[2]) + 0); decompose"),
+    # the base's coarsest neighbour lies below it, so x is that point
+    (
+        "decompose_q2_below_base",
+        "Q(gen=1, primes=[2]); conv[-3,0] ∩ ((1,[2]) + 0); decompose",
+    ),
+    ("decompose_q_points_x6", "Q(gen=1, primes=[]); {0,3,6,9}; decompose x=6"),
+    # (1,2) has order 6, and with G_2 = Z(2)xZ(2) it spans the whole group
+    ("closure_z2x6", "Z(2x6); {(0,1),(1,3)}; closure"),
+    # the difference (3,9) generates a subgroup of order 9, odd index 81
+    ("closure_z9x81", "Z(9x81); {(1,2),(4,11)}; closure"),
+    (
+        "verify_theorem3",
+        "Q(gen=1, primes=[2]); conv[0,2] ∩ ((1,[2]) + 0); "
+        "verify --theorem 3 --samples 200 --seed 5",
+    ),
+    ("verify_purity", "Z; {0}@window[0,0]; verify --theorem purity --seed 3"),
+]
+FORMATS = [("text", "txt"), ("json", "json")]
+
+
+@pytest.mark.parametrize("name,text", GOLDEN_CASES)
+@pytest.mark.parametrize("fmt,ext", FORMATS)
 def test_golden_transcripts(name, text, fmt, ext):
     expected = (GOLDEN / f"{name}.{ext}").read_bytes()
     _, output = run_text(text, fmt)
     assert output.encode("utf-8") == expected
+
+
+# every golden statement, run in one process, its outputs written as one JSON list
+GOLDEN_SCRIPT = """
+import json, sys
+from midconvex import cli, dsl
+json.dump([cli.run(dsl.parse(text), fmt=fmt)[1] for text, fmt in json.load(sys.stdin)], sys.stdout)
+"""
+
+
+def test_goldens_hold_on_the_declared_python_floor():
+    # pyproject.toml declares requires-python >= 3.10, so the sources must import and answer there
+    python = shutil.which("python3.10")
+    if python is None:
+        pytest.skip("python3.10 is not on PATH")
+    # a pyenv shim starts python3.10 only when a 3.10 version is selected
+    env = {**os.environ, "PYENV_VERSION": "3.10", "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
+    probe = subprocess.run(
+        [python, "-c", "import sys; sys.exit(sys.version_info[:2] != (3, 10))"], env=env, capture_output=True
+    )
+    if probe.returncode != 0:
+        pytest.skip("python3.10 on PATH does not start a Python 3.10")
+    cases = [(name, text, fmt, ext) for name, text in GOLDEN_CASES for fmt, ext in FORMATS]
+    done = subprocess.run(
+        [python, "-c", GOLDEN_SCRIPT],
+        input=json.dumps([(text, fmt) for _, text, fmt, _ in cases]),
+        capture_output=True,
+        encoding="utf-8",
+        env=env,
+        timeout=600,
+    )
+    assert done.returncode == 0, done.stderr
+    outputs = json.loads(done.stdout)
+    assert len(outputs) == len(cases) == 28
+    for (name, _, _, ext), output in zip(cases, outputs):
+        assert output.encode("utf-8") == (GOLDEN / f"{name}.{ext}").read_bytes(), f"{name}.{ext}"
 
 
 def test_golden_exit_codes():
@@ -615,6 +655,51 @@ def test_main_reads_files_and_stdin(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("Z(5); {2}; check"))
     assert cli.main([]) == 0
     assert "result: midconvex" in capsys.readouterr().out
+
+
+def test_literals_past_the_digit_limit_exit_2(tmp_path, capsys, digit_limit):
+    # int() refuses a literal longer than the limit: this ended in a traceback and exit 1
+    long = "9" * 5000
+    for text, col in [
+        (f"Z; {{1}}@window[0,{long}]; check", 17),
+        (f"Q(gen=1, primes=[2]); {{1/{long}}}; check", 26),
+        (f"Z(4); {{1,{long}}}; check", 10),
+    ]:
+        path = tmp_path / "input.mcx"
+        path.write_text(text, encoding="utf-8")
+        assert cli.main(["--format", "json", str(path)]) == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error.startswith(f"1:{col}: ") and error.endswith(f"has more than {digit_limit} digits"), error
+
+
+def test_binding_a_finite_list_boxes_no_element(monkeypatch):
+    built = []
+    post_init = groups.GroupElement.__post_init__
+    monkeypatch.setattr(groups.GroupElement, "__post_init__", lambda self: built.append(1) or post_init(self))
+    cube = list(itertools.product(range(5), range(5), range(5), [1], [4]))
+    for text, indices in [
+        ("Z(5x5x5x5x5); {%s}; check" % ",".join(map(str, cube)), [625 * a + 125 * b + 25 * c + 9 for a, b, c, _, _ in cube]),
+        ("Z(2187); {%s}; check" % ",".join(map(str, range(1, 2187, 27))), range(1, 2187, 27)),
+        ("Z(6); {}; check", []),
+    ]:
+        program = dsl.parse(text)
+        group = groups.make_group(program.group.orders)
+        assert cli._bind_set("finite", group, program.set_expr) == ("subset", GroupSubset.from_indices(group, indices))
+    assert built == []
+    # a list that does not fit names its first misfit, as binding each element did
+    for text, error in [
+        ("Z(6); {1,7,9}; check", "element 7 is outside Z(6)"),
+        ("Z(6x6); {(1,2),(3,6),(6,0)}; check", "element (3,6) is outside Z(6x6)"),
+        ("Z(6x6); {(1,2),(3),3}; check", "element (3) has wrong arity for Z(6x6)"),
+        ("Z(6x6); {(1,2),3}; check", "element 3 does not fit Z(6x6)"),
+        ("Z(6); {(1),1/2}; check", "element 1/2 does not fit Z(6)"),
+        ("Z; {1,1/2,9}@window[0,5]; check", "element 1/2 is not an integer"),
+        ("Z; {1,9,-1}@window[0,5]; check", "element 9 is outside the window [0,5]"),
+    ]:
+        code, output = run_text(text)
+        assert code == 2 and f"result: error: {error}\n" in output, text
+    # a cyclic group's residues may be written as 1-tuples, alone or mixed with integers
+    assert "count=2" in run_text("Z(6); {(1),3}; check")[1]
 
 
 def test_main_parse_error_exit(capsys):

@@ -1,6 +1,8 @@
 """Input language: parsing, printing, round trips, and error positions."""
 
 import random
+import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction as F
 
@@ -260,3 +262,183 @@ def test_parsed_fields_keep_their_types():
     assert [type(e) for e in program.set_expr.elements] == [int, int, int, F]
     assert program.set_expr.elements == (0, 1, 2, F(-3, 2))
 
+
+# -- the list reader against the token-by-token grammar ------------------------
+
+# the lexer without its list alternative, as every list was read before the reader
+REFERENCE_TOKEN_RE = re.compile(
+    r"""
+      (?P<ws>\s+)
+    | (?P<flag>--[A-Za-z][A-Za-z0-9-]*)
+    | (?P<inf>-?inf\b)
+    | (?P<cross>(?<=\d)x(?=\d))
+    | (?P<int>-?\d+)
+    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<sym>[(){}\[\],;=@+/∩&])
+    | (?P<bad>.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+
+
+class ReferenceParser(dsl._Parser):
+    """The grammar reading every set one element at a time, from tokens that hold no list."""
+
+    def __init__(self, text):
+        self.text = text
+        self.tokens = []
+        for m in REFERENCE_TOKEN_RE.finditer(text):
+            if m.lastgroup == "bad":
+                raise dsl._syntax_error(text, m.start(), f"unexpected character {m.group()!r}")
+            if m.lastgroup != "ws":
+                self.tokens.append((m.lastgroup, m.group(), m.start()))
+        self.tokens.append(("eof", "", len(text)))
+        self.pos = 0
+
+    def parse_set(self):
+        if self.accept("sym", "{"):
+            elements = []
+            if not self.accept("sym", "}"):
+                elements.append(self.parse_element())
+                while self.accept("sym", ","):
+                    elements.append(self.parse_element())
+                self.expect("sym", "}", "'}' closing the element list")
+            window = None
+            if self.accept("sym", "@"):
+                self.expect("ident", "window", "'window[lo,hi]'")
+                self.expect("sym", "[", "'['")
+                lo = self.parse_int("window lower bound")
+                self.expect("sym", ",", "','")
+                hi = self.parse_int("window upper bound")
+                self.expect("sym", "]", "']'")
+                window = (lo, hi)
+            return ExplicitSetExpr(tuple(elements), window)
+        return super().parse_set()
+
+
+def outcome(parse_text, text):
+    """The parsed program, or the syntax error's text, line and column."""
+    try:
+        return parse_text(text)
+    except DslSyntaxError as err:
+        return (str(err), err.line, err.col)
+
+
+def long_statements(rng):
+    """Statements around long lists: windows of 2,000 integers and 125 residue tuples."""
+    members = rng.sample(range(-5000, 5000), 2000)
+    window = "{%s}@window[-5000,4999]" % ",".join(map(str, members))
+    cube = [(a, b, c, 0, 1) for a in range(5) for b in range(5) for c in range(5)]
+    rng.shuffle(cube)
+    tuples = "{%s}" % ",".join("(%s)" % ",".join(map(str, t)) for t in cube)
+    spaced = "{ %s }" % " ,\r\n ".join("( %s )" % " , ".join(map(str, t)) for t in cube[:40])
+    return [
+        f"Z; {window}; check",
+        f"Z;\n{window};\ntrace x={members[0]} g=3",
+        f"Z(5x5x5x5x5); {tuples}; decompose",
+        f"Z(5x5x5x5x5); {spaced}; closure",
+        "Z(1024); { %s }; check" % ",\n".join(map(str, range(0, 1024, 4))),
+        "Z(6); {(1),(2),(3)}; check",
+        "Z(6); {(1),2,(3)}; check",
+        "Z(6x6); {(1,2),(3)}; check",
+        "Z(4); { }; check",
+        "Z(4); {1,,2}; check",
+        "Z(4); {,}; check",
+        "Z(4); {1 2}; check",
+        "Z(4); {1,-2,--3}; check",
+        "Z(4x4); {(1,2)(3,4)}; check",
+        "Z(4x4); {((1,2))}; check",
+        "Z(4x4); {(1 2,3)}; check",
+        "Z(4x4); {(1,2),}; check",
+        "Z(4); trace {1}; check",
+        "Z(4); {0}; trace x={1} g=1",
+        "Z(4); {0}; verify --theorem {1}",
+        "Z(4 {1}; check",
+        "Z(4 {-}; check",
+    ]
+
+
+LIST_PIECES = [",", ",,", "(", ")", "()", "/", "1/2", "-", "--", "\n", "\r\n", " ", "{", "}", "x", "9" * 5000]
+
+
+def list_mutated(rng, text):
+    """The text after one to three edits inside its braces: a piece inserted, a character dropped or doubled."""
+    lo, hi = text.index("{"), text.rindex("}") + 1
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(lo, min(hi, len(text)) + 1)
+        op = rng.randrange(3)
+        if op == 0:
+            text = text[:i] + rng.choice(LIST_PIECES) + text[i:]
+        elif op == 1:
+            text = text[:i] + text[i + 1 :]
+        else:
+            text = text[:i] + text[i : i + 1] + text[i:]
+    return text
+
+
+def test_list_reader_parses_and_fails_as_the_grammar_does(digit_limit):
+    rng = random.Random(14)
+    cases = STATEMENTS + [mutated(rng, rng.choice(STATEMENTS)) for _ in range(4500)]
+    rng = random.Random(23)
+    long = long_statements(rng)
+    cases += long + [list_mutated(rng, rng.choice(long[:5])) for _ in range(300)]
+    cases += [mutated(rng, rng.choice(long[:5])) for _ in range(100)]
+    paths = Counter()
+    for text in cases:
+        want = outcome(lambda t: ReferenceParser(t).parse_program(), text)
+        assert outcome(parse, text) == want, text[:200]
+        try:
+            lists = [chunk for kind, chunk, _ in dsl._tokenize(text) if kind == "list"]
+        except DslSyntaxError:
+            lists = []
+        if not lists:
+            path = "no list"
+        else:
+            path = "read" if dsl._read_list(lists[0][1:-1]) is not None else "handed back"
+        paths[isinstance(want, Program), path] += 1
+    # every path is exercised, in statements that parse and in statements that fail
+    assert len(paths) == 6 and min(paths.values()) > 15, paths
+
+
+def test_long_lists_are_read_without_the_per_element_grammar(monkeypatch):
+    calls = []
+    element = dsl._Parser.parse_element
+    monkeypatch.setattr(dsl._Parser, "parse_element", lambda self: calls.append(1) or element(self))
+    members = list(range(-500, 500))
+    program = parse("Z; {%s}@window[-500,499]; check" % ", ".join(map(str, members)))
+    assert program.set_expr.elements == tuple(members)
+    cube = tuple((a, b, c) for a in range(5) for b in range(5) for c in range(-2, 3))
+    program = parse("Z(5x5x5); {%s}; check" % ",".join("(%d,%d,%d)" % t for t in cube))
+    assert program.set_expr.elements == cube
+    assert calls == []
+    # a list the reader hands back is read by the grammar, element by element
+    assert parse("Q(gen=1, primes=[]); {1,1/2}; check").set_expr.elements == (1, F(1, 2))
+    assert len(calls) == 2
+
+
+def test_literals_past_the_digit_limit_are_syntax_errors(digit_limit):
+    long = "9" * (digit_limit + 1)
+    for text, what, col in [
+        (f"Z; {{1}}@window[0,{long}]; check", "window upper bound", 17),
+        (f"Q(gen=1, primes=[2]); {{1/{long}}}; check", "denominator", 26),
+        (f"Z(4); {{1,\n{long},2}}; check", "element", 1),
+        (f"Z(4x4); {{(1,-{long})}}; check", "residue", 13),
+        (f"Z({long}); {{1}}; check", "cyclic factor order", 3),
+    ]:
+        with pytest.raises(DslSyntaxError) as err:
+            parse(text)
+        assert str(err.value).endswith(f"{what} has more than {digit_limit} digits")
+        assert (err.value.line, err.value.col) == (1 if col != 1 else 2, col)
+    # a literal at the limit is read
+    assert parse(f"Z; {{1}}@window[0,{'9' * digit_limit}]; check").set_expr.window[1] == 10**digit_limit - 1
+
+
+def test_format_set_prints_lists_as_the_language_writes_them():
+    for text in [
+        "{(1),(2,-3),(4,5,6)}",
+        "{1,-2,3/4,(5)}",
+        "{}@window[0,3]",
+        "{(0,0)}",
+    ]:
+        program = parse(f"Z; {text}; check")
+        assert format_set(program.set_expr) == text
