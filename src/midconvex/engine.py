@@ -15,13 +15,13 @@ from itertools import compress, count
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd, inf, lcm, prod
-from operator import sub
+from operator import itemgetter, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import CapExceeded, NotMidconvex, NotMidconvexTrace, WindowTooSmall
 from .groups import (
     FiniteAbelianGroup, GroupElement, GroupSubset, bit_reader, is_subgroup, least_index, mask_of,
-    set_bits, subgroup_generated, sylow2_subgroup,
+    periodic_mask, set_bits, subgroup_generated, sylow2_subgroup,
 )
 from .intsets import IntWindowSet, PeriodicTrace, decompose_trace, is_order_convex
 from .rationals import (
@@ -164,82 +164,103 @@ def verify_theorem1(group: FiniteAbelianGroup, subset: GroupSubset) -> bool:
     return True
 
 
-def accepted_traces(period: int, exhaustive: bool) -> tuple[int, ...]:
-    """The traces of this period that decompose_trace accepts, bit r for residue r.
-
-    Exhaustive asks about every residue pattern that contains 0, 2**(period-1)
-    of them. Otherwise only the multiples of each odd divisor of the period
-    are asked about, the patterns that Theorem 1 allows in a finite group.
-    """
-    if exhaustive:
-        patterns: Iterable[int] = range(1, 1 << period, 2)
-    else:
-        patterns = [
-            sum(1 << r for r in range(0, period, d)) for d in range(1, period + 1, 2) if period % d == 0
-        ]
-    accepted = []
-    for pattern in patterns:
-        try:
-            decompose_trace(PeriodicTrace(period, pattern))
-        except NotMidconvexTrace:
-            continue
-        accepted.append(pattern)
-    return tuple(accepted)
+def _accepts(trace: PeriodicTrace) -> bool:
+    """True iff decompose_trace accepts the trace."""
+    try:
+        decompose_trace(trace)
+    except NotMidconvexTrace:
+        return False
+    return True
 
 
-def _coset_walks(group: FiniteAbelianGroup, gi: int) -> Iterator[list[int]]:
-    """The walk from each coset's least index along g, one per coset of <g>."""
-    seen = bytearray(group.order)
-    for start in range(group.order):
-        if not seen[start]:
-            walk = list(group.walk(start, gi))
-            for i in walk:
-                seen[i] = 1
-            yield walk
+def closed_traces(period: int, exhaustive: bool) -> list[tuple[int, ...]]:
+    """The patterns Q that a coset of a cyclic subgroup of this order may read along its least generator g.
 
+    Each Q comes as its bits, bit r first: whether the walk's r-th step along
+    g is a member. The trace at the member t of Q is Q rotated down by t;
+    these rotations to Q's members are Q's class. decompose_trace is asked
+    about a class in ascending order up to its first rejection, as
+    verify_theorem1 stops at its first rejected trace, and a class that
+    passes contributes all its rotations; the empty pattern always passes.
+    Exhaustive asks about every class of patterns that contain 0; otherwise
+    only the multiples of each odd divisor of the period, the patterns that
+    Theorem 1 allows in a finite group, each its own class.
 
-def _coset_patterns(patterns: Sequence[int], period: int) -> list[tuple[int, ...]]:
-    """The patterns Q a coset may read along its walk: 0, and each Q whose trace at every member is accepted.
-
-    The trace at the member t of Q is Q rotated down by t, bit r read at t + r,
-    so every nonempty such Q is an accepted pattern rotated up by one of its
-    members. Each Q comes as its bits, bit r first.
+    The generator u*g, u a unit mod period, reads Q at u*t, so a Q is kept
+    only when every such reading passes. A unit maps the cosets of a
+    subgroup pattern, a class of one, onto each other, so only the other
+    classes, which only a faulty verdict passes, are read unit by unit.
     """
     full = (1 << period) - 1
-    accepted = set(patterns)
-    rotations = {(p << t | p >> period - t) & full for p in accepted for t in range(period)}
-    return [
-        tuple(q >> r & 1 for r in range(period))
-        for q in rotations | {0}
-        if all((q >> t | q << period - t) & full in accepted for t in set_bits(q))
-    ]
+    if exhaustive:
+        candidates: Iterable[int] = range(1, 1 << period, 2)
+    else:
+        candidates = [periodic_mask(1, d, period) for d in range(1, period + 1, 2) if period % d == 0]
+    decided: set[int] = set()
+    kept, unchecked = {0}, set()
+    for pattern in candidates:
+        if pattern in decided:
+            continue
+        trace_class = sorted({(pattern >> t | pattern << period - t) & full for t in set_bits(pattern)})
+        decided.update(trace_class)
+        if all(_accepts(PeriodicTrace(period, p)) for p in trace_class):
+            rotations = {(pattern << t | pattern >> period - t) & full for t in range(period)}
+            (kept if len(trace_class) == 1 else unchecked).update(rotations)
+    passed = kept | unchecked
+    units = [u for u in range(period) if gcd(u, period) == 1]
+    for q in unchecked:
+        members = list(set_bits(q))
+        if all(mask_of(period, (u * t % period for t in members)) in passed for u in units):
+            kept.add(q)
+    return [tuple(q >> r & 1 for r in range(period)) for q in sorted(kept)]
+
+
+def _cyclic_subgroups(group: FiniteAbelianGroup) -> Iterator[list[list[int]]]:
+    """Each cyclic subgroup <g> once, by its least generator g, as the walks along g of its cosets.
+
+    The first walk is <g> itself from 0, step t at t*g, so the generators
+    u*g, u a unit mod ord(g), are marked as seen from it. The walk of each
+    further coset starts at its least index s, step t at s + t*g.
+    """
+    n = group.order
+    seen = bytearray(n)
+    for gi in range(n):
+        if seen[gi]:
+            continue
+        multiples = list(group.walk(0, gi))
+        for u, i in enumerate(multiples):
+            if gcd(u, len(multiples)) == 1:
+                seen[i] = 1
+        walks, covered = [], bytearray(n)
+        for start in range(n):
+            if not covered[start]:
+                walk = [group.add_index(start, m) for m in multiples] if walks else multiples
+                for i in walk:
+                    covered[i] = 1
+                walks.append(walk)
+        yield walks
 
 
 def theorem1_bits(
-    group: FiniteAbelianGroup, columns: Sequence[int], count: int, accepted: Mapping[int, Sequence[int]]
+    group: FiniteAbelianGroup, columns: Sequence[int], count: int, closed: Mapping[int, Sequence[tuple[int, ...]]]
 ) -> int:
     """Bit k is set iff every trace of the subset in bit k of the columns is accepted.
 
-    The trace at x along g reads the columns at x, x + g, x + 2g, ... for one
-    period L = ord(g), and a member x passes there where the subset matches
-    some pattern of accepted[L] exactly. As in verify_theorem1, every member
-    and every g are read, g = 0 included. The members of one coset of <g>
-    read rotations of one pattern Q, the coset's columns along the walk, so
-    each coset is walked once: it passes where Q is empty or one of the
-    patterns whose every member's rotation is accepted (_coset_patterns).
+    As in verify_theorem1, every member x and every g are read, g = 0
+    included. The members of one coset of <g> read rotations of one pattern
+    Q, the coset's columns along the walk, and a generator u*g of <g> reads
+    Q at u*t. So each cyclic subgroup and each of its cosets is walked once,
+    along the least generator, and a coset passes where its columns match
+    one of the patterns closed[ord(g)] exactly (closed_traces).
     """
-    n = group.order
-    closed: dict[int, list[tuple[int, ...]]] = {}
     bad = 0
-    for gi in range(n):
-        period = group.index_order(gi)
-        if period not in closed:
-            closed[period] = _coset_patterns(accepted[period], period)
-        for walk in _coset_walks(group, gi):
+    for walks in _cyclic_subgroups(group):
+        patterns = closed[len(walks[0])]
+        for walk in walks:
             # (missing, member) columns of the coset, in walk order
             pairs = [(~columns[i], columns[i]) for i in walk]
             ok = 0
-            for bits in closed[period]:
+            for bits in patterns:
                 match = -1
                 for pair, bit in zip(pairs, bits):
                     match &= pair[bit]
@@ -293,20 +314,39 @@ def lemma1_failures(group: FiniteAbelianGroup, columns: Sequence[int], within: i
 
     The two-period lift of the trace at x along g = y - x holds bits 0 and
     ord(g), so it is order-convex exactly when the trace is full, that is when
-    the subset holds the whole coset x + <g>. For each g != 0 the subsets
-    holding a coset are the AND of its columns, and those holding x and y but
-    not their coset fail.
+    the subset holds the whole coset x + <g>. Each column is first packed to
+    the bits of within, bit j for its j-th set bit k. Each cyclic subgroup
+    and coset is walked once, along the least generator g: the subsets
+    holding the coset are the AND of its columns, and those holding two
+    steps t and t + u, u a unit mod ord(g), but not the whole coset fail.
+    A coset where no subset holds two members without the whole is skipped.
     """
+    if not within:
+        return []
+    ks = list(set_bits(within))
+    # bit k of a column is its binary digit k places from the right
+    digits, pick = f"0{within.bit_length()}b", itemgetter(*(-1 - k for k in reversed(ks)))
+    packed = [int("".join(pick(format(column, digits))), 2) for column in columns]
     failures = []
-    for gi in range(1, group.order):
-        for walk in _coset_walks(group, gi):
-            whole = within
-            for i in walk:
-                whole &= columns[i]
-            # the walk steps by g, so each member's y = x + g is the next one
-            for xi, yi in zip(walk, walk[1:] + walk[:1]):
-                bad = within & columns[xi] & columns[yi] & ~whole
-                failures.extend((k, xi, yi) for k in set_bits(bad))
+    for walks in _cyclic_subgroups(group):
+        period = len(walks[0])
+        units = [u for u in range(1, period) if gcd(u, period) == 1]
+        for walk in walks:
+            cols = [packed[i] for i in walk]
+            one = two = 0
+            whole = -1
+            for column in cols:
+                two |= one & column
+                one |= column
+                whole &= column
+            if not two & ~whole:
+                continue
+            for u in units:
+                for t, column in enumerate(cols):
+                    s = (t + u) % period
+                    bad = column & cols[s] & ~whole
+                    if bad:
+                        failures.extend((ks[j], walk[t], walk[s]) for j in set_bits(bad))
     failures.sort()
     return failures
 

@@ -251,20 +251,21 @@ def exhaustive_theorem1(max_order: int = 10, *, seed: int = 0) -> VerificationRe
     """Midconvexity versus decomposability of every trace.
 
     A trace in a group of order n has a period of at most n. The verdicts of
-    decompose_trace are taken once per call and period: on every residue
-    pattern up to period EXHAUSTIVE_ORDER_CAP, and above it, where the
-    2**(period-1) patterns grow too many, on the odd-modulus candidates
-    (see engine.accepted_traces). The columns are then read once per g and
-    coset of <g>, against the patterns whose every rotation to a member is
-    accepted (engine.theorem1_bits).
+    decompose_trace are taken once per call and period, once per rotation
+    class: on every residue pattern up to period EXHAUSTIVE_ORDER_CAP, and
+    above it, where the 2**(period-1) patterns grow too many, on the
+    odd-modulus candidates (see engine.closed_traces). The columns are then
+    read once per cyclic subgroup and coset, along its least generator,
+    against the patterns whose every rotation to a member, read along every
+    generator, is accepted (engine.theorem1_bits).
     """
-    accepted: dict[int, tuple[int, ...]] = {}
+    closed: dict[int, list[tuple[int, ...]]] = {}
 
     def check(report, group, columns, count, midconvex):
         # groups come in ascending order, so this asks about each period once
-        for period in range(len(accepted) + 1, group.order + 1):
-            accepted[period] = engine.accepted_traces(period, period <= EXHAUSTIVE_ORDER_CAP)
-        traces = engine.theorem1_bits(group, columns, count, accepted)
+        for period in range(len(closed) + 1, group.order + 1):
+            closed[period] = engine.closed_traces(period, period <= EXHAUSTIVE_ORDER_CAP)
+        traces = engine.theorem1_bits(group, columns, count, closed)
         operation = "is_midconvex vs trace decomposition"
         _add_bit_mismatches(report, group, columns, operation, midconvex, traces)
 
@@ -275,8 +276,9 @@ def exhaustive_lemma1(max_order: int = 12, *, seed: int = 0) -> VerificationRepo
     """Order-convexity of traces along member differences, for midconvex sets.
 
     The midconvex bits are read against every coset of every cyclic subgroup
-    at once (engine.lemma1_failures); each failing subset and pair of members
-    is reported in the order of its subset, then x, then y.
+    at once, packed to those bits (engine.lemma1_failures); each failing
+    subset and pair of members is reported in the order of its subset, then
+    x, then y.
     """
 
     def check(report, group, columns, count, midconvex):
@@ -380,16 +382,24 @@ def roundtrip_theorem3(
     if decomposition is not None and decomposition.radius is not None:
         recovered = decomposition.description
         margin = decomposition.radius - description.subgroup.gen
-        for den in engine._denominators(group.primes, 2):
-            for num in range(-24, 25):
-                r = description.base + group.gen * Fraction(num, den)
-                if abs(r - recovered.base) > margin:
-                    continue
-                grid_checked += 1
-                if description.contains(r) != recovered.contains(r):
-                    report.add_mismatch(
-                        group, description, "recovered description disagrees", str(recovered), str(r)
-                    )
+        if margin >= 0:
+            # each den's grid is base + num * gen/den, |num| <= 24; both sets
+            # and the margin window are read along it as ranges of num
+            base, rb = description.base, recovered.base
+            window = QIntervalSpec(rb - margin, rb + margin)
+            for den in engine._denominators(group.primes, 2):
+                step = group.gen / den
+                lo, hi = window.lattice_cut(base, step)
+                nums = range(max(lo, -24), min(hi, 24) + 1)
+                grid_checked += len(nums)
+                inside = engine._described_range(description, base, step, 24)
+                recovered_inside = engine._described_range(recovered, base, step, 24)
+                for num in nums:
+                    if (num in inside) != (num in recovered_inside):
+                        r = base + step * num
+                        report.add_mismatch(
+                            group, description, "recovered description disagrees", str(recovered), str(r)
+                        )
     report.counts = {"samples": samples, "grid_points": grid_checked}
     report.elapsed_s = time.perf_counter() - started
     return report

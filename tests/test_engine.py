@@ -13,7 +13,7 @@ import pytest
 from midconvex import engine, harness
 from midconvex.engine import (
     _sampled_violation,
-    accepted_traces,
+    closed_traces,
     decompose_periodic,
     decompose_rational,
     decompose_rational_set,
@@ -346,11 +346,31 @@ def test_verify_theorem1_equals_is_midconvex_small():
             assert verify_theorem1(group, s) == is_midconvex(group, s)
 
 
+def accepted_traces(period, exhaustive):
+    """Reference verdict table: the traces of this period that engine.decompose_trace accepts, each asked about.
+
+    Exhaustive asks about every residue pattern that contains 0; otherwise
+    only the multiples of each odd divisor of the period, bit r for residue r.
+    """
+    if exhaustive:
+        patterns = range(1, 1 << period, 2)
+    else:
+        patterns = [periodic_mask(1, d, period) for d in range(1, period + 1, 2) if period % d == 0]
+    accepted = []
+    for pattern in patterns:
+        try:
+            engine.decompose_trace(PeriodicTrace(period, pattern))
+        except NotMidconvexTrace:
+            continue
+        accepted.append(pattern)
+    return tuple(accepted)
+
+
 def test_theorem1_bits_equal_verify_theorem1_on_every_subset_up_to_order_10():
-    accepted = {period: accepted_traces(period, True) for period in range(1, 11)}
+    closed = {period: closed_traces(period, True) for period in range(1, 11)}
     for group in enumerate_abelian_groups(10):
         masks = range(1 << group.order)
-        bits = theorem1_bits(group, every_subset_columns(group.order), len(masks), accepted)
+        bits = theorem1_bits(group, every_subset_columns(group.order), len(masks), closed)
         expected = sum(1 << k for k in masks if verify_theorem1(group, GroupSubset(group, k)))
         assert bits == expected, str(group)
 
@@ -374,39 +394,80 @@ def per_member_theorem1_bits(group, columns, count, accepted):
     return ((1 << count) - 1) & ~bad
 
 
-def closed_under_rotation(patterns, period):
-    """True iff every pattern, read from each of its members, is again a pattern."""
-    full = (1 << period) - 1
-    return all((p >> t | p << period - t) & full in patterns for p in patterns for t in set_bits(p))
+def plant_verdicts(monkeypatch, accepted):
+    """Make engine.decompose_trace accept exactly the masks of accepted[period]."""
+
+    def planted(trace):
+        if trace.mask not in accepted[trace.period]:
+            raise NotMidconvexTrace("planted rejection")
+
+    monkeypatch.setattr(engine, "decompose_trace", planted)
 
 
-def test_per_coset_theorem1_bits_match_the_per_member_reading_on_faulty_tables():
-    # 40 seeded tables that drop accepted patterns and add rejected ones, with
-    # 0 in every pattern, over every subset of every group up to order 8
+def test_theorem1_bits_match_the_references_on_faulty_verdicts(monkeypatch):
+    # 40 seeded verdict tables that drop accepted patterns and add rejected
+    # ones, with 0 in every pattern, over every subset of every group up to
+    # order 8; then two tables planted over Z(5)
     rng = random.Random(18)
-    honest = {period: set(accepted_traces(period, True)) for period in range(1, 9)}
+    periods = range(1, 9)
+    honest = {period: set(accepted_traces(period, True)) for period in periods}
+    tables = [
+        {
+            period: {p for p in range(1, 1 << period, 2) if rng.random() < (0.8 if p in honest[period] else 0.2)}
+            for period in periods
+        }
+        for _ in range(40)
+    ]
+    # {0,1} mod 5 and its rotation {0,4} accepted, but not their images
+    # {0,2} and {0,3} under the unit 2: the generator 2 of Z(5) rejects {0,1}
+    tables.append({**honest, 5: honest[5] | {0b00011, 0b10001}})
+    # {0,1} mod 5 accepted, but not its rotation {0,4}: the class fails at its second member
+    tables.append({**honest, 5: honest[5] | {0b00011}})
     groups = enumerate_abelian_groups(8)
     columns = {group: every_subset_columns(group.order) for group in groups}
-    unclosed = 0
-    for _ in range(40):
-        accepted = {
-            period: tuple(p for p in range(1, 1 << period, 2) if rng.random() < (0.8 if p in honest[period] else 0.2))
-            for period in range(1, 9)
-        }
-        unclosed += not all(closed_under_rotation(set(accepted[p]), p) for p in accepted)
+    for number, table in enumerate(tables):
+        plant_verdicts(monkeypatch, table)
+        closed = {period: closed_traces(period, True) for period in periods}
+        accepted = {period: accepted_traces(period, True) for period in periods}
         for group in groups:
             count = 1 << group.order
-            got = theorem1_bits(group, columns[group], count, accepted)
-            assert got == per_member_theorem1_bits(group, columns[group], count, accepted), str(group)
-    assert unclosed == 40
+            got = theorem1_bits(group, columns[group], count, closed)
+            assert got == per_member_theorem1_bits(group, columns[group], count, accepted), (number, str(group))
+            if number % 4 == 0 or number >= 40:
+                expected = sum(1 << k for k in range(count) if verify_theorem1(group, GroupSubset(group, k)))
+                assert got == expected, (number, str(group))
+
+
+def test_closed_traces_ask_about_each_class_up_to_its_first_rejection(monkeypatch):
+    # the classes of period 5: {1}, {3,17}, {5,9}, {7,19,25}, {11,13,21},
+    # {15,23,27,29} and {31}, each a pattern's rotations to its members
+    singletons = [(0,) * 5] + [tuple(int(r == t) for r in range(5)) for t in range(5)]
+    for table, asked_for in [
+        # {0,1} and its rotation {0,4} pass as a class, but the unit 2 reads
+        # {0,1} as {0,2}, whose class fails: no rotation of {0,1} is kept
+        ({1, 0b00011, 0b10001}, [1, 3, 17, 5, 7, 11, 15, 31]),
+        # {0,1} accepted, but its class fails at its second member {0,4}
+        ({1, 0b00011}, [1, 3, 17, 5, 7, 11, 15, 31]),
+        # {0,1} rejected: its class is decided at its first member
+        ({1, 0b10001}, [1, 3, 5, 7, 11, 15, 31]),
+    ]:
+        plant_verdicts(monkeypatch, {5: table})
+        asked = []
+        decompose = engine.decompose_trace
+        monkeypatch.setattr(engine, "decompose_trace", lambda trace: asked.append(trace.mask) or decompose(trace))
+        assert closed_traces(5, True) == singletons
+        assert asked == asked_for
 
 
 def test_candidate_traces_are_the_accepted_ones_up_to_period_12():
     # above the exhaustive cap only the odd-modulus candidates are asked about
     for period in range(1, 13):
         assert sorted(accepted_traces(period, False)) == sorted(accepted_traces(period, True))
+        assert closed_traces(period, False) == closed_traces(period, True)
     # 15 has the odd divisors 1, 3, 5 and 15
     assert sorted(accepted_traces(15, False)) == [1, 0b10000100001, 0b1001001001001, 0b111111111111111]
+    # their cosets, 1 + 3 + 5 + 15 of them, and the empty pattern
+    assert len(closed_traces(15, False)) == 25
 
 
 # -- the periodic decomposition route ----------------------------------------
@@ -494,7 +555,9 @@ def test_lemma1_lift_detects_gappy_traces():
 
 def test_lemma1_failures_match_the_per_pair_check_on_every_subset_up_to_order_8():
     # every subset, midconvex or not, against lemma1_holds_in_group at every
-    # pair of distinct members; the bits outside `within` are never reported
+    # pair of distinct members; the bits outside `within` are never reported,
+    # whether within is every subset, two in three, a seeded sparse draw or none
+    rng = random.Random(8)
     for group in enumerate_abelian_groups(8):
         masks = range(1 << group.order)
         columns = every_subset_columns(group.order)
@@ -509,6 +572,9 @@ def test_lemma1_failures_match_the_per_pair_check_on_every_subset_up_to_order_8(
         assert engine.lemma1_failures(group, columns, (1 << len(masks)) - 1) == expected, str(group)
         within = sum(1 << k for k in masks if k % 3)
         assert engine.lemma1_failures(group, columns, within) == [f for f in expected if f[0] % 3], str(group)
+        within = rng.getrandbits(len(masks)) & rng.getrandbits(len(masks)) & rng.getrandbits(len(masks))
+        assert engine.lemma1_failures(group, columns, within) == [f for f in expected if within >> f[0] & 1]
+        assert engine.lemma1_failures(group, columns, 0) == []
 
 
 @pytest.mark.parametrize(

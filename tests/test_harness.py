@@ -1,5 +1,6 @@
 """Differential campaigns: exhaustive sweeps, purity sampling, closure oracle."""
 
+import hashlib
 import importlib.util
 import json
 import pathlib
@@ -11,6 +12,7 @@ from fractions import Fraction as F
 import pytest
 
 from midconvex import engine, harness
+from midconvex.cli import SIZE_CAPS
 from midconvex.engine import is_midconvex, rational_closure
 from midconvex.errors import NotMidconvexTrace
 from midconvex.groups import (
@@ -26,7 +28,7 @@ from midconvex.harness import (
     exhaustive_theorem2,
     sample_two_purity,
 )
-from midconvex.rationals import QIntervalSpec, RationalGroupDescriptor, RationalMidconvexDescription
+from midconvex.rationals import QIntervalSpec, RationalGroupDescriptor, RationalMidconvexDescription, two_pure_closure
 
 REFS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "refs.py"
 
@@ -150,9 +152,8 @@ def test_sampled_theorem1_matches_the_per_subset_sweep(monkeypatch):
     assert json.dumps(report.to_dict()) == json.dumps(theorem1_reference(14).to_dict())
 
 
-def test_theorem1_campaign_reports_a_faulty_decompose_trace(monkeypatch):
-    # wrongly accept {0,2} mod 4 and wrongly reject {0,1,2} mod 3: the campaign
-    # must report exactly what the per-subset reference reports
+def plant_faulty_trace(monkeypatch):
+    """Plant a decompose_trace fault: {0,2} mod 4 wrongly accepted, {0,1,2} mod 3 wrongly rejected."""
     decompose_trace = engine.decompose_trace
 
     def faulty(trace):
@@ -164,6 +165,11 @@ def test_theorem1_campaign_reports_a_faulty_decompose_trace(monkeypatch):
         return decompose_trace(trace)
 
     monkeypatch.setattr(engine, "decompose_trace", faulty)
+
+
+def test_theorem1_campaign_reports_a_faulty_decompose_trace(monkeypatch):
+    # the campaign must report exactly what the per-subset reference reports
+    plant_faulty_trace(monkeypatch)
     report = exhaustive_theorem1(8)
     assert report.mismatches
     assert json.dumps(report.to_dict()) == json.dumps(theorem1_reference(8).to_dict())
@@ -174,7 +180,7 @@ def test_theorem1_campaign_asks_about_each_trace_once_per_call(monkeypatch):
     decompose_trace = engine.decompose_trace
 
     def counting(trace):
-        calls.append(trace)
+        calls.append((trace.period, trace.mask))
         return decompose_trace(trace)
 
     monkeypatch.setattr(engine, "decompose_trace", counting)
@@ -182,9 +188,11 @@ def test_theorem1_campaign_asks_about_each_trace_once_per_call(monkeypatch):
     for _ in range(2):
         calls.clear()
         assert exhaustive_theorem1(10).passed
+        assert len(set(calls)) == len(calls)
         per_call.append(len(calls))
-    # every residue pattern that contains 0, for each period up to 10
-    assert per_call == [1023, 1023]
+    # one rotation class at a time, up to its first rejected pattern: 251 of
+    # the 1,023 residue patterns that contain 0, for the periods up to 10
+    assert per_call == [251, 251]
 
 
 def test_exhaustive_theorem1_to_order_20_in_bounded_time():
@@ -252,20 +260,32 @@ def test_sweeps_walk_each_coset_once_and_lemma1_reads_no_trace(monkeypatch):
     monkeypatch.setattr(engine, "lemma1_holds_in_group", refuse)
     assert exhaustive_lemma1(12).passed
 
-    walks = []
-    walk = FiniteAbelianGroup.walk
+    walk, cyclic_subgroups = FiniteAbelianGroup.walk, engine._cyclic_subgroups
+    # each cyclic subgroup C walked once from 0, and each coset of it read once: order / |C| of them
+    subgroups = cosets = 0
+    for group in enumerate_abelian_groups(10):
+        cyclic = {frozenset(walk(group, 0, g)) for g in range(group.order)}
+        subgroups += len(cyclic)
+        cosets += sum(group.order // len(c) for c in cyclic)
 
-    def recording(self, i, g):
+    def recording_walk(self, i, g):
         steps = list(walk(self, i, g))
-        walks.append((str(self), g, frozenset(steps)))
+        walks.append((str(self), i, frozenset(steps)))
         return iter(steps)
 
-    monkeypatch.setattr(FiniteAbelianGroup, "walk", recording)
-    assert exhaustive_theorem1(10).passed
-    # one walk per g and coset of <g>: order / ord(g) of them
-    assert len(set(walks)) == len(walks) == sum(
-        group.order // group.index_order(g) for group in enumerate_abelian_groups(10) for g in range(group.order)
-    )
+    def recording(group):
+        for coset_walks in cyclic_subgroups(group):
+            read.extend((str(group), frozenset(w)) for w in coset_walks)
+            yield coset_walks
+
+    monkeypatch.setattr(FiniteAbelianGroup, "walk", recording_walk)
+    monkeypatch.setattr(engine, "_cyclic_subgroups", recording)
+    for sweep in (exhaustive_theorem1, exhaustive_lemma1):
+        walks, read = [], []
+        assert sweep(10).passed
+        assert len(set(walks)) == len(walks) == subgroups and {i for _, i, _ in walks} == {0}
+        # each coset read is distinct, and cosets of distinct subgroups differ
+        assert len(set(read)) == len(read) == cosets
 
 
 class ScriptedDraws:
@@ -297,6 +317,37 @@ def test_subset_columns_stride_the_seeded_draws(monkeypatch):
         masks = [rng.getrandbits(group.order) for _ in range(500)]
         assert 0 in masks and full in masks and len(set(masks)) < 450
         assert harness._subset_columns(group, 3) == (transposed_columns(group.order, masks), 500), str(group)
+
+
+# sha256 of each sweep's sorted JSON report at max_order 16, seed 0, with
+# decompose_trace planted as in plant_faulty_trace and midconvex_bits also
+# claiming subsets 0, 97, 194, ... of each group; taken from the sweeps that
+# read every g and coset, and asked every residue pattern, one at a time
+PLANTED_FAULT_DIGESTS = {
+    exhaustive_theorem1: (976, "61fd38566ae438c9bd63cfb9b3f3f6a8c53e2106672fb77ad84e70cd9c5f5d7c"),
+    exhaustive_lemma1: (31410, "141529383f4ef499f57f3d50274c9cd1037b489b24886cff23d91ca42dd18762"),
+    exhaustive_theorem2: (944, "1bd6775a5fcafb3cb64bafda8d9409de25911f3c4d676a9e644029ebb2c32025"),
+}
+
+
+def test_sweep_reports_under_planted_faults_hash_as_pinned(monkeypatch):
+    plant_faulty_trace(monkeypatch)
+    honest = engine.midconvex_bits
+    every_97th = lambda group, columns, count: honest(group, columns, count) | periodic_mask(1, 97, count)
+    monkeypatch.setattr(engine, "midconvex_bits", every_97th)
+    for sweep, (mismatches, digest) in PLANTED_FAULT_DIGESTS.items():
+        report = sweep(16)
+        text = json.dumps(report.to_dict(), sort_keys=True)
+        assert (len(report.mismatches), hashlib.sha256(text.encode()).hexdigest()) == (mismatches, digest), sweep
+
+
+def test_sweeps_at_the_cli_cap_in_bounded_time():
+    # read along every g, theorem 1 took 6.2 s and lemma 1 1.8 s (2-vCPU Xeon)
+    for sweep, budget in ((exhaustive_theorem1, 3), (exhaustive_lemma1, 2)):
+        started = time.perf_counter()
+        report = sweep(SIZE_CAPS["--max-order"])
+        assert time.perf_counter() - started < budget, sweep
+        assert report.passed
 
 
 def flip_every_97th_subset(monkeypatch):
@@ -704,3 +755,56 @@ def test_exhaustive_campaign_reports_are_byte_identical():
     first = exhaustive_theorem2(6).to_dict()
     second = exhaustive_theorem2(6).to_dict()
     assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
+
+
+def grid_reference(group, description, decomposition):
+    """The theorem-3 grid read point by point: (grid points, mismatch points) in the campaign's order."""
+    recovered, checked, wrong = decomposition.description, 0, []
+    if decomposition.radius is None:
+        return checked, wrong
+    margin = decomposition.radius - description.subgroup.gen
+    for den in engine._denominators(group.primes, 2):
+        for num in range(-24, 25):
+            r = description.base + group.gen * F(num, den)
+            if abs(r - recovered.base) <= margin:
+                checked += 1
+                if description.contains(r) != recovered.contains(r):
+                    wrong.append(str(r))
+    return checked, wrong
+
+
+@pytest.mark.parametrize("fault", ["honest", "coarser subgroup", "shorter interval"])
+def test_theorem3_grid_reads_as_the_per_point_reference(monkeypatch, fault):
+    # the grid is read as ranges of numerators; a planted faulty decomposition
+    # must be reported at the same points, in the same order, as point by point
+    honest = engine.decompose_rational_set
+    recorded = []
+
+    def planted(group, members, x=None):
+        decomposition = honest(group, members, x)
+        recovered = decomposition.description
+        sub, interval = recovered.subgroup, recovered.interval
+        if fault == "coarser subgroup":
+            sub = RationalGroupDescriptor(sub.gen * 3, sub.primes)
+        elif fault == "shorter interval" and interval.upper is not None and interval.upper > recovered.base:
+            upper = max(recovered.base, interval.upper - sub.gen / 7)
+            interval = QIntervalSpec(interval.lower, upper, interval.lower_closed)
+        recovered = RationalMidconvexDescription(interval, sub, recovered.base)
+        recorded.append(engine.RationalDecomposition(recovered, decomposition.depth, decomposition.radius))
+        return recorded[-1]
+
+    monkeypatch.setattr(engine, "decompose_rational_set", planted)
+    rng, grid, mismatches = random.Random(5), 0, 0
+    for primes in [(), (2,), (3,), (2, 3), (3, 5)] * 4:
+        ambient = desc(F(rng.choice([1, 2, 3]), rng.choice([1, 2, 4])), primes)
+        inverted = [p for p in primes if rng.random() < 0.7]
+        sub = two_pure_closure(desc(ambient.gen * rng.choice([1, 3, 5]), inverted), ambient)
+        base = ambient.gen * rng.randint(-6, 6)
+        lower, upper = base - sub.gen * F(rng.randint(0, 12), 7), base + sub.gen * F(rng.randint(1, 12), 5)
+        description = RationalMidconvexDescription(QIntervalSpec(lower, upper, True, rng.random() < 0.5), sub, base)
+        report = harness.roundtrip_theorem3(ambient, description, samples=10)
+        checked, wrong = grid_reference(ambient, description, recorded[-1])
+        assert report.counts["grid_points"] == checked
+        assert [m["rhs"] for m in report.mismatches] == wrong
+        grid, mismatches = grid + checked, mismatches + len(wrong)
+    assert grid > 0 and (mismatches > 0) == (fault != "honest")
