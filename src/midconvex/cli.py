@@ -2,8 +2,7 @@
 
 Exit codes: 0 when the property holds or a decomposition succeeded, 1 when a
 counterexample or failed decomposition was found (the report carries the
-witness), 2 for usage, parse and type errors, 3 when a window was too small
-or a resource cap was hit.
+witness), 2 for usage, parse and type errors, 3 when a resource cap was hit.
 
 Reports are deterministic: elapsed times are reported as 0 unless --timings
 is given, and every randomized command takes its seed from the input
@@ -33,7 +32,7 @@ from .dsl import (
     VerifyCmd,
     ZGroupExpr,
 )
-from .errors import CapExceeded, NotMidconvex, NotMidconvexTrace, WindowTooSmall
+from .errors import CapExceeded, NotMidconvex, NotMidconvexTrace
 from .groups import FiniteAbelianGroup, GroupSubset, make_group
 from .intsets import IntWindowSet
 from .rationals import QIntervalSpec, RationalGroupDescriptor, RationalMidconvexDescription
@@ -104,9 +103,8 @@ def _bind_set(kind, group, expr):
             # each factor's residues are checked with one min and max
             columns = group.residue_columns(members)
             if columns is None or not all(0 <= min(c) and max(c) < n for c, n in zip(columns, group.orders) if c):
-                # name the first element that does not fit, as binding it alone does
-                for e in members:
-                    _bind_finite_element(group, e)
+                # bind each element alone, which names the first one that does not fit
+                members = [_bind_finite_element(group, e).residues for e in members]
             return "subset", GroupSubset.from_elements(group, members)
         if kind == "zed":
             if expr.window is None:
@@ -330,15 +328,13 @@ def _run_closure(group, set_kind, set_obj, report):
 
 def _run_trace(group, set_kind, set_obj, command, report):
     x = _bind_element(set_kind, group, command.x, "trace base")
+    g = _bind_element(set_kind, group, command.g, "trace direction")
     if set_kind == "subset":
-        g = _bind_finite_element(group, command.g, "trace direction")
         trace = engine.trace_in_group(group, set_obj, x, g)
     elif set_kind == "window":
-        trace = intsets.trace_z(set_obj, x, _bind_int(command.g, "trace direction"))
-    elif isinstance(command.g, tuple):
-        raise DslTypeError("trace direction must be a rational")
+        trace = intsets.trace_z(set_obj, x, g)
     else:
-        trace = engine.lattice_trace(set_obj, x, Fraction(command.g))
+        trace = engine.lattice_trace(set_obj, x, g)
     report["trace"] = str(trace)
     report["stats"]["count"] = trace.period if set_kind == "subset" else trace.hi - trace.lo + 1
     report["result"] = "trace computed"
@@ -452,7 +448,7 @@ def run(program: Program, *, fmt: str = "text", timings: bool = False) -> tuple[
     except (DslSyntaxError, DslTypeError, ValueError) as exc:
         report["result"] = f"error: {exc}"
         code = EXIT_USAGE
-    except (WindowTooSmall, CapExceeded) as exc:
+    except CapExceeded as exc:
         report["result"] = f"resource: {exc}"
         code = EXIT_RESOURCE
     if timings:

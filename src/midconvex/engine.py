@@ -18,7 +18,7 @@ from math import ceil, floor, gcd, inf, lcm, prod
 from operator import itemgetter, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import CapExceeded, NotMidconvex, NotMidconvexTrace, WindowTooSmall
+from .errors import CapExceeded, NotMidconvex, NotMidconvexTrace
 from .groups import (
     FiniteAbelianGroup, GroupElement, GroupSubset, bit_reader, is_subgroup, least_index, mask_of,
     periodic_mask, set_bits, subgroup_generated, sylow2_subgroup,
@@ -29,7 +29,6 @@ from .rationals import (
     Rational,
     RationalGroupDescriptor,
     RationalMidconvexDescription,
-    coprime_part,
     cyclic_chain,
     is_two_pure,
     two_pure_closure,
@@ -359,21 +358,21 @@ def _described_range(
 ) -> range:
     """The k in [-k_max, k_max] with x + k*g in the described set, as one range.
 
-    Over one common denominator D, (x - base)/gen = A/D and g/gen = B/D. So
-    x + k*g lies in H + base iff (A + k*B)/D lies in Z[1/P], that is iff D'
-    divides A + k*B, with D' the part of D coprime to the inverted primes P:
-    one residue class of k modulo D'/gcd(B, D'), or none. The interval's
-    lattice cut bounds k.
+    Over one common denominator D, x - base = A/D and g = B/D. So x + k*g
+    lies in H + base iff (A + k*B)/D lies in H, that is iff the subgroup's
+    `modulus` of D divides A + k*B: one residue class of k modulo
+    w/gcd(B, w), with w that modulus, or none. The interval's lattice cut
+    bounds k.
     """
     sub, interval = description.subgroup, description.interval
-    a, b = (x - description.base) / sub.gen, g / sub.gen
-    d = lcm(a.denominator, b.denominator)
-    big_a, big_b = a.numerator * (d // a.denominator), b.numerator * (d // b.denominator)
-    d = coprime_part(d, sub.primes)
-    c = gcd(big_b, d)
+    a = x - description.base
+    d = lcm(a.denominator, g.denominator)
+    big_a, big_b = a.numerator * (d // a.denominator), g.numerator * (d // g.denominator)
+    w = sub.modulus(d)
+    c = gcd(big_b, w)
     if big_a % c:
         return range(0)
-    m = d // c
+    m = w // c
     r = -(big_a // c) * pow(big_b // c, -1, m) % m
     lo, hi = interval.lattice_cut(x, g)
     lo = -k_max if lo is None else max(lo, -k_max)
@@ -403,28 +402,18 @@ def lattice_trace(
     return IntWindowSet(-k_max, k_max, tuple(inside))
 
 
-def _halving_modulus(group: RationalGroupDescriptor, den: int) -> int:
-    """The w with s/(2*den) in the group exactly when w divides s.
-
-    s/(2*den) over gen = a/b is s*b/(2*den*a), in Z[1/P] exactly when v, the
-    part of 2*den*a coprime to P, divides s*b, that is when v/gcd(v, b)
-    divides s.
-    """
-    v = coprime_part(2 * den * group.gen.numerator, group.primes)
-    return v // gcd(v, group.gen.denominator)
-
-
 def _missing_midpoints(group: RationalGroupDescriptor, nums: Sequence[int], den: int):
     """Each (a, b, s) with a < b points, numerators over den, whose midpoint s/(2*den) is missing.
 
     nums ascend without repeats; s = a + b, and the midpoint is missing when
-    it lies in the group but is not a point. Pairs are scanned in increasing
-    order; a = b never gives one, as the midpoint is a. An odd s has its
-    midpoint off the den lattice, so not a point; an even one is the point
-    s/2 over den when that is listed.
+    it lies in the group, that is when the group's `modulus` of 2*den divides
+    s, but is not a point. Pairs are scanned in increasing order; a = b never
+    gives one, as the midpoint is a. An odd s has its midpoint off the den
+    lattice, so not a point; an even one is the point s/2 over den when that
+    is listed.
     """
     members = set(nums)
-    w = _halving_modulus(group, den)
+    w = group.modulus(2 * den)
     for i, a in enumerate(nums):
         for b in nums[i + 1 :]:
             s = a + b
@@ -556,7 +545,7 @@ def decompose_rational(
         raise ValueError("base points must be members of the set")
     radius = Fraction(window)
     if radius < x2 - x:
-        raise WindowTooSmall(f"window radius {radius} does not cover x2 - x = {x2 - x}")
+        raise ValueError(f"window radius {radius} does not cover x2 - x = {x2 - x}")
 
     chain = cyclic_chain(group, (x, x2), depth)
     primes = sorted(group.primes)
@@ -712,7 +701,7 @@ def _sampled_violation(
     h = hn/m over one m, a point is base + h*t/L, so a midpoint is
     c = (2L*bn + hn*s)/(2L*m), s the sum of the two numerators. Each test on
     it is one in integers: c is in the group, and c - base = hn*s/(2L*m) in
-    the subgroup, when the `_halving_modulus` of each over L*m divides it;
+    the subgroup, when the `modulus` of each at 2L*m divides its numerator;
     c = base + s*h/2L is in the interval when s lies in the interval's lattice
     cut along h/2L. A missing midpoint is one in the group but not in the
     set; Fractions are built only for it.
@@ -725,7 +714,7 @@ def _sampled_violation(
     m = lcm(base.denominator, h.denominator)
     offset = 2 * big_l * base.numerator * (m // base.denominator)
     hn = h.numerator * (m // h.denominator)
-    in_group, in_sub = _halving_modulus(group, big_l * m), _halving_modulus(sub, big_l * m)
+    in_group, in_sub = group.modulus(2 * big_l * m), sub.modulus(2 * big_l * m)
     s_lo, s_hi = interval.lattice_cut(base, h / (2 * big_l))
     s_lo, s_hi = -inf if s_lo is None else s_lo, inf if s_hi is None else s_hi
     n = len(nums)

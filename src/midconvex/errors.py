@@ -34,9 +34,5 @@ class NotMidconvex(MidconvexError):
         self.witness = witness
 
 
-class WindowTooSmall(MidconvexError):
-    """A finite window does not certify the conclusion that was asked for."""
-
-
 class CapExceeded(MidconvexError):
     """A configured resource cap (group order, lattice size, ...) was hit."""

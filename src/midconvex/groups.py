@@ -279,22 +279,15 @@ class GroupSubset:
 
     @classmethod
     def from_elements(cls, group: FiniteAbelianGroup, elements: Iterable) -> "GroupSubset":
-        """The subset of these elements: GroupElements, residue tuples or a cyclic group's residues.
+        """The subset of these elements: residue tuples of the group's arity, or a cyclic group's residues.
 
-        Residues are reduced modulo their factor's order. Residue tuples of the
-        group's arity, or residues of a cyclic group, are encoded one factor's
-        column at a time, boxing no element.
+        Residues are reduced modulo their factor's order and encoded one
+        factor's column at a time, boxing no element.
         """
         elements = list(elements)
         columns = group.residue_columns(elements)
         if columns is None:
-            # GroupElements, lists or a mix: each read as the element it names
-            indices = []
-            for e in elements:
-                if not isinstance(e, GroupElement):
-                    e = group.element(e if isinstance(e, (tuple, list)) else (e,))
-                indices.append(group.index_of(e))
-            return cls.from_indices(group, indices)
+            raise ValueError(f"elements of {group} must be residue tuples of its arity, or residues of a cyclic group")
         indices = itertools.repeat(0, len(elements))
         for column, (stride, n) in zip(columns, group._radix):
             indices = map(add, indices, map(mul, map(mod, column, itertools.repeat(n)), itertools.repeat(stride)))

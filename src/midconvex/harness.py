@@ -308,16 +308,16 @@ def _purity_violation(
     verdict decisive at these bounds), then `samples` points of the engine's
     lattice draw over the whole group. All are drawn before any is tested, so
     the random generator advances the same way whatever the verdict. A drawn point
-    g = gen*t/L, gen = a/b, is 2ta/(2bL): with w the subgroup's halving
-    modulus over bL, g is outside the subgroup when w does not divide 2ta,
-    and 2g inside it when w divides 4ta.
+    g = gen*t/L, gen = a/b, is 2ta/(2bL): with w the subgroup's `modulus` of
+    2bL, g is outside the subgroup when w does not divide 2ta, and 2g inside
+    it when w divides 4ta.
     """
     nums, big_l = engine._draw_numerators(rng, group, QIntervalSpec(), Fraction(0), samples)
     half = sub.gen / 2
     if group.contains(half) and not sub.contains(half):
         return half
     a = group.gen.numerator
-    w = engine._halving_modulus(sub, group.gen.denominator * big_l)
+    w = sub.modulus(2 * group.gen.denominator * big_l)
     for t in nums:
         if 2 * t * a % w and not 4 * t * a % w:
             return group.gen * Fraction(t, big_l)

@@ -98,11 +98,20 @@ class RationalGroupDescriptor:
         object.__setattr__(self, "gen", gen)
         object.__setattr__(self, "primes", primes)
 
+    def modulus(self, den: int) -> int:
+        """The w with s/den in the group exactly when w divides s, for every integer s.
+
+        Over gen = a/b, s/den is a member when (s/den)/gen = s*b/(den*a) lies in
+        Z[1/P]. The P-part of den*a is a unit there, so that holds exactly when
+        v, the part of den*a coprime to P, divides s*b, that is when
+        v/gcd(v, b) divides s. This is the one membership rule: `contains` and
+        every integer midpoint test read it.
+        """
+        v = coprime_part(den * self.gen.numerator, self.primes)
+        return v // gcd(v, self.gen.denominator)
+
     def contains(self, r: Rational) -> bool:
-        # r / gen = n*b / (d*a) for r = n/d and gen = a/b, in lowest terms once
-        # the gcd is divided out; r is a member iff the primes clear its denominator
-        a, b, n, d = self.gen.numerator, self.gen.denominator, r.numerator, r.denominator
-        return coprime_part(d * a // gcd(n * b, d * a), self.primes) == 1
+        return r.numerator % self.modulus(r.denominator) == 0
 
     def __str__(self) -> str:
         primes = ",".join(str(p) for p in sorted(self.primes))

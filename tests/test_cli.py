@@ -702,6 +702,28 @@ def test_binding_a_finite_list_boxes_no_element(monkeypatch):
     assert "count=2" in run_text("Z(6); {(1),3}; check")[1]
 
 
+def test_a_mixed_finite_list_is_bound_element_by_element():
+    # 1-tuples mixed with integers miss the column reading, so each element is bound alone
+    code, output = run_text("Z(3); {(0),1}; check")
+    assert code == 1 and "witness: x=0 y=1 z=2\n" in output, output
+    code, output = run_text("Z(3); {(0),1}; closure")
+    assert code == 0 and "closure: {0,1,2}\n" in output, output
+
+
+def test_a_trace_direction_is_bound_on_every_route():
+    for text, error in [
+        ("Q(gen=1, primes=[]); {0,1,2}; trace x=0 g=1/2", "trace direction 1/2 is not a member of the ambient group (1,[])"),
+        ("Q(gen=1, primes=[]); {0,1,2}; trace x=0 g=(1,2)", "trace direction (1,2) is not a rational"),
+        ("Z; conv[0,10] ∩ ((1,[]) + 0); trace x=0 g=1/2", "trace direction 1/2 is not a member of the ambient group (1,[])"),
+        ("Z; {0,1}@window[0,5]; trace x=0 g=1/2", "trace direction 1/2 is not an integer"),
+        ("Z(6); {0,1}; trace x=0 g=7", "trace direction 7 is outside Z(6)"),
+    ]:
+        code, output = run_text(text)
+        assert code == 2 and f"result: error: {error}\n" in output, (text, output)
+    code, output = run_text("Q(gen=1, primes=[2]); {0,1,2}; trace x=0 g=1/2")
+    assert code == 0 and "trace: {0,2,4}@window[-64,64]\n" in output, output
+
+
 def test_main_parse_error_exit(capsys):
     assert cli.main(["/nonexistent/input.mcx"]) == 2
     capsys.readouterr()

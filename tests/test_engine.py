@@ -33,7 +33,7 @@ from midconvex.engine import (
     trace_in_group,
     verify_theorem1,
 )
-from midconvex.errors import CapExceeded, NotMidconvex, NotMidconvexTrace, WindowTooSmall
+from midconvex.errors import CapExceeded, NotMidconvex, NotMidconvexTrace
 from midconvex.groups import (
     FiniteAbelianGroup, GroupElement, GroupSubset, is_subgroup, make_group, mask_of, periodic_mask, set_bits
 )
@@ -745,7 +745,7 @@ def test_decompose_rational_preconditions():
         decompose_rational(group, pair, F(3), F(0), 2, F(5))
     with pytest.raises(ValueError, match="base points must be members of the set"):
         decompose_rational(group, pair, F(0), F(4), 2, F(5))
-    with pytest.raises(WindowTooSmall):
+    with pytest.raises(ValueError, match="window radius"):
         decompose_rational(group, pair, F(0), F(3), 2, F(2))
 
 

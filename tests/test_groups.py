@@ -239,6 +239,15 @@ def test_group_subset_membership_table_round_trip():
     assert group.element([1, 1]) not in subset
 
 
+def test_from_elements_reads_residues_only():
+    group = make_group([2, 3])
+    for elements in ([group.element([1, 2])], [[1, 2]], [(1, 2), 5], [(1,)]):
+        with pytest.raises(ValueError, match="residue tuples"):
+            GroupSubset.from_elements(group, elements)
+    with pytest.raises(ValueError, match="residue tuples"):
+        GroupSubset.from_elements(make_group([6]), [make_group([6]).element([1])])
+
+
 def test_group_subset_translate():
     group = make_group([15])
     subgroup = GroupSubset.from_elements(group, [0, 3, 6, 9, 12])

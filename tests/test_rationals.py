@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from math import prod
 
 import pytest
 from hypothesis import given
@@ -96,6 +97,36 @@ def test_integer_membership_matches_the_fraction_division():
             checked += 1
             members += expected
     assert checked == 300 * 63 and 3000 < members < checked - 3000, members
+
+
+def reference_member(group, s, den):
+    """Oracle: s/den is in gen*Z[1/P] when (s/den)/gen has a denominator made of primes in P."""
+    d = (F(s, den) / group.gen).denominator
+    for p in group.primes:
+        while d % p == 0:
+            d //= p
+    return d == 1
+
+
+@pytest.mark.parametrize("primes", [(), (2,), (3,), (2, 3), (5,), (2, 3, 5, 7)])
+def test_modulus_is_the_membership_divisibility(primes):
+    # each seeded generator also times powers of the pool's primes, which the
+    # descriptor divides out, over seeded products den of pool and foreign primes
+    rng = random.Random(sum(primes))
+    foreign = [p for p in (2, 3, 5, 7, 11, 13) if p not in primes]
+    moduli = set()
+    for _ in range(60):
+        shared = [rng.choice(primes) ** rng.randint(1, 3) if primes else 1 for _ in range(2)]
+        num, den_gen = (rng.choice(foreign) ** rng.randint(0, 2) * rng.randint(1, 6) for _ in range(2))
+        for gen in (F(num, den_gen), F(num * shared[0], den_gen * shared[1])):
+            group = desc(gen, primes)
+            for _ in range(4):
+                den = prod(rng.choice(foreign + list(primes)) ** rng.randint(0, 2) for _ in range(3))
+                w = group.modulus(den)
+                moduli.add(w)
+                for s in [*range(-40, 41), -2 * w, w, 3 * w, w + 1]:
+                    assert (s % w == 0) == reference_member(group, s, den), (group, den, s, w)
+    assert len(moduli) > 20, sorted(moduli)
 
 
 @given(

@@ -84,3 +84,14 @@ def test_every_public_name_is_called_outside_the_tests():
             if name not in outside and all(f == file and first <= line <= last for f, line in calls):
                 unused.append(f"{file}:{qualname}")
     assert not unused, " ".join(unused)
+
+
+def test_the_membership_rule_lives_in_rationals():
+    # coprime_part derives membership; RationalGroupDescriptor.modulus is its one use outside the constructor
+    where = defaultdict(list)
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, line, _ in named(ast.parse(path.read_text(encoding="utf-8"))):
+            if name in ("coprime_part", "_halving_modulus"):
+                where[name].append(f"{path.name}:{line}")
+    assert not where["_halving_modulus"], where["_halving_modulus"]
+    assert {site.partition(":")[0] for site in where["coprime_part"]} == {"rationals.py"}, where["coprime_part"]
