@@ -336,7 +336,9 @@ def _run_trace(group, set_kind, set_obj, command, report):
     else:
         trace = engine.lattice_trace(set_obj, x, g)
     report["trace"] = str(trace)
-    report["stats"]["count"] = trace.period if set_kind == "subset" else trace.hi - trace.lo + 1
+    # a described trace, like a dense closure, is given by its description and counts as one set
+    described = isinstance(trace, RationalMidconvexDescription)
+    report["stats"]["count"] = trace.period if set_kind == "subset" else 1 if described else trace.hi - trace.lo + 1
     report["result"] = "trace computed"
     return EXIT_OK
 

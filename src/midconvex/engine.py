@@ -42,13 +42,11 @@ _DRAW_NUMERATORS = 50
 _DRAW_EXPONENTS = 4
 # Most members that described_members lists.
 _LATTICE_CAP = 500_000
-# Radius of the lattice window that a trace of a rational set is read on.
-_TRACE_RADIUS = 64
 
 
 @dataclass(frozen=True)
 class RationalDecomposition:
-    """A recovered description with the refinement depth and window radius used.
+    """A recovered description with the refinement depth and the radius of the one window cut.
 
     Both are None for a singleton, which is described without refinement.
     """
@@ -354,15 +352,15 @@ def lemma1_failures(group: FiniteAbelianGroup, columns: Sequence[int], within: i
 
 
 def _described_range(
-    description: RationalMidconvexDescription, x: Fraction, g: Fraction, k_max: int
-) -> range:
-    """The k in [-k_max, k_max] with x + k*g in the described set, as one range.
+    description: RationalMidconvexDescription, x: Fraction, g: Fraction
+) -> tuple[int, int, int | None, int | None] | None:
+    """The k with x + k*g in the described set, as (r, m, first, last); None when there are none.
 
     Over one common denominator D, x - base = A/D and g = B/D. So x + k*g
     lies in H + base iff (A + k*B)/D lies in H, that is iff the subgroup's
-    `modulus` of D divides A + k*B: one residue class of k modulo
-    w/gcd(B, w), with w that modulus, or none. The interval's lattice cut
-    bounds k.
+    `modulus` w of D divides A + k*B: k = r modulo m = w/gcd(B, w), or no k.
+    first and last are the class's extreme members in the interval's lattice
+    cut, None on an unbounded side.
     """
     sub, interval = description.subgroup, description.interval
     a = x - description.base
@@ -371,35 +369,40 @@ def _described_range(
     w = sub.modulus(d)
     c = gcd(big_b, w)
     if big_a % c:
-        return range(0)
+        return None
     m = w // c
     r = -(big_a // c) * pow(big_b // c, -1, m) % m
     lo, hi = interval.lattice_cut(x, g)
-    lo = -k_max if lo is None else max(lo, -k_max)
-    hi = k_max if hi is None else min(hi, k_max)
-    return range(lo + (r - lo) % m, hi + 1, m)
+    first = None if lo is None else lo + (r - lo) % m
+    last = None if hi is None else hi - (hi - r) % m
+    return None if None not in (first, last) and first > last else (r, m, first, last)
 
 
 def lattice_trace(
     members: RationalMidconvexDescription | Iterable[Rational],
     x: Fraction,
     g: Fraction,
-) -> IntWindowSet:
-    """The trace {k : x + k*g in X} of a described or finite set on [-_TRACE_RADIUS, _TRACE_RADIUS].
+) -> RationalMidconvexDescription | IntWindowSet:
+    """The whole trace {k : x + k*g in X} of a described or finite set.
 
-    A described set's trace is one range of k in closed form, with no
-    per-point test, and its members are that range. A finite set is read per
-    point: k = (p - x)/g, kept when it is an integer within the radius.
+    A described set's trace is Theorem 1's C ∩ H, read in closed form by
+    `_described_range` and returned as a description over Z based at the
+    member nearest r. A finite set's trace is every integer k = (p - x)/g,
+    shown on the span of 0 and its members.
     """
     if g == 0:
         raise ValueError("trace direction must be nonzero")
-    x, g, k_max = Fraction(x), Fraction(g), _TRACE_RADIUS
+    x, g = Fraction(x), Fraction(g)
     if isinstance(members, RationalMidconvexDescription):
-        inside = _described_range(members, x, g, k_max)
-    else:
-        ks = ((p - x) / g for p in members)
-        inside = sorted({k.numerator for k in ks if k.denominator == 1 and -k_max <= k <= k_max})
-    return IntWindowSet(-k_max, k_max, tuple(inside))
+        reading = _described_range(members, x, g)
+        if reading is None:
+            return IntWindowSet(0, 0, ())
+        r, m, first, last = reading
+        base = min(max(r, -inf if first is None else first), inf if last is None else last)
+        return RationalMidconvexDescription(QIntervalSpec(first, last), RationalGroupDescriptor(m), base)
+    ks = ((p - x) / g for p in members)
+    inside = sorted({k.numerator for k in ks if k.denominator == 1})
+    return IntWindowSet(min(inside[:1] + [0]), max(inside[-1:] + [0]), tuple(inside))
 
 
 def _missing_midpoints(group: RationalGroupDescriptor, nums: Sequence[int], den: int):
@@ -523,20 +526,20 @@ def decompose_rational(
 ) -> RationalMidconvexDescription:
     """Recover the interval-and-subgroup form of a described midconvex set.
 
-    Reads the set on each lattice x + k*g of the chain of cyclic groups
-    seeded with {x, x2}, within `window` of x, which must cover x2. There the
-    set is one progression of k through 0 and (x2 - x)/g, the range of
-    `_described_range`, so Theorem 1 reads each level in closed form: its
-    step m must be odd, m*g generates the level's subgroup, and its first and
-    last member are the level's ends. Ends and subgroup must grow across
-    levels; an inverted prime of the ambient group joins the recovered
-    subgroup H exactly when its latest refinement enlarged it.
+    Cuts the set once to the window [x - window, x + window], which must
+    cover x2, an end closed exactly when the interval holds it, and reads
+    the cut on each lattice x + k*g of the chain of cyclic groups seeded
+    with {x, x2}. There it is one progression of k through 0 and (x2 - x)/g,
+    the reading of `_described_range`, so Theorem 1 reads each level in
+    closed form: its step m must be odd, m*g generates the level's subgroup,
+    and its first and last member are the level's ends. Ends and subgroup
+    must grow across levels; an inverted prime of the ambient group joins
+    the recovered subgroup H exactly when its latest refinement enlarged it.
 
-    A discrete H keeps the deepest level's ends. When H inverts a prime,
-    x + H is dense, so the level ends converge to those of the description's
-    interval cut to the closed window, and C is that cut. For a two-pure
-    description H is the description's subgroup, so the report equals the
-    input on the window.
+    A discrete H keeps the deepest level's ends, both closed. When H inverts
+    a prime, x + H is dense, so the level ends converge to those of the cut,
+    and C is the cut. For a two-pure description H is the description's
+    subgroup, so the report equals the input on the window.
     """
     x, x2 = Fraction(x), Fraction(x2)
     if x >= x2:
@@ -546,6 +549,11 @@ def decompose_rational(
     radius = Fraction(window)
     if radius < x2 - x:
         raise ValueError(f"window radius {radius} does not cover x2 - x = {x2 - x}")
+    cut = description.interval
+    lower = x - radius if cut.lower is None else max(cut.lower, x - radius)
+    upper = x + radius if cut.upper is None else min(cut.upper, x + radius)
+    window = QIntervalSpec(lower, upper, cut.contains(lower), cut.contains(upper))
+    bounded = RationalMidconvexDescription(window, description.subgroup, x)
 
     chain = cyclic_chain(group, (x, x2), depth)
     primes = sorted(group.primes)
@@ -553,13 +561,12 @@ def decompose_rational(
     prev_lower = prev_upper = prev_gen = None
 
     for step, g in enumerate(chain):
-        ks = _described_range(description, x, g, floor(radius / g))
-        m = ks.step
+        _, m, first, last = _described_range(bounded, x, g)
         if m % 2 == 0:
             raise NotMidconvex(
                 f"level {step} (lattice step {g}): minimal nonzero trace element {m} is even"
             )
-        lower, upper, h_gen = x + g * ks[0], x + g * ks[-1], m * g
+        lower, upper, h_gen = x + g * first, x + g * last, m * g
         if step > 0:
             if not (lower <= prev_lower and prev_upper <= upper):
                 raise NotMidconvex(
@@ -575,12 +582,7 @@ def decompose_rational(
         prev_lower, prev_upper, prev_gen = lower, upper, h_gen
 
     recovered = RationalGroupDescriptor(h_gen, frozenset(p for p, grew in grew_last.items() if grew))
-    cut = description.interval
-    if recovered.primes:
-        lower = x - radius if cut.lower is None else max(cut.lower, x - radius)
-        upper = x + radius if cut.upper is None else min(cut.upper, x + radius)
-    # C is cut from the interval, so an end is closed exactly when the interval holds it
-    interval = QIntervalSpec(lower, upper, cut.contains(lower), cut.contains(upper))
+    interval = window if recovered.primes else QIntervalSpec(lower, upper)
     return RationalMidconvexDescription(interval, recovered, base=x)
 
 

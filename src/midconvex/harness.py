@@ -355,6 +355,14 @@ def sample_two_purity(trials: int = 100, seed: int = 0) -> VerificationReport:
     return report
 
 
+def _holds(reading, k: int) -> bool:
+    """Whether k is in a reading (r, m, first, last) of `engine._described_range`; None holds none."""
+    if reading is None:
+        return False
+    r, m, first, last = reading
+    return (k - r) % m == 0 and (first is None or first <= k) and (last is None or k <= last)
+
+
 def roundtrip_theorem3(
     group: RationalGroupDescriptor,
     description: RationalMidconvexDescription,
@@ -383,8 +391,8 @@ def roundtrip_theorem3(
         recovered = decomposition.description
         margin = decomposition.radius - description.subgroup.gen
         if margin >= 0:
-            # each den's grid is base + num * gen/den, |num| <= 24; both sets
-            # and the margin window are read along it as ranges of num
+            # each den's grid is base + num * gen/den, |num| <= 24, cut to the
+            # margin window; both sets are read along it once, in closed form
             base, rb = description.base, recovered.base
             window = QIntervalSpec(rb - margin, rb + margin)
             for den in engine._denominators(group.primes, 2):
@@ -392,10 +400,10 @@ def roundtrip_theorem3(
                 lo, hi = window.lattice_cut(base, step)
                 nums = range(max(lo, -24), min(hi, 24) + 1)
                 grid_checked += len(nums)
-                inside = engine._described_range(description, base, step, 24)
-                recovered_inside = engine._described_range(recovered, base, step, 24)
+                inside = engine._described_range(description, base, step)
+                recovered_inside = engine._described_range(recovered, base, step)
                 for num in nums:
-                    if (num in inside) != (num in recovered_inside):
+                    if _holds(inside, num) != _holds(recovered_inside, num):
                         r = base + step * num
                         report.add_mismatch(
                             group, description, "recovered description disagrees", str(recovered), str(r)

@@ -50,6 +50,10 @@ GOLDEN_CASES = [
         "verify --theorem 3 --samples 200 --seed 5",
     ),
     ("verify_purity", "Z; {0}@window[0,0]; verify --theorem purity --seed 3"),
+    # a finite trace is every integer k, here past k = 64, on the span of 0 and its members
+    ("trace_q_points", "Q(gen=1, primes=[]); {0,1,2,500}; trace x=0 g=1"),
+    # a described trace is C ∩ H over Z, read in closed form
+    ("trace_q_described", "Q(gen=1, primes=[2]); conv[0,1] ∩ ((1,[2]) + 0); trace x=0 g=1/128"),
 ]
 FORMATS = [("text", "txt"), ("json", "json")]
 
@@ -93,7 +97,7 @@ def test_goldens_hold_on_the_declared_python_floor():
     )
     assert done.returncode == 0, done.stderr
     outputs = json.loads(done.stdout)
-    assert len(outputs) == len(cases) == 28
+    assert len(outputs) == len(cases) == 32
     for (name, _, _, ext), output in zip(cases, outputs):
         assert output.encode("utf-8") == (GOLDEN / f"{name}.{ext}").read_bytes(), f"{name}.{ext}"
 
@@ -721,7 +725,7 @@ def test_a_trace_direction_is_bound_on_every_route():
         code, output = run_text(text)
         assert code == 2 and f"result: error: {error}\n" in output, (text, output)
     code, output = run_text("Q(gen=1, primes=[2]); {0,1,2}; trace x=0 g=1/2")
-    assert code == 0 and "trace: {0,2,4}@window[-64,64]\n" in output, output
+    assert code == 0 and "trace: {0,2,4}@window[0,4]\n" in output, output
 
 
 def test_main_parse_error_exit(capsys):

@@ -1,6 +1,7 @@
 """Midconvexity predicate, closure, traces and the three decomposition routes."""
 
 import functools
+import hashlib
 import math
 import pathlib
 import random
@@ -638,23 +639,90 @@ def test_described_members_lists_finite_sets_only():
         described_members(described(F(0), F(500_000), desc(1), F(0)))
 
 
-def test_lattice_trace_reads_a_window_around_the_base(monkeypatch):
+def test_lattice_trace_reads_the_whole_trace(monkeypatch):
     dyadic = RationalMidconvexDescription(QIntervalSpec(F(0), F(1)), desc(1, [2]), F(0))
-    assert str(lattice_trace(dyadic, F(0), F(1, 4))) == "{0,1,2,3,4}@window[-64,64]"
-    monkeypatch.setattr(engine, "_TRACE_RADIUS", 2)
-    assert str(lattice_trace([F(0), F(3), F(6)], F(3), F(3))) == "{-1,0,1}@window[-2,2]"
+    assert str(lattice_trace(dyadic, F(0), F(1, 4))) == "conv[0,4] ∩ ((1,[]) + 0)"
+    assert str(lattice_trace(dyadic, F(0), F(1, 128))) == "conv[0,128] ∩ ((1,[]) + 0)"
+    # the base of a described trace is the member nearest its residue r, 0 <= r < m
+    tail = RationalMidconvexDescription(QIntervalSpec(None, F(7, 2)), desc(1, [3]), F(0))
+    assert str(lattice_trace(tail, F(0), F(-1, 9))) == "conv[-31,inf] ∩ ((1,[]) + 0)"
+    assert str(lattice_trace(tail, F(-20), F(2))) == "conv[-inf,11] ∩ ((1,[]) + 0)"
+    assert str(lattice_trace(tail, F(20), F(2))) == "conv[-inf,-9] ∩ ((1,[]) + -9)"
+    odd = RationalMidconvexDescription(QIntervalSpec(F(7)), desc(3), F(10))
+    assert str(lattice_trace(odd, F(0), F(1))) == "conv[7,inf] ∩ ((3,[]) + 7)"
+    assert str(lattice_trace(odd, F(11), F(-1))) == "conv[-inf,4] ∩ ((3,[]) + 1)"
+    # a finite trace is shown on the span of 0 and its members
+    assert str(lattice_trace([F(0), F(3), F(6)], F(3), F(3))) == "{-1,0,1}@window[-1,1]"
+    assert str(lattice_trace([F(0), F(1), F(2), F(500)], F(0), F(1))) == "{0,1,2,500}@window[0,500]"
+    assert str(lattice_trace([F(5), F(1, 3)], F(0), F(1, 2))) == "{10}@window[0,10]"
+    assert str(lattice_trace([F(-7)], F(1), F(1))) == "{-8}@window[-8,0]"
+    assert str(lattice_trace([], F(0), F(1))) == "{}@window[0,0]"
+    assert str(lattice_trace(dyadic, F(1, 2), F(3))) == "conv[0,0] ∩ ((1,[]) + 0)"
+    assert str(lattice_trace(dyadic, F(2), F(1))) == "conv[-2,-1] ∩ ((1,[]) + -1)"
+    assert str(lattice_trace(dyadic, F(2), F(3))) == "{}@window[0,0]"
+    # both reach cases are answered in closed form: no point is tested
+    monkeypatch.setattr(RationalMidconvexDescription, "contains", None)
+    far = 10**18
+    assert str(lattice_trace([F(0), F(far)], F(0), F(1))) == f"{{0,{far}}}@window[0,{far}]"
+    wide = RationalMidconvexDescription(QIntervalSpec(F(-far), F(far)), desc(1), F(0))
+    assert str(lattice_trace(wide, F(0), F(1))) == f"conv[{-far},{far}] ∩ ((1,[]) + 0)"
     with pytest.raises(ValueError, match="trace direction must be nonzero"):
         lattice_trace(dyadic, F(0), F(0))
 
 
-def scanned_trace(members, x, g, k_max):
-    """Reference: the trace by a membership test at every lattice point."""
-    if isinstance(members, RationalMidconvexDescription):
-        inside = [k for k in range(-k_max, k_max + 1) if members.contains(x + k * g)]
-    else:
-        points = {F(p) for p in members}
-        inside = [k for k in range(-k_max, k_max + 1) if x + k * g in points]
-    return IntWindowSet(-k_max, k_max, tuple(inside))
+# the per-point reference scans k in [-TRACE_SCAN, TRACE_SCAN]
+TRACE_SCAN = 1000
+
+
+def scanned_trace(members, x, g, reach=TRACE_SCAN):
+    """Reference: the k in [-reach, reach] with x + k*g in the set, one test a point.
+
+    Every point and end is an integer numerator over one denominator D, so
+    each test is an integer one: a finite set holds the point when its
+    numerator is a member's, and a described set when its interval's ends
+    admit it and the subgroup's `modulus` of D divides its distance to the base.
+    """
+    ks = range(-reach, reach + 1)
+    if not isinstance(members, RationalMidconvexDescription):
+        points = [F(p) for p in members]
+        d = math.lcm(x.denominator, g.denominator, *(p.denominator for p in points))
+        nums = {int(p * d) for p in points}
+        big_x, big_g = int(x * d), int(g * d)
+        return [k for k in ks if big_x + k * big_g in nums]
+    interval = members.interval
+    ends = [e for e in (interval.lower, interval.upper) if e is not None]
+    d = math.lcm(x.denominator, g.denominator, members.base.denominator, *(e.denominator for e in ends))
+    big_x, big_g, big_b, w = int(x * d), int(g * d), int(members.base * d), members.subgroup.modulus(d)
+    lo = None if interval.lower is None else (int(interval.lower * d), interval.lower_closed)
+    hi = None if interval.upper is None else (int(interval.upper * d), interval.upper_closed)
+    inside = []
+    for k in ks:
+        n = big_x + k * big_g
+        if lo is not None and (n < lo[0] or (n == lo[0] and not lo[1])):
+            continue
+        if hi is not None and (n > hi[0] or (n == hi[0] and not hi[1])):
+            continue
+        if (n - big_b) % w == 0:
+            inside.append(k)
+    return inside
+
+
+def assert_described_trace_is_scanned(trace, scan, label):
+    """A described trace agrees with the scan at every k; a bounded end is the scan's extreme member."""
+    if isinstance(trace, IntWindowSet):
+        assert trace == IntWindowSet(0, 0, ()) and scan == [], label
+        return
+    interval, primes = trace.interval, trace.subgroup.primes
+    assert primes == frozenset() and interval.lower_closed and interval.upper_closed, label
+    ends = (interval.lower, interval.upper, trace.subgroup.gen, trace.base)
+    assert all(e is None or e.denominator == 1 for e in ends), label
+    lower, upper, m, base = (None if e is None else int(e) for e in ends)
+    lo = -TRACE_SCAN if lower is None else max(lower, -TRACE_SCAN)
+    hi = TRACE_SCAN if upper is None else min(upper, TRACE_SCAN)
+    assert [k for k in range(lo, hi + 1) if (k - base) % m == 0] == scan, label
+    # a bounded end is a member; an unbounded side reaches the edge of the scan
+    assert scan[0] == lower if lower is not None else scan[0] < -TRACE_SCAN + m, label
+    assert scan[-1] == upper if upper is not None else scan[-1] > TRACE_SCAN - m, label
 
 
 def seeded_interval(rng, base, h):
@@ -675,8 +743,9 @@ def seeded_interval(rng, base, h):
     return QIntervalSpec(lower, upper, lower_closed, upper_closed)
 
 
-def test_lattice_trace_matches_a_per_point_scan(monkeypatch):
+def test_lattice_trace_matches_a_per_point_scan():
     rng = random.Random(9)
+    seen = set()
     pools = [(), (2,), (3,), (2, 3), (5,), (3, 5)]
     for i in range(400):
         primes = pools[i % len(pools)]
@@ -690,21 +759,30 @@ def test_lattice_trace_matches_a_per_point_scan(monkeypatch):
         # x on or off the coset (7 and 11 are never inverted), g of either sign
         x = base + h * F(rng.randint(-9, 9), rng.choice([1, 2, 3, 5, 7, 9, 11, 25]))
         g = h * F(rng.choice([1, -1]) * rng.randint(1, 4), rng.choice([1, 2, 3, 5, 6, 9, 27]))
-        k_max = rng.randint(0, 40)
-        monkeypatch.setattr(engine, "_TRACE_RADIUS", k_max)
-        assert lattice_trace(description, x, g) == scanned_trace(description, x, g, k_max), (
-            i, description, x, g, k_max,
-        )
+        label = (i, str(description), x, g)
+        trace = lattice_trace(description, x, g)
+        assert_described_trace_is_scanned(trace, scanned_trace(description, x, g), label)
+        if isinstance(trace, IntWindowSet):
+            seen.add("empty")
+        else:
+            seen.add((trace.interval.lower is None, trace.interval.upper is None))
         # a base off the coset: no lattice point along a subgroup element is a member
         off_x, off_g = base + h / 7, h * rng.choice([1, -1])
         off = lattice_trace(description, off_x, off_g)
-        assert not off.members and off == scanned_trace(description, off_x, off_g, k_max)
-        # a finite set with points on the lattice inside and outside the
-        # radius and points off the lattice
-        points = [x + k * g for k in rng.sample(range(-60, 61), rng.randint(0, 8))]
-        points += [x + g * F(rng.randint(-90, 90), rng.choice([2, 3, 7])) for _ in range(rng.randint(0, 4))]
+        assert off == IntWindowSet(0, 0, ()) and scanned_trace(description, off_x, off_g) == [], label
+        # a finite set with points on the lattice well past k = ±64, on both
+        # sides of 0 or one, and points off the lattice
+        reach = rng.choice([40, 200, 900])
+        points = [x + k * g for k in rng.sample(range(-reach, reach + 1), rng.randint(0, 8))]
+        points += [x + g * F(rng.randint(-900, 900), rng.choice([2, 3, 7])) for _ in range(rng.randint(0, 4))]
         rng.shuffle(points)
-        assert lattice_trace(points, x, g) == scanned_trace(points, x, g, k_max), (i, points)
+        scan = scanned_trace(points, x, g)
+        window = (min(scan[:1] + [0]), max(scan[-1:] + [0]))
+        assert lattice_trace(points, x, g) == IntWindowSet(*window, tuple(scan)), (label, points)
+        if scan:
+            seen.update(side for side, k in (("below -64", -scan[0]), ("above 64", scan[-1])) if k > 64)
+    # every shape of described trace, and finite traces past k = ±64, were read
+    assert seen == {"empty", (False, False), (True, False), (False, True), (True, True), "below -64", "above 64"}
 
 
 # -- the rational decomposition route -----------------------------------------
@@ -721,6 +799,58 @@ def test_decompose_rational_dyadic_interval():
 
 def described(lower, upper, sub, base):
     return RationalMidconvexDescription(QIntervalSpec(lower, upper), sub, base)
+
+
+# sha256 of the decompose_rational results on the seeded descriptions below, taken
+# before the window was cut once, when every level was clipped to floor(radius / g)
+DECOMPOSE_RATIONAL_DIGEST = "6bc01dec720784e6b6a264bf357b2334b19cc273fc98b381a1869bc62b99fb45"
+
+
+def test_decompose_rational_is_pinned_across_window_cuts():
+    """Results on seeded descriptions that the window cuts on neither side, one side or both.
+
+    The radii include each end's distance to the base, so a window end falls on
+    an open or closed interval end. A subgroup that inverts a prime is dense,
+    one that inverts none discrete, and the step 2 in Z is rejected as even.
+    """
+    rng = random.Random(26)
+    pools = [(), (2,), (3,), (2, 3), (5,)]
+    lines, seen = [], set()
+    for i in range(600):
+        pool = pools[i % len(pools)]
+        group = desc(1, pool)
+        inverted = frozenset(p for p in pool if p == 2 or rng.random() < 0.6)
+        den = math.prod(rng.choice([1, p]) for p in pool)
+        h = F(rng.choice([1, 3, 5, 9, 2 if not pool else 1]), den)
+        sub = desc(h, inverted)
+        h = sub.gen
+        base = F(rng.randint(-6, 6), den)
+        # the second base point base + h lies inside, so the upper end is at least h away
+        below = None if rng.random() < 0.25 else h * F(rng.randint(0, 12), rng.choice([1, 2, 3]))
+        above = None if rng.random() < 0.25 else h * (1 + F(rng.randint(0, 12), rng.choice([1, 2, 3])))
+        lower_closed = below == 0 or rng.random() < 0.5
+        upper_closed = above == h or rng.random() < 0.5
+        lower = None if below is None else base - below
+        upper = None if above is None else base + above
+        interval = QIntervalSpec(lower, upper, lower_closed, upper_closed)
+        description = RationalMidconvexDescription(interval, sub, base)
+        finite = [r for r in (below, above) if r is not None]
+        radius = rng.choice([h, h * F(rng.randint(2, 40), rng.choice([1, 2, 7])), *finite, *(r + h / 3 for r in finite)])
+        radius = max(radius, h)
+        depth = rng.randint(1, 3 * max(1, len(pool)))
+        cuts = sum(r is None or radius < r for r in (below, above))
+        try:
+            recovered = decompose_rational(group, description, base, base + h, depth, radius)
+        except NotMidconvex as exc:
+            lines.append(f"{i} {exc}")
+            seen.add("rejected")
+            continue
+        seen.add((bool(recovered.subgroup.primes), cuts))
+        c = recovered.interval
+        lines.append(f"{i} {c.lower} {c.upper} {c.lower_closed} {c.upper_closed} {recovered.subgroup} {recovered.base}")
+    assert seen == {"rejected", *((dense, cuts) for dense in (False, True) for cuts in (0, 1, 2))}
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == DECOMPOSE_RATIONAL_DIGEST
 
 
 def test_decompose_rational_integer_progression():
@@ -806,7 +936,8 @@ def per_level_decompose_rational(group, description, x, x2, depth, window):
     prev_lower = prev_upper = prev_gen = None
     for step, g in enumerate(chain):
         try:
-            dec = decompose_z(scanned_trace(description, x, g, math.floor(window / g)), 0)
+            reach = math.floor(window / g)
+            dec = decompose_z(IntWindowSet(-reach, reach, tuple(scanned_trace(description, x, g, reach))), 0)
         except NotMidconvexTrace as exc:
             raise NotMidconvex(f"level {step} (lattice step {g}): {exc.reason}") from exc
         lower = x + g * dec.interval.lower
