@@ -15,7 +15,7 @@ from itertools import compress, count
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd, inf, lcm, prod
-from operator import itemgetter, sub
+from operator import sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import CapExceeded, NotMidconvex, NotMidconvexTrace
@@ -311,25 +311,21 @@ def lemma1_failures(group: FiniteAbelianGroup, columns: Sequence[int], within: i
 
     The two-period lift of the trace at x along g = y - x holds bits 0 and
     ord(g), so it is order-convex exactly when the trace is full, that is when
-    the subset holds the whole coset x + <g>. Each column is first packed to
-    the bits of within, bit j for its j-th set bit k. Each cyclic subgroup
-    and coset is walked once, along the least generator g: the subsets
-    holding the coset are the AND of its columns, and those holding two
-    steps t and t + u, u a unit mod ord(g), but not the whole coset fail.
-    A coset where no subset holds two members without the whole is skipped.
+    the subset holds the whole coset x + <g>. Each column is read masked to
+    within. Each cyclic subgroup and coset is walked once, along the least
+    generator g: the subsets holding the coset are the AND of its columns,
+    and those holding two steps t and t + u, u a unit mod ord(g), but not the
+    whole coset fail. A coset where no subset holds two members without the
+    whole is skipped.
     """
     if not within:
         return []
-    ks = list(set_bits(within))
-    # bit k of a column is its binary digit k places from the right
-    digits, pick = f"0{within.bit_length()}b", itemgetter(*(-1 - k for k in reversed(ks)))
-    packed = [int("".join(pick(format(column, digits))), 2) for column in columns]
     failures = []
     for walks in _cyclic_subgroups(group):
         period = len(walks[0])
         units = [u for u in range(1, period) if gcd(u, period) == 1]
         for walk in walks:
-            cols = [packed[i] for i in walk]
+            cols = [columns[i] & within for i in walk]
             one = two = 0
             whole = -1
             for column in cols:
@@ -343,7 +339,7 @@ def lemma1_failures(group: FiniteAbelianGroup, columns: Sequence[int], within: i
                     s = (t + u) % period
                     bad = column & cols[s] & ~whole
                     if bad:
-                        failures.extend((ks[j], walk[t], walk[s]) for j in set_bits(bad))
+                        failures.extend((k, walk[t], walk[s]) for k in set_bits(bad))
     failures.sort()
     return failures
 

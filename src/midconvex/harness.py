@@ -138,20 +138,17 @@ def _subset_columns(group: FiniteAbelianGroup, seed: int) -> tuple[list[int], in
 
     Up to EXHAUSTIVE_ORDER_CAP subset k is every k < 2**n, so column i is bit
     i of k: runs of w = 2**i zeros and w ones, one period of 2w bits repeated
-    up to 2**n bits. Above it subset k is the k-th of SAMPLED_SUBSET_COUNT
-    seeded getrandbits(n) draws, repeats included. Their digits, last draw
-    first and index n - 1 first in each, are joined into one string, so column
-    i reads every n-th digit from n - 1 - i, highest k first.
+    up to 2**n bits. Above it column i is the i-th of n seeded
+    getrandbits(SAMPLED_SUBSET_COUNT) draws, so each subset is n independent
+    fair bits: SAMPLED_SUBSET_COUNT uniform draws with replacement, repeats
+    included and each decided and counted.
     """
     n = group.order
     if n <= EXHAUSTIVE_ORDER_CAP or 1 << n <= SAMPLED_SUBSET_COUNT:
         count = 1 << n
         return [periodic_mask(((1 << w) - 1) << w, 2 * w, count) for w in (1 << i for i in range(n))], count
-    count = SAMPLED_SUBSET_COUNT
     rng = random.Random(f"{seed}:{group}")
-    draws = [rng.getrandbits(n) for _ in range(count)]
-    digits = "".join(map(f"{{:0{n}b}}".format, reversed(draws)))
-    return [int(digits[n - 1 - i :: n], 2) for i in range(n)], count
+    return [rng.getrandbits(SAMPLED_SUBSET_COUNT) for _ in range(n)], SAMPLED_SUBSET_COUNT
 
 
 def _sweep(campaign: str, max_order: int, seed: int, check) -> VerificationReport:
@@ -275,8 +272,8 @@ def exhaustive_theorem1(max_order: int = 10, *, seed: int = 0) -> VerificationRe
 def exhaustive_lemma1(max_order: int = 12, *, seed: int = 0) -> VerificationReport:
     """Order-convexity of traces along member differences, for midconvex sets.
 
-    The midconvex bits are read against every coset of every cyclic subgroup
-    at once, packed to those bits (engine.lemma1_failures); each failing
+    The columns, masked to the midconvex bits, are read against every coset
+    of every cyclic subgroup at once (engine.lemma1_failures); each failing
     subset and pair of members is reported in the order of its subset, then
     x, then y.
     """

@@ -95,3 +95,14 @@ def test_the_membership_rule_lives_in_rationals():
                 where[name].append(f"{path.name}:{line}")
     assert not where["_halving_modulus"], where["_halving_modulus"]
     assert {site.partition(":")[0] for site in where["coprime_part"]} == {"rationals.py"}, where["coprime_part"]
+
+
+def test_sweep_columns_stay_integers():
+    # sampled columns are drawn whole and lemma 1 masks them, so no digit
+    # string is formatted or joined on the way, and engine needs no itemgetter
+    trees = {name: ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8")) for name in ("harness", "engine")}
+    for module, function in (("harness", "_subset_columns"), ("engine", "lemma1_failures")):
+        (body,) = [node for node in trees[module].body if getattr(node, "name", None) == function]
+        used = {name for name, _, _ in named(body)}
+        assert not used & {"format", "join"}, f"{module}.{function}"
+    assert "itemgetter" not in {name for name, _, _ in named(trees["engine"])}
