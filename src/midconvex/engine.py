@@ -136,8 +136,6 @@ def _trace(group: FiniteAbelianGroup, mask: int, xi: int, gi: int) -> PeriodicTr
     The walk x, x + g, x + 2g, ... returns to x after ord(g) steps, the period;
     bit t of the trace's mask is the set's bit at x + t*g.
     """
-    if not mask >> xi & 1:
-        raise ValueError("trace base point must be a member")
     period, member = group.index_order(gi), bit_reader(mask, group.order)
     steps = compress(count(), map(member, group.walk(xi, gi)))
     return PeriodicTrace(period, mask_of(period, steps))

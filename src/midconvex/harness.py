@@ -184,47 +184,42 @@ def _add_bit_mismatches(report, group, columns, operation: str, lhs: int, rhs: i
         report.add_mismatch(group, label, operation, bool(lhs >> k & 1), bool(rhs >> k & 1))
 
 
-def _odd_index_cosets(group: FiniteAbelianGroup) -> set[int]:
-    """Masks of the cosets of the subgroups of odd index.
-
-    These are the subgroups that contain G_2 (see engine.midconvex_closure).
-    Each is reached from G_2 by joining one element at a time, and
-    translated by the least element of each of its cosets.
-    """
-    sylow2 = sylow2_subgroup(group).mask
-    subgroups, frontier = {sylow2}, [sylow2]
-    while frontier:
-        grown = []
-        for h in frontier:
-            for g in range(group.order):
-                if not h >> g & 1:
-                    joined = subgroup_generated(GroupSubset(group, h | 1 << g)).mask
-                    if joined not in subgroups:
-                        subgroups.add(joined)
-                        grown.append(joined)
-        frontier = grown
-    cosets = set()
-    for h in subgroups:
-        uncovered = (1 << group.order) - 1
-        while uncovered:
-            coset = group.translate_mask(h, least_index(uncovered))
-            cosets.add(coset)
-            uncovered &= ~coset
-    return cosets
-
-
 def _odd_coset_bits(group: FiniteAbelianGroup, columns: Sequence[int], count: int) -> int:
     """Bit k is set iff the subset in bit k of the columns is empty or an odd-index coset.
 
-    These are the subsets X with X - x an odd-index subgroup for every member
-    x. Subset k equals the mask m exactly where every column i reads bit i of m.
+    The odd-index subgroups are those that contain G_2 (see
+    engine.midconvex_closure), walked up from G_2, each once. Each subgroup H
+    is tiled by its cosets, each translated from its least uncovered index g,
+    and joining each such g to H reaches the subgroups above H (joining any
+    member of g + H gives the same subgroup). A subset is empty or one coset
+    of H exactly when it holds each coset whole (the AND of the coset's
+    columns) or not at all (their OR), and holds at most one.
     """
+    full = (1 << count) - 1
     bits = 0
-    for coset in {0} | _odd_index_cosets(group):
-        match = (1 << count) - 1
-        for i, column in enumerate(columns):
-            match &= column if coset >> i & 1 else ~column
-        bits |= match
+    sylow2 = sylow2_subgroup(group).mask
+    subgroups, frontier = {sylow2}, [sylow2]
+    while frontier:
+        h = frontier.pop()
+        uncovered = (1 << group.order) - 1
+        one = two = mixed = 0
+        while uncovered:
+            g = least_index(uncovered)
+            coset = group.translate_mask(h, g)
+            uncovered &= ~coset
+            whole, some = full, 0
+            for i in set_bits(coset):
+                whole &= columns[i]
+                some |= columns[i]
+            mixed |= some & ~whole
+            two |= one & some
+            one |= some
+            if g:
+                joined = subgroup_generated(GroupSubset(group, h | 1 << g)).mask
+                if joined not in subgroups:
+                    subgroups.add(joined)
+                    frontier.append(joined)
+        bits |= full & ~two & ~mixed
     return bits
 
 
@@ -234,8 +229,7 @@ def exhaustive_theorem2(max_order: int = 12, *, seed: int = 0) -> VerificationRe
 
     def check(report, group, columns, count, midconvex):
         cosets = _odd_coset_bits(group, columns, count)
-        if midconvex:
-            midconvex_counts[str(group)] = midconvex.bit_count()
+        midconvex_counts[str(group)] = midconvex.bit_count()
         operation = "is_midconvex vs subgroup characterization"
         _add_bit_mismatches(report, group, columns, operation, midconvex, cosets)
 

@@ -334,6 +334,21 @@ def test_trace_reports():
     assert json.loads(output)["trace"] == "{0,1,2,3}@window[0,3]"
 
 
+
+def test_a_trace_base_need_not_be_a_member():
+    # one rule on every route: x must be in the group, not in X
+    for text, trace, count in [
+        ("Z(3); {1}; trace x=0 g=1", "{1} mod 3", 3),
+        ("Z(6); {}; trace x=5 g=2", "{} mod 3", 3),
+        ("Z; {1}@window[0,9]; trace x=0 g=1", "{1}@window[0,9]", 10),
+        ("Q(gen=1, primes=[]); {1,2}; trace x=0 g=1", "{1,2}@window[0,2]", 3),
+    ]:
+        code, output = run_text(text, fmt="json")
+        report = json.loads(output)
+        assert (code, report["trace"], report["stats"]["count"]) == (0, trace, count), text
+    code, output = run_text("Z(3); {1}; trace x=3 g=1")
+    assert code == 2 and "result: error: trace base 3 is outside Z(3)\n" in output, output
+
 def test_decompose_exit_codes_and_reports():
     code, output = run_text("Z; {0,3,6,9}@window[0,9]; decompose x=0", fmt="json")
     assert code == 0

@@ -16,7 +16,8 @@ from midconvex.cli import SIZE_CAPS
 from midconvex.engine import is_midconvex, rational_closure
 from midconvex.errors import NotMidconvexTrace
 from midconvex.groups import (
-    FiniteAbelianGroup, GroupElement, GroupSubset, is_subgroup, make_group, periodic_mask, set_bits
+    FiniteAbelianGroup, GroupElement, GroupSubset, is_subgroup, make_group, periodic_mask, set_bits,
+    subgroup_generated,
 )
 from midconvex.harness import (
     VerificationReport,
@@ -348,8 +349,11 @@ def test_sweep_reports_under_planted_faults_hash_as_pinned(monkeypatch):
 def test_sweeps_at_the_cli_cap_in_bounded_time():
     # read along every g, theorem 1 took 6.2 s and lemma 1 1.8 s; with the
     # sampled subsets drawn as rows and strided into columns, theorem 2 took
-    # 0.78-1.6 s and lemma 1 0.61-1.05 s (2-vCPU Xeon, shared)
-    for sweep, budget in ((exhaustive_theorem1, 3), (exhaustive_lemma1, 0.6), (exhaustive_theorem2, 1)):
+    # 0.78-1.6 s and lemma 1 0.61-1.05 s; with every odd-index coset listed
+    # and matched against every column, theorem 2 took 0.30-0.69 s, and
+    # walking each odd-index subgroup once, 0.11-0.25 s over 10 full-suite
+    # runs (2-vCPU Xeon, shared)
+    for sweep, budget in ((exhaustive_theorem1, 3), (exhaustive_lemma1, 0.6), (exhaustive_theorem2, 0.5)):
         started = time.perf_counter()
         report = sweep(SIZE_CAPS["--max-order"])
         assert time.perf_counter() - started < budget, sweep
@@ -413,17 +417,42 @@ def test_odd_coset_bits_match_the_per_subset_characterization():
         columns, count = harness._subset_columns(group, 0)
         expected = sum(1 << k for k in range(count) if odd_coset_reference(group, k))
         assert harness._odd_coset_bits(group, columns, count) == expected, str(group)
+    # every subset up to the cap: the empty set and each odd-index coset, in closed form
+    refs = load_refs()
+    for group in enumerate_abelian_groups(harness.EXHAUSTIVE_ORDER_CAP):
+        columns, count = harness._subset_columns(group, 0)
+        assert harness._odd_coset_bits(group, columns, count).bit_count() == refs.midconvex_count(group.orders)
 
 
-def test_odd_index_cosets_translate_each_subgroup_once_per_coset(monkeypatch):
-    calls = []
+def every_odd_index_subgroup(group):
+    """Reference: every subgroup, each joined with every element, kept where the index is odd."""
+    subgroups, frontier = {1}, [1]
+    while frontier:
+        h = frontier.pop()
+        for g in range(group.order):
+            joined = subgroup_generated(GroupSubset(group, h | 1 << g)).mask
+            if joined not in subgroups:
+                subgroups.add(joined)
+                frontier.append(joined)
+    return {h for h in subgroups if group.order // h.bit_count() % 2 == 1}
+
+
+def test_odd_coset_bits_translate_each_subgroup_once_per_coset(monkeypatch):
+    translated = []
     translate = FiniteAbelianGroup.translate_mask
-    monkeypatch.setattr(
-        FiniteAbelianGroup, "translate_mask", lambda self, *a: calls.append(a) or translate(self, *a)
-    )
+
+    def recording(self, *args):
+        translated.append(translate(self, *args))
+        return translated[-1]
+
+    monkeypatch.setattr(FiniteAbelianGroup, "translate_mask", recording)
+    calls = 0
     for group in enumerate_abelian_groups(12):
-        cosets = harness._odd_index_cosets(group)
-        # reference: every odd-index subgroup by every element
+        del translated[:]
+        columns, count = harness._subset_columns(group, 0)
+        harness._odd_coset_bits(group, columns, count)
+        calls += len(translated)
+        # reference: every odd-index subgroup by every element, each translated once
         subgroups = {m for m in range(1 << group.order) if is_subgroup(GroupSubset(group, m))}
         every = {
             translate(group, h, d)
@@ -431,9 +460,27 @@ def test_odd_index_cosets_translate_each_subgroup_once_per_coset(monkeypatch):
             if group.order // h.bit_count() % 2 == 1
             for d in range(group.order)
         }
-        assert cosets == every, str(group)
+        assert sorted(translated) == sorted(every), str(group)
     # 90 cosets up to order 12, each translated once (248 calls by every element)
-    assert len(calls) == 90
+    assert calls == 90
+
+
+@pytest.mark.parametrize("orders", [[3, 3, 3], [2, 2, 9], [3, 9], [2, 3, 3], [4, 3, 3]])
+def test_odd_coset_bits_read_near_cosets(orders):
+    # above the exhaustive cap: each odd-index coset, that coset less one
+    # member, plus one nonmember, and joined with another coset of its subgroup
+    group = make_group(orders)
+    everything = (1 << group.order) - 1
+    masks = [0, everything]
+    for h in every_odd_index_subgroup(group):
+        cosets = sorted({group.translate_mask(h, d) for d in range(group.order)})
+        for coset, other in zip(cosets, cosets[1:] + cosets[:1]):
+            outside = everything & ~coset
+            masks += [coset, coset & coset - 1, coset | outside & -outside, coset | other]
+    truths = [odd_coset_reference(group, mask) for mask in masks]
+    columns = transposed_columns(len(masks), masks)
+    assert harness._odd_coset_bits(group, columns, len(masks)) == sum(1 << k for k, t in enumerate(truths) if t)
+    assert 0 < sum(truths) < len(masks)
 
 
 def test_sampled_theorem2_matches_the_per_subset_sweep(monkeypatch):
@@ -444,12 +491,13 @@ def test_sampled_theorem2_matches_the_per_subset_sweep(monkeypatch):
     midconvex_counts, total = {}, 0
     groups = enumerate_abelian_groups(14)
     for group in groups:
+        midconvex_counts[str(group)] = 0
         for mask in subset_masks(group, seed):
             total += 1
             lhs = is_midconvex(group, GroupSubset(group, mask))
             rhs = odd_coset_reference(group, mask)
             if lhs:
-                midconvex_counts[str(group)] = midconvex_counts.get(str(group), 0) + 1
+                midconvex_counts[str(group)] += 1
             if lhs != rhs:
                 label = mask_label(group, mask)
                 reference.add_mismatch(group, label, "is_midconvex vs subgroup characterization", lhs, rhs)
