@@ -53,7 +53,7 @@ def _bind_group(expr):
     if isinstance(expr, FiniteGroupExpr):
         try:
             return "finite", make_group(expr.orders)
-        except (ValueError, CapExceeded) as exc:
+        except ValueError as exc:
             raise DslTypeError(str(exc)) from exc
     if isinstance(expr, ZGroupExpr):
         # Z is bound to its reading as the rational group (1,[])

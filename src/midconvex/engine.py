@@ -150,13 +150,7 @@ def trace_in_group(
 
 def verify_theorem1(group: FiniteAbelianGroup, subset: GroupSubset) -> bool:
     """True iff every trace of the set decomposes; equals is_midconvex."""
-    for xi in subset.indices():
-        for gi in range(group.order):
-            try:
-                decompose_trace(_trace(group, subset.mask, xi, gi))
-            except NotMidconvexTrace:
-                return False
-    return True
+    return all(_accepts(_trace(group, subset.mask, xi, gi)) for xi in subset.indices() for gi in range(group.order))
 
 
 def _accepts(trace: PeriodicTrace) -> bool:
@@ -550,7 +544,6 @@ def decompose_rational(
     bounded = RationalMidconvexDescription(window, description.subgroup, x)
 
     chain = cyclic_chain(group, (x, x2), depth)
-    primes = sorted(group.primes)
     grew_last: dict[int, bool] = {}
     prev_lower = prev_upper = prev_gen = None
 
@@ -571,8 +564,8 @@ def decompose_rational(
                 raise NotMidconvex(
                     f"level {step}: subgroup generated by {h_gen} does not extend {prev_gen}"
                 )
-            if primes:
-                grew_last[primes[(step - 1) % len(primes)]] = ratio > 1
+            # the chain refines each level by one inverted prime, or by 1 when it has none
+            grew_last[(chain[step - 1] / g).numerator] = ratio > 1
         prev_lower, prev_upper, prev_gen = lower, upper, h_gen
 
     recovered = RationalGroupDescriptor(h_gen, frozenset(p for p, grew in grew_last.items() if grew))

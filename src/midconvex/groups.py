@@ -281,8 +281,8 @@ class GroupSubset:
     def from_elements(cls, group: FiniteAbelianGroup, elements: Iterable) -> "GroupSubset":
         """The subset of these elements: residue tuples of the group's arity, or a cyclic group's residues.
 
-        Residues are reduced modulo their factor's order and encoded one
-        factor's column at a time, boxing no element.
+        Residues are reduced modulo their factor's order, so every index is
+        in range, and encoded one factor's column at a time, boxing no element.
         """
         elements = list(elements)
         columns = group.residue_columns(elements)
@@ -291,7 +291,7 @@ class GroupSubset:
         indices = itertools.repeat(0, len(elements))
         for column, (stride, n) in zip(columns, group._radix):
             indices = map(add, indices, map(mul, map(mod, column, itertools.repeat(n)), itertools.repeat(stride)))
-        return cls.from_indices(group, indices)
+        return cls(group, mask_of(group.order, indices))
 
     @property
     def size(self) -> int:
@@ -314,10 +314,6 @@ class GroupSubset:
     def __or__(self, other: "GroupSubset") -> "GroupSubset":
         self._check_same_group(other)
         return GroupSubset(self.group, self.mask | other.mask)
-
-    def __and__(self, other: "GroupSubset") -> "GroupSubset":
-        self._check_same_group(other)
-        return GroupSubset(self.group, self.mask & other.mask)
 
     def _check_same_group(self, other: "GroupSubset") -> None:
         if self.group != other.group:

@@ -172,16 +172,20 @@ def _sweep(campaign: str, max_order: int, seed: int, check) -> VerificationRepor
     return report
 
 
-def _subset_label(group: FiniteAbelianGroup, columns: Sequence[int], k: int) -> str:
-    """Subset k of the columns as text, its members in index order."""
-    return "{%s}" % ",".join(group.format_index(i) for i, column in enumerate(columns) if column >> k & 1)
+def _subset_label(names: Sequence[str], columns: Sequence[int], k: int) -> str:
+    """Subset k of the columns as text, its members in index order, element i named names[i]."""
+    return "{%s}" % ",".join(name for name, column in zip(names, columns) if column >> k & 1)
 
 
 def _add_bit_mismatches(report, group, columns, operation: str, lhs: int, rhs: int) -> None:
     """Record subset k as a mismatch wherever bit k of the two readings differs."""
-    for k in set_bits(lhs ^ rhs):
-        label = _subset_label(group, columns, k)
-        report.add_mismatch(group, label, operation, bool(lhs >> k & 1), bool(rhs >> k & 1))
+    differ = lhs ^ rhs
+    if not differ:
+        return
+    name, names = str(group), list(map(group.format_index, range(group.order)))
+    for k in set_bits(differ):
+        label = _subset_label(names, columns, k)
+        report.add_mismatch(name, label, operation, bool(lhs >> k & 1), bool(rhs >> k & 1))
 
 
 def _odd_coset_bits(group: FiniteAbelianGroup, columns: Sequence[int], count: int) -> int:
@@ -269,19 +273,21 @@ def exhaustive_lemma1(max_order: int = 12, *, seed: int = 0) -> VerificationRepo
     The columns, masked to the midconvex bits, are read against every coset
     of every cyclic subgroup at once (engine.lemma1_failures); each failing
     subset and pair of members is reported in the order of its subset, then
-    x, then y.
+    x, then y. Each failing subset is labelled once, however many of its
+    pairs fail.
     """
 
     def check(report, group, columns, count, midconvex):
-        for k, xi, yi in engine.lemma1_failures(group, columns, midconvex):
+        failures = engine.lemma1_failures(group, columns, midconvex)
+        if not failures:
+            return
+        name, names, labels = str(group), list(map(group.format_index, range(group.order))), {}
+        for k, xi, yi in failures:
+            if k not in labels:
+                labels[k] = _subset_label(names, columns, k)
             gi = group.add_index(yi, group.neg_index(xi))
-            report.add_mismatch(
-                group,
-                _subset_label(group, columns, k),
-                f"trace at {group.format_index(xi)} along {group.format_index(gi)} not order-convex",
-                True,
-                False,
-            )
+            operation = f"trace at {names[xi]} along {names[gi]} not order-convex"
+            report.add_mismatch(name, labels[k], operation, True, False)
 
     return _sweep("lemma1", max_order, seed, check)
 
@@ -380,25 +386,25 @@ def roundtrip_theorem3(
         decomposition = None
     if decomposition is not None and decomposition.radius is not None:
         recovered = decomposition.description
+        # the radius is the base's farther reach, at least 0, plus this step
         margin = decomposition.radius - description.subgroup.gen
-        if margin >= 0:
-            # each den's grid is base + num * gen/den, |num| <= 24, cut to the
-            # margin window; both sets are read along it once, in closed form
-            base, rb = description.base, recovered.base
-            window = QIntervalSpec(rb - margin, rb + margin)
-            for den in engine._denominators(group.primes, 2):
-                step = group.gen / den
-                lo, hi = window.lattice_cut(base, step)
-                nums = range(max(lo, -24), min(hi, 24) + 1)
-                grid_checked += len(nums)
-                inside = engine._described_range(description, base, step)
-                recovered_inside = engine._described_range(recovered, base, step)
-                for num in nums:
-                    if _holds(inside, num) != _holds(recovered_inside, num):
-                        r = base + step * num
-                        report.add_mismatch(
-                            group, description, "recovered description disagrees", str(recovered), str(r)
-                        )
+        # each den's grid is base + num * gen/den, |num| <= 24, cut to the
+        # margin window; both sets are read along it once, in closed form
+        base, rb = description.base, recovered.base
+        window = QIntervalSpec(rb - margin, rb + margin)
+        for den in engine._denominators(group.primes, 2):
+            step = group.gen / den
+            lo, hi = window.lattice_cut(base, step)
+            nums = range(max(lo, -24), min(hi, 24) + 1)
+            grid_checked += len(nums)
+            inside = engine._described_range(description, base, step)
+            recovered_inside = engine._described_range(recovered, base, step)
+            for num in nums:
+                if _holds(inside, num) != _holds(recovered_inside, num):
+                    r = base + step * num
+                    report.add_mismatch(
+                        group, description, "recovered description disagrees", str(recovered), str(r)
+                    )
     report.counts = {"samples": samples, "grid_points": grid_checked}
     report.elapsed_s = time.perf_counter() - started
     return report

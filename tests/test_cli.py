@@ -14,6 +14,7 @@ import pytest
 from midconvex import cli, dsl, engine, groups, harness
 from midconvex.errors import NotMidconvex
 from midconvex.groups import GroupSubset, set_bits
+from midconvex.rationals import RationalGroupDescriptor, RationalMidconvexDescription
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -652,6 +653,83 @@ def test_usage_errors_exit_2():
     assert run_text("Z(4); {0}; verify --theorem 3")[0] == 2
     # non-prime in a descriptor
     assert run_text("Q(gen=1, primes=[4]); {0}; check")[0] == 2
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("Z(0); {}; check", "cyclic factor orders must be >= 1, got (0,)"),
+        ("Z(4); {0}@window[0,3]; check", "windows apply to Z sets only"),
+        ("Z; {1}@window[5,2]; check", "empty window [5,2]"),
+        ("Q(gen=1, primes=[]); conv[0,1] ∩ ((1,[]) + 5); check", "base point must lie in the interval"),
+        (
+            "Q(gen=1, primes=[]); conv[0,1] ∩ ((1,[]) + 1/2); check",
+            "description base point is not in the ambient group",
+        ),
+        ("Z(4); {0}; decompose x=1", "decomposition base point must be a member"),
+        ("Q(gen=1, primes=[]); {}; decompose", "cannot decompose the empty set"),
+        ("Q(gen=1, primes=[]); {}; verify --theorem hull", "hull verification needs a nonempty set"),
+        ("Z(4); {0,2}; verify --theorem hull", "hull verification needs an explicit set"),
+    ],
+)
+def test_rejected_inputs_exit_2_with_their_message(text, message):
+    code, output = run_text(text)
+    assert code == cli.EXIT_USAGE
+    assert f"result: error: {message}\n" in output
+
+
+def test_a_group_above_the_order_cap_is_a_resource_exit():
+    code, output = run_text("Z(2097152); {0}; check")
+    assert code == cli.EXIT_RESOURCE
+    assert f"result: resource: group order 2097152 exceeds cap {groups.ORDER_CAP}\n" in output
+
+
+def test_verify_purity_reports_a_planted_formula_fault(monkeypatch):
+    # the formula read flipped disagrees with the sampler on every pair
+    is_two_pure = harness.is_two_pure
+    monkeypatch.setattr(harness, "is_two_pure", lambda sub, group: not is_two_pure(sub, group))
+    text = "Z; {0}@window[0,0]; verify --theorem purity --samples 5 --seed 3"
+    assert "mismatches: 5\n" in run_text(text)[1]
+    code, output = run_text(text, fmt="json")
+    mismatches = json.loads(output)["campaign"]["mismatches"]
+    assert code == cli.EXIT_COUNTEREXAMPLE and len(mismatches) == 5
+    for m in mismatches:
+        assert m["operation"] == "is_two_pure formula vs sampled implication"
+        # lhs is the flipped formula, rhs whether the sampler found no violation
+        assert m["lhs"] != m["rhs"] and (m["violation"] == "None") == m["rhs"]
+    assert mismatches[1] == {
+        "group": "(1,[5])",
+        "subset": "(6,[5])",
+        "operation": "is_two_pure formula vs sampled implication",
+        "lhs": True,
+        "rhs": False,
+        "violation": "3",
+    }
+
+
+def test_verify_hull_reports_candidate_points_outside_a_completed_closure(monkeypatch):
+    # a closure over a third of the generator holds points the oracle never reaches
+    rational_closure = engine.rational_closure
+
+    def too_fine(group, start):
+        c = rational_closure(group, start)
+        return RationalMidconvexDescription(c.interval, RationalGroupDescriptor(c.subgroup.gen / 3), c.base)
+
+    monkeypatch.setattr(engine, "rational_closure", too_fine)
+    code, output = run_text("Q(gen=1, primes=[]); {0,2}; verify --theorem hull", fmt="json")
+    campaign = json.loads(output)["campaign"]
+    assert code == cli.EXIT_COUNTEREXAMPLE and campaign["details"]["oracle_complete"] is True
+    candidate = "conv[0,2] ∩ ((1/3,[]) + 0)"
+    assert campaign["mismatches"] == [
+        {
+            "group": "(1,[])",
+            "subset": "{0,2}",
+            "operation": "candidate point outside completed closure",
+            "lhs": candidate,
+            "rhs": point,
+        }
+        for point in ("1/3", "2/3", "4/3", "5/3")
+    ]
 
 
 def test_json_output_is_stable():

@@ -248,6 +248,15 @@ def test_from_elements_reads_residues_only():
         GroupSubset.from_elements(make_group([6]), [make_group([6]).element([1])])
 
 
+def test_from_elements_reduces_residues_out_of_range():
+    # residues below 0 or at least their factor's order name the reduced element
+    group = make_group([3, 4])
+    elements = [(-1, 7), (3, -4), (5, 2), (0, 0), (-3, 11)]
+    reduced = [r % 3 * 4 + s % 4 for r, s in elements]
+    assert reduced == [11, 0, 10, 0, 3]
+    assert GroupSubset.from_elements(group, elements) == GroupSubset.from_indices(group, reduced)
+
+
 def test_group_subset_translate():
     group = make_group([15])
     subgroup = GroupSubset.from_elements(group, [0, 3, 6, 9, 12])

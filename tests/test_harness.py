@@ -254,6 +254,23 @@ def test_lemma1_mismatches_are_labelled_as_group_elements(monkeypatch):
     assert len(expected) > 100 and report.mismatches == expected
 
 
+def test_lemma1_labels_each_failing_subset_once(monkeypatch):
+    # under the every-third fault above, a failing subset fails at many pairs
+    # of members, and its label is built once for all of them
+    midconvex_bits, subset_label = engine.midconvex_bits, harness._subset_label
+    calls = []
+
+    def counted(names, columns, k):
+        calls.append(k)
+        return subset_label(names, columns, k)
+
+    monkeypatch.setattr(engine, "midconvex_bits", lambda g, c, n: midconvex_bits(g, c, n) | periodic_mask(1, 3, n))
+    monkeypatch.setattr(harness, "_subset_label", counted)
+    report = exhaustive_lemma1(6)
+    failing = {(m["group"], m["subset"]) for m in report.mismatches}
+    assert len(calls) == len(failing) < len(report.mismatches)
+
+
 def test_sweeps_walk_each_coset_once_and_lemma1_reads_no_trace(monkeypatch):
     def refuse(*args):
         pytest.fail("the lemma-1 sweep read a trace")
