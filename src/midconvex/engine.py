@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from itertools import compress, count
+from itertools import compress, count, cycle, islice
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd, inf, lcm, prod
-from operator import sub
+from operator import add, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import CapExceeded, NotMidconvex, NotMidconvexTrace
@@ -40,6 +40,8 @@ _UNBOUNDED_REACH = 64
 # den a product of the inverted primes with exponents up to _DRAW_EXPONENTS.
 _DRAW_NUMERATORS = 50
 _DRAW_EXPONENTS = 4
+# A raw getrandbits word of an exponent draw, randint(0, _DRAW_EXPONENTS), as the exponent; None draws again.
+_EXPONENT_DRAWS = tuple(e if e <= _DRAW_EXPONENTS else None for e in range(1 << (_DRAW_EXPONENTS + 1).bit_length()))
 # Most members that described_members lists.
 _LATTICE_CAP = 500_000
 
@@ -308,7 +310,10 @@ def lemma1_failures(group: FiniteAbelianGroup, columns: Sequence[int], within: i
     generator g: the subsets holding the coset are the AND of its columns,
     and those holding two steps t and t + u, u a unit mod ord(g), but not the
     whole coset fail. A coset where no subset holds two members without the
-    whole is skipped.
+    whole is skipped. A failing word (10,000 bits wide on a sampled group)
+    is expanded by its lowest set bit, one pass over the word per failing
+    subset, unless it holds more than 64, which `set_bits` reads in a few
+    passes over the whole word.
     """
     if not within:
         return []
@@ -330,8 +335,13 @@ def lemma1_failures(group: FiniteAbelianGroup, columns: Sequence[int], within: i
                 for t, column in enumerate(cols):
                     s = (t + u) % period
                     bad = column & cols[s] & ~whole
-                    if bad:
+                    if bad.bit_count() > 64:
                         failures.extend((k, walk[t], walk[s]) for k in set_bits(bad))
+                        continue
+                    while bad:
+                        low = bad & -bad
+                        failures.append((low.bit_length() - 1, walk[t], walk[s]))
+                        bad ^= low
     failures.sort()
     return failures
 
@@ -517,12 +527,18 @@ def decompose_rational(
     Cuts the set once to the window [x - window, x + window], which must
     cover x2, an end closed exactly when the interval holds it, and reads
     the cut on each lattice x + k*g of the chain of cyclic groups seeded
-    with {x, x2}. There it is one progression of k through 0 and (x2 - x)/g,
-    the reading of `_described_range`, so Theorem 1 reads each level in
-    closed form: its step m must be odd, m*g generates the level's subgroup,
-    and its first and last member are the level's ends. Ends and subgroup
-    must grow across levels; an inverted prime of the ambient group joins
-    the recovered subgroup H exactly when its latest refinement enlarged it.
+    with {x, x2}. Every level's step g is M*G, M an integer, with G the
+    deepest step, so the cut is read once, on x + j*G, by
+    `_described_range`: the multiples of mod from first to last (x is a
+    member, so its residue is 0). On the level of g = M*G it is the k with
+    k*M among them, the multiples of m = mod/gcd(M, mod), so Theorem 1 reads
+    each level in closed form, in integers in units of G: its step m must
+    be odd, m*g generates the level's subgroup, and its first and last
+    member, the multiples of M*m next inside first and last, are the
+    level's ends. Ends and subgroup must grow across levels; an inverted
+    prime of the ambient group joins the recovered subgroup H exactly when
+    its latest refinement, the prime M_prev/M, enlarged it. Fractions are
+    built only for the result and for NotMidconvex's reason.
 
     A discrete H keeps the deepest level's ends, both closed. When H inverts
     a prime, x + H is dense, so the level ends converge to those of the cut,
@@ -544,32 +560,36 @@ def decompose_rational(
     bounded = RationalMidconvexDescription(window, description.subgroup, x)
 
     chain = cyclic_chain(group, (x, x2), depth)
+    fine = chain[-1]
+    _, mod, first, last = _described_range(bounded, x, fine)
     grew_last: dict[int, bool] = {}
-    prev_lower = prev_upper = prev_gen = None
+    prev_m = prev_lo = prev_hi = prev_unit = 0
 
     for step, g in enumerate(chain):
-        _, m, first, last = _described_range(bounded, x, g)
+        big_m = g.numerator * fine.denominator // (g.denominator * fine.numerator)
+        m = mod // gcd(big_m, mod)
         if m % 2 == 0:
             raise NotMidconvex(
                 f"level {step} (lattice step {g}): minimal nonzero trace element {m} is even"
             )
-        lower, upper, h_gen = x + g * first, x + g * last, m * g
+        unit = big_m * m
+        lo, hi = -(-first // unit) * unit, last // unit * unit
         if step > 0:
-            if not (lower <= prev_lower and prev_upper <= upper):
+            if not (lo <= prev_lo and prev_hi <= hi):
                 raise NotMidconvex(
-                    f"level {step}: interval [{lower},{upper}] does not extend [{prev_lower},{prev_upper}]"
+                    f"level {step}: interval [{x + fine * lo},{x + fine * hi}] does not extend "
+                    f"[{x + fine * prev_lo},{x + fine * prev_hi}]"
                 )
-            ratio = prev_gen / h_gen
-            if ratio.denominator != 1 or ratio < 1:
+            if prev_unit % unit:
                 raise NotMidconvex(
-                    f"level {step}: subgroup generated by {h_gen} does not extend {prev_gen}"
+                    f"level {step}: subgroup generated by {fine * unit} does not extend {fine * prev_unit}"
                 )
             # the chain refines each level by one inverted prime, or by 1 when it has none
-            grew_last[(chain[step - 1] / g).numerator] = ratio > 1
-        prev_lower, prev_upper, prev_gen = lower, upper, h_gen
+            grew_last[prev_m // big_m] = prev_unit > unit
+        prev_m, prev_lo, prev_hi, prev_unit = big_m, lo, hi, unit
 
-    recovered = RationalGroupDescriptor(h_gen, frozenset(p for p, grew in grew_last.items() if grew))
-    interval = window if recovered.primes else QIntervalSpec(lower, upper)
+    recovered = RationalGroupDescriptor(fine * unit, frozenset(p for p, grew in grew_last.items() if grew))
+    interval = window if recovered.primes else QIntervalSpec(x + fine * lo, x + fine * hi)
     return RationalMidconvexDescription(interval, recovered, base=x)
 
 
@@ -601,58 +621,74 @@ def _draw_numerators(
     Each draw of a value in lo..hi is `Random.randint(lo, hi)`'s own
     `_randbelow` rejection stream, read straight from `rng.getrandbits`:
     getrandbits(k), k the bit length of the width hi - lo + 1, until the value
-    is below the width (a width of 1 still takes at least one word). The
-    drawn points and the generator's state after the draw are those of the
-    randint draw. That stream is the same in CPython 3.10 to 3.13 for any
-    width of at least 1; 3.11 is the only version checked, and the tests pin
-    it there.
+    is below the width (a width of 1 still takes at least one word). So each
+    raw word is read through a table: _EXPONENT_DRAWS, as p**e for each
+    prime, for an exponent, and for a numerator one table per clip window
+    (lo, hi and which of them an open end drops) of the 2**k words, each
+    lo + r, "skip" where an open end drops the point, or None, draw again,
+    past the width. Dens that clip alike share a table; the scale L/den is
+    multiplied once per kept point. The drawn points and the generator's
+    state after the draw are those of the randint draw, on each CPython from
+    3.10 to 3.13; the tests check this on every one installed.
     """
     primes = sorted(subgroup.primes)
     big_l = prod(p**_DRAW_EXPONENTS for p in primes)
-    powers = [[p**e for e in range(_DRAW_EXPONENTS + 1)] for p in primes]
+    e_bits = len(_EXPONENT_DRAWS).bit_length() - 1
+    # a raw word as the power p**e it draws, 0 to draw again
+    powers = [[0 if e is None else p**e for e in _EXPONENT_DRAWS] for p in primes]
     below = None if interval.lower is None else (base - interval.lower) / subgroup.gen
     above = None if interval.upper is None else (interval.upper - base) / subgroup.gen
+    skip = object()
+    tables: dict[tuple[int, int, bool, bool], tuple[list, int]] = {}
 
-    def plan(den: int) -> tuple[int, int, int, int, tuple[int, ...]]:
-        """lo, the width, its bit length, L/den and the open ends' numerators of one den."""
-        lo, hi, skip = -_DRAW_NUMERATORS, _DRAW_NUMERATORS, ()
+    def plan(den: int) -> tuple[list | None, int, int]:
+        """The value table of den's clip window, its word's bit length, and L/den."""
+        lo, hi, drop_lo, drop_hi = -_DRAW_NUMERATORS, _DRAW_NUMERATORS, False, False
         if below is not None:
             q, r = divmod(below.numerator * den, below.denominator)
-            lo = max(lo, -q)
-            if not r and not interval.lower_closed:
-                skip += (-q,)
+            if -q >= lo:
+                lo, drop_lo = -q, not r and not interval.lower_closed
         if above is not None:
             q, r = divmod(above.numerator * den, above.denominator)
-            hi = min(hi, q)
-            if not r and not interval.upper_closed:
-                skip += (q,)
-        width = max(hi - lo + 1, 0)
-        return lo, width, width.bit_length(), big_l // den, skip
+            if q <= hi:
+                hi, drop_hi = q, not r and not interval.upper_closed
+        width = hi - lo + 1
+        if width <= 0:
+            return None, 0, 0
+        window = (lo, hi, drop_lo, drop_hi)
+        if window not in tables:
+            bits = width.bit_length()
+            values: list = [*range(lo, hi + 1), *[None] * ((1 << bits) - width)]
+            # clipped, the point lies in the closed interval; an open end drops the point on it
+            if drop_lo:
+                values[0] = skip
+            if drop_hi:
+                values[width - 1] = skip
+            tables[window] = values, bits
+        return (*tables[window], big_l // den)
 
     getrandbits = rng.getrandbits
-    e_bits = (_DRAW_EXPONENTS + 1).bit_length()
-    plans: dict[int, tuple[int, int, int, int, tuple[int, ...]]] = {}
+    plans: dict[int, tuple[list | None, int, int]] = {}
     nums: list[int] = []
-    attempts = 0
-    while len(nums) < count and attempts < 100 * count:
-        attempts += 1
+    for _ in range(100 * count):
         den = 1
         for table in powers:
-            e = getrandbits(e_bits)
-            while e > _DRAW_EXPONENTS:
-                e = getrandbits(e_bits)
-            den *= table[e]
+            d = table[getrandbits(e_bits)]
+            while not d:
+                d = table[getrandbits(e_bits)]
+            den *= d
         if den not in plans:
             plans[den] = plan(den)
-        lo, width, bits, scale, skip = plans[den]
-        if not width:
+        values, bits, scale = plans[den]
+        if values is None:
             continue
-        r = getrandbits(bits)
-        while r >= width:
-            r = getrandbits(bits)
-        # clipped, the point lies in the closed interval; an open end drops the point on it
-        if lo + r not in skip:
-            nums.append((lo + r) * scale)
+        v = values[getrandbits(bits)]
+        while v is None:
+            v = values[getrandbits(bits)]
+        if v is not skip:
+            nums.append(v * scale)
+            if len(nums) == count:
+                break
     return nums, big_l
 
 
@@ -686,7 +722,9 @@ def _sampled_violation(
     """The sampler's scan, for any description: the first drawn pair whose midpoint is missing.
 
     Pair i is points 2i and 2i + 1 of the `_draw_numerators` draw, cycled
-    when it returns fewer. With base = bn/m and the subgroup's generator
+    when it returns fewer; the pair sums are read in one pass over the
+    cycled draw, and the draw is indexed only to report a violating pair.
+    With base = bn/m and the subgroup's generator
     h = hn/m over one m, a point is base + h*t/L, so a midpoint is
     c = (2L*bn + hn*s)/(2L*m), s the sum of the two numerators. Each test on
     it is one in integers: c is in the group, and c - base = hn*s/(2L*m) in
@@ -706,13 +744,12 @@ def _sampled_violation(
     in_group, in_sub = group.modulus(2 * big_l * m), sub.modulus(2 * big_l * m)
     s_lo, s_hi = interval.lattice_cut(base, h / (2 * big_l))
     s_lo, s_hi = -inf if s_lo is None else s_lo, inf if s_hi is None else s_hi
-    n = len(nums)
-    for i in range(samples):
-        ta, tb = nums[2 * i % n], nums[(2 * i + 1) % n]
-        s = ta + tb
+    points = islice(cycle(nums), 2 * samples)
+    for i, s in enumerate(map(add, points, points)):
         hs = hn * s
         if not (offset + hs) % in_group and (hs % in_sub or not s_lo <= s <= s_hi):
-            a, b = (base + h * Fraction(t, big_l) for t in (ta, tb))
+            n = len(nums)
+            a, b = (base + h * Fraction(nums[j % n], big_l) for j in (2 * i, 2 * i + 1))
             return a, b, (a + b) / 2
     return None
 

@@ -1,7 +1,13 @@
+import os
+import pathlib
+import shutil
+import subprocess
 import sys
 
 import pytest
 from hypothesis import HealthCheck, settings
+
+import midconvex
 
 settings.register_profile(
     "suite",
@@ -22,3 +28,25 @@ def digit_limit():
     sys.set_int_max_str_digits(4300)
     yield 4300
     sys.set_int_max_str_digits(saved)
+
+
+@pytest.fixture
+def installed_python():
+    """Finds `python<version>` on PATH with an environment in which it imports these sources; skips when absent."""
+
+    def find(version: str) -> tuple[str, dict[str, str]]:
+        python = shutil.which(f"python{version}")
+        if python is None:
+            pytest.skip(f"python{version} is not on PATH")
+        # a pyenv shim starts python3.10 only when a 3.10 version is selected
+        src = pathlib.Path(midconvex.__file__).parents[1]
+        env = {**os.environ, "PYENV_VERSION": version, "PYTHONPATH": str(src)}
+        wanted = tuple(map(int, version.split(".")))
+        probe = subprocess.run(
+            [python, "-c", f"import sys; sys.exit(sys.version_info[:2] != {wanted})"], env=env, capture_output=True
+        )
+        if probe.returncode != 0:
+            pytest.skip(f"python{version} on PATH does not start a Python {version}")
+        return python, env
+
+    return find

@@ -3,9 +3,7 @@
 import ast
 import itertools
 import json
-import os
 import pathlib
-import shutil
 import subprocess
 import time
 
@@ -75,18 +73,9 @@ json.dump([cli.run(dsl.parse(text), fmt=fmt)[1] for text, fmt in json.load(sys.s
 """
 
 
-def test_goldens_hold_on_the_declared_python_floor():
+def test_goldens_hold_on_the_declared_python_floor(installed_python):
     # pyproject.toml declares requires-python >= 3.10, so the sources must import and answer there
-    python = shutil.which("python3.10")
-    if python is None:
-        pytest.skip("python3.10 is not on PATH")
-    # a pyenv shim starts python3.10 only when a 3.10 version is selected
-    env = {**os.environ, "PYENV_VERSION": "3.10", "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
-    probe = subprocess.run(
-        [python, "-c", "import sys; sys.exit(sys.version_info[:2] != (3, 10))"], env=env, capture_output=True
-    )
-    if probe.returncode != 0:
-        pytest.skip("python3.10 on PATH does not start a Python 3.10")
+    python, env = installed_python("3.10")
     cases = [(name, text, fmt, ext) for name, text in GOLDEN_CASES for fmt, ext in FORMATS]
     done = subprocess.run(
         [python, "-c", GOLDEN_SCRIPT],

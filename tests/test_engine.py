@@ -2,10 +2,13 @@
 
 import functools
 import hashlib
+import inspect
+import json
 import math
 import pathlib
 import random
 import re
+import subprocess
 import time
 from fractions import Fraction as F
 
@@ -956,6 +959,28 @@ def per_level_decompose_rational(group, description, x, x2, depth, window):
     return RationalMidconvexDescription(QIntervalSpec(lower, upper), recovered, x), h_gen
 
 
+@pytest.mark.parametrize("depth", [3, 30])
+def test_decompose_rational_reads_the_cut_once(monkeypatch, depth):
+    # every level's step is an integer multiple of the deepest one, so a single
+    # reading on the deepest lattice serves all levels
+    reading, calls = engine._described_range, []
+
+    def counted(*args):
+        calls.append(args)
+        return reading(*args)
+
+    monkeypatch.setattr(engine, "_described_range", counted)
+    group = desc(1, [2, 3, 5])
+    interval = QIntervalSpec(F(-7, 3), F(5), False, True)
+    description = RationalMidconvexDescription(interval, desc(3, [2, 3]), F(0))
+    recovered = decompose_rational(group, description, F(0), F(1), depth, F(10))
+    assert recovered == description
+    assert len(calls) == 1
+    with pytest.raises(NotMidconvex, match="is even"):
+        decompose_rational(group, RationalMidconvexDescription(interval, desc(1, [3]), F(0)), F(0), F(1), depth, F(10))
+    assert len(calls) == 2
+
+
 def test_closed_form_levels_match_the_per_level_reading():
     rng = random.Random(11)
     pools = [(), (2,), (3,), (2, 3), (5,), (3, 5), (2, 3, 5)]
@@ -1160,12 +1185,17 @@ DRAW_INTERVALS = {
     "one-point": (F(0), F(0), True, True),
     # den = 1 clips to lo > hi and draws no numerator; larger dens draw
     "short": (F(1, 7), F(2, 7), True, True),
+    # open ends on every den's lattice: den = 1 drops -50 and 1, a larger den clips the
+    # lower end to -50, so the numerator that end drops lies outside the drawn range
+    "open-wide": (F(-50), F(1), False, False),
 }
+DRAW_POOLS = [(), (2,), (3,), (2, 3), (5,), (2, 3, 5, 7)]
+DRAW_COUNTS = (0, 1, 7, 60)
+DRAW_SEEDS = (0, 1, 2)
 
 
-@pytest.mark.parametrize("pool", [(), (2,), (3,), (2, 3), (5,), (2, 3, 5, 7)])
-@pytest.mark.parametrize("kind", sorted(DRAW_INTERVALS))
-def test_draw_numerators_is_the_randint_stream(pool, kind):
+def draw_case(pool, kind):
+    """(subgroup, interval, base) of a DRAW_INTERVALS case."""
     sub, base = desc(F(11, 13), pool), F(-5, 4)
     lower, upper, lower_closed, upper_closed = DRAW_INTERVALS[kind]
     interval = QIntervalSpec(
@@ -1174,10 +1204,62 @@ def test_draw_numerators_is_the_randint_stream(pool, kind):
         lower_closed,
         upper_closed,
     )
-    for seed in (0, 1, 2):
-        fast, slow = random.Random(seed), random.Random(seed)
-        assert engine._draw_numerators(fast, sub, interval, base, 60) == randint_draw(slow, sub, interval, base, 60)
-        assert fast.getstate() == slow.getstate(), seed
+    return sub, interval, base
+
+
+@pytest.mark.parametrize("pool", DRAW_POOLS)
+@pytest.mark.parametrize("kind", sorted(DRAW_INTERVALS))
+def test_draw_numerators_is_the_randint_stream(pool, kind):
+    sub, interval, base = draw_case(pool, kind)
+    for count in DRAW_COUNTS:
+        for seed in DRAW_SEEDS:
+            fast, slow = random.Random(seed), random.Random(seed)
+            drawn = engine._draw_numerators(fast, sub, interval, base, count)
+            assert drawn == randint_draw(slow, sub, interval, base, count), (count, seed)
+            assert fast.getstate() == slow.getstate(), (count, seed)
+
+
+# The draw against its randint reference (whose source is prepended) on cases sent as JSON,
+# each (primes, lower, upper, lower closed, upper closed, count, seed); prints the failing ones.
+DRAW_STREAM_SCRIPT = """
+import json, sys
+from fractions import Fraction
+from midconvex import engine
+from midconvex.rationals import QIntervalSpec, RationalGroupDescriptor
+
+failed = []
+for case in json.load(sys.stdin):
+    primes, lower, upper, lower_closed, upper_closed, count, seed = case
+    sub, base = RationalGroupDescriptor(Fraction(11, 13), frozenset(primes)), Fraction(-5, 4)
+    ends = [None if end is None else Fraction(end) for end in (lower, upper)]
+    interval = QIntervalSpec(*ends, lower_closed, upper_closed)
+    fast, slow = random.Random(seed), random.Random(seed)
+    drawn = engine._draw_numerators(fast, sub, interval, base, count)
+    if drawn != randint_draw(slow, sub, interval, base, count) or fast.getstate() != slow.getstate():
+        failed.append(case)
+json.dump(failed, sys.stdout)
+"""
+
+
+@pytest.mark.parametrize("version", ["3.10", "3.12", "3.13"])
+def test_draw_numerators_is_the_randint_stream_on_each_installed_python(installed_python, version):
+    # randint's _randbelow stream is an implementation detail of each CPython, so the
+    # in-process test covers only the running version
+    python, env = installed_python(version)
+    cases = []
+    for pool in DRAW_POOLS:
+        for kind in sorted(DRAW_INTERVALS):
+            _, interval, _ = draw_case(pool, kind)
+            ends = [None if end is None else str(end) for end in (interval.lower, interval.upper)]
+            for count in DRAW_COUNTS:
+                for seed in DRAW_SEEDS:
+                    cases.append([pool, *ends, interval.lower_closed, interval.upper_closed, count, seed])
+    script = "import math, random\n" + inspect.getsource(randint_draw) + DRAW_STREAM_SCRIPT
+    done = subprocess.run(
+        [python, "-c", script], input=json.dumps(cases), capture_output=True, encoding="utf-8", env=env, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == []
 
 
 def test_callers_of_the_draw_report_as_under_randint(monkeypatch):
@@ -1249,25 +1331,61 @@ def fraction_sampled_violation(description, group, samples, seed):
     return None
 
 
+def seeded_sampler_case(rng, i):
+    """(description, ambient, samples, seed), pools in turn: impure subgroups and bases off the ambient lattice too."""
+    pools = [(), (2,), (3,), (2, 3), (5,), (3, 5), (2, 3, 5)]
+    primes = pools[i % len(pools)]
+    ambient = desc(F(rng.choice([1, 2, 3, 5]), rng.choice([1, 2, 3, 4])), primes)
+    inverted = frozenset(p for p in primes if rng.random() < 0.6)
+    sub = desc(ambient.gen * F(rng.choice([1, 2, 3, 4, 6, 9]), rng.choice([1, 1, 2, 3])), inverted)
+    base = ambient.gen * F(rng.randint(-6, 6), rng.choice([1, 1, 1, 2, 3, 7]))
+    interval = seeded_interval(rng, base, sub.gen)
+    description = RationalMidconvexDescription(interval, sub, base)
+    samples, seed = rng.randint(1, 60), rng.randrange(1 << 31)
+    return description, ambient, samples, seed
+
+
 def test_integer_sampler_matches_the_fraction_scan():
     # impure subgroups and bases off the ambient lattice included, so that
     # every one of the three integer tests decides some pair
     rng = random.Random(23)
-    pools = [(), (2,), (3,), (2, 3), (5,), (3, 5), (2, 3, 5)]
     found = 0
     for i in range(1500):
-        primes = pools[i % len(pools)]
-        ambient = desc(F(rng.choice([1, 2, 3, 5]), rng.choice([1, 2, 3, 4])), primes)
-        inverted = frozenset(p for p in primes if rng.random() < 0.6)
-        sub = desc(ambient.gen * F(rng.choice([1, 2, 3, 4, 6, 9]), rng.choice([1, 1, 2, 3])), inverted)
-        base = ambient.gen * F(rng.randint(-6, 6), rng.choice([1, 1, 1, 2, 3, 7]))
-        interval = seeded_interval(rng, base, sub.gen)
-        description = RationalMidconvexDescription(interval, sub, base)
-        samples, seed = rng.randint(1, 60), rng.randrange(1 << 31)
+        description, ambient, samples, seed = seeded_sampler_case(rng, i)
         got = _sampled_violation(description, ambient, samples, seed)
         assert got == fraction_sampled_violation(description, ambient, samples, seed), (i, str(description))
         found += got is not None
     assert found >= 300, found
+
+
+def test_integer_sampler_cycles_a_short_draw_as_the_fraction_scan(monkeypatch):
+    # a described set's draw never clips away the base's own numerator 0, so every
+    # attempt keeps a point and the draw returns all 2 * samples; cut to an odd
+    # length it is cycled, and a pair reads the last point with the first
+    draw, cut = engine._draw_numerators, {}
+
+    def short(rng, *args):
+        nums, big_l = draw(rng, *args)
+        return nums[: cut["n"]], big_l
+
+    monkeypatch.setattr(engine, "_draw_numerators", short)
+    rng = random.Random(29)
+    cycled = {"violation": 0, "none": 0}
+    for i in range(1200):
+        description, ambient, samples, seed = seeded_sampler_case(rng, i)
+        n = cut["n"] = rng.randrange(1, min(2 * samples, 6), 2)
+        got = _sampled_violation(description, ambient, samples, seed)
+        assert got == fraction_sampled_violation(description, ambient, samples, seed), (i, str(description))
+        points = draw_lattice_points(
+            random.Random(seed), description.subgroup, description.interval, description.base, 2 * samples
+        )
+        assert len(points) == n < 2 * samples
+        pairs = [(points[2 * k % n], points[(2 * k + 1) % n]) for k in range(samples)]
+        if got is None:
+            cycled["none"] += 2 * samples > n + 1
+        else:
+            cycled["violation"] += 2 * pairs.index(got[:2]) + 1 >= n
+    assert min(cycled.values()) >= 30, cycled
 
 
 def test_described_midconvex_witness():
