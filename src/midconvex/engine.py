@@ -40,7 +40,7 @@ _UNBOUNDED_REACH = 64
 # den a product of the inverted primes with exponents up to _DRAW_EXPONENTS.
 _DRAW_NUMERATORS = 50
 _DRAW_EXPONENTS = 4
-# A raw getrandbits word of an exponent draw, randint(0, _DRAW_EXPONENTS), as the exponent; None draws again.
+# Each raw getrandbits word of randint(0, _DRAW_EXPONENTS) as the exponent it draws; None draws again.
 _EXPONENT_DRAWS = tuple(e if e <= _DRAW_EXPONENTS else None for e in range(1 << (_DRAW_EXPONENTS + 1).bit_length()))
 # Most members that described_members lists.
 _LATTICE_CAP = 500_000
@@ -310,10 +310,10 @@ def lemma1_failures(group: FiniteAbelianGroup, columns: Sequence[int], within: i
     generator g: the subsets holding the coset are the AND of its columns,
     and those holding two steps t and t + u, u a unit mod ord(g), but not the
     whole coset fail. A coset where no subset holds two members without the
-    whole is skipped. A failing word (10,000 bits wide on a sampled group)
-    is expanded by its lowest set bit, one pass over the word per failing
-    subset, unless it holds more than 64, which `set_bits` reads in a few
-    passes over the whole word.
+    whole is skipped. A failing word, 10,000 bits wide on a sampled group,
+    is walked by its lowest set bit, one pass over the word per failing
+    subset; one with more than 64 set bits is read whole by `set_bits`,
+    whose few passes then cost less.
     """
     if not within:
         return []
@@ -621,19 +621,20 @@ def _draw_numerators(
     Each draw of a value in lo..hi is `Random.randint(lo, hi)`'s own
     `_randbelow` rejection stream, read straight from `rng.getrandbits`:
     getrandbits(k), k the bit length of the width hi - lo + 1, until the value
-    is below the width (a width of 1 still takes at least one word). So each
-    raw word is read through a table: _EXPONENT_DRAWS, as p**e for each
-    prime, for an exponent, and for a numerator one table per clip window
-    (lo, hi and which of them an open end drops) of the 2**k words, each
-    lo + r, "skip" where an open end drops the point, or None, draw again,
-    past the width. Dens that clip alike share a table; the scale L/den is
-    multiplied once per kept point. The drawn points and the generator's
-    state after the draw are those of the randint draw, on each CPython from
-    3.10 to 3.13; the tests check this on every one installed.
+    is below the width (a width of 1 still takes at least one word). Each raw
+    word is read through a table: an exponent's through _EXPONENT_DRAWS, as
+    the power p**e of its prime, and a numerator's through the table of its
+    den's clip window (lo, hi, and whether an open end drops each), which
+    maps it to lo + r, to a skip where an open end drops the point, or to
+    None, draw again, at or past the width. Dens that clip alike share a
+    table, and the scale L/den is multiplied once per kept point. The drawn
+    points and the generator's state after the draw are those of the randint
+    draw; the tests check this on each CPython from 3.10 to 3.13 that is
+    installed.
     """
     primes = sorted(subgroup.primes)
     big_l = prod(p**_DRAW_EXPONENTS for p in primes)
-    e_bits = len(_EXPONENT_DRAWS).bit_length() - 1
+    e_bits = (_DRAW_EXPONENTS + 1).bit_length()
     # a raw word as the power p**e it draws, 0 to draw again
     powers = [[0 if e is None else p**e for e in _EXPONENT_DRAWS] for p in primes]
     below = None if interval.lower is None else (base - interval.lower) / subgroup.gen
