@@ -312,8 +312,8 @@ def lemma1_failures(group: FiniteAbelianGroup, columns: Sequence[int], within: i
     whole coset fail. A coset where no subset holds two members without the
     whole is skipped. A failing word, 10,000 bits wide on a sampled group,
     is walked by its lowest set bit, one pass over the word per failing
-    subset; one with more than 64 set bits is read whole by `set_bits`,
-    whose few passes then cost less.
+    subset, while it holds at most one set bit per 32 bits; a denser one
+    is read whole by `set_bits`, whose few passes then cost less.
     """
     if not within:
         return []
@@ -335,7 +335,7 @@ def lemma1_failures(group: FiniteAbelianGroup, columns: Sequence[int], within: i
                 for t, column in enumerate(cols):
                     s = (t + u) % period
                     bad = column & cols[s] & ~whole
-                    if bad.bit_count() > 64:
+                    if bad.bit_count() * 32 > bad.bit_length():
                         failures.extend((k, walk[t], walk[s]) for k in set_bits(bad))
                         continue
                     while bad:
@@ -529,13 +529,13 @@ def decompose_rational(
     the cut on each lattice x + k*g of the chain of cyclic groups seeded
     with {x, x2}. Every level's step g is M*G, M an integer, with G the
     deepest step, so the cut is read once, on x + j*G, by
-    `_described_range`: the multiples of mod from first to last (x is a
-    member, so its residue is 0). On the level of g = M*G it is the k with
-    k*M among them, the multiples of m = mod/gcd(M, mod), so Theorem 1 reads
+    `_described_range`: the multiples of mod from lo to hi (x is a member,
+    so its residue is 0). On the level of g = M*G it is the k with k*M
+    among them, the multiples of m = mod/gcd(M, mod), so Theorem 1 reads
     each level in closed form, in integers in units of G: its step m must
     be odd, m*g generates the level's subgroup, and its first and last
-    member, the multiples of M*m next inside first and last, are the
-    level's ends. Ends and subgroup must grow across levels; an inverted
+    member, the multiples of M*m next inside lo and hi, are the level's
+    ends. Ends and subgroup must grow across levels; an inverted
     prime of the ambient group joins the recovered subgroup H exactly when
     its latest refinement, the prime M_prev/M, enlarged it. Fractions are
     built only for the result and for NotMidconvex's reason.
@@ -560,36 +560,37 @@ def decompose_rational(
     bounded = RationalMidconvexDescription(window, description.subgroup, x)
 
     chain = cyclic_chain(group, (x, x2), depth)
-    fine = chain[-1]
-    _, mod, first, last = _described_range(bounded, x, fine)
+    big_g = chain[-1]
+    _, mod, lo, hi = _described_range(bounded, x, big_g)
     grew_last: dict[int, bool] = {}
-    prev_m = prev_lo = prev_hi = prev_unit = 0
+    prev_m = prev_first = prev_last = prev_unit = 0
 
     for step, g in enumerate(chain):
-        big_m = g.numerator * fine.denominator // (g.denominator * fine.numerator)
+        big_m = g.numerator * big_g.denominator // (g.denominator * big_g.numerator)
         m = mod // gcd(big_m, mod)
         if m % 2 == 0:
             raise NotMidconvex(
                 f"level {step} (lattice step {g}): minimal nonzero trace element {m} is even"
             )
+        # the level's ends and its subgroup's generator, in units of G
         unit = big_m * m
-        lo, hi = -(-first // unit) * unit, last // unit * unit
+        first, last = -(-lo // unit) * unit, hi // unit * unit
         if step > 0:
-            if not (lo <= prev_lo and prev_hi <= hi):
+            if not (first <= prev_first and prev_last <= last):
                 raise NotMidconvex(
-                    f"level {step}: interval [{x + fine * lo},{x + fine * hi}] does not extend "
-                    f"[{x + fine * prev_lo},{x + fine * prev_hi}]"
+                    f"level {step}: interval [{x + big_g * first},{x + big_g * last}] does not extend "
+                    f"[{x + big_g * prev_first},{x + big_g * prev_last}]"
                 )
             if prev_unit % unit:
                 raise NotMidconvex(
-                    f"level {step}: subgroup generated by {fine * unit} does not extend {fine * prev_unit}"
+                    f"level {step}: subgroup generated by {big_g * unit} does not extend {big_g * prev_unit}"
                 )
             # the chain refines each level by one inverted prime, or by 1 when it has none
             grew_last[prev_m // big_m] = prev_unit > unit
-        prev_m, prev_lo, prev_hi, prev_unit = big_m, lo, hi, unit
+        prev_m, prev_first, prev_last, prev_unit = big_m, first, last, unit
 
-    recovered = RationalGroupDescriptor(fine * unit, frozenset(p for p, grew in grew_last.items() if grew))
-    interval = window if recovered.primes else QIntervalSpec(x + fine * lo, x + fine * hi)
+    recovered = RationalGroupDescriptor(big_g * unit, frozenset(p for p, grew in grew_last.items() if grew))
+    interval = window if recovered.primes else QIntervalSpec(x + big_g * first, x + big_g * last)
     return RationalMidconvexDescription(interval, recovered, base=x)
 
 
