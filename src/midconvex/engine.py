@@ -14,9 +14,10 @@ from bisect import bisect_left
 from itertools import compress, count, cycle, islice
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, reduce
 from math import ceil, floor, gcd, inf, lcm, prod
-from operator import add, sub
-from typing import Iterable, Iterator, Mapping, Sequence
+from operator import add, and_, or_, sub
+from typing import Iterable, Mapping, Sequence
 
 from .errors import CapExceeded, NotMidconvex, NotMidconvexTrace
 from .groups import (
@@ -97,20 +98,41 @@ def is_midconvex(group: FiniteAbelianGroup, subset: GroupSubset) -> bool:
 def midconvex_bits(group: FiniteAbelianGroup, columns: Sequence[int], count: int) -> int:
     """Bit k is set iff the subset in bit k of the columns is midconvex.
 
-    One pass decides all `count` subsets at once: sums[s] holds the subsets
-    with two members, equal ones included, adding up to s, and a subset
-    fails exactly where it reaches some 2z without containing z.
+    One pass decides all `count` subsets at once. Only a sum s in 2G has a
+    half, so only those are read (_double_sums): the subsets with two
+    members, equal ones included, adding up to s, fail exactly where they
+    miss some z with 2z = s.
     """
-    n = group.order
-    sums = [0] * n
-    for i in range(n):
-        for j in range(i, n):
-            s = group.add_index(i, j)
-            sums[s] |= columns[i] & columns[j]
+    at = columns.__getitem__
     bad = 0
-    for z in range(n):
-        bad |= sums[group.add_index(z, z)] & ~columns[z]
+    for lefts, rights, halves in _double_sums(group):
+        reached = reduce(or_, map(and_, map(at, lefts), map(at, rights)))
+        bad |= reached & ~reduce(and_, map(at, halves))
     return ((1 << count) - 1) & ~bad
+
+
+@cache
+def _double_sums(group: FiniteAbelianGroup) -> tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]], ...]:
+    """Per s in 2G, ascending: (lefts, rights, halves), the pairs i <= j with i + j = s and the z with 2z = s.
+
+    The pairs are held as two index tuples, i in lefts and j in rights. G/2G
+    has exponent 2, so -j lies in j + 2G, and i + j lies in 2G exactly when
+    i and j lie in one coset of 2G: the pairs are read coset by coset.
+    Built once per group and process.
+    """
+    halves = {s: h for s in range(group.order) if (h := group.halving_indices(s))}
+    pairs: dict[int, tuple[list[int], list[int]]] = {s: ([], []) for s in halves}
+    doubles, uncovered = mask_of(group.order, halves), (1 << group.order) - 1
+    while uncovered:
+        coset = group.translate_mask(doubles, least_index(uncovered))
+        uncovered &= ~coset
+        members = list(set_bits(coset))
+        for a, i in enumerate(members):
+            for j in members[a:]:
+                lefts, rights = pairs[group.add_index(i, j)]
+                lefts.append(i)
+                rights.append(j)
+    return tuple((tuple(lefts), tuple(rights), halves[s]) for s, (lefts, rights) in pairs.items())
 
 
 def midconvex_closure(group: FiniteAbelianGroup, subset: GroupSubset) -> GroupSubset:
@@ -152,19 +174,20 @@ def trace_in_group(
 
 def verify_theorem1(group: FiniteAbelianGroup, subset: GroupSubset) -> bool:
     """True iff every trace of the set decomposes; equals is_midconvex."""
-    return all(_accepts(_trace(group, subset.mask, xi, gi)) for xi in subset.indices() for gi in range(group.order))
+    traces = (_trace(group, subset.mask, xi, gi) for xi in subset.indices() for gi in range(group.order))
+    return all(_accepts(decompose_trace, trace) for trace in traces)
 
 
-def _accepts(trace: PeriodicTrace) -> bool:
-    """True iff decompose_trace accepts the trace."""
+def _accepts(verdict, trace: PeriodicTrace) -> bool:
+    """True iff the verdict function, decompose_trace or a stand-in for it, accepts the trace."""
     try:
-        decompose_trace(trace)
+        verdict(trace)
     except NotMidconvexTrace:
         return False
     return True
 
 
-def closed_traces(period: int, exhaustive: bool) -> list[tuple[int, ...]]:
+def closed_traces(period: int, exhaustive: bool) -> tuple[tuple[int, ...], ...]:
     """The patterns Q that a coset of a cyclic subgroup of this order may read along its least generator g.
 
     Each Q comes as its bits, bit r first: whether the walk's r-th step along
@@ -181,7 +204,17 @@ def closed_traces(period: int, exhaustive: bool) -> list[tuple[int, ...]]:
     only when every such reading passes. A unit maps the cosets of a
     subgroup pattern, a class of one, onto each other, so only the other
     classes, which only a faulty verdict passes, are read unit by unit.
+
+    The table is built once per period, exhaustive flag and process for each
+    verdict function: it is keyed on the decompose_trace in force at the
+    call, so a table built under one verdict is never read under another.
     """
+    return _closed_traces(period, exhaustive, decompose_trace)
+
+
+@cache
+def _closed_traces(period: int, exhaustive: bool, verdict) -> tuple[tuple[int, ...], ...]:
+    """closed_traces with the verdicts of the given function."""
     full = (1 << period) - 1
     if exhaustive:
         candidates: Iterable[int] = range(1, 1 << period, 2)
@@ -194,7 +227,7 @@ def closed_traces(period: int, exhaustive: bool) -> list[tuple[int, ...]]:
             continue
         trace_class = sorted({(pattern >> t | pattern << period - t) & full for t in set_bits(pattern)})
         decided.update(trace_class)
-        if all(_accepts(PeriodicTrace(period, p)) for p in trace_class):
+        if all(_accepts(verdict, PeriodicTrace(period, p)) for p in trace_class):
             rotations = {(pattern << t | pattern >> period - t) & full for t in range(period)}
             (kept if len(trace_class) == 1 else unchecked).update(rotations)
     passed = kept | unchecked
@@ -203,33 +236,37 @@ def closed_traces(period: int, exhaustive: bool) -> list[tuple[int, ...]]:
         members = list(set_bits(q))
         if all(mask_of(period, (u * t % period for t in members)) in passed for u in units):
             kept.add(q)
-    return [tuple(q >> r & 1 for r in range(period)) for q in sorted(kept)]
+    return tuple(tuple(q >> r & 1 for r in range(period)) for q in sorted(kept))
 
 
-def _cyclic_subgroups(group: FiniteAbelianGroup) -> Iterator[list[list[int]]]:
+@cache
+def _cyclic_subgroups(group: FiniteAbelianGroup) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Each cyclic subgroup <g> once, by its least generator g, as the walks along g of its cosets.
 
     The first walk is <g> itself from 0, step t at t*g, so the generators
     u*g, u a unit mod ord(g), are marked as seen from it. The walk of each
-    further coset starts at its least index s, step t at s + t*g.
+    further coset starts at its least index s, step t at s + t*g. Built
+    once per group and process.
     """
     n = group.order
     seen = bytearray(n)
+    subgroups = []
     for gi in range(n):
         if seen[gi]:
             continue
-        multiples = list(group.walk(0, gi))
+        multiples = tuple(group.walk(0, gi))
         for u, i in enumerate(multiples):
             if gcd(u, len(multiples)) == 1:
                 seen[i] = 1
         walks, covered = [], bytearray(n)
         for start in range(n):
             if not covered[start]:
-                walk = [group.add_index(start, m) for m in multiples] if walks else multiples
+                walk = tuple(group.add_index(start, m) for m in multiples) if walks else multiples
                 for i in walk:
                     covered[i] = 1
                 walks.append(walk)
-        yield walks
+        subgroups.append(tuple(walks))
+    return tuple(subgroups)
 
 
 def theorem1_bits(

@@ -13,7 +13,9 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache, reduce
 from math import prod
+from operator import and_, or_
 from typing import Iterable, Sequence
 
 from . import engine
@@ -191,40 +193,53 @@ def _add_bit_mismatches(report, group, columns, operation: str, lhs: int, rhs: i
 def _odd_coset_bits(group: FiniteAbelianGroup, columns: Sequence[int], count: int) -> int:
     """Bit k is set iff the subset in bit k of the columns is empty or an odd-index coset.
 
+    Each odd-index subgroup H is read through its cosets (_odd_index_cosets).
+    A subset is empty or one coset of H exactly when it holds each coset
+    whole (the AND of the coset's columns) or not at all (their OR), and
+    holds at most one.
+    """
+    full = (1 << count) - 1
+    at = columns.__getitem__
+    bits = 0
+    for cosets in _odd_index_cosets(group):
+        one = two = mixed = 0
+        for coset in cosets:
+            some = reduce(or_, map(at, coset))
+            mixed |= some & ~reduce(and_, map(at, coset))
+            two |= one & some
+            one |= some
+        bits |= full & ~two & ~mixed
+    return bits
+
+
+@cache
+def _odd_index_cosets(group: FiniteAbelianGroup) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Each odd-index subgroup once, as the index tuples of its cosets; built once per group and process.
+
     The odd-index subgroups are those that contain G_2 (see
     engine.midconvex_closure), walked up from G_2, each once. Each subgroup H
     is tiled by its cosets, each translated from its least uncovered index g,
     and joining each such g to H reaches the subgroups above H (joining any
-    member of g + H gives the same subgroup). A subset is empty or one coset
-    of H exactly when it holds each coset whole (the AND of the coset's
-    columns) or not at all (their OR), and holds at most one.
+    member of g + H gives the same subgroup).
     """
-    full = (1 << count) - 1
-    bits = 0
     sylow2 = sylow2_subgroup(group).mask
-    subgroups, frontier = {sylow2}, [sylow2]
+    subgroups, frontier, tilings = {sylow2}, [sylow2], []
     while frontier:
         h = frontier.pop()
         uncovered = (1 << group.order) - 1
-        one = two = mixed = 0
+        cosets = []
         while uncovered:
             g = least_index(uncovered)
             coset = group.translate_mask(h, g)
             uncovered &= ~coset
-            whole, some = full, 0
-            for i in set_bits(coset):
-                whole &= columns[i]
-                some |= columns[i]
-            mixed |= some & ~whole
-            two |= one & some
-            one |= some
+            cosets.append(tuple(set_bits(coset)))
             if g:
                 joined = subgroup_generated(GroupSubset(group, h | 1 << g)).mask
                 if joined not in subgroups:
                     subgroups.add(joined)
                     frontier.append(joined)
-        bits |= full & ~two & ~mixed
-    return bits
+        tilings.append(tuple(cosets))
+    return tuple(tilings)
 
 
 def exhaustive_theorem2(max_order: int = 12, *, seed: int = 0) -> VerificationReport:
@@ -246,18 +261,18 @@ def exhaustive_theorem1(max_order: int = 10, *, seed: int = 0) -> VerificationRe
     """Midconvexity versus decomposability of every trace.
 
     A trace in a group of order n has a period of at most n. The verdicts of
-    decompose_trace are taken once per call and period, once per rotation
-    class: on every residue pattern up to period EXHAUSTIVE_ORDER_CAP, and
-    above it, where the 2**(period-1) patterns grow too many, on the
-    odd-modulus candidates (see engine.closed_traces). The columns are then
-    read once per cyclic subgroup and coset, along its least generator,
-    against the patterns whose every rotation to a member, read along every
-    generator, is accepted (engine.theorem1_bits).
+    decompose_trace are taken once per period and process for each verdict
+    function, once per rotation class: on every residue pattern up to period
+    EXHAUSTIVE_ORDER_CAP, and above it, where the 2**(period-1) patterns grow
+    too many, on the odd-modulus candidates (see engine.closed_traces). The
+    columns are then read once per cyclic subgroup and coset, along its least
+    generator, against the patterns whose every rotation to a member, read
+    along every generator, is accepted (engine.theorem1_bits).
     """
-    closed: dict[int, list[tuple[int, ...]]] = {}
+    closed: dict[int, tuple[tuple[int, ...], ...]] = {}
 
     def check(report, group, columns, count, midconvex):
-        # groups come in ascending order, so this asks about each period once
+        # groups come in ascending order, so this reads each period's table once
         for period in range(len(closed) + 1, group.order + 1):
             closed[period] = engine.closed_traces(period, period <= EXHAUSTIVE_ORDER_CAP)
         traces = engine.theorem1_bits(group, columns, count, closed)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 import midconvex
+from midconvex import engine, harness
 
 settings.register_profile(
     "suite",
@@ -17,6 +18,18 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+
+@pytest.fixture
+def cold_caches():
+    """The sweeps' per-process tables of group structure, emptied before the test runs; call it to empty them again."""
+
+    def clear():
+        for table in (engine._closed_traces, engine._cyclic_subgroups, engine._double_sums, harness._odd_index_cosets):
+            table.cache_clear()
+
+    clear()
+    return clear
 
 
 @pytest.fixture

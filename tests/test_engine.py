@@ -133,6 +133,30 @@ def test_midconvex_bits_match_the_per_subset_predicate():
         assert midconvex_bits(group, columns, len(masks)) == expected, str(group)
 
 
+def test_midconvex_bits_form_pair_sums_only_at_doubles(monkeypatch, cold_caches):
+    # on a cold table Z(2x2x2x2) forms one sum, 0 = 2G, from its 16 pairs (i, i)
+    sums, add_index = [], FiniteAbelianGroup.add_index
+    monkeypatch.setattr(FiniteAbelianGroup, "add_index", lambda *args: sums.append(add_index(*args)) or sums[-1])
+    group = make_group([2, 2, 2, 2])
+    assert midconvex_bits(group, every_subset_columns(16), 1 << 16).bit_count() == 2
+    assert sums == [0] * 16
+    assert engine._double_sums(group) == ((tuple(range(16)),) * 3,)
+    # seeded masks, each a midconvex closure of up to three members, half of
+    # them with one bit flipped, against the per-subset predicate
+    rng = random.Random(31)
+    for orders in ([2, 2, 8], [4, 4], [2, 16], [3, 9]):
+        group = make_group(orders)
+        masks = []
+        for _ in range(300):
+            start = GroupSubset.from_indices(group, rng.sample(range(group.order), rng.randint(1, 3)))
+            mask = midconvex_closure(group, start).mask
+            masks.append(mask ^ (1 << rng.randrange(group.order)) * rng.randint(0, 1))
+        bits = midconvex_bits(group, transposed_columns(group.order, masks), len(masks))
+        truths = [is_midconvex(group, GroupSubset(group, m)) for m in masks]
+        assert [bits >> k & 1 for k in range(len(masks))] == truths, str(group)
+        assert 0 < sum(truths) < len(masks), str(group)
+
+
 def test_subset_columns_transpose_a_list_of_masks():
     rng = random.Random(3)
     for orders in ([1], [6], [2, 2, 2], [3, 3]):
@@ -442,10 +466,10 @@ def test_theorem1_bits_match_the_references_on_faulty_verdicts(monkeypatch):
                 assert got == expected, (number, str(group))
 
 
-def test_closed_traces_ask_about_each_class_up_to_its_first_rejection(monkeypatch):
+def test_closed_traces_ask_about_each_class_up_to_its_first_rejection(monkeypatch, cold_caches):
     # the classes of period 5: {1}, {3,17}, {5,9}, {7,19,25}, {11,13,21},
     # {15,23,27,29} and {31}, each a pattern's rotations to its members
-    singletons = [(0,) * 5] + [tuple(int(r == t) for r in range(5)) for t in range(5)]
+    singletons = ((0,) * 5,) + tuple(tuple(int(r == t) for r in range(5)) for t in range(5))
     for table, asked_for in [
         # {0,1} and its rotation {0,4} pass as a class, but the unit 2 reads
         # {0,1} as {0,2}, whose class fails: no rotation of {0,1} is kept

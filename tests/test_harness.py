@@ -177,7 +177,32 @@ def test_theorem1_campaign_reports_a_faulty_decompose_trace(monkeypatch):
     assert json.dumps(report.to_dict()) == json.dumps(theorem1_reference(8).to_dict())
 
 
-def test_theorem1_campaign_asks_about_each_trace_once_per_call(monkeypatch):
+def nested_tuples(table):
+    """True iff the table is a tuple whose entries are integers or, in turn, such tuples."""
+    return isinstance(table, tuple) and all(isinstance(t, int) or nested_tuples(t) for t in table)
+
+
+def test_cached_tables_never_serve_a_stale_verdict(monkeypatch, cold_caches):
+    # the trace tables are keyed on the decompose_trace in force: planted
+    # after an honest sweep, then undone, and the same planted first
+    plant_faulty_trace(monkeypatch)
+    planted = json.dumps(theorem1_reference(8).to_dict())
+    monkeypatch.undo()
+    for plant_first in (False, True):
+        cold_caches()
+        if not plant_first:
+            assert exhaustive_theorem1(8).passed
+        plant_faulty_trace(monkeypatch)
+        assert json.dumps(exhaustive_theorem1(8).to_dict()) == planted
+        monkeypatch.undo()
+        assert exhaustive_theorem1(8).passed
+    # and no caller can change a cached table in place
+    group = make_group([2, 6])
+    tables = [engine.closed_traces(8, True), engine._cyclic_subgroups(group), engine._double_sums(group)]
+    assert all(map(nested_tuples, tables + [harness._odd_index_cosets(group)]))
+
+
+def test_theorem1_campaign_asks_about_each_trace_once_per_call(monkeypatch, cold_caches):
     calls = []
     decompose_trace = engine.decompose_trace
 
@@ -193,8 +218,9 @@ def test_theorem1_campaign_asks_about_each_trace_once_per_call(monkeypatch):
         assert len(set(calls)) == len(calls)
         per_call.append(len(calls))
     # one rotation class at a time, up to its first rejected pattern: 251 of
-    # the 1,023 residue patterns that contain 0, for the periods up to 10
-    assert per_call == [251, 251]
+    # the 1,023 residue patterns that contain 0, for the periods up to 10,
+    # asked once per process: the second call reads the same verdict's tables
+    assert per_call == [251, 0]
 
 
 def test_exhaustive_theorem1_to_order_20_in_bounded_time():
@@ -271,7 +297,7 @@ def test_lemma1_labels_each_failing_subset_once(monkeypatch):
     assert len(calls) == len(failing) < len(report.mismatches)
 
 
-def test_sweeps_walk_each_coset_once_and_lemma1_reads_no_trace(monkeypatch):
+def test_sweeps_walk_each_coset_once_and_lemma1_reads_no_trace(monkeypatch, cold_caches):
     def refuse(*args):
         pytest.fail("the lemma-1 sweep read a trace")
 
@@ -279,6 +305,7 @@ def test_sweeps_walk_each_coset_once_and_lemma1_reads_no_trace(monkeypatch):
     monkeypatch.setattr(engine, "lemma1_holds_in_group", refuse)
     assert exhaustive_lemma1(12).passed
 
+    cold_caches()
     walk, cyclic_subgroups = FiniteAbelianGroup.walk, engine._cyclic_subgroups
     # each cyclic subgroup C walked once from 0, and each coset of it read once: order / |C| of them
     subgroups = cosets = 0
@@ -299,12 +326,14 @@ def test_sweeps_walk_each_coset_once_and_lemma1_reads_no_trace(monkeypatch):
 
     monkeypatch.setattr(FiniteAbelianGroup, "walk", recording_walk)
     monkeypatch.setattr(engine, "_cyclic_subgroups", recording)
+    # the walks are taken once per group and process, and shared by both sweeps
+    walks = []
     for sweep in (exhaustive_theorem1, exhaustive_lemma1):
-        walks, read = [], []
+        read = []
         assert sweep(10).passed
-        assert len(set(walks)) == len(walks) == subgroups and {i for _, i, _ in walks} == {0}
         # each coset read is distinct, and cosets of distinct subgroups differ
         assert len(set(read)) == len(read) == cosets
+    assert len(set(walks)) == len(walks) == subgroups and {i for _, i, _ in walks} == {0}
 
 
 class ScriptedDraws:
@@ -454,7 +483,7 @@ def every_odd_index_subgroup(group):
     return {h for h in subgroups if group.order // h.bit_count() % 2 == 1}
 
 
-def test_odd_coset_bits_translate_each_subgroup_once_per_coset(monkeypatch):
+def test_odd_coset_bits_translate_each_subgroup_once_per_coset(monkeypatch, cold_caches):
     translated = []
     translate = FiniteAbelianGroup.translate_mask
 
@@ -478,6 +507,10 @@ def test_odd_coset_bits_translate_each_subgroup_once_per_coset(monkeypatch):
             for d in range(group.order)
         }
         assert sorted(translated) == sorted(every), str(group)
+        # the cosets are translated once per group and process
+        del translated[:]
+        harness._odd_coset_bits(group, columns, count)
+        assert translated == [], str(group)
     # 90 cosets up to order 12, each translated once (248 calls by every element)
     assert calls == 90
 
