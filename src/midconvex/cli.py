@@ -157,7 +157,7 @@ def _decomposition_dict(dec) -> dict:
                 "gen": None,
                 "primes": None,
                 "modulus": modulus,
-                "elements": list(map(group.format_index, indices)),
+                "elements": group.format_indices(indices),
                 "index": dec.index,
             },
             "x": str(dec.base),
@@ -309,7 +309,7 @@ def _run_check(group, set_kind, set_obj, report):
 
 def _run_closure(group, set_kind, set_obj, report):
     if set_kind == "subset":
-        members = list(map(group.format_index, engine.midconvex_closure(group, set_obj).indices()))
+        members = group.format_indices(engine.midconvex_closure(group, set_obj).indices())
     elif set_kind in ("window", "points"):
         closure = engine.rational_closure(group, _points(set_kind, set_obj))
         members = () if closure is None else engine.described_members(closure)

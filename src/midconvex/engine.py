@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from itertools import compress, count, cycle, islice
+from itertools import compress, count, cycle, islice, repeat
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
 from math import ceil, floor, gcd, inf, lcm, prod
-from operator import add, and_, or_, sub
-from typing import Iterable, Mapping, Sequence
+from operator import add, and_, floordiv, mod, mul, or_, sub
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import CapExceeded, NotMidconvex, NotMidconvexTrace
 from .groups import (
@@ -168,8 +168,64 @@ def _trace(group: FiniteAbelianGroup, mask: int, xi: int, gi: int) -> PeriodicTr
 def trace_in_group(
     group: FiniteAbelianGroup, subset: GroupSubset, x: GroupElement, g: GroupElement
 ) -> PeriodicTrace:
-    """Residues n mod ord(g) with x + n*g in X, as a periodic trace."""
-    return _trace(group, subset.mask, group.index_of(x), group.index_of(g))
+    """Residues n mod ord(g) with x + n*g in X, as a periodic trace, read from the members of x + <g>.
+
+    The coset's mask is built by doubling, C <- C | (C + 2^j*g) from C = {x},
+    in about log2 ord(g) translates (all of G when ord(g) = |G|), and cut to
+    X. The n of each member y = x + n*g is solved factor by factor: with
+    c = gcd(g_k, n_k) and p = n_k/c, y_k - x_k = n*g_k (mod n_k) gives
+    n = (y_k - x_k)/c * u (mod p), u the inverse of g_k/c mod p. The factors
+    join through weights w_k, multiples of ord(g)/p with
+    sum_k w_k*g_k/c = 1 (mod ord(g)) (_step_weights): n = sum_k (y_k - x_k)/c * w_k.
+    As w_k*p = 0 (mod ord(g)), (y_k - x_k)/c counts only modulo p, where it
+    equals y // (s*c) - x // (s*c), s the factor's stride: one floor
+    division and one product per member and factor that g moves. The
+    coset's members outside X are solved instead when they are fewer, so the
+    work in Python grows with at most ord(g)/2 members, and not with |G|.
+    `_trace`, the walk of ord(g) steps, is the reference.
+    """
+    xi, gi = group.index_of(x), group.index_of(g)
+    period = group.index_order(gi)
+    if period == group.order:
+        coset = (1 << period) - 1
+    else:
+        coset, reach = 1 << xi, 1
+        while reach < period:
+            coset |= group.translate_mask(coset, group.scale_index(gi, reach))
+            reach *= 2
+    hits = subset.mask & coset
+    flip = 2 * hits.bit_count() > period
+    solved = list(set_bits(coset ^ hits if flip else hits))
+    weights = _step_weights(group, gi, period)
+    steps: Iterable[int] = repeat(-sum(xi // d * w for d, w in weights), len(solved))
+    for d, w in weights:
+        steps = map(add, steps, map(mul, map(floordiv, solved, repeat(d)), repeat(w)))
+    trace = mask_of(period, map(mod, steps, repeat(period)))
+    return PeriodicTrace(period, trace ^ ((1 << period) - 1) if flip else trace)
+
+
+def _step_weights(group: FiniteAbelianGroup, gi: int, period: int) -> list[tuple[int, int]]:
+    """(s*c, w) for each factor that index gi moves, with n*g's n = sum of (i // (s*c)) * w mod period.
+
+    s is the factor's stride, c = gcd(g_k, n_k) and p = n_k/c. The weights
+    keep sum_k w_k*g_k/c = b (mod period), with b dividing the period: from
+    b = period and no weights, each factor's a = period/p * g_k/c joins as
+    y*a = h (mod b), h = gcd(b, a), y the inverse of a/h mod b/h, so that
+    y*a - j*b = h with j = (y*a - h)/b, and the earlier weights are scaled
+    by -j. The gcd of the a's and the period is 1, so b ends at 1.
+    """
+    weights, b = [], period
+    for stride, n in group._radix:
+        c = gcd(gi // stride % n, n)
+        p = n // c
+        if p > 1:
+            a = period // p * (gi // stride % n // c)
+            h = gcd(b, a)
+            y = pow(a // h, -1, b // h)
+            j = (y * a - h) // b
+            weights = [(d, -j * w % period) for d, w in weights] + [(stride * c, y * (period // p) % period)]
+            b = h
+    return weights
 
 
 def verify_theorem1(group: FiniteAbelianGroup, subset: GroupSubset) -> bool:
@@ -347,10 +403,7 @@ def lemma1_failures(group: FiniteAbelianGroup, columns: Sequence[int], within: i
     generator g: the subsets holding the coset are the AND of its columns,
     and those holding two steps t and t + u, u a unit mod ord(g), but not the
     whole coset fail. A coset where no subset holds two members without the
-    whole is skipped. A failing word, 10,000 bits wide on a sampled group,
-    is walked by its lowest set bit, one pass over the word per failing
-    subset, while it holds at most one set bit per 32 bits; a denser one
-    is read whole by `set_bits`, whose few passes then cost less.
+    whole is skipped, and a failing word is read by `set_bits`.
     """
     if not within:
         return []
@@ -372,13 +425,8 @@ def lemma1_failures(group: FiniteAbelianGroup, columns: Sequence[int], within: i
                 for t, column in enumerate(cols):
                     s = (t + u) % period
                     bad = column & cols[s] & ~whole
-                    if bad.bit_count() * 32 > bad.bit_length():
+                    if bad:
                         failures.extend((k, walk[t], walk[s]) for k in set_bits(bad))
-                        continue
-                    while bad:
-                        low = bad & -bad
-                        failures.append((low.bit_length() - 1, walk[t], walk[s]))
-                        bad ^= low
     failures.sort()
     return failures
 
@@ -569,13 +617,16 @@ def decompose_rational(
     `_described_range`: the multiples of mod from lo to hi (x is a member,
     so its residue is 0). On the level of g = M*G it is the k with k*M
     among them, the multiples of m = mod/gcd(M, mod), so Theorem 1 reads
-    each level in closed form, in integers in units of G: its step m must
-    be odd, m*g generates the level's subgroup, and its first and last
-    member, the multiples of M*m next inside lo and hi, are the level's
-    ends. Ends and subgroup must grow across levels; an inverted
-    prime of the ambient group joins the recovered subgroup H exactly when
-    its latest refinement, the prime M_prev/M, enlarged it. Fractions are
-    built only for the result and for NotMidconvex's reason.
+    each level in closed form, in integers in units of G (`_levels`): its
+    step m must be odd, m*g generates the level's subgroup, and its first
+    and last member, the multiples of M*m next inside lo and hi, are the
+    level's ends. The chain refines each level by one prime, or by 1, so
+    each M divides the M before it, and M*m = lcm(M, mod) divides the one
+    before: the subgroup grows and the ends widen by construction, and only
+    an even step rejects. An inverted prime of the ambient group joins the
+    recovered subgroup H exactly when its latest refinement, the prime
+    M_prev/M, enlarged it. Fractions are built only for the result and for
+    NotMidconvex's reason.
 
     A discrete H keeps the deepest level's ends, both closed. When H inverts
     a prime, x + H is dense, so the level ends converge to those of the cut,
@@ -600,35 +651,37 @@ def decompose_rational(
     big_g = chain[-1]
     _, mod, lo, hi = _described_range(bounded, x, big_g)
     grew_last: dict[int, bool] = {}
-    prev_m = prev_first = prev_last = prev_unit = 0
+    prev_m = prev_unit = 0
 
-    for step, g in enumerate(chain):
-        big_m = g.numerator * big_g.denominator // (g.denominator * big_g.numerator)
-        m = mod // gcd(big_m, mod)
+    for step, (g, (big_m, m, unit, first, last)) in enumerate(zip(chain, _levels(chain, mod, lo, hi))):
         if m % 2 == 0:
             raise NotMidconvex(
                 f"level {step} (lattice step {g}): minimal nonzero trace element {m} is even"
             )
-        # the level's ends and its subgroup's generator, in units of G
-        unit = big_m * m
-        first, last = -(-lo // unit) * unit, hi // unit * unit
         if step > 0:
-            if not (first <= prev_first and prev_last <= last):
-                raise NotMidconvex(
-                    f"level {step}: interval [{x + big_g * first},{x + big_g * last}] does not extend "
-                    f"[{x + big_g * prev_first},{x + big_g * prev_last}]"
-                )
-            if prev_unit % unit:
-                raise NotMidconvex(
-                    f"level {step}: subgroup generated by {big_g * unit} does not extend {big_g * prev_unit}"
-                )
             # the chain refines each level by one inverted prime, or by 1 when it has none
             grew_last[prev_m // big_m] = prev_unit > unit
-        prev_m, prev_first, prev_last, prev_unit = big_m, first, last, unit
+        prev_m, prev_unit = big_m, unit
 
     recovered = RationalGroupDescriptor(big_g * unit, frozenset(p for p, grew in grew_last.items() if grew))
     interval = window if recovered.primes else QIntervalSpec(x + big_g * first, x + big_g * last)
     return RationalMidconvexDescription(interval, recovered, base=x)
+
+
+def _levels(chain: Sequence[Fraction], mod: int, lo: int, hi: int) -> Iterator[tuple[int, int, int, int, int]]:
+    """Each level of the chain as (M, m, unit, first, last), in units of its deepest step G.
+
+    The level's step is M*G, and the cut's members on x + j*G are the j in
+    [lo, hi] divisible by mod, so the level's are the multiples of
+    unit = M*m, m = mod/gcd(M, mod), from first, the least at or above lo,
+    to last, the greatest at or below hi.
+    """
+    big_g = chain[-1]
+    for g in chain:
+        big_m = g.numerator * big_g.denominator // (g.denominator * big_g.numerator)
+        m = mod // gcd(big_m, mod)
+        unit = big_m * m
+        yield big_m, m, unit, -(-lo // unit) * unit, hi // unit * unit
 
 
 def _denominators(primes: Iterable[int], max_exponent: int) -> list[int]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from math import gcd, lcm, prod
-from operator import add, mod, mul
+from operator import add, floordiv, mod, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import CapExceeded
@@ -81,6 +81,16 @@ class FiniteAbelianGroup:
             return str(index)
         return "(%s)" % ",".join([str(index // stride % n) for stride, n in self._radix])
 
+    def format_indices(self, indices: Iterable[int]) -> list[str]:
+        """format_index of each index, in order: one column of digits per factor, one % format per element."""
+        indices = list(indices)
+        if len(self._radix) == 1:
+            return list(map(str, indices))
+        text = "(%s)" % ",".join(["%d"] * len(self._radix))
+        repeat = itertools.repeat
+        digits = [map(mod, map(floordiv, indices, repeat(stride)), repeat(n)) for stride, n in self._radix]
+        return list(map(text.__mod__, zip(*digits) if digits else repeat((), len(indices))))
+
     def __iter__(self) -> Iterator["GroupElement"]:
         for residues in itertools.product(*(range(n) for n in self.orders)):
             yield GroupElement(self, residues)
@@ -102,6 +112,10 @@ class FiniteAbelianGroup:
             idx += -(i // stride) % n * stride
         return idx
 
+    def scale_index(self, i: int, k: int) -> int:
+        """Index of k times the element at index i."""
+        return sum(k * (i // stride) % n * stride for stride, n in self._radix)
+
     def _translate(self, mask: int, d: int) -> int:
         """Bitmask of the indices i + d for every index i set in the mask.
 
@@ -113,8 +127,8 @@ class FiniteAbelianGroup:
         for stride, n in self._radix:
             c = d // stride % n
             if c:
-                low = periodic_mask((1 << (n - c) * stride) - 1, n * stride, self.order)
-                mask = (mask & low) << c * stride | (mask & ~low) >> (n - c) * stride
+                low = mask & periodic_mask((1 << (n - c) * stride) - 1, n * stride, self.order)
+                mask = low << c * stride | (mask - low) >> (n - c) * stride
         return mask
 
     # subgroup generation calls _translate, so this name sees only the translates callers ask for
@@ -158,7 +172,8 @@ class FiniteAbelianGroup:
 
 # The mask codec reads and writes a mask through its binary digits, one flag
 # byte per index, linear in the group order; peeling or setting one bit at a
-# time on the integer would copy the whole |G|-bit mask once per member.
+# time on the integer would copy the whole |G|-bit mask once per member, so
+# set_bits peels only a mask of a few members.
 _DIGITS_TO_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 _FLAGS_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
@@ -169,8 +184,31 @@ def _flags(mask: int, width: int = 0) -> bytes:
 
 
 def set_bits(mask: int) -> Iterator[int]:
-    """Positions of the set bits of a mask, ascending."""
+    """Positions of the set bits of a mask, ascending, read in the way its density makes cheapest.
+
+    At most 16 set bits are taken off one at a time, the lowest first, one
+    pass over the mask each. Up to one set bit in five, the binary digits,
+    lowest first, are split on "1": the runs of zeros below each set bit,
+    plus one for each set bit passed, add up to its position. A denser mask
+    is read through its flag bytes. On masks of 200 to 2**20 bits the first
+    two ways cost alike at about 24 set bits, the last two at one in five.
+    """
+    ones = mask.bit_count()
+    if ones <= 16:
+        return _lowest_first(mask)
+    if ones * 5 < mask.bit_length():
+        gaps = format(mask, "b").split("1")
+        gaps.reverse()  # lowest run first; the last is the empty run above the top bit
+        gaps.pop()
+        return map(add, itertools.accumulate(map(len, gaps)), itertools.count())
     return itertools.compress(itertools.count(), _flags(mask))
+
+
+def _lowest_first(mask: int) -> Iterator[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def least_index(mask: int) -> int:

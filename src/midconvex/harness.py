@@ -110,8 +110,9 @@ def _factorize(n: int) -> list[tuple[int, int]]:
     return factors
 
 
-def enumerate_abelian_groups(max_order: int) -> list[FiniteAbelianGroup]:
-    """One representative per isomorphism class per order up to max_order.
+@cache
+def enumerate_abelian_groups(max_order: int) -> tuple[FiniteAbelianGroup, ...]:
+    """One representative per isomorphism class per order up to max_order; built once per max_order and process.
 
     Classes of order n correspond to choices of a partition of the exponent
     for each prime power in n; the representative concatenates the prime
@@ -132,25 +133,40 @@ def enumerate_abelian_groups(max_order: int) -> list[FiniteAbelianGroup]:
             combos = [before + opt for before in combos for opt in options]
         for orders in combos:
             groups.append(make_group(orders))
-    return groups
+    return tuple(groups)
 
 
-def _subset_columns(group: FiniteAbelianGroup, seed: int) -> tuple[list[int], int]:
+def _subset_columns(group: FiniteAbelianGroup, seed: int) -> tuple[Sequence[int], int]:
     """The subsets a sweep decides, bit-sliced: bit k of column i is set iff subset k holds index i.
 
-    Up to EXHAUSTIVE_ORDER_CAP subset k is every k < 2**n, so column i is bit
-    i of k: runs of w = 2**i zeros and w ones, one period of 2w bits repeated
-    up to 2**n bits. Above it column i is the i-th of n seeded
-    getrandbits(SAMPLED_SUBSET_COUNT) draws, so each subset is n independent
-    fair bits: SAMPLED_SUBSET_COUNT uniform draws with replacement, repeats
-    included and each decided and counted.
+    Up to EXHAUSTIVE_ORDER_CAP subset k is every k < 2**n (_every_subset_columns).
+    Above it column i is the i-th of n seeded getrandbits(SAMPLED_SUBSET_COUNT)
+    draws, so each subset is n independent fair bits: SAMPLED_SUBSET_COUNT
+    uniform draws with replacement, repeats included and each decided and
+    counted.
     """
     n = group.order
-    if n <= EXHAUSTIVE_ORDER_CAP or 1 << n <= SAMPLED_SUBSET_COUNT:
-        count = 1 << n
-        return [periodic_mask(((1 << w) - 1) << w, 2 * w, count) for w in (1 << i for i in range(n))], count
+    every = _every_subset_columns(n, EXHAUSTIVE_ORDER_CAP, SAMPLED_SUBSET_COUNT)
+    if every is not None:
+        return every
     rng = random.Random(f"{seed}:{group}")
     return [rng.getrandbits(SAMPLED_SUBSET_COUNT) for _ in range(n)], SAMPLED_SUBSET_COUNT
+
+
+@cache
+def _every_subset_columns(order: int, cap: int, sampled: int) -> tuple[tuple[int, ...], int] | None:
+    """Columns of every subset of `order` indices, and their count 2**order.
+
+    None when order is above cap and 2**order above sampled. Subset k is
+    every k < 2**order, so column i is bit i of k: runs of w = 2**i zeros
+    and w ones, one period of 2w bits repeated up to 2**order bits. Built
+    once per order and process for the cap and sample count in force at the
+    call, so a table is never read under other bounds.
+    """
+    if order > cap and 1 << order > sampled:
+        return None
+    count = 1 << order
+    return tuple(periodic_mask(((1 << w) - 1) << w, 2 * w, count) for w in (1 << i for i in range(order))), count
 
 
 def _sweep(campaign: str, max_order: int, seed: int, check) -> VerificationReport:
@@ -184,7 +200,7 @@ def _add_bit_mismatches(report, group, columns, operation: str, lhs: int, rhs: i
     differ = lhs ^ rhs
     if not differ:
         return
-    name, names = str(group), list(map(group.format_index, range(group.order)))
+    name, names = str(group), group.format_indices(range(group.order))
     for k in set_bits(differ):
         label = _subset_label(names, columns, k)
         report.add_mismatch(name, label, operation, bool(lhs >> k & 1), bool(rhs >> k & 1))
@@ -296,7 +312,7 @@ def exhaustive_lemma1(max_order: int = 12, *, seed: int = 0) -> VerificationRepo
         failures = engine.lemma1_failures(group, columns, midconvex)
         if not failures:
             return
-        name, names, labels = str(group), list(map(group.format_index, range(group.order))), {}
+        name, names, labels = str(group), group.format_indices(range(group.order)), {}
         for k, xi, yi in failures:
             if k not in labels:
                 labels[k] = _subset_label(names, columns, k)

@@ -25,7 +25,11 @@ def cold_caches():
     """The sweeps' per-process tables of group structure, emptied before the test runs; call it to empty them again."""
 
     def clear():
-        for table in (engine._closed_traces, engine._cyclic_subgroups, engine._double_sums, harness._odd_index_cosets):
+        tables = (
+            engine._closed_traces, engine._cyclic_subgroups, engine._double_sums, harness._odd_index_cosets,
+            harness.enumerate_abelian_groups, harness._every_subset_columns,
+        )
+        for table in tables:
             table.cache_clear()
 
     clear()

@@ -358,6 +358,87 @@ def test_trace_walks_in_closed_form_without_add_index(monkeypatch):
     assert calls == []
 
 
+def seeded_trace_cases(seed):
+    """1,280 seeded (group, mask, xi, gi): factors that share primes, Z(1), g = 0 and densities from 0 to 1."""
+    rng = random.Random(seed)
+    shapes = ([1], [12, 18], [4, 6, 10], [2, 2, 4], [9, 27], [3, 5, 7], [64], [6, 10, 15])
+    for orders in shapes:
+        group = make_group(orders)
+        for density in (0, 0.1, 0.5, 0.9, 1):
+            for _ in range(32):
+                mask = sum(1 << i for i in range(group.order) if rng.random() < density)
+                gi = 0 if rng.random() < 0.15 else rng.randrange(group.order)
+                yield group, mask, rng.randrange(group.order), gi
+
+
+def walk_mismatches():
+    """The seeded cases where trace_in_group differs from engine._trace, the walk of ord(g) steps."""
+    mismatches = []
+    for group, mask, xi, gi in seeded_trace_cases(32):
+        trace = trace_in_group(group, GroupSubset(group, mask), group.element_at(xi), group.element_at(gi))
+        if trace != engine._trace(group, mask, xi, gi):
+            mismatches.append((str(group), mask, xi, gi))
+    return mismatches
+
+
+def test_trace_in_group_equals_the_walk_on_seeded_cases():
+    assert walk_mismatches() == []
+
+
+def test_a_closed_form_that_drops_one_member_fails_the_walk_comparison(monkeypatch):
+    # the highest coset member read is lost, as a reader one short would lose it
+    monkeypatch.setattr(engine, "set_bits", lambda mask: list(set_bits(mask))[:-1])
+    assert len(walk_mismatches()) > 100
+
+
+def test_trace_in_group_makes_no_add_index_call(monkeypatch):
+    # the walk stepped once per element; the closed form scales g by index digits
+    calls = []
+    add_index = FiniteAbelianGroup.add_index
+    monkeypatch.setattr(FiniteAbelianGroup, "add_index", lambda self, i, j: calls.append(i) or add_index(self, i, j))
+    for orders, x, g in (([2**18], (3,), (6,)), ([12, 18], (1, 5), (2, 3)), ([4, 6, 10], (3, 1, 4), (1, 5, 9))):
+        group = make_group(orders)
+        full = GroupSubset(group, (1 << group.order) - 1)
+        trace = trace_in_group(group, full, group.element(x), group.element(g))
+        assert trace.mask == (1 << trace.period) - 1
+    assert calls == []
+
+
+def best_of_three(call):
+    times = []
+    for _ in range(3):
+        started = time.perf_counter()
+        result = call()
+        times.append(time.perf_counter() - started)
+    return min(times), result
+
+
+@pytest.mark.parametrize(
+    "case", ["Z(1024x1024) full", "Z(2^20) 20 members by 2^19", "Z(2^20) 20 members by 1", "Z(3)^12"]
+)
+def test_traces_of_large_groups_take_milliseconds(case):
+    # measured on a 2-vCPU Xeon, best of five: the closed form 2.1, 0.1, 5.1
+    # and 1.8 ms; the walk of ord(g) steps 2.9, 3.3, 161 and 1.1 ms. Each
+    # bound is ten times the closed form or more; solving all 2**20 members
+    # of X on the first, not only the 1,024 in x + <g>, took 404 ms
+    rng = random.Random(7)
+    if case == "Z(1024x1024) full":
+        orders, x, g, bound = [1024, 1024], (3, 5), (1, 1), 0.025
+        mask = (1 << 2**20) - 1
+    elif case == "Z(3)^12":
+        orders, x, g, bound = [3] * 12, (0,) * 12, (1,) * 12, 0.02
+        mask = rng.getrandbits(3**12)
+    else:
+        by_half = case.endswith("2^19")
+        orders, x, g, bound = [2**20], (0,), (2**19 if by_half else 1,), 0.002 if by_half else 0.06
+        mask = mask_of(2**20, rng.sample(range(2**20), 20))
+    group = make_group(orders)
+    subset, x, g = GroupSubset(group, mask), group.element(x), group.element(g)
+    elapsed, trace = best_of_three(lambda: trace_in_group(group, subset, x, g))
+    assert trace == engine._trace(group, mask, group.index_of(x), group.index_of(g))
+    assert elapsed < bound, elapsed
+
+
 def test_verify_theorem1_examples():
     g4 = make_group([4])
     assert not verify_theorem1(g4, subset(g4, [0]))
@@ -1045,6 +1126,44 @@ def test_closed_form_levels_match_the_per_level_reading():
         assert not exact.contains(ends.lower - last_step), (i, description)
         assert not exact.contains(ends.upper + last_step), (i, description)
     assert min(outcomes.values()) >= 30, outcomes
+
+
+def test_levels_widen_and_each_unit_divides_the_one_before(monkeypatch):
+    # decompose_rational has no check that the ends widen or that the
+    # subgroup grows: each M divides the M before it, so lcm(M, mod) does
+    # too, and the multiples of a divisor next inside [lo, hi] reach as far
+    levels, read = [], engine._levels
+
+    def recorded(*args):
+        levels.append([])
+        for level in read(*args):
+            levels[-1].append(level)
+            yield level
+
+    monkeypatch.setattr(engine, "_levels", recorded)
+    rng = random.Random(17)
+    pools = [(), (2,), (3,), (2, 3), (5,), (3, 5), (2, 3, 5)]
+    for i in range(350):
+        primes = pools[i % len(pools)]
+        ambient = desc(F(rng.choice([1, 2, 3]), rng.choice([1, 2])), primes)
+        sub = desc(ambient.gen * rng.choice([1, 2, 3, 5, 6]), frozenset(p for p in primes if rng.random() < 0.7))
+        base = ambient.gen * rng.randint(-4, 4)
+        description = RationalMidconvexDescription(seeded_interval(rng, base, sub.gen), sub, base)
+        seconds = [base + sub.gen / d for d in (1, *sorted(sub.primes)) if description.contains(base + sub.gen / d)]
+        if seconds:
+            x2 = rng.choice(seconds)
+            depth, window = rng.randint(1, 6), (x2 - base) + sub.gen * rng.choice([0, 1, 2, 5])
+            try:
+                decompose_rational(ambient, description, base, x2, depth, window)
+            except NotMidconvex:
+                pass
+    grew = widened = 0
+    for chain in levels:
+        for (_, _, prev_unit, prev_first, prev_last), (_, _, unit, first, last) in zip(chain, chain[1:]):
+            assert prev_unit % unit == 0 and first <= prev_first and prev_last <= last
+            grew += unit < prev_unit
+            widened += (first, last) != (prev_first, prev_last)
+    assert len(levels) >= 200 and grew >= 300 and widened >= 50, (len(levels), grew, widened)
 
 
 def test_decomposition_round_trips_seeded_two_pure_descriptions():

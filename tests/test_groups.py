@@ -1,6 +1,7 @@
 """Finite Abelian group arithmetic, subsets, subgroup and index queries."""
 
 import ast
+import itertools
 import pathlib
 import random
 import time
@@ -280,6 +281,43 @@ def test_mask_codec_round_trips():
         GroupSubset.from_indices(make_group([7]), [-1])
 
 
+def test_set_bits_reads_every_density_as_the_flag_bytes_do():
+    # set_bits peels at most 16 set bits, splits a mask of up to one set bit
+    # in five on "1", and reads a denser one through its flag bytes; the
+    # counts straddle each switch and run from empty to full
+    rng = random.Random(20)
+    for width in (0, 1, 64, 10_000, 1 << 20):
+        counts = {0, 1, 16, 17, width // 64, width // 5 - 1, width // 5, width // 5 + 1, width // 2, width - 1, width}
+        for ones in sorted(k for k in counts if 0 <= k <= width):
+            if not width:
+                mask = 0
+            elif 2 * ones <= width:
+                mask = groups.mask_of(width, rng.sample(range(width), ones))
+            else:
+                mask = (1 << width) - 1 ^ groups.mask_of(width, rng.sample(range(width), width - ones))
+            assert mask.bit_count() == ones
+            expected = list(itertools.compress(itertools.count(), groups._flags(mask)))
+            assert list(set_bits(mask)) == expected, (width, ones)
+
+
+def test_format_indices_renders_each_index_as_format_index():
+    for group in [*enumerate_abelian_groups(16), make_group([5] * 5), make_group([])]:
+        indices = list(range(group.order))
+        rendered = [group.format_index(i) for i in indices]
+        assert group.format_indices(indices) == rendered, str(group)
+        assert group.format_indices(iter(indices[::-1])) == rendered[::-1], str(group)
+        assert group.format_indices([]) == []
+
+
+def test_scale_index_matches_repeated_addition():
+    for group in enumerate_abelian_groups(16):
+        for i in range(group.order):
+            multiple = 0
+            for k in range(2 * group.order + 1):
+                assert group.scale_index(i, k) == multiple, (str(group), i, k)
+                multiple = group.add_index(multiple, i)
+
+
 def stepped_translate(group, mask, d):
     """Reference: each member moved by one add_index call."""
     return groups.mask_of(group.order, (group.add_index(i, d) for i in set_bits(mask)))
@@ -392,8 +430,7 @@ def test_trivial_group():
 
 @pytest.mark.parametrize(
     "group",
-    enumerate_abelian_groups(12)
-    + [make_group([9, 27]), make_group([2, 2, 45]), make_group([512]), make_group([4, 3, 45])],
+    [*enumerate_abelian_groups(12), *map(make_group, ([9, 27], [2, 2, 45], [512], [4, 3, 45]))],
     ids=str,
 )
 def test_index_tables_match_element_arithmetic(group):

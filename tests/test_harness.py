@@ -350,6 +350,24 @@ class ScriptedDraws:
         return mask
 
 
+def test_sweep_inputs_are_built_once_and_follow_the_bounds_in_force(monkeypatch, cold_caches):
+    # the group list and the exhaustive columns are per-process tables; the
+    # columns are keyed on the cap and sample count read at the call
+    assert enumerate_abelian_groups(12) is enumerate_abelian_groups(12)
+    assert isinstance(enumerate_abelian_groups(12), tuple)
+    group = make_group([4, 3])
+    every, count = harness._subset_columns(group, 0)
+    assert count == 4096 and harness._subset_columns(group, 5)[0] is every
+    monkeypatch.setattr(harness, "EXHAUSTIVE_ORDER_CAP", 11)
+    monkeypatch.setattr(harness, "SAMPLED_SUBSET_COUNT", 300)
+    columns, count = harness._subset_columns(group, 0)
+    assert count == 300 and len(columns) == 12
+    monkeypatch.setattr(harness, "SAMPLED_SUBSET_COUNT", 4096)
+    assert harness._subset_columns(group, 0) == (every, 4096)
+    monkeypatch.undo()
+    assert harness._subset_columns(group, 0)[0] is every
+
+
 def test_subset_columns_are_the_seeded_column_draws(monkeypatch):
     # above the cap column i is the i-th seeded getrandbits(count) draw, for
     # the honest draws and for scripted ones that hold the zero column, the
