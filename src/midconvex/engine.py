@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import CapExceeded, NotMidconvex, NotMidconvexTrace
 from .groups import (
-    FiniteAbelianGroup, GroupElement, GroupSubset, bit_reader, is_subgroup, least_index, mask_of,
+    FiniteAbelianGroup, GroupElement, GroupSubset, bit_reader, cosets, is_subgroup, least_index, mask_of,
     periodic_mask, set_bits, subgroup_generated, sylow2_subgroup,
 )
 from .intsets import IntWindowSet, PeriodicTrace, decompose_trace, is_order_convex
@@ -122,10 +122,7 @@ def _double_sums(group: FiniteAbelianGroup) -> tuple[tuple[tuple[int, ...], tupl
     """
     halves = {s: h for s in range(group.order) if (h := group.halving_indices(s))}
     pairs: dict[int, tuple[list[int], list[int]]] = {s: ([], []) for s in halves}
-    doubles, uncovered = mask_of(group.order, halves), (1 << group.order) - 1
-    while uncovered:
-        coset = group.translate_mask(doubles, least_index(uncovered))
-        uncovered &= ~coset
+    for _, coset in cosets(group, mask_of(group.order, halves)):
         members = list(set_bits(coset))
         for a, i in enumerate(members):
             for j in members[a:]:
@@ -149,8 +146,8 @@ def midconvex_closure(group: FiniteAbelianGroup, subset: GroupSubset) -> GroupSu
     if not subset.mask:
         return subset
     xi = least_index(subset.mask)
-    shifted = group.translate_mask(subset.mask, group.neg_index(xi))
-    h = subgroup_generated(GroupSubset(group, shifted) | sylow2_subgroup(group))
+    shifted = group.translate_mask(subset.mask, group.scale_index(xi, -1))
+    h = subgroup_generated(GroupSubset(group, shifted | sylow2_subgroup(group).mask))
     return GroupSubset(group, group.translate_mask(h.mask, xi))
 
 
@@ -367,7 +364,7 @@ def decompose_periodic(
         x = group.element_at(least_index(subset.mask))
     if x not in subset:
         raise ValueError("decomposition base point must be a member")
-    shifted = group.translate_mask(subset.mask, group.neg_index(group.index_of(x)))
+    shifted = group.translate_mask(subset.mask, group.scale_index(group.index_of(x), -1))
     candidate = GroupSubset(group, shifted)
     if not is_subgroup(candidate):
         raise NotMidconvex("X - x is not a subgroup")
@@ -388,7 +385,7 @@ def lemma1_holds_in_group(
     xi, yi = group.index_of(x), group.index_of(y)
     if xi == yi:
         raise ValueError("lemma check needs two distinct members")
-    gi = group.add_index(yi, group.neg_index(xi))
+    gi = group.add_index(yi, group.scale_index(xi, -1))
     trace = _trace(group, subset.mask, xi, gi)
     return is_order_convex(trace.mask | trace.mask << trace.period)
 

@@ -75,14 +75,8 @@ class FiniteAbelianGroup:
             return list(zip(*elements))
         return None
 
-    def format_index(self, index: int) -> str:
-        """The element at this index as text: its residue in a cyclic group, else (r1,...,rk)."""
-        if len(self._radix) == 1:
-            return str(index)
-        return "(%s)" % ",".join([str(index // stride % n) for stride, n in self._radix])
-
     def format_indices(self, indices: Iterable[int]) -> list[str]:
-        """format_index of each index, in order: one column of digits per factor, one % format per element."""
+        """Each index as text, in order, a cyclic group's residue or else (r1,...,rk): one % format per element."""
         indices = list(indices)
         if len(self._radix) == 1:
             return list(map(str, indices))
@@ -106,14 +100,8 @@ class FiniteAbelianGroup:
             idx += (i // stride + j // stride) % n * stride
         return idx
 
-    def neg_index(self, i: int) -> int:
-        idx = 0
-        for stride, n in self._radix:
-            idx += -(i // stride) % n * stride
-        return idx
-
     def scale_index(self, i: int, k: int) -> int:
-        """Index of k times the element at index i."""
+        """Index of k times the element at index i; k = -1 negates."""
         return sum(k * (i // stride) % n * stride for stride, n in self._radix)
 
     def _translate(self, mask: int, d: int) -> int:
@@ -277,7 +265,7 @@ class GroupElement:
         return GroupElement(self.group, tuple(k * a for a in self.residues))
 
     def __str__(self) -> str:
-        return self.group.format_index(self.index)
+        return self.group.format_indices((self.index,))[0]
 
     def order(self) -> int:
         """Least n >= 1 with n times this element equal to zero."""
@@ -349,13 +337,15 @@ class GroupSubset:
     def members(self) -> list[GroupElement]:
         return [self.group.element_at(i) for i in self.indices()]
 
-    def __or__(self, other: "GroupSubset") -> "GroupSubset":
-        self._check_same_group(other)
-        return GroupSubset(self.group, self.mask | other.mask)
 
-    def _check_same_group(self, other: "GroupSubset") -> None:
-        if self.group != other.group:
-            raise ValueError("subsets of different groups")
+def cosets(group: FiniteAbelianGroup, h: int) -> Iterator[tuple[int, int]]:
+    """(s, mask) of each coset s + H of the subgroup with mask h, in ascending s, s the coset's least index."""
+    uncovered = (1 << group.order) - 1
+    while uncovered:
+        s = least_index(uncovered)
+        coset = group.translate_mask(h, s)
+        uncovered &= ~coset
+        yield s, coset
 
 
 def _extend_by_cosets(group: FiniteAbelianGroup, gens: int, bound: int) -> int:

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 from . import engine
 from .errors import NotMidconvex
 from .groups import (
-    FiniteAbelianGroup, GroupSubset, least_index, make_group, periodic_mask, set_bits, subgroup_generated,
+    FiniteAbelianGroup, GroupSubset, cosets, make_group, periodic_mask, set_bits, subgroup_generated,
     sylow2_subgroup,
 )
 from .rationals import (
@@ -217,9 +217,9 @@ def _odd_coset_bits(group: FiniteAbelianGroup, columns: Sequence[int], count: in
     full = (1 << count) - 1
     at = columns.__getitem__
     bits = 0
-    for cosets in _odd_index_cosets(group):
+    for tiling in _odd_index_cosets(group):
         one = two = mixed = 0
-        for coset in cosets:
+        for coset in tiling:
             some = reduce(or_, map(at, coset))
             mixed |= some & ~reduce(and_, map(at, coset))
             two |= one & some
@@ -234,27 +234,23 @@ def _odd_index_cosets(group: FiniteAbelianGroup) -> tuple[tuple[tuple[int, ...],
 
     The odd-index subgroups are those that contain G_2 (see
     engine.midconvex_closure), walked up from G_2, each once. Each subgroup H
-    is tiled by its cosets, each translated from its least uncovered index g,
-    and joining each such g to H reaches the subgroups above H (joining any
-    member of g + H gives the same subgroup).
+    is tiled by its cosets g + H, g the least member, and joining each g but
+    0 to H reaches the subgroups above H (joining any member of g + H gives
+    the same subgroup).
     """
     sylow2 = sylow2_subgroup(group).mask
     subgroups, frontier, tilings = {sylow2}, [sylow2], []
     while frontier:
         h = frontier.pop()
-        uncovered = (1 << group.order) - 1
-        cosets = []
-        while uncovered:
-            g = least_index(uncovered)
-            coset = group.translate_mask(h, g)
-            uncovered &= ~coset
-            cosets.append(tuple(set_bits(coset)))
+        tiling = []
+        for g, coset in cosets(group, h):
+            tiling.append(tuple(set_bits(coset)))
             if g:
                 joined = subgroup_generated(GroupSubset(group, h | 1 << g)).mask
                 if joined not in subgroups:
                     subgroups.add(joined)
                     frontier.append(joined)
-        tilings.append(tuple(cosets))
+        tilings.append(tuple(tiling))
     return tuple(tilings)
 
 
@@ -263,10 +259,10 @@ def exhaustive_theorem2(max_order: int = 12, *, seed: int = 0) -> VerificationRe
     midconvex_counts: dict[str, int] = {}
 
     def check(report, group, columns, count, midconvex):
-        cosets = _odd_coset_bits(group, columns, count)
+        odd_cosets = _odd_coset_bits(group, columns, count)
         midconvex_counts[str(group)] = midconvex.bit_count()
         operation = "is_midconvex vs subgroup characterization"
-        _add_bit_mismatches(report, group, columns, operation, midconvex, cosets)
+        _add_bit_mismatches(report, group, columns, operation, midconvex, odd_cosets)
 
     report = _sweep("theorem2", max_order, seed, check)
     report.details["midconvex_counts"] = midconvex_counts
@@ -316,7 +312,7 @@ def exhaustive_lemma1(max_order: int = 12, *, seed: int = 0) -> VerificationRepo
         for k, xi, yi in failures:
             if k not in labels:
                 labels[k] = _subset_label(names, columns, k)
-            gi = group.add_index(yi, group.neg_index(xi))
+            gi = group.add_index(yi, group.scale_index(xi, -1))
             operation = f"trace at {names[xi]} along {names[gi]} not order-convex"
             report.add_mismatch(name, labels[k], operation, True, False)
 

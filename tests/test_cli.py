@@ -659,6 +659,11 @@ def test_usage_errors_exit_2():
         ("Q(gen=1, primes=[]); {}; decompose", "cannot decompose the empty set"),
         ("Q(gen=1, primes=[]); {}; verify --theorem hull", "hull verification needs a nonempty set"),
         ("Z(4); {0,2}; verify --theorem hull", "hull verification needs an explicit set"),
+        # 1/399165290221 = 798330580441/n lies in Z[1/n], but n is a pseudoprime above 2**64
+        (
+            "Q(gen=1, primes=[318665857834031151167461]); {0,1/399165290221}; check",
+            "primality of 318665857834031151167461 is decided only below 2**64",
+        ),
     ],
 )
 def test_rejected_inputs_exit_2_with_their_message(text, message):

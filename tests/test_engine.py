@@ -640,7 +640,7 @@ def test_decompose_periodic_agrees_with_predicate_small():
 
 def doubling_claim_check(group, subset, x):
     """True iff X - x is closed under doubling; holds for midconvex X."""
-    shifted = group.translate_mask(subset.mask, group.neg_index(x.index))
+    shifted = group.translate_mask(subset.mask, group.scale_index(x.index, -1))
     return all(shifted >> group.add_index(a, a) & 1 for a in set_bits(shifted))
 
 

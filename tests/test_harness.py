@@ -1,5 +1,6 @@
 """Differential campaigns: exhaustive sweeps, purity sampling, closure oracle."""
 
+import ast
 import hashlib
 import importlib.util
 import json
@@ -31,7 +32,9 @@ from midconvex.harness import (
 )
 from midconvex.rationals import QIntervalSpec, RationalGroupDescriptor, RationalMidconvexDescription, two_pure_closure
 
-REFS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "refs.py"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+REFS = ROOT / "bench" / "refs.py"
+PACKAGE = ROOT / "src" / "midconvex"
 
 
 def desc(gen, primes=()):
@@ -66,13 +69,13 @@ def transposed_columns(n, masks):
 
 
 def mask_label(group, mask):
-    return "{%s}" % ",".join(map(group.format_index, GroupSubset(group, mask).indices()))
+    return "{%s}" % ",".join(group.format_indices(GroupSubset(group, mask).indices()))
 
 
 def odd_coset_reference(group, mask):
     """Per subset: X - x is a subgroup of odd index for every member x."""
     for xi in GroupSubset(group, mask).indices():
-        shifted = GroupSubset(group, group.translate_mask(mask, group.neg_index(xi)))
+        shifted = GroupSubset(group, group.translate_mask(mask, group.scale_index(xi, -1)))
         if not (is_subgroup(shifted) and shifted.index % 2 == 1):
             return False
     return True
@@ -200,6 +203,27 @@ def test_cached_tables_never_serve_a_stale_verdict(monkeypatch, cold_caches):
     group = make_group([2, 6])
     tables = [engine.closed_traces(8, True), engine._cyclic_subgroups(group), engine._double_sums(group)]
     assert all(map(nested_tuples, tables + [harness._odd_index_cosets(group)]))
+
+
+def cached_tables():
+    """Every module-level function of src/midconvex/ under functools.cache or lru_cache, read off its decorators."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = None
+        for node in ast.parse(path.read_text()).body:
+            decorators = [d.func if isinstance(d, ast.Call) else d for d in getattr(node, "decorator_list", ())]
+            if any(getattr(d, "id", getattr(d, "attr", None)) in ("cache", "lru_cache") for d in decorators):
+                module = module or importlib.import_module(f"midconvex.{path.stem}")
+                yield getattr(module, node.name)
+
+
+def test_cold_caches_empties_every_cached_table(cold_caches):
+    # a table the fixture misses would carry one test's planted fault into the next
+    tables = list(cached_tables())
+    for sweep in (exhaustive_theorem2, exhaustive_theorem1, exhaustive_lemma1):
+        assert sweep(6).passed
+    assert [t.__qualname__ for t in tables if not t.cache_info().currsize] == []
+    cold_caches()
+    assert [t.__qualname__ for t in tables if t.cache_info().currsize] == []
 
 
 def test_theorem1_campaign_asks_about_each_trace_once_per_call(monkeypatch, cold_caches):

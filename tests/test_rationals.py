@@ -31,6 +31,11 @@ def test_is_prime_spot_checks():
     assert not is_prime(1)
     assert is_prime(2**31 - 1)
     assert not is_prime(2**32 + 1)
+    assert is_prime(2**64 - 59)  # the largest prime below 2**64
+    # at and above 2**64 no answer: these two pass all twelve bases, 2 to 37
+    for n in (1 << 64, 399165290221 * 798330580441, 1287836182261 * 2575672364521):
+        with pytest.raises(ValueError, match=r"below 2\*\*64"):
+            is_prime(n)
 
 
 def test_padic_valuation():
