@@ -715,10 +715,12 @@ def _draw_numerators(
     den's clip window (lo, hi, and whether an open end drops each), which
     maps it to lo + r, to a skip where an open end drops the point, or to
     None, draw again, at or past the width. Dens that clip alike share a
-    table, and the scale L/den is multiplied once per kept point. The drawn
-    points and the generator's state after the draw are those of the randint
-    draw; the tests check this on each CPython from 3.10 to 3.13 that is
-    installed.
+    table, and the scale L/den is multiplied once per kept point. A subgroup
+    that inverts no prime has L = 1 and den = 1 on every attempt, so its
+    loop reads numerator words alone, through the one clip window's table,
+    and draws no word when that window is empty. The drawn points and the
+    generator's state after the draw are those of the randint draw; the
+    tests check this on each CPython from 3.10 to 3.13 that is installed.
     """
     primes = sorted(subgroup.primes)
     big_l = prod(p**_DRAW_EXPONENTS for p in primes)
@@ -757,8 +759,21 @@ def _draw_numerators(
         return (*tables[window], big_l // den)
 
     getrandbits = rng.getrandbits
-    plans: dict[int, tuple[list | None, int, int]] = {}
     nums: list[int] = []
+    if not primes:
+        values, bits, _ = plan(1)
+        if values is None:
+            return nums, big_l
+        for _ in range(100 * count):
+            v = values[getrandbits(bits)]
+            while v is None:
+                v = values[getrandbits(bits)]
+            if v is not skip:
+                nums.append(v)
+                if len(nums) == count:
+                    break
+        return nums, big_l
+    plans: dict[int, tuple[list | None, int, int]] = {}
     for _ in range(100 * count):
         den = 1
         for table in powers:
@@ -811,8 +826,8 @@ def _sampled_violation(
     """The sampler's scan, for any description: the first drawn pair whose midpoint is missing.
 
     Pair i is points 2i and 2i + 1 of the `_draw_numerators` draw, cycled
-    when it returns fewer; the pair sums are read in one pass over the
-    cycled draw, and the draw is indexed only to report a violating pair.
+    when it returns fewer; the pair sums are read in one pass, and the draw
+    is indexed only to report a violating pair.
     With base = bn/m and the subgroup's generator
     h = hn/m over one m, a point is base + h*t/L, so a midpoint is
     c = (2L*bn + hn*s)/(2L*m), s the sum of the two numerators. Each test on
@@ -821,6 +836,16 @@ def _sampled_violation(
     c = base + s*h/2L is in the interval when s lies in the interval's lattice
     cut along h/2L. A missing midpoint is one in the group but not in the
     set; Fractions are built only for it.
+
+    The two divisibility tests read s only by its residue class: w divides
+    hn*s - hn*s' exactly when w/gcd(hn, w) divides s - s', so the group's
+    test reads s modulo m1 = in_group/gcd(hn, in_group), the subgroup's
+    modulo m2 = in_sub/gcd(hn, in_sub), and both modulo lcm(m1, m2). When
+    every sum lies in the cut, a pair is a violation exactly when the
+    residue of its sum fails the tests, so the distinct residues decide the
+    whole sample: if none fails, there is no violation. Only when a residue
+    fails or a sum leaves the cut are the pairs scanned in order, so the
+    pair reported is the first violating one.
     """
     sub, interval, base = description.subgroup, description.interval, description.base
     nums, big_l = _draw_numerators(random.Random(seed), sub, interval, base, 2 * samples)
@@ -833,8 +858,17 @@ def _sampled_violation(
     in_group, in_sub = group.modulus(2 * big_l * m), sub.modulus(2 * big_l * m)
     s_lo, s_hi = interval.lattice_cut(base, h / (2 * big_l))
     s_lo, s_hi = -inf if s_lo is None else s_lo, inf if s_hi is None else s_hi
-    points = islice(cycle(nums), 2 * samples)
-    for i, s in enumerate(map(add, points, points)):
+    if len(nums) == 2 * samples:
+        sums = list(map(add, nums[0::2], nums[1::2]))
+    else:
+        points = islice(cycle(nums), 2 * samples)
+        sums = list(map(add, points, points))
+    period = lcm(in_group // gcd(hn, in_group), in_sub // gcd(hn, in_sub))
+    if s_lo <= min(sums) and max(sums) <= s_hi and not any(
+        not (offset + hn * r) % in_group and (hn * r) % in_sub for r in {s % period for s in sums}
+    ):
+        return None
+    for i, s in enumerate(sums):
         hs = hn * s
         if not (offset + hs) % in_group and (hs % in_sub or not s_lo <= s <= s_hi):
             n = len(nums)

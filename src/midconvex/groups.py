@@ -205,9 +205,23 @@ def least_index(mask: int) -> int:
 
 
 def mask_of(order: int, indices: Iterable[int]) -> int:
-    """Mask of a set of this many indices, 0 to order - 1, with the given indices set."""
+    """Mask of a set of this many indices, 0 to order - 1, with the given indices set.
+
+    Up to one index in 32 is set as a bit of packed bytes, eight indices a
+    byte, read as one little-endian integer. More are set as one flag byte
+    each, read as binary digits. On masks of 64 to 2**20 bits the two ways
+    cost alike at about one index in 28.
+    """
+    indices = iter(indices)
+    few = order // 32
+    head = list(itertools.islice(indices, few + 1))
+    if len(head) <= few:
+        packed = bytearray(order + 7 >> 3)
+        for i in head:
+            packed[i >> 3] |= 1 << (i & 7)
+        return int.from_bytes(packed, "little")
     flags = bytearray(order)
-    for i in indices:
+    for i in itertools.chain(head, indices):
         flags[i] = 1
     return int(flags.translate(_FLAGS_TO_DIGITS)[::-1], 2)
 

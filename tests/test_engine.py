@@ -1335,6 +1335,13 @@ DRAW_INTERVALS = {
 DRAW_POOLS = [(), (2,), (3,), (2, 3), (5,), (2, 3, 5, 7)]
 DRAW_COUNTS = (0, 1, 7, 60)
 DRAW_SEEDS = (0, 1, 2)
+# the roundtrip draw's length, over the prime-free loop and over the general loop with one prime
+LONG_DRAW, LONG_DRAW_POOLS = 2000, [(), (2,)]
+
+
+def draw_counts(pool):
+    """The draw lengths checked for a pool: DRAW_COUNTS, and the long draw for the pools that take it."""
+    return DRAW_COUNTS + (LONG_DRAW,) * (pool in LONG_DRAW_POOLS)
 
 
 def draw_case(pool, kind):
@@ -1354,7 +1361,7 @@ def draw_case(pool, kind):
 @pytest.mark.parametrize("kind", sorted(DRAW_INTERVALS))
 def test_draw_numerators_is_the_randint_stream(pool, kind):
     sub, interval, base = draw_case(pool, kind)
-    for count in DRAW_COUNTS:
+    for count in draw_counts(pool):
         for seed in DRAW_SEEDS:
             fast, slow = random.Random(seed), random.Random(seed)
             drawn = engine._draw_numerators(fast, sub, interval, base, count)
@@ -1394,7 +1401,7 @@ def test_draw_numerators_is_the_randint_stream_on_each_installed_python(installe
         for kind in sorted(DRAW_INTERVALS):
             _, interval, _ = draw_case(pool, kind)
             ends = [None if end is None else str(end) for end in (interval.lower, interval.upper)]
-            for count in DRAW_COUNTS:
+            for count in draw_counts(pool):
                 for seed in DRAW_SEEDS:
                     cases.append([pool, *ends, interval.lower_closed, interval.upper_closed, count, seed])
     script = "import math, random\n" + inspect.getsource(randint_draw) + DRAW_STREAM_SCRIPT
@@ -1529,6 +1536,27 @@ def test_integer_sampler_cycles_a_short_draw_as_the_fraction_scan(monkeypatch):
         else:
             cycled["violation"] += 2 * pairs.index(got[:2]) + 1 >= n
     assert min(cycled.values()) >= 30, cycled
+
+
+def test_integer_sampler_scans_in_order_when_a_sum_leaves_the_cut(monkeypatch):
+    # a described set's draw stays in its interval, so every pair sum lies in the
+    # lattice cut and the residue classes decide the sample; pushed past the
+    # interval's ends, some sums leave the cut and the pairs are scanned in order
+    draw = engine._draw_numerators
+
+    def strays(rng, *args):
+        nums, big_l = draw(rng, *args)
+        return [t + 200 * big_l * (k % 5 == 3) - 200 * big_l * (k % 7 == 4) for k, t in enumerate(nums)], big_l
+
+    monkeypatch.setattr(engine, "_draw_numerators", strays)
+    rng = random.Random(31)
+    outside = 0
+    for i in range(600):
+        description, ambient, samples, seed = seeded_sampler_case(rng, i)
+        got = _sampled_violation(description, ambient, samples, seed)
+        assert got == fraction_sampled_violation(description, ambient, samples, seed), (i, str(description))
+        outside += got is not None and not description.interval.contains(got[2])
+    assert outside >= 100, outside
 
 
 def test_described_midconvex_witness():

@@ -322,6 +322,33 @@ def test_set_bits_reads_every_density_as_the_flag_bytes_do():
             assert list(set_bits(mask)) == expected, (width, ones)
 
 
+def flag_byte_mask(width, indices):
+    """Reference: one flag byte per index, read as binary digits."""
+    flags = bytearray(width)
+    for i in indices:
+        flags[i] = 1
+    return int(b"0" + flags.translate(groups._FLAGS_TO_DIGITS)[::-1], 2)
+
+
+def test_mask_of_builds_every_density_as_the_flag_bytes_do():
+    # mask_of packs up to one index in 32 into bytes and sets one flag byte per
+    # index above that; the counts straddle the switch and run from none to all,
+    # and the indices come as an iterator and as a list with some repeated
+    rng = random.Random(21)
+    for width in (0, 1, 64, 10_000, 1 << 20):
+        counts = {0, 1, 2, 16, width // 32 - 1, width // 32, width // 32 + 1, width // 5, width // 2, width - 1, width}
+        for ones in sorted(k for k in counts if 0 <= k <= width):
+            if 2 * ones <= width:
+                indices = rng.sample(range(width), ones)
+            else:
+                left_out = set(rng.sample(range(width), width - ones))
+                indices = [i for i in range(width) if i not in left_out]
+            expected = flag_byte_mask(width, indices)
+            assert expected.bit_count() == ones
+            assert groups.mask_of(width, iter(indices)) == expected, (width, ones)
+            assert groups.mask_of(width, indices[: ones // 2] + indices) == expected, (width, ones)
+
+
 def test_format_indices_renders_the_residues_of_each_index():
     for group in [*enumerate_abelian_groups(16), make_group([5] * 5), make_group([])]:
         indices = list(range(group.order))
@@ -431,7 +458,7 @@ def sets_one_bit(node):
 
 def test_masks_are_built_bit_by_bit_only_in_the_builder():
     # mask |= 1 << i copies the whole |G|-bit mask per bit; groups.mask_of sets
-    # one flag byte per index instead
+    # one bit of a packed byte, or one flag byte, per index instead
     for path in sorted(pathlib.Path(groups.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         builder = set()
