@@ -101,14 +101,18 @@ def midconvex_bits(group: FiniteAbelianGroup, columns: Sequence[int], count: int
     One pass decides all `count` subsets at once. Only a sum s in 2G has a
     half, so only those are read (_double_sums): the subsets with two
     members, equal ones included, adding up to s, fail exactly where they
-    miss some z with 2z = s.
+    miss some z with 2z = s. A subset holding every such z holds the pair
+    (z, z), so the AND of the halves lies inside the OR of the pairs and
+    XOR takes it out: every word stays nonnegative, and column bits at or
+    above `count` are cut from the result.
     """
     at = columns.__getitem__
     bad = 0
     for lefts, rights, halves in _double_sums(group):
         reached = reduce(or_, map(and_, map(at, lefts), map(at, rights)))
-        bad |= reached & ~reduce(and_, map(at, halves))
-    return ((1 << count) - 1) & ~bad
+        bad |= reached ^ reduce(and_, map(at, halves))
+    full = (1 << count) - 1
+    return full ^ (full & bad)
 
 
 @cache
@@ -332,22 +336,32 @@ def theorem1_bits(
     Q, the coset's columns along the walk, and a generator u*g of <g> reads
     Q at u*t. So each cyclic subgroup and each of its cosets is walked once,
     along the least generator, and a coset passes where its columns match
-    one of the patterns closed[ord(g)] exactly (closed_traces).
+    one of the patterns closed[ord(g)] exactly (closed_traces). A subgroup
+    whose table holds all 2**ord(g) patterns passes every coset and is not
+    read; under decompose_trace's verdicts only <0> is one.
+
+    Each column is complemented once per call, within the `count` bits, and
+    each match is an AND down from those bits, so every word stays
+    nonnegative and column bits at or above `count` never reach the result.
     """
+    full = (1 << count) - 1
+    # (missing, member) of each column
+    sides = [(full ^ column, column) for column in columns]
     bad = 0
     for walks in _cyclic_subgroups(group):
         patterns = closed[len(walks[0])]
+        if len(patterns) == 1 << len(walks[0]):
+            continue
         for walk in walks:
-            # (missing, member) columns of the coset, in walk order
-            pairs = [(~columns[i], columns[i]) for i in walk]
+            pairs = [sides[i] for i in walk]
             ok = 0
             for bits in patterns:
-                match = -1
+                match = full
                 for pair, bit in zip(pairs, bits):
                     match &= pair[bit]
                 ok |= match
-            bad |= ~ok
-    return ((1 << count) - 1) & ~bad
+            bad |= full ^ ok
+    return full ^ bad
 
 
 def decompose_periodic(
@@ -400,28 +414,38 @@ def lemma1_failures(group: FiniteAbelianGroup, columns: Sequence[int], within: i
     generator g: the subsets holding the coset are the AND of its columns,
     and those holding two steps t and t + u, u a unit mod ord(g), but not the
     whole coset fail. A coset where no subset holds two members without the
-    whole is skipped, and a failing word is read by `set_bits`.
+    whole is skipped, and a failing word is read by `set_bits`. The trivial
+    subgroup has no unit step (x != y is never a step along 0) and is not
+    read.
+
+    Every column is masked once per call, and the AND of a coset starts from
+    within, so every word stays nonnegative. From period 2 on, a subset
+    holding the whole coset holds two of its members, so the whole lies
+    inside each word it is taken from, and XOR takes it out.
     """
     if not within:
         return []
+    masked = [column & within for column in columns]
     failures = []
     for walks in _cyclic_subgroups(group):
         period = len(walks[0])
         units = [u for u in range(1, period) if gcd(u, period) == 1]
+        if not units:
+            continue
         for walk in walks:
-            cols = [columns[i] & within for i in walk]
+            cols = [masked[i] for i in walk]
             one = two = 0
-            whole = -1
+            whole = within
             for column in cols:
                 two |= one & column
                 one |= column
                 whole &= column
-            if not two & ~whole:
+            if two == whole:
                 continue
             for u in units:
                 for t, column in enumerate(cols):
                     s = (t + u) % period
-                    bad = column & cols[s] & ~whole
+                    bad = (column & cols[s]) ^ whole
                     if bad:
                         failures.extend((k, walk[t], walk[s]) for k in set_bits(bad))
     failures.sort()
@@ -845,7 +869,9 @@ def _sampled_violation(
     residue of its sum fails the tests, so the distinct residues decide the
     whole sample: if none fails, there is no violation. Only when a residue
     fails or a sum leaves the cut are the pairs scanned in order, so the
-    pair reported is the first violating one.
+    pair reported is the first violating one. The least sum is read only
+    when the cut has a lower end, and the greatest only when it has an
+    upper one.
     """
     sub, interval, base = description.subgroup, description.interval, description.base
     nums, big_l = _draw_numerators(random.Random(seed), sub, interval, base, 2 * samples)
@@ -856,18 +882,18 @@ def _sampled_violation(
     offset = 2 * big_l * base.numerator * (m // base.denominator)
     hn = h.numerator * (m // h.denominator)
     in_group, in_sub = group.modulus(2 * big_l * m), sub.modulus(2 * big_l * m)
-    s_lo, s_hi = interval.lattice_cut(base, h / (2 * big_l))
-    s_lo, s_hi = -inf if s_lo is None else s_lo, inf if s_hi is None else s_hi
+    lo, hi = interval.lattice_cut(base, h / (2 * big_l))
     if len(nums) == 2 * samples:
         sums = list(map(add, nums[0::2], nums[1::2]))
     else:
         points = islice(cycle(nums), 2 * samples)
         sums = list(map(add, points, points))
     period = lcm(in_group // gcd(hn, in_group), in_sub // gcd(hn, in_sub))
-    if s_lo <= min(sums) and max(sums) <= s_hi and not any(
+    if (lo is None or lo <= min(sums)) and (hi is None or max(sums) <= hi) and not any(
         not (offset + hn * r) % in_group and (hn * r) % in_sub for r in {s % period for s in sums}
     ):
         return None
+    s_lo, s_hi = -inf if lo is None else lo, inf if hi is None else hi
     for i, s in enumerate(sums):
         hs = hn * s
         if not (offset + hs) % in_group and (hs % in_sub or not s_lo <= s <= s_hi):

@@ -212,7 +212,9 @@ def _odd_coset_bits(group: FiniteAbelianGroup, columns: Sequence[int], count: in
     Each odd-index subgroup H is read through its cosets (_odd_index_cosets).
     A subset is empty or one coset of H exactly when it holds each coset
     whole (the AND of the coset's columns) or not at all (their OR), and
-    holds at most one.
+    holds at most one. The AND lies inside the OR, so XOR takes it out, and
+    the complement is taken within the `count` bits: every word stays
+    nonnegative, and column bits at or above `count` are cut.
     """
     full = (1 << count) - 1
     at = columns.__getitem__
@@ -221,10 +223,10 @@ def _odd_coset_bits(group: FiniteAbelianGroup, columns: Sequence[int], count: in
         one = two = mixed = 0
         for coset in tiling:
             some = reduce(or_, map(at, coset))
-            mixed |= some & ~reduce(and_, map(at, coset))
+            mixed |= some ^ reduce(and_, map(at, coset))
             two |= one & some
             one |= some
-        bits |= full & ~two & ~mixed
+        bits |= full ^ (full & (two | mixed))
     return bits
 
 

@@ -516,7 +516,8 @@ def plant_verdicts(monkeypatch, accepted):
 def test_theorem1_bits_match_the_references_on_faulty_verdicts(monkeypatch):
     # 40 seeded verdict tables that drop accepted patterns and add rejected
     # ones, with 0 in every pattern, over every subset of every group up to
-    # order 8; then two tables planted over Z(5)
+    # order 8; then two tables planted over Z(5), and two that turn
+    # theorem1_bits' skip of a subgroup whose every pattern passes on and off
     rng = random.Random(18)
     periods = range(1, 9)
     honest = {period: set(accepted_traces(period, True)) for period in periods}
@@ -532,6 +533,13 @@ def test_theorem1_bits_match_the_references_on_faulty_verdicts(monkeypatch):
     tables.append({**honest, 5: honest[5] | {0b00011, 0b10001}})
     # {0,1} mod 5 accepted, but not its rotation {0,4}: the class fails at its second member
     tables.append({**honest, 5: honest[5] | {0b00011}})
+    # the full trace of period 1 rejected: <0> is read walk by walk, and no
+    # nonempty subset passes
+    rejects_period_1 = {**honest, 1: set()}
+    # every pattern of period 3 accepted: its table holds all 2**3 patterns,
+    # so the subgroups of order 3 are not read
+    accepts_period_3 = {**honest, 3: set(range(1, 1 << 3, 2))}
+    tables += [rejects_period_1, accepts_period_3]
     groups = enumerate_abelian_groups(8)
     columns = {group: every_subset_columns(group.order) for group in groups}
     for number, table in enumerate(tables):
@@ -545,6 +553,10 @@ def test_theorem1_bits_match_the_references_on_faulty_verdicts(monkeypatch):
             if number % 4 == 0 or number >= 40:
                 expected = sum(1 << k for k in range(count) if verify_theorem1(group, GroupSubset(group, k)))
                 assert got == expected, (number, str(group))
+        if table is rejects_period_1:
+            assert closed[1] == ((0,),)
+        if table is accepts_period_3:
+            assert len(closed[3]) == 1 << 3
 
 
 def test_closed_traces_ask_about_each_class_up_to_its_first_rejection(monkeypatch, cold_caches):

@@ -512,6 +512,24 @@ def test_odd_coset_bits_match_the_per_subset_characterization():
         assert harness._odd_coset_bits(group, columns, count).bit_count() == refs.midconvex_count(group.orders)
 
 
+def test_sweep_kernels_ignore_column_bits_at_or_above_the_count():
+    # seeded junk above the count on every column changes no kernel's result,
+    # exhaustive columns up to order 10 and sampled ones at order 14
+    rng = random.Random(35)
+    closed = {period: engine.closed_traces(period, period <= harness.EXHAUSTIVE_ORDER_CAP) for period in range(1, 15)}
+    groups = [*enumerate_abelian_groups(10), make_group([14]), make_group([2, 7])]
+    for group in groups:
+        columns, count = harness._subset_columns(group, 0)
+        junk = [column | rng.getrandbits(64) << count | 1 << count + 100 for column in columns]
+        full = (1 << count) - 1
+        midconvex = engine.midconvex_bits(group, columns, count)
+        assert engine.midconvex_bits(group, junk, count) == midconvex, str(group)
+        assert engine.theorem1_bits(group, junk, count, closed) == engine.theorem1_bits(group, columns, count, closed)
+        assert harness._odd_coset_bits(group, junk, count) == harness._odd_coset_bits(group, columns, count)
+        for within in (midconvex, full):
+            assert engine.lemma1_failures(group, junk, within) == engine.lemma1_failures(group, columns, within)
+
+
 def every_odd_index_subgroup(group):
     """Reference: every subgroup, each joined with every element, kept where the index is odd."""
     subgroups, frontier = {1}, [1]

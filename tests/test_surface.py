@@ -106,3 +106,21 @@ def test_sweep_columns_stay_integers():
         used = {name for name, _, _ in named(body)}
         assert not used & {"format", "join"}, f"{module}.{function}"
     assert "itemgetter" not in {name for name, _, _ in named(trees["engine"])}
+
+
+def test_sweep_kernels_keep_their_words_nonnegative():
+    # a negative operand sends a big-int AND, OR or XOR through CPython's
+    # two's-complement path, so the kernels complement within the subset
+    # count (full ^ x) and start their ANDs from a nonnegative word: no ~
+    # and no negative integer literal
+    kernels = (
+        ("engine", "midconvex_bits"), ("engine", "theorem1_bits"), ("engine", "lemma1_failures"),
+        ("harness", "_odd_coset_bits"),
+    )
+    trees = {name: ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8")) for name in ("harness", "engine")}
+    for module, function in kernels:
+        (body,) = [node for node in trees[module].body if getattr(node, "name", None) == function]
+        unary = [node for node in ast.walk(body) if isinstance(node, ast.UnaryOp)]
+        inverts = [node.lineno for node in unary if isinstance(node.op, ast.Invert)]
+        negatives = [node.lineno for node in unary if isinstance(node.op, ast.USub) and isinstance(node.operand, ast.Constant)]
+        assert not inverts and not negatives, (f"{module}.{function}", inverts, negatives)
