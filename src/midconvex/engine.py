@@ -35,8 +35,6 @@ from .rationals import (
     two_pure_closure,
 )
 
-# Subgroup steps that a decomposition window reaches on an unbounded side.
-_UNBOUNDED_REACH = 64
 # Bounds of the random lattice draws gen * num / den: |num| <= _DRAW_NUMERATORS,
 # den a product of the inverted primes with exponents up to _DRAW_EXPONENTS.
 _DRAW_NUMERATORS = 50
@@ -49,14 +47,10 @@ _LATTICE_CAP = 500_000
 
 @dataclass(frozen=True)
 class RationalDecomposition:
-    """A recovered description with the refinement depth and the radius of the one window cut.
-
-    Both are None for a singleton, which is described without refinement.
-    """
+    """A recovered description and its refinement depth, None for a singleton, which needs no refinement."""
 
     description: RationalMidconvexDescription
     depth: int | None = None
-    radius: Fraction | None = None
 
 
 @dataclass(frozen=True)
@@ -705,14 +699,6 @@ def _levels(chain: Sequence[Fraction], mod: int, lo: int, hi: int) -> Iterator[t
         yield big_m, m, unit, -(-lo // unit) * unit, hi // unit * unit
 
 
-def _denominators(primes: Iterable[int], max_exponent: int) -> list[int]:
-    """Products of the primes with exponents up to max_exponent, the largest prime's fastest."""
-    dens = [1]
-    for p in sorted(primes):
-        dens = [d * p**e for d in dens for e in range(max_exponent + 1)]
-    return dens
-
-
 def _draw_numerators(
     rng: random.Random,
     subgroup: RationalGroupDescriptor,
@@ -1016,12 +1002,12 @@ def decompose_rational_set(
     The base `x` (by default the description's base, the least point of a
     finite set) must be a member; the lower of it and its coarsest
     neighbour, the first hit of `_probe_members`, becomes the base of
-    `decompose_rational`. That runs at depth 3 * max(1, |P|) on a window
-    reaching one subgroup step past the farther end of the set, an unbounded
-    end counting as _UNBOUNDED_REACH steps away. So only an unbounded side
-    reaches the window's edge, and it is reported as unbounded; a finite end
-    comes back exact, with its closedness. A set without a second point is
-    the singleton [x, x].
+    `decompose_rational`. That runs at depth 3 * max(1, |P|) on the window
+    [x - r, x + r], r one subgroup step more than the distance to the
+    farther finite end of the set, or one step when it has none. So only an
+    unbounded side reaches the window's edge, and it is reported as
+    unbounded; a finite end comes back exact, with its closedness. A set
+    without a second point is the singleton [x, x].
     """
     if isinstance(members, RationalMidconvexDescription):
         description, witness = members, described_midconvex_witness(members, group)
@@ -1041,12 +1027,11 @@ def decompose_rational_set(
         return RationalDecomposition(RationalMidconvexDescription(QIntervalSpec(x, x), group, x))
     base, x2 = min(x, second), max(x, second)
     lo, hi, step = description.interval.lower, description.interval.upper, description.subgroup.gen
-    far = _UNBOUNDED_REACH * step
-    radius = max(far if hi is None else hi - base, far if lo is None else base - lo) + step
+    radius = max(0 if hi is None else hi - base, 0 if lo is None else base - lo) + step
     depth = 3 * max(1, len(group.primes))
     recovered = decompose_rational(group, description, base, x2, depth, radius)
     cut = recovered.interval
     ends = (None if lo is None else cut.lower, None if hi is None else cut.upper)
     interval = QIntervalSpec(*ends, cut.lower_closed, cut.upper_closed)
     reported = RationalMidconvexDescription(interval, recovered.subgroup, base)
-    return RationalDecomposition(reported, depth, radius)
+    return RationalDecomposition(reported, depth)

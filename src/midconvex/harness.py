@@ -139,32 +139,28 @@ def enumerate_abelian_groups(max_order: int) -> tuple[FiniteAbelianGroup, ...]:
 def _subset_columns(group: FiniteAbelianGroup, seed: int) -> tuple[Sequence[int], int]:
     """The subsets a sweep decides, bit-sliced: bit k of column i is set iff subset k holds index i.
 
-    Up to EXHAUSTIVE_ORDER_CAP subset k is every k < 2**n (_every_subset_columns).
-    Above it column i is the i-th of n seeded getrandbits(SAMPLED_SUBSET_COUNT)
-    draws, so each subset is n independent fair bits: SAMPLED_SUBSET_COUNT
-    uniform draws with replacement, repeats included and each decided and
-    counted.
+    Up to EXHAUSTIVE_ORDER_CAP, or while 2**n is at most SAMPLED_SUBSET_COUNT,
+    subset k is every k < 2**n (_every_subset_columns). Above both, column i
+    is the i-th of n seeded getrandbits(SAMPLED_SUBSET_COUNT) draws, so each
+    subset is n independent fair bits: SAMPLED_SUBSET_COUNT uniform draws
+    with replacement, repeats included and each decided and counted.
     """
     n = group.order
-    every = _every_subset_columns(n, EXHAUSTIVE_ORDER_CAP, SAMPLED_SUBSET_COUNT)
-    if every is not None:
-        return every
+    if n <= EXHAUSTIVE_ORDER_CAP or 1 << n <= SAMPLED_SUBSET_COUNT:
+        return _every_subset_columns(n)
     rng = random.Random(f"{seed}:{group}")
     return [rng.getrandbits(SAMPLED_SUBSET_COUNT) for _ in range(n)], SAMPLED_SUBSET_COUNT
 
 
 @cache
-def _every_subset_columns(order: int, cap: int, sampled: int) -> tuple[tuple[int, ...], int] | None:
-    """Columns of every subset of `order` indices, and their count 2**order.
+def _every_subset_columns(order: int) -> tuple[tuple[int, ...], int]:
+    """Columns of every subset of `order` indices, and their count 2**order; built once per order and process.
 
-    None when order is above cap and 2**order above sampled. Subset k is
-    every k < 2**order, so column i is bit i of k: runs of w = 2**i zeros
-    and w ones, one period of 2w bits repeated up to 2**order bits. Built
-    once per order and process for the cap and sample count in force at the
-    call, so a table is never read under other bounds.
+    Subset k is every k < 2**order, so column i is bit i of k: runs of
+    w = 2**i zeros and w ones, one period of 2w bits repeated up to
+    2**order bits. The columns do not depend on the caps, which only
+    decide whether a sweep reads them.
     """
-    if order > cap and 1 << order > sampled:
-        return None
     count = 1 << order
     return tuple(periodic_mask(((1 << w) - 1) << w, 2 * w, count) for w in (1 << i for i in range(order))), count
 
@@ -381,12 +377,37 @@ def sample_two_purity(trials: int = 100, seed: int = 0) -> VerificationReport:
     return report
 
 
-def _holds(reading, k: int) -> bool:
-    """Whether k is in a reading (r, m, first, last) of `engine._described_range`; None holds none."""
-    if reading is None:
+def _same_set(a: RationalMidconvexDescription, b: RationalMidconvexDescription) -> bool:
+    """Whether two descriptions C ∩ (H + x) denote one set, decided in closed form.
+
+    Two finite sets are the members base + k*gen of their lattice cuts, each
+    fixed by its least and greatest member and its count. An infinite set
+    fixes its subgroup, the group its differences generate, and its coset.
+    A discrete H then leaves the extreme members along gen to compare. A
+    dense coset meets every interval, so the ends must be equal, and an
+    end's closedness counts only where the end lies in the coset. A finite
+    set fails that comparison with an infinite one: with a discrete H it is
+    bounded and the other is not, with a dense H it is a point and the
+    other is not.
+    """
+    cuts = engine._finite_cut(a), engine._finite_cut(b)
+    if None not in cuts:
+        (i, j), (k, l) = cuts
+        ga, gb = a.subgroup.gen, b.subgroup.gen
+        return (a.base + i * ga, a.base + j * ga, j - i) == (b.base + k * gb, b.base + l * gb, l - k)
+    h = a.subgroup
+    if h != b.subgroup or not h.contains(b.base - a.base):
         return False
-    r, m, first, last = reading
-    return (k - r) % m == 0 and (first is None or first <= k) and (last is None or k <= last)
+    if not h.primes:
+        return a.interval.lattice_cut(a.base, h.gen) == b.interval.lattice_cut(a.base, h.gen)
+
+    def ends(c: QIntervalSpec) -> tuple:
+        return tuple(
+            (end, end is not None and closed and h.contains(end - a.base))
+            for end, closed in ((c.lower, c.lower_closed), (c.upper, c.upper_closed))
+        )
+
+    return ends(a.interval) == ends(b.interval)
 
 
 def roundtrip_theorem3(
@@ -397,8 +418,9 @@ def roundtrip_theorem3(
 ) -> VerificationReport:
     """Sampled midpoint check plus decomposition round trip of a description.
 
-    The recovered description must agree with the original on a grid of
-    points within one subgroup step inside the decomposition window.
+    The recovered description must denote the same set as the original,
+    which `_same_set` decides exactly; a failing round trip is one mismatch
+    with the recovered description as lhs and the original as rhs.
     """
     started = time.perf_counter()
     report = VerificationReport("theorem3", seed=seed)
@@ -406,35 +428,15 @@ def roundtrip_theorem3(
     if violation is not None:
         pair, midpoint = "(%s,%s)" % violation[:2], str(violation[2])
         report.add_mismatch(group, description, "midpoint escaped the described set", pair, midpoint)
-    grid_checked = 0
     try:
-        decomposition = engine.decompose_rational_set(group, description)
+        recovered = engine.decompose_rational_set(group, description).description
     except NotMidconvex as exc:
         witness = None if exc.witness is None else "(%s,%s,%s)" % exc.witness
         report.add_mismatch(group, description, "decomposition rejected the set", exc.reason, witness)
-        decomposition = None
-    if decomposition is not None and decomposition.radius is not None:
-        recovered = decomposition.description
-        # the radius is the base's farther reach, at least 0, plus this step
-        margin = decomposition.radius - description.subgroup.gen
-        # each den's grid is base + num * gen/den, |num| <= 24, cut to the
-        # margin window; both sets are read along it once, in closed form
-        base, rb = description.base, recovered.base
-        window = QIntervalSpec(rb - margin, rb + margin)
-        for den in engine._denominators(group.primes, 2):
-            step = group.gen / den
-            lo, hi = window.lattice_cut(base, step)
-            nums = range(max(lo, -24), min(hi, 24) + 1)
-            grid_checked += len(nums)
-            inside = engine._described_range(description, base, step)
-            recovered_inside = engine._described_range(recovered, base, step)
-            for num in nums:
-                if _holds(inside, num) != _holds(recovered_inside, num):
-                    r = base + step * num
-                    report.add_mismatch(
-                        group, description, "recovered description disagrees", str(recovered), str(r)
-                    )
-    report.counts = {"samples": samples, "grid_points": grid_checked}
+    else:
+        if not _same_set(recovered, description):
+            report.add_mismatch(group, description, "recovered description disagrees", str(recovered), str(description))
+    report.counts = {"samples": samples}
     report.elapsed_s = time.perf_counter() - started
     return report
 

@@ -893,7 +893,22 @@ def test_verify_theorem3_reports_a_rejected_decomposition(monkeypatch):
     )
     report = json.loads(out)
     assert code == cli.EXIT_COUNTEREXAMPLE and report["result"] == "fail"
-    assert report["campaign"]["counts"]["grid_points"] == 0
+    assert report["campaign"]["counts"] == {"samples": 10}
     [mismatch] = report["campaign"]["mismatches"]
     assert mismatch["operation"] == "decomposition rejected the set"
     assert mismatch["rhs"] == "(0,2,1)"
+
+
+def test_verify_theorem3_over_eleven_primes_is_fast():
+    # the round trip is compared in closed form, so its cost does not grow
+    # with the 3^11 denominators that a grid over these primes would read
+    primes = ",".join(map(str, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)))
+    started = time.perf_counter()
+    code, out = run_text(
+        f"Q(gen=1, primes=[{primes}]); conv[0,1] ∩ ((1,[{primes}]) + 0); verify --theorem 3 --samples 100",
+        fmt="json",
+    )
+    assert time.perf_counter() - started < 1
+    report = json.loads(out)
+    assert code == 0 and report["result"] == "pass"
+    assert report["campaign"]["mismatches"] == [] and report["campaign"]["counts"] == {"samples": 100}

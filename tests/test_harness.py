@@ -9,6 +9,7 @@ import random
 import time
 import types
 from fractions import Fraction as F
+from math import ceil, floor, prod
 
 import pytest
 
@@ -921,26 +922,25 @@ def test_exhaustive_campaign_reports_are_byte_identical():
     assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
 
 
-def grid_reference(group, description, decomposition):
-    """The theorem-3 grid read point by point: (grid points, mismatch points) in the campaign's order."""
-    recovered, checked, wrong = decomposition.description, 0, []
-    if decomposition.radius is None:
-        return checked, wrong
-    margin = decomposition.radius - description.subgroup.gen
-    for den in engine._denominators(group.primes, 2):
-        for num in range(-24, 25):
-            r = description.base + group.gen * F(num, den)
-            if abs(r - recovered.base) <= margin:
-                checked += 1
-                if description.contains(r) != recovered.contains(r):
-                    wrong.append(str(r))
-    return checked, wrong
+def differing_points(description, recovered):
+    """Points where the two sets differ, tested one by one on base + g*k/d over the input's interval widened by g.
+
+    g is the input's subgroup generator and d the product of each inverted
+    prime's least power above 7. So the grid holds every member of a
+    discrete set, and a dense coset has a grid point in every gap of g/7,
+    which a cut of g/7 leaves.
+    """
+    g, base, interval = description.subgroup.gen, description.base, description.interval
+    d = prod(p ** (3 if p == 2 else 2) for p in description.subgroup.primes)
+    lo, hi = floor((interval.lower - base) / g * d) - d, ceil((interval.upper - base) / g * d) + d
+    points = (base + g * F(k, d) for k in range(lo, hi + 1))
+    return [r for r in points if description.contains(r) != recovered.contains(r)]
 
 
 @pytest.mark.parametrize("fault", ["honest", "coarser subgroup", "shorter interval"])
-def test_theorem3_grid_reads_as_the_per_point_reference(monkeypatch, fault):
-    # the grid is read as ranges of numerators; a planted faulty decomposition
-    # must be reported at the same points, in the same order, as point by point
+def test_theorem3_round_trip_reads_as_the_per_point_reference(monkeypatch, fault):
+    # a planted faulty decomposition must be reported, as one record, exactly
+    # when the per-point reference finds a point where the two sets differ
     honest = engine.decompose_rational_set
     recorded = []
 
@@ -954,11 +954,11 @@ def test_theorem3_grid_reads_as_the_per_point_reference(monkeypatch, fault):
             upper = max(recovered.base, interval.upper - sub.gen / 7)
             interval = QIntervalSpec(interval.lower, upper, interval.lower_closed)
         recovered = RationalMidconvexDescription(interval, sub, recovered.base)
-        recorded.append(engine.RationalDecomposition(recovered, decomposition.depth, decomposition.radius))
+        recorded.append(engine.RationalDecomposition(recovered, decomposition.depth))
         return recorded[-1]
 
     monkeypatch.setattr(engine, "decompose_rational_set", planted)
-    rng, grid, mismatches = random.Random(5), 0, 0
+    rng, failing = random.Random(5), 0
     for primes in [(), (2,), (3,), (2, 3), (3, 5)] * 4:
         ambient = desc(F(rng.choice([1, 2, 3]), rng.choice([1, 2, 4])), primes)
         inverted = [p for p in primes if rng.random() < 0.7]
@@ -967,8 +967,147 @@ def test_theorem3_grid_reads_as_the_per_point_reference(monkeypatch, fault):
         lower, upper = base - sub.gen * F(rng.randint(0, 12), 7), base + sub.gen * F(rng.randint(1, 12), 5)
         description = RationalMidconvexDescription(QIntervalSpec(lower, upper, True, rng.random() < 0.5), sub, base)
         report = harness.roundtrip_theorem3(ambient, description, samples=10)
-        checked, wrong = grid_reference(ambient, description, recorded[-1])
-        assert report.counts["grid_points"] == checked
-        assert [m["rhs"] for m in report.mismatches] == wrong
-        grid, mismatches = grid + checked, mismatches + len(wrong)
-    assert grid > 0 and (mismatches > 0) == (fault != "honest")
+        recovered = recorded[-1].description
+        assert report.counts == {"samples": 10}
+        if not differing_points(description, recovered):
+            assert report.mismatches == [], (description, recovered)
+            continue
+        failing += 1
+        assert report.mismatches == [{
+            "group": str(ambient), "subset": str(description), "operation": "recovered description disagrees",
+            "lhs": str(recovered), "rhs": str(description),
+        }]
+    assert (failing > 0) == (fault != "honest")
+
+
+def test_same_set_counts_the_members_of_a_finite_set():
+    # equal least and greatest members, other steps: the seeded draws below rarely meet these
+    def progression(step):
+        return RationalMidconvexDescription(QIntervalSpec(0, 6), desc(step), F(0))
+
+    assert harness._same_set(progression(2), progression(2))
+    assert not harness._same_set(progression(1), progression(2))
+    assert not harness._same_set(progression(2), progression(3))
+
+
+# descriptions over Q(gen=1, primes=pool) for the closed-form comparison:
+# subgroups c * Z[1/P'] with c <= 3 and P' within the pool, bases and finite
+# ends in Z/3; a bounded interval is a point or at least 1/3 long
+def seeded_description(rng, pool):
+    sub = desc(rng.choice([1, 2, 3]), [p for p in pool if rng.random() < 0.6])
+    base = F(rng.randint(-6, 6), 3)
+    if rng.random() < 0.125:
+        return RationalMidconvexDescription(QIntervalSpec(base, base), sub, base)
+    below, above = F(rng.randint(0, 6), 3), F(rng.randint(0, 6), 3)
+    lower = None if rng.random() < 0.2 else base - below
+    upper = None if rng.random() < 0.2 else base + above
+    if lower == upper:
+        upper = base + F(1, 3)
+    # an end at the base must hold it
+    closed = (lower == base or rng.random() < 0.5, upper == base or rng.random() < 0.5)
+    return RationalMidconvexDescription(QIntervalSpec(lower, upper, *closed), sub, base)
+
+
+def equal_rewrite(rng, description):
+    """The same set described again.
+
+    A point may take another subgroup. Otherwise the base moves along the
+    coset, a discrete set's ends move by less than a step, and an end
+    outside the coset may flip between open and closed.
+    """
+    sub, interval, base = description.subgroup, description.interval, description.base
+    g, (lower, upper) = sub.gen, (interval.lower, interval.upper)
+    if lower == upper and rng.random() < 0.5:
+        other = desc(rng.choice([1, 2, 3]), [p for p in sub.primes if rng.random() < 0.5])
+        return RationalMidconvexDescription(interval, other, base)
+    moved = base + g / rng.choice([1, *sub.primes]) * rng.randint(-3, 3)
+    base = moved if interval.contains(moved) else base
+    closed = [interval.lower_closed, interval.upper_closed]
+    if not sub.primes:
+        first, last = interval.lattice_cut(base, g)
+        if first is not None:
+            t = rng.randint(0, 6)
+            lower, closed[0] = base + g * first - g * F(t, 7), t == 0 or rng.random() < 0.5
+        if last is not None:
+            t = rng.randint(0, 6)
+            upper, closed[1] = base + g * last + g * F(t, 7), t == 0 or rng.random() < 0.5
+    for side, end in enumerate((lower, upper)):
+        if end is not None and not sub.contains(end - base) and rng.random() < 0.5:
+            closed[side] = not closed[side]
+    return RationalMidconvexDescription(QIntervalSpec(lower, upper, *closed), sub, base)
+
+
+def perturbed(rng, description, pool):
+    """One part changed: the subgroup's generator or primes, the base, one end or its closedness; the set may stay."""
+    sub, interval, base = description.subgroup, description.interval, description.base
+    ends = [[interval.lower, interval.lower_closed], [interval.upper, interval.upper_closed]]
+    kind = rng.randrange(5)
+    if kind == 0:
+        sub = desc(rng.choice([1, 2, 3]), sub.primes)
+    elif kind == 1 and pool:
+        sub = desc(sub.gen, sub.primes ^ {rng.choice(pool)})
+    elif kind == 2:
+        moved = base + F(rng.randint(-3, 3), 3)
+        base = moved if interval.contains(moved) else base
+    elif kind == 3:
+        side = rng.randrange(2)
+        end = None if rng.random() < 0.25 else base + (2 * side - 1) * F(rng.randint(0, 6), 3)
+        ends[side] = [end, end == base or rng.random() < 0.5]
+    else:
+        side = rng.randrange(2)
+        if ends[side][0] not in (None, base):
+            ends[side][1] = not ends[side][1]
+    (lower, lower_closed), (upper, upper_closed) = ends
+    if lower is not None and lower == upper:
+        upper, upper_closed = None, True
+    return RationalMidconvexDescription(QIntervalSpec(lower, upper, lower_closed, upper_closed), sub, base)
+
+
+def grid_members(description, den, lo, hi):
+    """The k in [lo, hi] with k/den in the described set, as a set of grid points.
+
+    k/den is a member when it lies in the interval and k/den - base in the
+    subgroup, that is when the subgroup's modulus of den divides k - base*den:
+    the points of one residue class between the interval's ends.
+    """
+    interval, w, b = description.interval, description.subgroup.modulus(den), description.base * den
+    assert b.denominator == 1
+    if interval.lower is not None:
+        t = interval.lower * den
+        lo = max(lo, ceil(t) if interval.lower_closed else floor(t) + 1)
+    if interval.upper is not None:
+        t = interval.upper * den
+        hi = min(hi, floor(t) if interval.upper_closed else ceil(t) - 1)
+    return set(range(lo + (b.numerator - lo) % w, hi + 1, w))
+
+
+@pytest.mark.parametrize("pool", [(), (2,), (3,), (2, 3), (5,)])
+def test_same_set_matches_the_per_point_reference_seeded(pool):
+    # the grid Z/den holds every finite value of both descriptions and a
+    # dense coset's points at spacing c/p^e < 1/6, so it meets every gap
+    # between two ends in Z/3 and holds two points of a nondegenerate
+    # bounded dense set; 7 units past the values it shows any change of
+    # subgroup or coset on an unbounded side
+    den = 3
+    for p in pool:
+        power = p
+        while power <= 18:
+            power *= p
+        den *= power
+    rng, verdicts = random.Random(36), {True: 0, False: 0}
+    for _ in range(300):
+        a = seeded_description(rng, pool)
+        draw = rng.random()
+        if draw < 0.45:
+            b = equal_rewrite(rng, a)
+        elif draw < 0.85:
+            b = perturbed(rng, a, pool)
+        else:
+            b = seeded_description(rng, pool)
+        values = [v for d in (a, b) for v in (d.base, d.interval.lower, d.interval.upper) if v is not None]
+        lo, hi = floor((min(values) - 7) * den), ceil((max(values) + 7) * den)
+        same = grid_members(a, den, lo, hi) == grid_members(b, den, lo, hi)
+        assert same or draw >= 0.45, (str(a), str(b))
+        assert harness._same_set(a, b) == harness._same_set(b, a) == same, (str(a), str(b))
+        verdicts[same] += 1
+    assert min(verdicts.values()) >= 60, verdicts

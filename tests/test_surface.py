@@ -7,6 +7,8 @@ names `tracing.SPANNED` and `tracing.COUNTED` list as strings), or in the
 README's library example. A public method counts as named only through an
 attribute access (`.name`) or a traced string, since a bare variable that
 shares its name calls nothing. A name that only tests call belongs in the tests.
+Likewise every dataclass field is read as an attribute somewhere in `src/`,
+the benchmark's modules or the library example.
 """
 
 import ast
@@ -49,13 +51,21 @@ def public_definitions(tree):
                     yield f"{node.name}.{item.name}", item.lineno, item.end_lineno
 
 
-def test_the_package_root_holds_only_its_docstring():
-    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
-    assert len(tree.body) == 1 and ast.get_docstring(tree), ast.dump(tree)
+def dataclass_fields(tree):
+    """(class.field, line) of each annotated field of each top-level @dataclass class."""
+    for node in tree.body:
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in getattr(node, "decorator_list", ())]
+        if isinstance(node, ast.ClassDef) and any(getattr(d, "id", None) == "dataclass" for d in decorators):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield f"{node.name}.{item.target.id}", item.lineno
 
 
-def test_every_public_name_is_called_outside_the_tests():
-    # names met outside src/ at all, and those met as attributes or traced strings
+def outside_names():
+    """(names, attribute names) that the benchmark's modules and the README's library example mention.
+
+    A traced string counts as both.
+    """
     anywhere, as_attribute = set(), set()
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     example = re.search(r"## Library example\n\n```python\n(.*?)```", readme, re.S).group(1)
@@ -68,7 +78,17 @@ def test_every_public_name_is_called_outside_the_tests():
         traced = set(traced_names(tree))
         anywhere |= traced
         as_attribute |= traced
+    return anywhere, as_attribute
 
+
+def test_the_package_root_holds_only_its_docstring():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    assert len(tree.body) == 1 and ast.get_docstring(tree), ast.dump(tree)
+
+
+def test_every_public_name_is_called_outside_the_tests():
+    # names met outside src/ at all, and those met as attributes or traced strings
+    anywhere, as_attribute = outside_names()
     sources = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
     mentions = defaultdict(list)
     for file, tree in sources.items():
@@ -84,6 +104,20 @@ def test_every_public_name_is_called_outside_the_tests():
             if name not in outside and all(f == file and first <= line <= last for f, line in calls):
                 unused.append(f"{file}:{qualname}")
     assert not unused, " ".join(unused)
+
+
+def test_every_dataclass_field_is_read():
+    # a field is read through an attribute access; the AnnAssign that defines it is a bare name
+    read = outside_names()[1]
+    sources = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+    for tree in sources.values():
+        read |= {name for name, _, attribute in named(tree) if attribute}
+    fields = {
+        f"{file}:{line}:{qualname}": qualname for file, tree in sources.items() for qualname, line in dataclass_fields(tree)
+    }
+    assert "RationalDecomposition.depth" in fields.values()
+    unread = [where for where, qualname in fields.items() if qualname.rpartition(".")[2] not in read]
+    assert not unread, " ".join(unread)
 
 
 def test_the_membership_rule_lives_in_rationals():
