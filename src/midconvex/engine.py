@@ -10,6 +10,7 @@ deliberately includes the x = y pairs; dropping them is wrong in groups with
 from __future__ import annotations
 
 import random
+from array import array
 from bisect import bisect_left
 from itertools import compress, count, cycle, islice, repeat
 from dataclasses import dataclass
@@ -41,6 +42,8 @@ _DRAW_NUMERATORS = 50
 _DRAW_EXPONENTS = 4
 # Each raw getrandbits word of randint(0, _DRAW_EXPONENTS) as the exponent it draws; None draws again.
 _EXPONENT_DRAWS = tuple(e if e <= _DRAW_EXPONENTS else None for e in range(1 << (_DRAW_EXPONENTS + 1).bit_length()))
+# A byte as each right shift 0..7 of it: getrandbits(k), k <= 8, is the top byte of its word shifted by 8 - k.
+_BYTE_SHIFTS = tuple(bytes(b >> shift for b in range(256)) for shift in range(8))
 # Most members that described_members lists.
 _LATTICE_CAP = 500_000
 
@@ -725,12 +728,25 @@ def _draw_numerators(
     den's clip window (lo, hi, and whether an open end drops each), which
     maps it to lo + r, to a skip where an open end drops the point, or to
     None, draw again, at or past the width. Dens that clip alike share a
-    table, and the scale L/den is multiplied once per kept point. A subgroup
-    that inverts no prime has L = 1 and den = 1 on every attempt, so its
-    loop reads numerator words alone, through the one clip window's table,
-    and draws no word when that window is empty. The drawn points and the
-    generator's state after the draw are those of the randint draw; the
-    tests check this on each CPython from 3.10 to 3.13 that is installed.
+    table, and the scale L/den is multiplied once per kept point.
+
+    A subgroup that inverts no prime has L = 1 and den = 1 on every attempt,
+    so its draw reads numerator words alone, from the one clip window, and
+    no word when that window is empty. It reads them a block at a time:
+    every attempt reads at least one word and keeps at most one point, so
+    the randint loop would read at least n = min(points still wanted,
+    attempts left) more words, and one getrandbits(32n) reads exactly
+    those. CPython fills it one 32-bit word at a time from the least
+    significant end, and getrandbits(k) is a word's top k bits; the width
+    is at most 2*_DRAW_NUMERATORS + 1, so k <= 8 and each draw is its
+    word's top byte shifted right by 8 - k. One bytes.translate through
+    _BYTE_SHIFTS deletes the redraws, whatever is left counts as an
+    attempt, and a second deletes the open-end drops and maps r to lo + r
+    mod 256, read back as a signed byte.
+
+    The drawn points and the generator's state after the draw are those of
+    the randint draw; the tests check this on each CPython from 3.10 to 3.13
+    that is installed.
     """
     primes = sorted(subgroup.primes)
     big_l = prod(p**_DRAW_EXPONENTS for p in primes)
@@ -742,8 +758,8 @@ def _draw_numerators(
     skip = object()
     tables: dict[tuple[int, int, bool, bool], tuple[list, int]] = {}
 
-    def plan(den: int) -> tuple[list | None, int, int]:
-        """The value table of den's clip window, its word's bit length, and L/den."""
+    def clip(den: int) -> tuple[int, int, bool, bool] | None:
+        """den's clip window: lo, hi, and whether an open end drops each; None when it is empty."""
         lo, hi, drop_lo, drop_hi = -_DRAW_NUMERATORS, _DRAW_NUMERATORS, False, False
         if below is not None:
             q, r = divmod(below.numerator * den, below.denominator)
@@ -753,11 +769,16 @@ def _draw_numerators(
             q, r = divmod(above.numerator * den, above.denominator)
             if q <= hi:
                 hi, drop_hi = q, not r and not interval.upper_closed
-        width = hi - lo + 1
-        if width <= 0:
+        return (lo, hi, drop_lo, drop_hi) if lo <= hi else None
+
+    def plan(den: int) -> tuple[list | None, int, int]:
+        """The value table of den's clip window, its word's bit length, and L/den."""
+        window = clip(den)
+        if window is None:
             return None, 0, 0
-        window = (lo, hi, drop_lo, drop_hi)
         if window not in tables:
+            lo, hi, drop_lo, drop_hi = window
+            width = hi - lo + 1
             bits = width.bit_length()
             values: list = [*range(lo, hi + 1), *[None] * ((1 << bits) - width)]
             # clipped, the point lies in the closed interval; an open end drops the point on it
@@ -771,17 +792,20 @@ def _draw_numerators(
     getrandbits = rng.getrandbits
     nums: list[int] = []
     if not primes:
-        values, bits, _ = plan(1)
-        if values is None:
+        window = clip(1)
+        if window is None:
             return nums, big_l
-        for _ in range(100 * count):
-            v = values[getrandbits(bits)]
-            while v is None:
-                v = values[getrandbits(bits)]
-            if v is not skip:
-                nums.append(v)
-                if len(nums) == count:
-                    break
+        lo, hi, drop_lo, drop_hi = window
+        width = hi - lo + 1
+        shift = 8 - width.bit_length()
+        redraws = bytes(range(width << shift, 256))
+        drops = bytes([0] * drop_lo + [width - 1] * drop_hi)
+        rotation = bytes(range(lo % 256, 256)) + bytes(range(lo % 256))
+        attempts = 0
+        while n := min(count - len(nums), 100 * count - attempts):
+            draws = getrandbits(32 * n).to_bytes(4 * n, "little")[3::4].translate(_BYTE_SHIFTS[shift], redraws)
+            attempts += len(draws)
+            nums += array("b", draws.translate(rotation, drops)).tolist()
         return nums, big_l
     plans: dict[int, tuple[list | None, int, int]] = {}
     for _ in range(100 * count):
@@ -855,9 +879,10 @@ def _sampled_violation(
     residue of its sum fails the tests, so the distinct residues decide the
     whole sample: if none fails, there is no violation. Only when a residue
     fails or a sum leaves the cut are the pairs scanned in order, so the
-    pair reported is the first violating one. The least sum is read only
-    when the cut has a lower end, and the greatest only when it has an
-    upper one.
+    pair reported is the first violating one. A period of 1 has the one
+    residue 0, and is read without a pass over the sums. The least sum is
+    read only when the cut has a lower end, and the greatest only when it
+    has an upper one.
     """
     sub, interval, base = description.subgroup, description.interval, description.base
     nums, big_l = _draw_numerators(random.Random(seed), sub, interval, base, 2 * samples)
@@ -875,8 +900,9 @@ def _sampled_violation(
         points = islice(cycle(nums), 2 * samples)
         sums = list(map(add, points, points))
     period = lcm(in_group // gcd(hn, in_group), in_sub // gcd(hn, in_sub))
+    residues = {0} if period == 1 else set(map(mod, sums, repeat(period)))
     if (lo is None or lo <= min(sums)) and (hi is None or max(sums) <= hi) and not any(
-        not (offset + hn * r) % in_group and (hn * r) % in_sub for r in {s % period for s in sums}
+        not (offset + hn * r) % in_group and (hn * r) % in_sub for r in residues
     ):
         return None
     s_lo, s_hi = -inf if lo is None else lo, inf if hi is None else hi

@@ -14,8 +14,9 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, reduce
-from math import prod
-from operator import and_, or_
+from itertools import repeat
+from math import gcd, prod
+from operator import and_, mod, or_
 from typing import Iterable, Sequence
 
 from . import engine
@@ -331,8 +332,11 @@ def _purity_violation(
     lattice draw over the whole group. All are drawn before any is tested, so
     the random generator advances the same way whatever the verdict. A drawn point
     g = gen*t/L, gen = a/b, is 2ta/(2bL): with w the subgroup's `modulus` of
-    2bL, g is outside the subgroup when w does not divide 2ta, and 2g inside
-    it when w divides 4ta.
+    2bL, g is outside the subgroup when w does not divide 2ta, that is when
+    w1 = w/gcd(w, 2a) does not divide t, and 2g inside it when w divides
+    4ta, when w2 = w/gcd(w, 4a) divides t. w1 is w2 or 2*w2, so no point
+    violates when they are equal, and otherwise t violates exactly when
+    t mod w1 is w2.
     """
     nums, big_l = engine._draw_numerators(rng, group, QIntervalSpec(), Fraction(0), samples)
     half = sub.gen / 2
@@ -340,10 +344,13 @@ def _purity_violation(
         return half
     a = group.gen.numerator
     w = sub.modulus(2 * group.gen.denominator * big_l)
-    for t in nums:
-        if 2 * t * a % w and not 4 * t * a % w:
-            return group.gen * Fraction(t, big_l)
-    return None
+    w1, w2 = w // gcd(w, 2 * a), w // gcd(w, 4 * a)
+    if w1 == w2:
+        return None
+    residues = list(map(mod, nums, repeat(w1)))
+    if w2 not in residues:
+        return None
+    return group.gen * Fraction(nums[residues.index(w2)], big_l)
 
 
 def sample_two_purity(trials: int = 100, seed: int = 0) -> VerificationReport:

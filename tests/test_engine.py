@@ -1342,6 +1342,9 @@ DRAW_INTERVALS = {
     # open ends on every den's lattice: den = 1 drops -50 and 1, a larger den clips the
     # lower end to -50, so the numerator that end drops lies outside the drawn range
     "open-wide": (F(-50), F(1), False, False),
+    # the base lies below the interval and den = 1 draws only its two open ends, so every
+    # prime-free attempt skips and the draw stops at its attempt limit
+    "all-dropped": (F(1), F(2), False, False),
 }
 DRAW_POOLS = [(), (2,), (3,), (2, 3), (5,), (2, 3, 5, 7)]
 DRAW_COUNTS = (0, 1, 7, 60)
@@ -1450,9 +1453,14 @@ def test_callers_of_the_draw_report_as_under_randint(monkeypatch):
     assert reports(engine._draw_numerators) == reports(randint_draw)
 
 
+def test_every_numerator_draw_fits_in_its_words_top_byte():
+    # the prime-free draw reads each numerator from the top byte of a 32-bit word, as a signed byte
+    assert 2 * engine._DRAW_NUMERATORS + 1 <= 256
+
+
 def test_the_lattice_draw_never_calls_randint(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("the lattice draw went through randint")
+        raise AssertionError("the lattice draw went through randint or rewound the generator")
 
     sub = desc(F(3, 2), [2, 3])
     described = RationalMidconvexDescription(QIntervalSpec(F(-4), F(9), False, True), sub, F(1, 2))
@@ -1462,15 +1470,20 @@ def test_the_lattice_draw_never_calls_randint(monkeypatch):
         assert theorem3_if_violation(described, desc(F(1, 2), [2, 3]), 500, 0) is None
         assert len(draw_lattice_points(random.Random(1), sub, described.interval, F(1, 2), 50)) == 50
     # the purity campaign draws its pairs through randint itself, so the
-    # guard covers only its lattice draws
+    # guard covers only its lattice draws; a draw reads each word once, so
+    # it also never saves, restores or reseeds the generator's state
     draw = engine._draw_numerators
 
     def guarded(*args):
         with monkeypatch.context() as patched:
-            patched.setattr(random.Random, "randint", refuse)
-            patched.setattr(random.Random, "randrange", refuse)
+            for name in ("randint", "randrange", "getstate", "setstate", "seed"):
+                patched.setattr(random.Random, name, refuse)
             return draw(*args)
 
+    for kind in ("closed", "open-wide", "all-dropped"):
+        for pool in ((), (2, 3)):
+            case = draw_case(pool, kind)
+            assert guarded(random.Random(0), *case, 200) == draw(random.Random(0), *case, 200)
     monkeypatch.setattr(engine, "_draw_numerators", guarded)
     assert harness.sample_two_purity(trials=50).passed
 
