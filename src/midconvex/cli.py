@@ -115,10 +115,12 @@ def _bind_set(kind, group, expr):
             if not set(map(type, members)) <= {int}:
                 for e in members:
                     _bind_int(e, "element")
-            if members and not lo <= min(members) <= max(members) <= hi:
-                bad = next(n for n in members if not lo <= n <= hi)
+            # the distinct members sorted once: the window is checked at the two ends
+            members = sorted(set(members))
+            if members and not lo <= members[0] <= members[-1] <= hi:
+                bad = next(n for n in expr.elements if not lo <= n <= hi)
                 raise DslTypeError(f"element {bad} is outside the window [{lo},{hi}]")
-            return "window", IntWindowSet(lo, hi, tuple(sorted(set(members))))
+            return "window", IntWindowSet(lo, hi, tuple(members))
         return "points", [_bind_rational(group, e, "element") for e in members]
     if kind == "finite":
         raise DslTypeError("interval-and-coset sets live in Z or Q groups")

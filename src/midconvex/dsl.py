@@ -16,11 +16,12 @@ parsed expression and reparsing it yields an equal expression.
 
 from __future__ import annotations
 
+import json
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain
 
 from .errors import MidconvexError
 
@@ -66,6 +67,9 @@ GroupExpr = FiniteGroupExpr | ZGroupExpr | RationalGroupExpr
 class ExplicitSetExpr:
     elements: tuple
     window: tuple[int, int] | None = None
+    # the members as the language prints them, when the input spelled them so;
+    # left out of equality and repr, which the members decide
+    text: str | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -139,7 +143,8 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE | re.DOTALL,
 )
-_DIGITS_APART = re.compile(r"\d\s+\d")
+# the stdlib JSON scanner in C, bound once: it reads a whole list in one call
+_SCAN = json.JSONDecoder().scan_once
 
 
 def _syntax_error(text: str, offset: int, message: str) -> DslSyntaxError:
@@ -168,34 +173,39 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return _tokens(text, 0, len(text)) + [("eof", "", len(text))]
 
 
-def _read_list(inner: str) -> tuple | None:
-    """The members of a list token's inside, integers or residue tuples of one arity.
+def _read_list(inner: str) -> tuple[tuple, str | None] | None:
+    """The members of a list token's inside, integers or residue tuples of one arity,
+    and their text: the inside without whitespace, or None where that is not how they print.
 
-    Each comma-separated member goes to int() with the whitespace around it,
-    which takes exactly what the grammar takes there, -?digits; int() calls and
-    the splits run in C, with no Python call per member. Anything else gives
-    None and is left to the grammar: an empty member, a list of mixed members or
-    arities, two numbers run together, and a literal longer than
+    The JSON scanner reads the inside, its parentheses turned to brackets, in C;
+    tuples are then checked by set(map(...)) passes, so no Python step runs per
+    member. JSON reads a subset of what the grammar reads there: ASCII -?digits
+    without leading zeros, commas, and the whitespace " \t\n\r". Anything else
+    gives None and is left to the grammar: an empty member or tuple, nesting, a
+    list of mixed members or arities, two numbers run together, leading zeros,
+    other digits or whitespace, and a literal longer than
     sys.get_int_max_str_digits(), which the grammar reports where it stands.
+    Each literal JSON reads prints as it is spelled, but for -0.
     """
+    nested = "(" in inner
+    scanned = f"[{inner.replace('(', '[').replace(')', ']')}]" if nested else f"[{inner}]"
     try:
-        if "(" not in inner and ")" not in inner:
-            return tuple(map(int, inner.split(",")))
-        # whitespace between two digits splits a number; anywhere else dropping it changes nothing
-        if _DIGITS_APART.search(inner):
-            return None
-        compact = "".join(inner.split())
-        if compact[:1] != "(" or compact[-1:] != ")":
-            return None
-        body = compact[1:-1]
-        rows = body.split("),(")
-        residues = body.replace("),(", ",")
-        arity = rows[0].count(",") + 1
-        if "(" in residues or ")" in residues or set(map(str.count, rows, repeat(","))) != {arity - 1}:
-            return None
-        return tuple(zip(*[map(int, residues.split(","))] * arity))
-    except ValueError:
+        members, end = _SCAN(scanned, 0)
+    except (ValueError, StopIteration, RecursionError):  # RecursionError: parentheses nested past the limit
         return None
+    # without parentheses the scan ends at the one "]" and reads only integers
+    if nested:
+        if (
+            end != len(scanned)
+            or set(map(type, members)) != {list}
+            or len(set(map(len, members))) != 1
+            or not members[0]
+            or set(map(type, chain.from_iterable(members))) != {int}
+        ):
+            return None
+        members = map(tuple, members)
+    text = "".join(inner.split())
+    return tuple(members), None if "-0" in text else text
 
 
 class _Parser:
@@ -269,15 +279,16 @@ class _Parser:
         return tuple(primes)
 
     def parse_set(self) -> SetExpr:
-        elements = self.read_list()
-        if elements is None and self.accept("sym", "{"):
+        read = self.read_list()
+        if read is None and self.accept("sym", "{"):
             elements = []
             if not self.accept("sym", "}"):
                 elements.append(self.parse_element())
                 while self.accept("sym", ","):
                     elements.append(self.parse_element())
                 self.expect("sym", "}", "'}' closing the element list")
-        if elements is not None:
+            read = tuple(elements), None
+        if read is not None:
             window = None
             if self.accept("sym", "@"):
                 self.expect("ident", "window", "'window[lo,hi]'")
@@ -287,7 +298,8 @@ class _Parser:
                 hi = self.parse_int("window upper bound")
                 self.expect("sym", "]", "']'")
                 window = (lo, hi)
-            return ExplicitSetExpr(tuple(elements), window)
+            elements, text = read
+            return ExplicitSetExpr(elements, window, text)
         if self.accept("ident", "conv"):
             self.expect("sym", "[", "'[' after conv")
             lower = self.parse_bound(lower=True)
@@ -351,8 +363,8 @@ class _Parser:
 
     # -- leaves -----------------------------------------------------------
 
-    def read_list(self) -> tuple | None:
-        """The members of a list token, consumed, when _read_list reads them; else None.
+    def read_list(self) -> tuple[tuple, str | None] | None:
+        """The members of a list token and their text, consumed, when _read_list reads them; else None.
 
         A list token it cannot read is split in place into the tokens the
         grammar reads it from, so that input parses, and fails, as it would
@@ -361,14 +373,14 @@ class _Parser:
         kind, text, offset = self.tokens[self.pos]
         if kind != "list":
             return None
-        elements = _read_list(text[1:-1])
-        if elements is None:
+        read = _read_list(text[1:-1])
+        if read is None:
             end = offset + len(text) - 1
             inner = _tokens(self.text, offset + 1, end)
             self.tokens[self.pos : self.pos + 1] = [("sym", "{", offset), *inner, ("sym", "}", end)]
         else:
             self.pos += 1
-        return elements
+        return read
 
     def parse_int(self, what: str) -> int:
         offset = self.tokens[self.pos][2]
@@ -445,7 +457,8 @@ def format_group(group: GroupExpr) -> str:
 
 def format_set(set_expr: SetExpr) -> str:
     if isinstance(set_expr, ExplicitSetExpr):
-        body = "{%s}" % _joined(set_expr.elements)
+        text = set_expr.text
+        body = "{%s}" % (_joined(set_expr.elements) if text is None else text)
         if set_expr.window is not None:
             body += "@window[%d,%d]" % set_expr.window
         return body

@@ -53,6 +53,17 @@ GOLDEN_CASES = [
     ("trace_q_points", "Q(gen=1, primes=[]); {0,1,2,500}; trace x=0 g=1"),
     # a described trace is C ∩ H over Z, read in closed form
     ("trace_q_described", "Q(gen=1, primes=[2]); conv[0,1] ∩ ((1,[2]) + 0); trace x=0 g=1/128"),
+    # long lists written with spaces, read in one scan and echoed without them:
+    # 2,000 distinct members in scrambled order, and a coset of 125 residue tuples
+    (
+        "check_z_window_2000",
+        "Z; { %s }@window[-4000,3999]; check" % ", ".join(str(k * 7919 % 8000 - 4000) for k in range(2000)),
+    ),
+    (
+        "decompose_z5x5x5x5x5",
+        "Z(5x5x5x5x5); { %s }; decompose"
+        % " , ".join("( %d , %d , %d , 0 , 1 )" % t for t in itertools.product(range(5), repeat=3)),
+    ),
 ]
 FORMATS = [("text", "txt"), ("json", "json")]
 
@@ -87,7 +98,7 @@ def test_goldens_hold_on_the_declared_python_floor(installed_python):
     )
     assert done.returncode == 0, done.stderr
     outputs = json.loads(done.stdout)
-    assert len(outputs) == len(cases) == 32
+    assert len(outputs) == len(cases) == 36
     for (name, _, _, ext), output in zip(cases, outputs):
         assert output.encode("utf-8") == (GOLDEN / f"{name}.{ext}").read_bytes(), f"{name}.{ext}"
 

@@ -376,6 +376,34 @@ def list_mutated(rng, text):
     return text
 
 
+def json_edge_statements(digit_limit):
+    """Statements whose list JSON refuses, reads otherwise than the grammar, or reads around JSON whitespace.
+
+    Each must parse, fail and echo as the grammar does.
+    """
+    lists = [
+        "{007,1}",
+        "{-0,3}",
+        "{(-0,1),(2,3)}",
+        "{\u0663,4}",
+        "{1,\x0b2}",
+        "{1,\x0c2}",
+        "{1,\u30002}",
+        "{((1,2))}",
+        "{(),(1,2)}",
+        "{()}",
+        "{(5)}",
+        "{1,(2)}",
+        "{ }",
+        "{1,%s}" % ("7" * (digit_limit + 1)),
+        "{(1,%s)}" % ("7" * (digit_limit + 1)),
+        "{%s}" % ("(" * 100000),
+        "{(1,2)),((3,4)}",
+        "{ (1 ,\t2 ) ,\r\n( 3,4 ) }",
+    ]
+    return [f"{group}; {text}; check" for text in lists for group in ("Z(8)", "Z(8x8)")]
+
+
 def test_list_reader_parses_and_fails_as_the_grammar_does(digit_limit):
     rng = random.Random(14)
     cases = STATEMENTS + [mutated(rng, rng.choice(STATEMENTS)) for _ in range(4500)]
@@ -383,10 +411,17 @@ def test_list_reader_parses_and_fails_as_the_grammar_does(digit_limit):
     long = long_statements(rng)
     cases += long + [list_mutated(rng, rng.choice(long[:5])) for _ in range(300)]
     cases += [mutated(rng, rng.choice(long[:5])) for _ in range(100)]
+    cases += json_edge_statements(digit_limit)
     paths = Counter()
     for text in cases:
         want = outcome(lambda t: ReferenceParser(t).parse_program(), text)
-        assert outcome(parse, text) == want, text[:200]
+        got = outcome(parse, text)
+        assert got == want, text[:200]
+        if isinstance(got, Program) and isinstance(got.set_expr, ExplicitSetExpr):
+            # the echo of a read list is its text, which must be the printing of its members
+            echoed = format_set(got.set_expr)
+            assert echoed == format_set(want.set_expr), text[:200]
+            assert echoed == format_set(ExplicitSetExpr(got.set_expr.elements, got.set_expr.window)), text[:200]
         try:
             lists = [chunk for kind, chunk, _ in dsl._tokenize(text) if kind == "list"]
         except DslSyntaxError:
@@ -401,16 +436,23 @@ def test_list_reader_parses_and_fails_as_the_grammar_does(digit_limit):
 
 
 def test_long_lists_are_read_without_the_per_element_grammar(monkeypatch):
-    calls = []
-    element = dsl._Parser.parse_element
+    calls, joined = [], []
+    element, join = dsl._Parser.parse_element, dsl._joined
     monkeypatch.setattr(dsl._Parser, "parse_element", lambda self: calls.append(1) or element(self))
+    monkeypatch.setattr(dsl, "_joined", lambda elements: joined.append(elements) or join(elements))
     members = list(range(-500, 500))
     program = parse("Z; {%s}@window[-500,499]; check" % ", ".join(map(str, members)))
     assert program.set_expr.elements == tuple(members)
+    # a list JSON read is echoed from its text, without the spaces
+    assert format_set(program.set_expr) == "{%s}@window[-500,499]" % ",".join(map(str, members))
     cube = tuple((a, b, c) for a in range(5) for b in range(5) for c in range(-2, 3))
-    program = parse("Z(5x5x5); {%s}; check" % ",".join("(%d,%d,%d)" % t for t in cube))
+    program = parse("Z(5x5x5); {%s}; check" % ",\n".join("( %d,%d , %d)" % t for t in cube))
     assert program.set_expr.elements == cube
-    assert calls == []
+    assert format_set(program.set_expr) == "{%s}" % ",".join("(%d,%d,%d)" % t for t in cube)
+    assert calls == [] and joined == []
+    # -0 is read but does not print as spelled
+    assert format_set(parse("Z(4); {3,-0}; check").set_expr) == "{3,0}"
+    assert calls == [] and joined == [(3, 0)]
     # a list the reader hands back is read by the grammar, element by element
     assert parse("Q(gen=1, primes=[]); {1,1/2}; check").set_expr.elements == (1, F(1, 2))
     assert len(calls) == 2

@@ -158,3 +158,13 @@ def test_sweep_kernels_keep_their_words_nonnegative():
         inverts = [node.lineno for node in unary if isinstance(node.op, ast.Invert)]
         negatives = [node.lineno for node in unary if isinstance(node.op, ast.USub) and isinstance(node.operand, ast.Constant)]
         assert not inverts and not negatives, (f"{module}.{function}", inverts, negatives)
+
+
+def test_the_list_reader_runs_no_python_step_per_member():
+    # the JSON scanner and set(map(...)) passes read every member in C, so the
+    # reader holds no loop and no comprehension
+    tree = ast.parse((PACKAGE / "dsl.py").read_text(encoding="utf-8"))
+    (body,) = [node for node in tree.body if getattr(node, "name", None) == "_read_list"]
+    loops = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    found = [(type(node).__name__, node.lineno) for node in ast.walk(body) if isinstance(node, loops)]
+    assert not found, found
