@@ -401,8 +401,8 @@ def lemma1_holds_in_group(
     return is_order_convex(trace.mask | trace.mask << trace.period)
 
 
-def lemma1_failures(group: FiniteAbelianGroup, columns: Sequence[int], within: int) -> list[tuple[int, int, int]]:
-    """Sorted (k, x, y), subset k among the bits of within, where lemma1_holds_in_group fails.
+def lemma1_failures(group: FiniteAbelianGroup, columns: Sequence[int], within: int) -> int:
+    """Bit k is set iff subset k, among the bits of within, fails lemma1_holds_in_group at some pair of members.
 
     The two-period lift of the trace at x along g = y - x holds bits 0 and
     ord(g), so it is order-convex exactly when the trace is full, that is when
@@ -410,23 +410,22 @@ def lemma1_failures(group: FiniteAbelianGroup, columns: Sequence[int], within: i
     within. Each cyclic subgroup and coset is walked once, along the least
     generator g: the subsets holding the coset are the AND of its columns,
     and those holding two steps t and t + u, u a unit mod ord(g), but not the
-    whole coset fail. A coset where no subset holds two members without the
-    whole is skipped, and a failing word is read by `set_bits`. The trivial
-    subgroup has no unit step (x != y is never a step along 0) and is not
-    read.
+    whole coset fail. A step u pairs the same members as ord(g) - u, so only
+    the units up to ord(g) / 2 are read, each as one pass of ANDs of the
+    walk's columns against their rotation by u. A coset where no subset
+    holds two members without the whole is skipped. The trivial subgroup
+    has no unit step (x != y is never a step along 0) and is not read.
 
     Every column is masked once per call, and the AND of a coset starts from
     within, so every word stays nonnegative. From period 2 on, a subset
     holding the whole coset holds two of its members, so the whole lies
-    inside each word it is taken from, and XOR takes it out.
+    inside the OR of the steps, and XOR takes it out.
     """
-    if not within:
-        return []
     masked = [column & within for column in columns]
-    failures = []
+    bad = 0
     for walks in _cyclic_subgroups(group):
         period = len(walks[0])
-        units = [u for u in range(1, period) if gcd(u, period) == 1]
+        units = [u for u in range(1, period // 2 + 1) if gcd(u, period) == 1]
         if not units:
             continue
         for walk in walks:
@@ -439,14 +438,11 @@ def lemma1_failures(group: FiniteAbelianGroup, columns: Sequence[int], within: i
                 whole &= column
             if two == whole:
                 continue
+            reached = 0
             for u in units:
-                for t, column in enumerate(cols):
-                    s = (t + u) % period
-                    bad = (column & cols[s]) ^ whole
-                    if bad:
-                        failures.extend((k, walk[t], walk[s]) for k in set_bits(bad))
-    failures.sort()
-    return failures
+                reached |= reduce(or_, map(and_, cols, cols[u:] + cols[:u]))
+            bad |= reached ^ whole
+    return bad
 
 
 # -- subgroups of the rationals ------------------------------------------

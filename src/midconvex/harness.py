@@ -166,12 +166,15 @@ def _every_subset_columns(order: int) -> tuple[tuple[int, ...], int]:
     return tuple(periodic_mask(((1 << w) - 1) << w, 2 * w, count) for w in (1 << i for i in range(order))), count
 
 
-def _sweep(campaign: str, max_order: int, seed: int, check) -> VerificationReport:
-    """Run check once per group, with all of the group's subsets decided at once.
+def _sweep(campaign: str, max_order: int, seed: int, operation: str, reading) -> VerificationReport:
+    """Decide all of each group's subsets at once, and record every subset where two readings differ.
 
-    check(report, group, columns, count, midconvex) gets the group's `count`
+    reading(group, columns, count, midconvex) gets the group's `count`
     subsets as bit-sliced membership columns (see _subset_columns), and the
-    bits k with subset k midconvex.
+    bits k with subset k midconvex; it returns its own word of the same
+    bits. Wherever bit k of the two words differs, subset k is one mismatch
+    under `operation`, lhs its midconvex bit and rhs its bit in the reading,
+    labelled from the columns.
     """
     started = time.perf_counter()
     report = VerificationReport(campaign, seed=seed)
@@ -179,7 +182,13 @@ def _sweep(campaign: str, max_order: int, seed: int, check) -> VerificationRepor
     total = 0
     for group in groups:
         columns, count = _subset_columns(group, seed)
-        check(report, group, columns, count, engine.midconvex_bits(group, columns, count))
+        midconvex = engine.midconvex_bits(group, columns, count)
+        other = reading(group, columns, count, midconvex)
+        if differ := midconvex ^ other:
+            name, names = str(group), group.format_indices(range(group.order))
+            for k in set_bits(differ):
+                label = _subset_label(names, columns, k)
+                report.add_mismatch(name, label, operation, bool(midconvex >> k & 1), bool(other >> k & 1))
         total += count
     report.counts = {"groups": len(groups), "subsets": total}
     report.mismatches.sort(key=lambda m: (m["group"], m["subset"]))
@@ -190,17 +199,6 @@ def _sweep(campaign: str, max_order: int, seed: int, check) -> VerificationRepor
 def _subset_label(names: Sequence[str], columns: Sequence[int], k: int) -> str:
     """Subset k of the columns as text, its members in index order, element i named names[i]."""
     return "{%s}" % ",".join(name for name, column in zip(names, columns) if column >> k & 1)
-
-
-def _add_bit_mismatches(report, group, columns, operation: str, lhs: int, rhs: int) -> None:
-    """Record subset k as a mismatch wherever bit k of the two readings differs."""
-    differ = lhs ^ rhs
-    if not differ:
-        return
-    name, names = str(group), group.format_indices(range(group.order))
-    for k in set_bits(differ):
-        label = _subset_label(names, columns, k)
-        report.add_mismatch(name, label, operation, bool(lhs >> k & 1), bool(rhs >> k & 1))
 
 
 def _odd_coset_bits(group: FiniteAbelianGroup, columns: Sequence[int], count: int) -> int:
@@ -257,13 +255,11 @@ def exhaustive_theorem2(max_order: int = 12, *, seed: int = 0) -> VerificationRe
     """Midconvexity versus odd-index subgroup translate, over all small groups."""
     midconvex_counts: dict[str, int] = {}
 
-    def check(report, group, columns, count, midconvex):
-        odd_cosets = _odd_coset_bits(group, columns, count)
+    def reading(group, columns, count, midconvex):
         midconvex_counts[str(group)] = midconvex.bit_count()
-        operation = "is_midconvex vs subgroup characterization"
-        _add_bit_mismatches(report, group, columns, operation, midconvex, odd_cosets)
+        return _odd_coset_bits(group, columns, count)
 
-    report = _sweep("theorem2", max_order, seed, check)
+    report = _sweep("theorem2", max_order, seed, "is_midconvex vs subgroup characterization", reading)
     report.details["midconvex_counts"] = midconvex_counts
     return report
 
@@ -282,40 +278,29 @@ def exhaustive_theorem1(max_order: int = 10, *, seed: int = 0) -> VerificationRe
     """
     closed: dict[int, tuple[tuple[int, ...], ...]] = {}
 
-    def check(report, group, columns, count, midconvex):
+    def reading(group, columns, count, midconvex):
         # groups come in ascending order, so this reads each period's table once
         for period in range(len(closed) + 1, group.order + 1):
             closed[period] = engine.closed_traces(period, period <= EXHAUSTIVE_ORDER_CAP)
-        traces = engine.theorem1_bits(group, columns, count, closed)
-        operation = "is_midconvex vs trace decomposition"
-        _add_bit_mismatches(report, group, columns, operation, midconvex, traces)
+        return engine.theorem1_bits(group, columns, count, closed)
 
-    return _sweep("theorem1", max_order, seed, check)
+    return _sweep("theorem1", max_order, seed, "is_midconvex vs trace decomposition", reading)
 
 
 def exhaustive_lemma1(max_order: int = 12, *, seed: int = 0) -> VerificationReport:
     """Order-convexity of traces along member differences, for midconvex sets.
 
     The columns, masked to the midconvex bits, are read against every coset
-    of every cyclic subgroup at once (engine.lemma1_failures); each failing
-    subset and pair of members is reported in the order of its subset, then
-    x, then y. Each failing subset is labelled once, however many of its
-    pairs fail.
+    of every cyclic subgroup at once (engine.lemma1_failures). A midconvex
+    subset reads as failing when some trace along a difference of two of its
+    members is not order-convex, so each such subset is one mismatch, lhs
+    True and rhs False, however many of its pairs fail.
     """
 
-    def check(report, group, columns, count, midconvex):
-        failures = engine.lemma1_failures(group, columns, midconvex)
-        if not failures:
-            return
-        name, names, labels = str(group), group.format_indices(range(group.order)), {}
-        for k, xi, yi in failures:
-            if k not in labels:
-                labels[k] = _subset_label(names, columns, k)
-            gi = group.add_index(yi, group.scale_index(xi, -1))
-            operation = f"trace at {names[xi]} along {names[gi]} not order-convex"
-            report.add_mismatch(name, labels[k], operation, True, False)
+    def reading(group, columns, count, midconvex):
+        return midconvex ^ engine.lemma1_failures(group, columns, midconvex)
 
-    return _sweep("lemma1", max_order, seed, check)
+    return _sweep("lemma1", max_order, seed, "is_midconvex vs order-convex traces", reading)
 
 
 def _purity_violation(

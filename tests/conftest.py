@@ -22,13 +22,26 @@ settings.load_profile("suite")
 
 @pytest.fixture
 def cold_caches():
-    """The sweeps' per-process tables of group structure, emptied before the test runs; call it to empty them again."""
+    """The sweeps' per-process tables of group structure, emptied before the test runs; call it to empty them again.
+
+    The tables are every functools.cache builder defined in engine and
+    harness, found on the modules before the test patches anything, so a
+    new cached builder is emptied too.
+    """
+    tables = [
+        value
+        for module in (engine, harness)
+        for value in vars(module).values()
+        if hasattr(value, "cache_clear") and value.__module__ == module.__name__
+    ]
+    found = {f"{table.__module__}.{table.__qualname__}" for table in tables}
+    assert found >= {
+        "midconvex.engine._closed_traces", "midconvex.engine._cyclic_subgroups", "midconvex.engine._double_sums",
+        "midconvex.harness._odd_index_cosets", "midconvex.harness.enumerate_abelian_groups",
+        "midconvex.harness._every_subset_columns",
+    }, found
 
     def clear():
-        tables = (
-            engine._closed_traces, engine._cyclic_subgroups, engine._double_sums, harness._odd_index_cosets,
-            harness.enumerate_abelian_groups, harness._every_subset_columns,
-        )
         for table in tables:
             table.cache_clear()
 

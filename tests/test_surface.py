@@ -142,6 +142,21 @@ def test_sweep_columns_stay_integers():
     assert "itemgetter" not in {name for name, _, _ in named(trees["engine"])}
 
 
+def test_only_the_sweep_driver_records_sweep_mismatches():
+    # the three sweeps hand _sweep a reading, and _sweep alone turns the
+    # difference of two words into records; the other campaigns record their own
+    tree = ast.parse((PACKAGE / "harness.py").read_text(encoding="utf-8"))
+    recorders = {
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and any(isinstance(leaf, ast.Attribute) and leaf.attr == "add_mismatch" for leaf in ast.walk(node))
+    }
+    sweeps = {"exhaustive_theorem2", "exhaustive_theorem1", "exhaustive_lemma1"}
+    assert sweeps <= {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert recorders == {"_sweep", "sample_two_purity", "roundtrip_theorem3", "conjecture_hull_check"}, recorders
+
+
 def test_sweep_kernels_keep_their_words_nonnegative():
     # a negative operand sends a big-int AND, OR or XOR through CPython's
     # two's-complement path, so the kernels complement within the subset
